@@ -25,7 +25,9 @@ from typing import Mapping, Optional, Sequence
 from .linalg import (
     Matrix,
     Subspace,
+    Terms,
     Vector,
+    bilinear_product,
     kernel_subspace,
     unit_vector,
     vec_is_zero,
@@ -38,9 +40,6 @@ from .scalars import I, ONE, ZERO, GaussianRational, scalar
 
 class InternalConsistencyError(RuntimeError):
     """A condition that the mathematics guarantees was violated anyway."""
-
-
-Terms = tuple[tuple[int, GaussianRational], ...]
 
 
 class Algebra:
@@ -97,23 +96,7 @@ class Algebra:
         return self.structure.get((i, j), ())
 
     def multiply_vectors(self, x: Sequence, y: Sequence) -> Vector:
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("dimension mismatch")
-        acc = [ZERO] * self.dim
-        get = self.structure.get
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                terms = get((i, j))
-                if not terms:
-                    continue
-                c = xi * yj
-                for k, s in terms:
-                    acc[k] = acc[k] + c * s
-        return tuple(acc)
+        return bilinear_product(self.dim, self.structure.get, x, y)
 
     def commutator(self, x: Sequence, y: Sequence) -> Vector:
         return vec_sub(self.multiply_vectors(x, y), self.multiply_vectors(y, x))
@@ -240,6 +223,31 @@ class AntiInvolution:
             return None
         return tuple(perm), tuple(signs)
 
+    @cached_property
+    def skew_subspace(self) -> Subspace:
+        """Canonical basis of the span of all a - sigma(a) in Q(i)^n.
+
+        Linear sigma: the kernel of (sigma + id), cross-checked against the
+        span of the generators e_i - sigma(e_i).  Conjugating sigma: since the
+        hat map is only Q-linear, basis vectors and their multiples by the
+        imaginary unit are both needed to generate the Q(i)-span.
+        """
+        n = self.matrix.rows
+        basis = [unit_vector(n, i) for i in range(n)]
+        if self.conjugates_scalars:
+            generators = []
+            for e in basis:
+                generators.append(skew_part(self, e))
+                generators.append(skew_part(self, tuple(I * c for c in e)))
+            return Subspace.from_vectors(n, generators)
+        eigen = kernel_subspace(self.matrix + Matrix.identity(n))
+        generated = Subspace.from_vectors(n, [skew_part(self, e) for e in basis])
+        if eigen != generated:
+            raise InternalConsistencyError(
+                "(-1)-eigenspace differs from the span of the generators"
+            )
+        return eigen
+
     def apply_vector(self, v: Sequence) -> Vector:
         v = vector(v)
         if self.conjugates_scalars:
@@ -337,31 +345,13 @@ def skew_part(sigma: AntiInvolution, v: Sequence) -> Vector:
 
 
 def plesken_subspace(algebra: Algebra, sigma: AntiInvolution) -> Subspace:
-    """Canonical basis of the span of all a - sigma(a).
+    """Canonical basis of the span of all a - sigma(a), computed once per sigma.
 
-    Linear sigma: the kernel of (sigma + id), cross-checked against the span
-    of the generators e_i - sigma(e_i).  Conjugating sigma: since the hat map
-    is only Q-linear, basis vectors and their multiples by the imaginary unit
-    are both needed to generate the Q(i)-span.
+    The skew part depends on the algebra only through its dimension.
     """
-    n = algebra.dim
-    if sigma.conjugates_scalars:
-        generators = []
-        for i in range(n):
-            e = algebra.basis_vector(i)
-            generators.append(skew_part(sigma, e))
-            ie = tuple(I * c for c in e)
-            generators.append(skew_part(sigma, ie))
-        return Subspace.from_vectors(n, generators)
-    eigen = kernel_subspace(sigma.matrix + Matrix.identity(n))
-    generated = Subspace.from_vectors(
-        n, [skew_part(sigma, algebra.basis_vector(i)) for i in range(n)]
-    )
-    if eigen != generated:
-        raise InternalConsistencyError(
-            "(-1)-eigenspace differs from the span of the generators"
-        )
-    return eigen
+    if sigma.matrix.rows != algebra.dim or sigma.matrix.cols != algebra.dim:
+        raise ValueError("involution matrix shape does not match the algebra")
+    return sigma.skew_subspace
 
 
 def plesken_basis(algebra: Algebra, sigma: AntiInvolution) -> list[AlgebraElement]:

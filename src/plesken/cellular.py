@@ -405,6 +405,12 @@ class SemisimplicityReport:
     semisimple: bool
     ranks: tuple[tuple[Label, int, int], ...]  # (lam, size, rank)
 
+    @classmethod
+    def from_ranks(cls, ranks) -> SemisimplicityReport:
+        """Semisimple iff every cell Gram matrix has full rank."""
+        ranks = tuple(ranks)
+        return cls(all(size == rk for _, size, rk in ranks), ranks)
+
     def as_dict(self) -> dict:
         return {
             "semisimple": self.semisimple,
@@ -417,13 +423,8 @@ class SemisimplicityReport:
 
 def is_semisimple(algebra: Algebra, cd: CellDatum) -> SemisimplicityReport:
     """Semisimple iff every cell Gram matrix has full rank."""
-    ranks = []
-    for lam in cd.lambdas:
-        form = gram_matrix(algebra, cd, lam)
-        ranks.append((lam, form.size, form.rank))
-    return SemisimplicityReport(
-        all(size == rk for _, size, rk in ranks), tuple(ranks)
-    )
+    forms = [gram_matrix(algebra, cd, lam) for lam in cd.lambdas]
+    return SemisimplicityReport.from_ranks((f.lam, f.size, f.rank) for f in forms)
 
 
 @dataclass(frozen=True)

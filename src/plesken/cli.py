@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success or certificate, 1 refutation or failed battery item
 (a mathematically meaningful negative outcome), 2 input or validation
-error, 3 internal inconsistency.  The only environment variable honored is
-PLESKEN_OUT_DIR, an output-directory override for relative --out paths.
+error, 3 internal inconsistency or any other unexpected failure.  The only
+environment variable honored is PLESKEN_OUT_DIR, an output-directory
+override for relative --out paths.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .algebra import InternalConsistencyError
@@ -118,11 +120,7 @@ def _build(args) -> int:
     elif family == "matrix-over":
         if args.n is None or args.inner is None:
             raise DocumentInvalid("--n and --inner are required for matrix-over")
-        try:
-            inner_doc = load(args.inner)
-        except OSError as exc:
-            raise DocumentInvalid(f"cannot read {args.inner}: {exc}") from exc
-        inner, inner_sigma, _ = inner_doc.to_algebra()
+        inner_doc, inner, inner_sigma, _ = _load_validated(args.inner)
         algebra, sigma = matrix_over_algebra(args.n, inner, inner_sigma)
         name = f"matrix-over-{inner_doc.name}-n{args.n}"
     elif family == "planar-rook":
@@ -151,8 +149,10 @@ def _load_validated(path: str):
         doc = load(path)
     except OSError as exc:
         raise DocumentInvalid(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise DocumentInvalid(f"cannot parse {path}: {exc}") from exc
+    except KeyError as exc:
+        raise DocumentInvalid(f"cannot parse {path}: missing field {exc}") from exc
     algebra, sigma, datum = doc.to_algebra()
     return doc, algebra, sigma, datum
 
@@ -259,6 +259,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _report_error(args, "invalid-input", str(exc))
         return EXIT_INVALID
+    except Exception as exc:  # never let a crash read as exit 1, "refutation"
+        traceback.print_exc()
+        _report_error(args, "internal-error", f"{type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 def _report_error(args, kind: str, message: str):

@@ -6,10 +6,11 @@ rref-basis `Subspace` values from `linalg`, so series stabilization is
 detected by exact subspace equality.
 
 `orthogonal_model` builds direct sums of the skew-symmetric matrix Lie
-algebras o(d); `fingerprint` collects exact invariants (derived and lower
-central series, center, Killing rank, solvability) that are compared
-field-by-field by `fingerprint_match`.  A matching fingerprint is a
-necessary condition for isomorphism, not a proof.
+algebras o(d), each the skew part of M(d) under transposition;
+`fingerprint` collects exact invariants (derived and lower central series,
+center, Killing rank, solvability) that are compared field-by-field by
+`fingerprint_match`.  A matching fingerprint is a necessary condition for
+isomorphism, not a proof.
 """
 
 from __future__ import annotations
@@ -17,10 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .linalg import Matrix, Subspace, Vector, kernel_subspace, rank, vector
-from .scalars import ONE, ZERO, GaussianRational
-
-Terms = tuple[tuple[int, GaussianRational], ...]
+from .algebra import plesken_lie_algebra
+from .builders import matrix_algebra
+from .linalg import (
+    Matrix,
+    Subspace,
+    Terms,
+    Vector,
+    bilinear_product,
+    kernel_subspace,
+    rank,
+    vector,
+)
+from .scalars import ZERO, GaussianRational
 
 
 class LieAlgebra:
@@ -37,32 +47,16 @@ class LieAlgebra:
             if terms:
                 cleaned[(i, j)] = terms
         self.table = cleaned
+        # Both halves of the antisymmetric table, for lookups in either order.
+        self._terms = dict(cleaned)
+        for (i, j), terms in cleaned.items():
+            self._terms[(j, i)] = tuple((k, -c) for k, c in terms)
 
     def bracket_terms(self, i: int, j: int) -> Terms:
-        if i == j:
-            return ()
-        if i < j:
-            return self.table.get((i, j), ())
-        return tuple((k, -c) for k, c in self.table.get((j, i), ()))
+        return self._terms.get((i, j), ())
 
     def bracket_vectors(self, x: Sequence, y: Sequence) -> Vector:
-        x, y = vector(x), vector(y)
-        if len(x) != self.dim or len(y) != self.dim:
-            raise ValueError("dimension mismatch")
-        acc = [ZERO] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                terms = self.bracket_terms(i, j)
-                if not terms:
-                    continue
-                c = xi * yj
-                for k, s in terms:
-                    acc[k] = acc[k] + c * s
-        return tuple(acc)
+        return bilinear_product(self.dim, self._terms.get, vector(x), vector(y))
 
     def jacobi_failure(self) -> Optional[tuple[int, int, int]]:
         """First basis triple violating the Jacobi identity, else None."""
@@ -178,6 +172,15 @@ class Fingerprint:
             "nilpotent": self.nilpotent,
         }
 
+    def compare(self, expected: Fingerprint) -> FingerprintComparison:
+        """Field-by-field comparison with the fingerprint of a model."""
+        diffs = tuple(
+            (field, getattr(self, field), getattr(expected, field))
+            for field in Fingerprint.__dataclass_fields__
+            if getattr(self, field) != getattr(expected, field)
+        )
+        return FingerprintComparison(not diffs, diffs)
+
 
 def fingerprint(L: LieAlgebra) -> Fingerprint:
     derived = [s.dim for s in derived_series(L)]
@@ -196,60 +199,27 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
     )
 
 
-def _block_model(d: int) -> dict[tuple[int, int], Terms]:
-    """Bracket table of o(d) on the basis E_rs - E_sr for 1 <= r < s <= d."""
-    pairs = [(r, s) for r in range(1, d + 1) for s in range(r + 1, d + 1)]
-    index = {p: i for i, p in enumerate(pairs)}
-
-    def as_matrix(p):
-        m = {}
-        r, s = p
-        m[(r, s)] = ONE
-        m[(s, r)] = -ONE
-        return m
-
-    def matmul(x, y):
-        out: dict[tuple[int, int], GaussianRational] = {}
-        for (r, c1), v1 in x.items():
-            for (c2, s), v2 in y.items():
-                if c1 == c2:
-                    out[(r, s)] = out.get((r, s), ZERO) + v1 * v2
-        return out
-
-    table: dict[tuple[int, int], Terms] = {}
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            xa, xb = as_matrix(pairs[a]), as_matrix(pairs[b])
-            comm = matmul(xa, xb)
-            for key, v in matmul(xb, xa).items():
-                comm[key] = comm.get(key, ZERO) - v
-            terms = []
-            for (r, s), v in comm.items():
-                if v and r < s:
-                    terms.append((index[(r, s)], v))
-            terms = tuple(sorted(terms))
-            if terms:
-                table[(a, b)] = terms
-    return table
-
-
 def orthogonal_model(sizes: Sequence[int]) -> LieAlgebra:
-    """Block-diagonal direct sum of the skew-matrix Lie algebras o(d)."""
+    """Block-diagonal direct sum of the skew-matrix Lie algebras o(d).
+
+    Block o(d) has the basis E_rs - E_sr for 1 <= r < s <= d, labeled
+    B{block}.r,s, in the order of the skew part of M(d).
+    """
     labels: list[str] = []
     table: dict[tuple[int, int], Terms] = {}
-    offset = 0
     for block, d in enumerate(sizes):
         if d < 0:
             raise ValueError("sizes must be non-negative")
-        block_table = _block_model(d)
-        count = d * (d - 1) // 2
-        pairs = [(r, s) for r in range(1, d + 1) for s in range(r + 1, d + 1)]
-        labels.extend(f"B{block}.{r},{s}" for r, s in pairs)
-        for (a, b), terms in block_table.items():
+        if d < 2:
+            continue  # o(0) and o(1) are zero
+        offset = len(labels)
+        labels.extend(
+            f"B{block}.{r},{s}" for r in range(1, d + 1) for s in range(r + 1, d + 1)
+        )
+        for (a, b), terms in plesken_lie_algebra(*matrix_algebra(d)).table.items():
             table[(a + offset, b + offset)] = tuple(
                 (k + offset, c) for k, c in terms
             )
-        offset += count
     return LieAlgebra(labels, table)
 
 
@@ -274,12 +244,4 @@ def _plain(value):
 
 def fingerprint_match(L: LieAlgebra, sizes: Sequence[int]) -> FingerprintComparison:
     """Compare fingerprint(L) with the fingerprint of the model of given sizes."""
-    actual = fingerprint(L)
-    expected = fingerprint(orthogonal_model(sizes))
-    diffs = []
-    for field in Fingerprint.__dataclass_fields__:
-        a = getattr(actual, field)
-        e = getattr(expected, field)
-        if a != e:
-            diffs.append((field, a, e))
-    return FingerprintComparison(not diffs, tuple(diffs))
+    return fingerprint(L).compare(fingerprint(orthogonal_model(sizes)))

@@ -11,11 +11,12 @@ how `Subspace` equality is defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .scalars import ONE, ZERO, GaussianRational, scalar
 
 Vector = tuple[GaussianRational, ...]
+Terms = tuple[tuple[int, GaussianRational], ...]  # sparse (index, coefficient)
 
 
 def zero_vector(n: int) -> Vector:
@@ -44,6 +45,32 @@ def vec_scale(c: GaussianRational, x: Vector) -> Vector:
 
 def vec_is_zero(x: Vector) -> bool:
     return not any(x)
+
+
+def bilinear_product(
+    n: int, terms: Callable[[tuple[int, int]], Optional[Terms]], x: Vector, y: Vector
+) -> Vector:
+    """Bilinear extension of basis products: sum of x_i y_j * terms((i, j)).
+
+    `terms` maps a basis index pair to the sparse expansion of its product,
+    or to an empty or None value when the product is zero.
+    """
+    if len(x) != n or len(y) != n:
+        raise ValueError("dimension mismatch")
+    acc = [ZERO] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            expansion = terms((i, j))
+            if not expansion:
+                continue
+            c = xi * yj
+            for k, s in expansion:
+                acc[k] = acc[k] + c * s
+    return tuple(acc)
 
 
 class Matrix:

@@ -1,9 +1,16 @@
 """Verification reports: deterministic JSON, optional Markdown rendering.
 
-Every verdict in a report is computed in the invocation that emits it;
-nothing is cached between runs.  Reports are rendered byte-identically for
-identical inputs, flags and seed; wall-clock timing is therefore only
-included when explicitly requested.
+Every verdict in a report is computed in the invocation that emits it,
+each artifact once; nothing is cached between runs.  Reports are rendered
+byte-identically for identical inputs, flags and seed; wall-clock timing is
+therefore only included when explicitly requested.
+
+The `bracket_closure` check reports the exact closure proof made while the
+Lie table is built: the bracket of every pair of skew-part basis vectors
+must lie in the skew part, or `plesken_lie_algebra` raises
+`InternalConsistencyError`, and bilinearity extends this to the whole skew
+part.  The seed is only echoed into the report; no report verdict is
+randomized.
 """
 
 from __future__ import annotations
@@ -13,24 +20,22 @@ import json
 from .algebra import (
     Algebra,
     AntiInvolution,
-    bracket_closure_check,
     describe_vector,
-    plesken_basis,
     plesken_lie_algebra,
+    plesken_subspace,
     validate_associativity,
     validate_involution,
     validate_unit,
 )
 from .cellular import (
     CellDatum,
+    PredictedDecomposition,
+    SemisimplicityReport,
     check_gram_properties,
-    gram_matrix,
-    is_semisimple,
-    predicted_decomposition,
     validate_cell_datum,
     verify_theorem,
 )
-from .lie import fingerprint, fingerprint_match
+from .lie import Fingerprint, fingerprint, orthogonal_model
 from .scalars import ZERO
 
 DEFAULT_BRACKET_CAP = 12
@@ -65,16 +70,20 @@ def analysis_report(
     *,
     bracket_cap: int = DEFAULT_BRACKET_CAP,
     seed: int = 0,
-    closure_samples: int = 25,
 ) -> dict:
     """Skew-part structure of one algebra: basis, brackets, fingerprint."""
+    return _analysis(name, algebra, sigma, bracket_cap, seed)[0]
+
+
+def _analysis(
+    name: str, algebra: Algebra, sigma: AntiInvolution, bracket_cap: int, seed: int
+) -> tuple[dict, Fingerprint]:
     checks = validate_algebra(algebra, sigma)
-    basis = plesken_basis(algebra, sigma)
+    # Raises InternalConsistencyError if a basis bracket leaves the skew part.
     lie = plesken_lie_algebra(algebra, sigma)
-    closure = bracket_closure_check(algebra, sigma, closure_samples, seed=seed)
-    checks["bracket_closure"] = (
-        "pass" if closure is None else f"counterexample at sample {closure.sample}"
-    )
+    checks["bracket_closure"] = "pass"
+    basis = plesken_subspace(algebra, sigma).basis
+    fp = fingerprint(lie)
     report = {
         "input": {
             "name": name,
@@ -85,14 +94,11 @@ def analysis_report(
         "plesken": {
             "dim": lie.dim,
             "basis": [
-                {
-                    "label": lie.labels[i],
-                    "element": describe_vector(algebra.labels, basis[i].coeffs),
-                }
-                for i in range(lie.dim)
+                {"label": label, "element": describe_vector(algebra.labels, v)}
+                for label, v in zip(lie.labels, basis)
             ],
         },
-        "fingerprint": fingerprint(lie).as_dict(),
+        "fingerprint": fp.as_dict(),
         "seed": seed,
     }
     if lie.dim <= bracket_cap:
@@ -108,7 +114,7 @@ def analysis_report(
         report["plesken"]["bracket_table"] = table
     else:
         report["plesken"]["bracket_table"] = None
-    return report
+    return report, fp
 
 
 def cellular_report(
@@ -121,9 +127,7 @@ def cellular_report(
     seed: int = 0,
 ) -> dict:
     """Full cellularity verification on top of the analysis report."""
-    report = analysis_report(
-        name, algebra, sigma, bracket_cap=bracket_cap, seed=seed
-    )
+    report, fp = _analysis(name, algebra, sigma, bracket_cap, seed)
     failure = validate_cell_datum(algebra, sigma, datum)
     if failure is not None:
         report["cellularity"] = {"valid": False, "failure": str(failure)}
@@ -136,22 +140,19 @@ def cellular_report(
         is not None
     ]
     report["gram_properties"] = {"pass": not gram_issues, "failures": gram_issues}
-    verdict = is_semisimple(algebra, datum)
-    report["semisimplicity"] = verdict.as_dict()
-    grams = [gram_matrix(algebra, datum, lam) for lam in datum.lambdas]
-    if verdict.semisimple:
-        decomposition = predicted_decomposition(datum, grams)
-        report["predicted_decomposition"] = decomposition.as_dict()
-        sizes = decomposition.size_list()
-    else:
-        report["predicted_decomposition"] = None
-        sizes = [len(datum.members(lam)) for lam in datum.lambdas if datum.members(lam)]
     outcome = verify_theorem(algebra, sigma, datum)
+    verdict = SemisimplicityReport.from_ranks(outcome.gram_ranks)
+    report["semisimplicity"] = verdict.as_dict()
+    report["predicted_decomposition"] = (
+        PredictedDecomposition(outcome.block_sizes, outcome.predicted_lie_dim).as_dict()
+        if verdict.semisimple
+        else None
+    )
     report["theorem"] = outcome.as_dict()
-    lie = plesken_lie_algebra(algebra, sigma)
+    sizes = [d for _, d in outcome.block_sizes]
     report["fingerprint_comparison"] = {
         "model_sizes": sizes,
-        **fingerprint_match(lie, sizes).as_dict(),
+        **fp.compare(fingerprint(orthogonal_model(sizes))).as_dict(),
     }
     return report
 

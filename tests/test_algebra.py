@@ -5,6 +5,7 @@ import pytest
 from plesken.algebra import (
     AntiInvolution,
     Algebra,
+    InternalConsistencyError,
     bracket_closure_check,
     multiply,
     plesken_basis,
@@ -149,6 +150,22 @@ def test_plesken_lie_tl0_4_table():
 def test_bracket_closure(factory, samples, seed):
     A, sigma = factory()
     assert bracket_closure_check(A, sigma, samples, seed=seed) is None
+
+
+def test_closure_proof_fires_when_the_skew_part_is_not_closed():
+    # diag(-1, -1, -1, 1) on M(2) is no anti-involution: its (-1)-eigenspace
+    # span(E11, E12, E21) is not closed, since [E12, E21] = E11 - E22.  The
+    # exact basis-pair proof that the reports rely on must catch this.
+    A, _ = matrix_algebra(2)
+    sigma = AntiInvolution(Matrix([[-1, 0, 0, 0], [0, -1, 0, 0],
+                                   [0, 0, -1, 0], [0, 0, 0, 1]]))
+    assert validate_involution(A, sigma) is not None
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"bracket of basis pair \(1, 2\) left the skew part",
+    ):
+        plesken_lie_algebra(A, sigma)
+    assert bracket_closure_check(A, sigma, 25, seed=0) is not None
 
 
 def test_group_bracket_identity_on_elements():

@@ -1,0 +1,59 @@
+"""Byte identity of CLI reports.
+
+Each document is written by `plesken build` and each report is produced
+with default flags; the SHA-256 of the report bytes must not change.  A
+change that alters a report on purpose has to say why and re-record the
+digest here.
+"""
+
+import hashlib
+
+import pytest
+
+from plesken import cli
+
+BUILDS = {
+    "h": ("--family", "quaternions"),
+    "m2c": ("--family", "matrix-conj", "--n", "2"),
+    "pr3": ("--family", "planar-rook", "--n", "3"),
+    "tl0": ("--family", "temperley-lieb", "--n", "4", "--delta", "0"),
+    "tl3": ("--family", "temperley-lieb", "--n", "4", "--delta", "3"),
+}
+
+REPORTS = [
+    ("analyze", "h", (), 0,
+     "ffbab67097865470c3525586379a10f59ea14485e55eeef3f7a7a4ed8ac00b5f"),
+    ("analyze", "m2c", (), 0,
+     "2eae69dcb168b611cd34564f5efb73b0090a83a44e875b5c20b227d692d1f8d1"),
+    ("verify-cellular", "pr3", (), 0,
+     "dc2524faf4d7452ac841f5d3b8ccbfe17e584092ce966a211480a96473ab777d"),
+    ("verify-cellular", "tl0", (), 1,
+     "7eb092da4c7ef7aa4c352f7e7b11e5f638a83d46bc5107eaeca89637b949fe0a"),
+    ("verify-cellular", "tl3", (), 0,
+     "d44c4e029a4c955b72e00bea4cf095265eea2b845591d6fda11606a84957869e"),
+    ("verify-cellular", "tl0", ("--format", "md"), 1,
+     "c3873a44b1702b6614094a706280fddce5695caf0490d52c21d6a4f3a654c0de"),
+]
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for key, argv in BUILDS.items():
+        paths[key] = directory / f"{key}.plesken.json"
+        assert cli.main(["build", *argv, "--out", str(paths[key])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "command, key, flags, exit_code, digest",
+    REPORTS,
+    ids=[f"{c}-{k}{'-md' if f else ''}" for c, k, f, _, _ in REPORTS],
+)
+def test_report_bytes_unchanged(documents, capsys, command, key, flags, exit_code,
+                                digest):
+    capsys.readouterr()
+    assert cli.main([command, str(documents[key]), *flags]) == exit_code
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest

@@ -260,17 +260,33 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys):
     error = json.loads(out)
     assert error["error"]["kind"] == "invalid-input"
 
+    # A missing field and a float scalar are malformed input, not exit 1.
+    valid = json.loads(emit(document_from_algebra("q", *quaternions())))
+    no_unit = {key: value for key, value in valid.items() if key != "unit"}
+    float_scalar = json.loads(json.dumps(valid))
+    float_scalar["structure"][0][3] = 1.5
+    for payload in (no_unit, float_scalar):
+        q.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "analyze", str(q))
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "invalid-input"
+
 
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     q = tmp_path / "q.plesken.json"
     run_cli(capsys, "build", "--family", "quaternions", "--out", str(q))
 
-    def boom(*args, **kwargs):
-        raise InternalConsistencyError("forced")
+    for error, kind in (
+        (InternalConsistencyError("forced"), "internal-inconsistency"),
+        (ZeroDivisionError("unexpected"), "internal-error"),
+    ):
+        def boom(*args, error=error, **kwargs):
+            raise error
 
-    monkeypatch.setattr(cli, "analysis_report", boom)
-    code, _ = run_cli(capsys, "analyze", str(q))
-    assert code == 3
+        monkeypatch.setattr(cli, "analysis_report", boom)
+        code, out = run_cli(capsys, "analyze", str(q))
+        assert code == 3
+        assert json.loads(out)["error"]["kind"] == kind
 
 
 def test_cli_paper_suite_passes_and_is_reproducible(tmp_path, capsys):

@@ -49,6 +49,7 @@ from .builders import (
 )
 from .cellular import (
     CellDatum,
+    CellForms,
     CellModule,
     GramForm,
     cell_datum_matrix,

@@ -401,6 +401,26 @@ def gram_matrix(algebra: Algebra, cd: CellDatum, lam: Label) -> GramForm:
 
 
 @dataclass(frozen=True)
+class CellForms:
+    """The cell module and the Gram form of every cell of one datum.
+
+    Build it once with `build` and pass it to `check_gram_properties` and
+    `verify_theorem`, so that neither builds the modules and forms again.
+    Like `cell_module`, it requires a validated datum.
+    """
+
+    modules: Mapping[Label, CellModule]
+    grams: Mapping[Label, GramForm]
+
+    @classmethod
+    def build(cls, algebra: Algebra, cd: CellDatum) -> CellForms:
+        return cls(
+            {lam: cell_module(algebra, cd, lam) for lam in cd.lambdas},
+            {lam: gram_matrix(algebra, cd, lam) for lam in cd.lambdas},
+        )
+
+
+@dataclass(frozen=True)
 class SemisimplicityReport:
     semisimple: bool
     ranks: tuple[tuple[Label, int, int], ...]  # (lam, size, rank)
@@ -511,12 +531,20 @@ class TheoremReport:
 
 
 def verify_theorem(
-    algebra: Algebra, sigma: AntiInvolution, cd: CellDatum
+    algebra: Algebra,
+    sigma: AntiInvolution,
+    cd: CellDatum,
+    *,
+    forms: Optional[CellForms] = None,
 ) -> TheoremReport:
     """Certify (or refute) that the skew part is the direct sum of the
-    orthogonal Lie algebras of the cell Gram forms."""
-    modules = {lam: cell_module(algebra, cd, lam) for lam in cd.lambdas}
-    grams = {lam: gram_matrix(algebra, cd, lam) for lam in cd.lambdas}
+    orthogonal Lie algebras of the cell Gram forms.
+
+    `forms`, if given, must be `CellForms.build(algebra, cd)`.
+    """
+    if forms is None:
+        forms = CellForms.build(algebra, cd)
+    modules, grams = forms.modules, forms.grams
     gram_ranks = tuple((lam, grams[lam].size, grams[lam].rank) for lam in cd.lambdas)
 
     # (a) injectivity of the combined cell representation.
@@ -588,14 +616,22 @@ class GramPropertyFailure:
 
 
 def check_gram_properties(
-    algebra: Algebra, sigma: AntiInvolution, cd: CellDatum, lam: Label
+    algebra: Algebra,
+    sigma: AntiInvolution,
+    cd: CellDatum,
+    lam: Label,
+    *,
+    forms: Optional[CellForms] = None,
 ) -> Optional[GramPropertyFailure]:
     """Check G = G^T and rho(sigma(a))^T G = G rho(a) for all basis a.
 
-    These hold for every valid cell datum, semisimple or not.
+    These hold for every valid cell datum, semisimple or not.  `forms`, if
+    given, must be `CellForms.build(algebra, cd)`.
     """
-    module = cell_module(algebra, cd, lam)
-    g = gram_matrix(algebra, cd, lam).gram
+    if forms is None:
+        module, g = cell_module(algebra, cd, lam), gram_matrix(algebra, cd, lam).gram
+    else:
+        module, g = forms.modules[lam], forms.grams[lam].gram
     if g != g.transpose():
         return GramPropertyFailure(lam, "symmetry", ())
     for a in range(algebra.dim):

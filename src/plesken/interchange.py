@@ -194,7 +194,9 @@ def emit(doc: AlgebraDocument) -> str:
 
 
 def _parse_involution(payload: dict, dim: int) -> tuple[Matrix, bool]:
-    conj = bool(payload.get("conjugates_scalars", False))
+    conj = payload.get("conjugates_scalars", False)
+    if not isinstance(conj, bool):
+        raise ValueError("involution conjugates_scalars must be true or false")
     if "matrix" in payload:
         rows = [[scalar(v) for v in row] for row in payload["matrix"]]
         matrix = Matrix(rows)
@@ -231,7 +233,10 @@ def parse(text: str) -> AlgebraDocument:
     unit = [scalar(c) for c in payload["unit"]]
     if len(unit) != dim:
         raise ValueError("unit vector has wrong length")
-    matrix, conj = _parse_involution(payload["involution"], dim)
+    involution = payload["involution"]
+    if not isinstance(involution, dict):
+        raise ValueError("involution must be a JSON object")
+    matrix, conj = _parse_involution(involution, dim)
     cell = None
     if "cell" in payload:
         raw = payload["cell"]

@@ -29,6 +29,7 @@ from .algebra import (
 )
 from .cellular import (
     CellDatum,
+    CellForms,
     PredictedDecomposition,
     SemisimplicityReport,
     check_gram_properties,
@@ -133,14 +134,15 @@ def cellular_report(
         report["cellularity"] = {"valid": False, "failure": str(failure)}
         return report
     report["cellularity"] = {"valid": True}
+    forms = CellForms.build(algebra, datum)
     gram_issues = [
         str(problem)
         for lam in datum.lambdas
-        if (problem := check_gram_properties(algebra, sigma, datum, lam))
+        if (problem := check_gram_properties(algebra, sigma, datum, lam, forms=forms))
         is not None
     ]
     report["gram_properties"] = {"pass": not gram_issues, "failures": gram_issues}
-    outcome = verify_theorem(algebra, sigma, datum)
+    outcome = verify_theorem(algebra, sigma, datum, forms=forms)
     verdict = SemisimplicityReport.from_ranks(outcome.gram_ranks)
     report["semisimplicity"] = verdict.as_dict()
     report["predicted_decomposition"] = (

@@ -6,11 +6,14 @@ to see them.  The whole module is expected to finish well under a minute.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
+import plesken
 from plesken.algebra import (
     bracket_closure_check,
     plesken_basis,
@@ -292,6 +295,11 @@ def test_criterion_8_property_suites():
 
 
 def test_criterion_9_paper_suite_cli(tmp_path):
+    # The subprocess runs the plesken package this module imported, also
+    # when it is importable only through pytest's `pythonpath` setting.
+    src = str(Path(plesken.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     with criterion(9, "verification battery via the CLI"):
         outputs = []
         for run in (1, 2):
@@ -301,6 +309,7 @@ def test_criterion_9_paper_suite_cli(tmp_path):
                  "--seed", "0", "--out", str(out)],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert result.returncode == 0, result.stderr
             outputs.append(out.read_bytes())

@@ -6,6 +6,7 @@ from plesken.algebra import plesken_basis
 from plesken.builders import matrix_algebra, planar_rook, temperley_lieb
 from plesken.cellular import (
     CellDatum,
+    CellForms,
     cell_datum_matrix,
     cell_datum_planar_rook,
     cell_datum_temperley_lieb,
@@ -246,6 +247,31 @@ def test_refutation_tl_delta_zero():
     assert outcome.failed_check == "representation_injective"
     assert outcome.skew_ok  # adjointness holds without semisimplicity
     assert outcome.lie_dim == 4 == outcome.predicted_lie_dim
+
+
+def test_cellular_report_builds_each_cell_form_once(monkeypatch):
+    # The report checks the Gram properties and the certificate on one
+    # shared CellForms; both give what they give on their own.
+    import plesken.cellular as cellular
+    from plesken.report import cellular_report
+
+    A, sigma = temperley_lieb(4, 0)
+    cd = cell_datum_temperley_lieb(4, sigma)
+    forms = CellForms.build(A, cd)
+    assert verify_theorem(A, sigma, cd, forms=forms) == verify_theorem(A, sigma, cd)
+    for lam in cd.lambdas:
+        assert check_gram_properties(A, sigma, cd, lam, forms=forms) is None
+
+    calls = {"cell_module": 0, "gram_matrix": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(cellular, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cellular, name, counted)
+    report = cellular_report("tl04", A, sigma, cd)
+    assert report["theorem"]["failed_check"] == "representation_injective"
+    assert calls == {"cell_module": len(cd.lambdas), "gram_matrix": len(cd.lambdas)}
 
 
 @pytest.mark.parametrize(

@@ -260,12 +260,17 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys):
     error = json.loads(out)
     assert error["error"]["kind"] == "invalid-input"
 
-    # A missing field and a float scalar are malformed input, not exit 1.
+    # A missing field, a float scalar, an involution that is not an object
+    # and a conjugation flag that is not a boolean are malformed input, not
+    # exit 1 or 3 (nor a string "false" read as true).
     valid = json.loads(emit(document_from_algebra("q", *quaternions())))
     no_unit = {key: value for key, value in valid.items() if key != "unit"}
     float_scalar = json.loads(json.dumps(valid))
     float_scalar["structure"][0][3] = 1.5
-    for payload in (no_unit, float_scalar):
+    involution_list = {**valid, "involution": []}
+    involution_text = {**valid, "involution": "x"}
+    flag_text = {**valid, "involution": {**valid["involution"], "conjugates_scalars": "false"}}
+    for payload in (no_unit, float_scalar, involution_list, involution_text, flag_text):
         q.write_text(json.dumps(payload))
         code, out = run_cli(capsys, "analyze", str(q))
         assert code == 2

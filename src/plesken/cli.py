@@ -187,7 +187,7 @@ def _verify_cellular(args) -> int:
 
 
 def _paper_suite(args) -> int:
-    results = run_suite(cap=args.cap, seed=args.seed)
+    results = run_suite(cap=args.cap)
     statuses = {info["status"] for info in results.values()}
     payload = {
         "cap": args.cap,

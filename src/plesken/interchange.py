@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Optional
 
 from .algebra import Algebra, AntiInvolution
+from .builders import signed_permutation_matrix
 from .cellular import CellDatum
 from .linalg import Matrix
 from .scalars import ONE, GaussianRational, scalar
@@ -137,28 +138,16 @@ def document_from_algebra(
 
 
 def _involution_payload(doc: AlgebraDocument) -> dict:
-    m = doc.involution_matrix
-    n = m.rows
-    perm = [-1] * n
-    signs = [1] * n
-    shorthand = n == m.cols
-    for j in range(n):
-        if not shorthand:
-            break
-        hits = [(i, m.data[i][j]) for i in range(n) if m.data[i][j]]
-        if len(hits) == 1 and hits[0][1] in (ONE, -ONE):
-            perm[j] = hits[0][0]
-            signs[j] = 1 if hits[0][1] == ONE else -1
-        else:
-            shorthand = False
-    if shorthand and sorted(perm) == list(range(n)):
+    shorthand = AntiInvolution(doc.involution_matrix)._signed_permutation
+    if shorthand is not None:
+        perm, signs = shorthand
         return {
-            "permutation": perm,
-            "signs": signs,
+            "permutation": list(perm),
+            "signs": [1 if sign == ONE else -1 for sign in signs],
             "conjugates_scalars": doc.conjugates_scalars,
         }
     return {
-        "matrix": [[str(v) for v in row] for row in m.data],
+        "matrix": [[str(v) for v in row] for row in doc.involution_matrix.data],
         "conjugates_scalars": doc.conjugates_scalars,
     }
 
@@ -204,13 +193,12 @@ def _parse_involution(payload: dict, dim: int) -> tuple[Matrix, bool]:
             raise ValueError("involution matrix has wrong shape")
         return matrix, conj
     perm = payload["permutation"]
-    signs = payload.get("signs", [1] * dim)
     if sorted(perm) != list(range(dim)):
         raise ValueError("involution permutation is not a permutation")
-    rows = [[scalar(0)] * dim for _ in range(dim)]
-    for j, (target, sign) in enumerate(zip(perm, signs)):
-        rows[target][j] = scalar(sign)
-    return Matrix(rows), conj
+    signs = payload.get("signs")
+    if "signs" in payload and not (isinstance(signs, list) and len(signs) == dim):
+        raise ValueError("involution signs must be a list of length dim")
+    return signed_permutation_matrix(dim, perm, signs), conj
 
 
 def parse(text: str) -> AlgebraDocument:

@@ -1,7 +1,13 @@
 """One-shot verification battery over every built-in family.
 
-Each item builds an algebra, recomputes the facts it is responsible for,
-and reports pass/fail; exceptions are contained per item so one corrupted
+Each item builds an algebra and checks the paper's closed forms for it
+with the pipeline the CLI ships.  Items with a cell datum (planar rook,
+Temperley-Lieb, matrix algebras with transposition) read the fields of
+`cellular_report`, the `verify-cellular` report; the others run
+`validate_algebra` and then `plesken_lie_algebra`, whose construction is
+the exact proof that the skew part is closed under the bracket.  So every
+item is validated exactly, no check is randomized, and each cell Gram
+form is built once.  Exceptions are contained per item so one corrupted
 construction cannot take down the rest of the battery.  Items whose size
 is above the configured diagram cap are skipped with a reason.
 
@@ -16,14 +22,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .algebra import (
-    bracket_closure_check,
-    plesken_lie_algebra,
-    plesken_subspace,
-    validate_associativity,
-    validate_involution,
-    validate_unit,
-)
+from .algebra import plesken_lie_algebra
 from .builders import (
     GroupTable,
     group_algebra,
@@ -34,13 +33,11 @@ from .builders import (
     temperley_lieb,
 )
 from .cellular import (
+    cell_datum_matrix,
     cell_datum_planar_rook,
     cell_datum_temperley_lieb,
-    is_semisimple,
-    validate_cell_datum,
-    verify_theorem,
 )
-from .lie import derived_series, fingerprint, fingerprint_match
+from .report import cellular_report, validate_algebra
 from .scalars import scalar
 
 
@@ -75,19 +72,42 @@ def _check(condition: bool, message: str):
         raise AssertionError(message)
 
 
-def _common_checks(algebra, sigma, *, seed: int, closure_samples: int = 0) -> None:
-    _check(validate_associativity(algebra) is None, "associativity failed")
-    _check(validate_unit(algebra) is None, "unit axiom failed")
-    _check(validate_involution(algebra, sigma) is None, "involution invalid")
-    if closure_samples:
-        failure = bracket_closure_check(algebra, sigma, closure_samples, seed=seed)
-        _check(failure is None, f"bracket closure failed: {failure}")
+def _lie(algebra, sigma):
+    """Validate exactly, then build the Lie table, whose construction is the
+    exact proof that the skew part is closed under the bracket."""
+    validate_algebra(algebra, sigma)
+    return plesken_lie_algebra(algebra, sigma)
 
 
-def _item_quaternions(cap: int, seed: int) -> dict:
-    algebra, sigma = quaternions()
-    _common_checks(algebra, sigma, seed=seed, closure_samples=50)
-    lie = plesken_lie_algebra(algebra, sigma)
+def _verified(name: str, algebra, sigma, datum) -> dict:
+    """The `verify-cellular` report, with a valid datum and Gram forms."""
+    report = cellular_report(name, algebra, sigma, datum)
+    cellularity = report["cellularity"]
+    _check(cellularity["valid"], f"cell datum invalid: {cellularity.get('failure')}")
+    gram = report["gram_properties"]
+    _check(gram["pass"], f"Gram form properties fail: {gram['failures']}")
+    return report
+
+
+def _orthogonal_sum(report: dict, sizes: list[int]) -> int:
+    """Check that the report certifies the skew part as the direct sum of
+    o(d) for d in `sizes`; returns its dimension."""
+    theorem = report["theorem"]
+    _check(theorem["certified"], f"no certificate: {theorem['failed_check']}")
+    _check(
+        sorted(block["size"] for block in theorem["blocks"]) == sorted(sizes),
+        "cell dimensions disagree with the closed form",
+    )
+    _check(
+        theorem["lie_dim"] == sum(d * (d - 1) // 2 for d in sizes),
+        "skew-part dimension != sum d(d-1)/2",
+    )
+    _check(report["fingerprint_comparison"]["matches"], "fingerprint mismatch")
+    return theorem["lie_dim"]
+
+
+def _item_quaternions() -> dict:
+    lie = _lie(*quaternions())
     _check(lie.dim == 3, "skew part should be 3-dimensional")
     i, j, k = 0, 1, 2
     _check(lie.bracket_terms(i, j) == ((k, scalar(2)),), "[i,j] != 2k")
@@ -96,23 +116,22 @@ def _item_quaternions(cap: int, seed: int) -> dict:
     return {"lie_dim": lie.dim}
 
 
-def _item_matrix(n: int, involution: str, cap: int, seed: int) -> dict:
-    algebra, sigma = matrix_algebra(n, involution)
-    _common_checks(algebra, sigma, seed=seed, closure_samples=25)
-    sub = plesken_subspace(algebra, sigma)
-    if involution == "transpose":
-        _check(sub.dim == n * (n - 1) // 2, "skew-part dimension wrong")
-        lie = plesken_lie_algebra(algebra, sigma)
-        _check(fingerprint_match(lie, [n]).matches, "fingerprint mismatch")
-    else:
-        _check(sub.dim == n * n, "skew-part dimension wrong")
-    return {"lie_dim": sub.dim}
+def _item_matrix_transpose(n: int) -> dict:
+    algebra, sigma = matrix_algebra(n, "transpose")
+    report = _verified(f"matrix-n{n}", algebra, sigma, cell_datum_matrix(n, sigma))
+    return {"lie_dim": _orthogonal_sum(report, [n])}
 
 
-def _item_matrix_over(n: int, cap: int, seed: int) -> dict:
+def _item_matrix_conj_transpose(n: int) -> dict:
+    lie = _lie(*matrix_algebra(n, "conj_transpose"))
+    _check(lie.dim == n * n, "skew-part dimension wrong")
+    return {"lie_dim": lie.dim}
+
+
+def _item_matrix_over(n: int) -> dict:
     inner, inner_sigma = quaternions()
     algebra, sigma = matrix_over_algebra(n, inner, inner_sigma)
-    _common_checks(algebra, sigma, seed=seed, closure_samples=25)
+    _lie(algebra, sigma)
     if n == 1:
         _check(
             algebra.structure == inner.structure,
@@ -121,140 +140,118 @@ def _item_matrix_over(n: int, cap: int, seed: int) -> dict:
     return {"dim": algebra.dim}
 
 
-def _item_planar_rook(n: int, cap: int, seed: int) -> dict:
+def _item_planar_rook(n: int, cap: int) -> dict:
     if n > cap:
         raise SkipItem(f"n={n} exceeds cap {cap}")
     algebra, sigma = planar_rook(n, cap=cap)
     _check(algebra.dim == math.comb(2 * n, n), "dimension != C(2n, n)")
-    if n <= 3:
-        _common_checks(algebra, sigma, seed=seed, closure_samples=25)
-    datum = cell_datum_planar_rook(n, sigma)
-    _check(validate_cell_datum(algebra, sigma, datum) is None, "cell datum invalid")
-    verdict = is_semisimple(algebra, datum)
-    _check(verdict.semisimple, "PR(n) should be semisimple")
-    outcome = verify_theorem(algebra, sigma, datum)
-    _check(outcome.certified, f"no certificate: {outcome.failed_check}")
-    predicted = sum(
-        math.comb(n, k) * (math.comb(n, k) - 1) // 2 for k in range(n + 1)
+    report = _verified(
+        f"planar-rook-n{n}", algebra, sigma, cell_datum_planar_rook(n, sigma)
     )
-    _check(outcome.lie_dim == predicted, "skew-part dimension != closed form")
-    lie = plesken_lie_algebra(algebra, sigma)
-    sizes = [math.comb(n, k) for k in range(n + 1)]
-    _check(fingerprint_match(lie, sizes).matches, "fingerprint mismatch")
-    return {"dim": algebra.dim, "lie_dim": outcome.lie_dim}
+    _check(report["semisimplicity"]["semisimple"], "PR(n) should be semisimple")
+    lie_dim = _orthogonal_sum(report, [math.comb(n, k) for k in range(n + 1)])
+    return {"dim": algebra.dim, "lie_dim": lie_dim}
 
 
-def _item_temperley_lieb(n: int, delta_text: str, cap: int, seed: int) -> dict:
+def _item_temperley_lieb(n: int, delta_text: str, cap: int) -> dict:
     if n > cap:
         raise SkipItem(f"n={n} exceeds cap {cap}")
-    delta = scalar(delta_text)
-    algebra, sigma = temperley_lieb(n, delta, cap=cap)
+    algebra, sigma = temperley_lieb(n, scalar(delta_text), cap=cap)
     catalan = math.comb(2 * n, n) // (n + 1)
     _check(algebra.dim == catalan, "dimension != Catalan(n)")
-    if n <= 4:
-        _common_checks(algebra, sigma, seed=seed, closure_samples=25)
-    datum = cell_datum_temperley_lieb(n, sigma)
-    _check(validate_cell_datum(algebra, sigma, datum) is None, "cell datum invalid")
-    verdict = is_semisimple(algebra, datum)
-    outcome = verify_theorem(algebra, sigma, datum)
+    report = _verified(
+        f"temperley-lieb-n{n}-delta{delta_text}",
+        algebra,
+        sigma,
+        cell_datum_temperley_lieb(n, sigma),
+    )
+    semisimple = report["semisimplicity"]["semisimple"]
     _check(
-        outcome.certified == verdict.semisimple,
+        report["theorem"]["certified"] == semisimple,
         "certificate must appear exactly for semisimple instances",
     )
-    detail: dict = {"dim": algebra.dim, "semisimple": verdict.semisimple}
+    detail: dict = {"dim": algebra.dim, "semisimple": semisimple}
     if delta_text == "3":
-        _check(verdict.semisimple, "TL at delta=3 should be semisimple")
-        dims = [
+        _check(semisimple, "TL at delta=3 should be semisimple")
+        hooks = [
             math.comb(n, p) - (math.comb(n, p - 1) if p else 0)
             for p in range(n // 2 + 1)
         ]
-        _check(
-            sorted(d for _, d in outcome.block_sizes) == sorted(dims),
-            "cell dimensions disagree with the hook formula",
-        )
-        _check(
-            outcome.lie_dim == sum(d * (d - 1) // 2 for d in dims),
-            "skew-part dimension != sum d(d-1)/2",
-        )
-        detail["lie_dim"] = outcome.lie_dim
+        detail["lie_dim"] = _orthogonal_sum(report, hooks)
     if delta_text == "0" and n == 4:
-        _check(not verdict.semisimple, "TL_0(4) should not be semisimple")
-        _check(outcome.failed_check == "representation_injective", "wrong refutation")
-        lie = plesken_lie_algebra(algebra, sigma)
-        dims = [s.dim for s in derived_series(lie)]
-        _check(dims == [4, 3, 1, 0], f"derived series dims {dims}")
-        fp = fingerprint(lie)
-        _check(fp.solvable and fp.derived_length == 3, "should be solvable, length 3")
+        _check(not semisimple, "TL_0(4) should not be semisimple")
         _check(
-            not fingerprint_match(lie, [1, 3, 2]).matches,
+            report["theorem"]["failed_check"] == "representation_injective",
+            "wrong refutation",
+        )
+        fp = report["fingerprint"]
+        dims = fp["derived_dims"]
+        _check(dims == [4, 3, 1, 0], f"derived series dims {dims}")
+        _check(
+            fp["solvable"] and fp["derived_length"] == 3,
+            "should be solvable, length 3",
+        )
+        comparison = report["fingerprint_comparison"]
+        _check(
+            sorted(comparison["model_sizes"]) == [1, 2, 3],
+            f"model sizes {comparison['model_sizes']}",
+        )
+        _check(
+            not comparison["matches"],
             "fingerprint should not match the orthogonal model",
         )
         detail["derived_dims"] = dims
     return detail
 
 
-def _item_group(table_factory: Callable[[], GroupTable], expected_dim: int,
-                seed: int) -> dict:
-    algebra, sigma = group_algebra(table_factory())
-    _common_checks(algebra, sigma, seed=seed, closure_samples=50)
-    lie = plesken_lie_algebra(algebra, sigma)
-    _check(lie.dim == expected_dim, f"skew-part dim {lie.dim} != {expected_dim}")
+def _item_group(table_factory: Callable[[], GroupTable], expected_dim: int) -> dict:
     table = table_factory()
+    lie = _lie(*group_algebra(table))
+    _check(lie.dim == expected_dim, f"skew-part dim {lie.dim} != {expected_dim}")
     non_involutive = sum(1 for g in range(table.order) if table.inverse[g] != g)
     _check(lie.dim == non_involutive // 2, "dimension formula violated")
     return {"lie_dim": lie.dim, "abelian": not lie.table}
 
 
-def suite_items(cap: int, seed: int) -> list[tuple[str, Callable[[], dict]]]:
-    items: list[tuple[str, Callable[[], dict]]] = [
-        ("quaternions", lambda: _item_quaternions(cap, seed)),
-    ]
+def suite_items(cap: int) -> list[tuple[str, Callable[[], dict]]]:
+    items: list[tuple[str, Callable[[], dict]]] = [("quaternions", _item_quaternions)]
     for n in range(1, 5):
-        items.append(
-            (f"matrix-transpose-n{n}",
-             lambda n=n: _item_matrix(n, "transpose", cap, seed))
-        )
+        items.append((f"matrix-transpose-n{n}", lambda n=n: _item_matrix_transpose(n)))
     for n in range(1, 4):
         items.append(
-            (f"matrix-conj-transpose-n{n}",
-             lambda n=n: _item_matrix(n, "conj_transpose", cap, seed))
+            (f"matrix-conj-transpose-n{n}", lambda n=n: _item_matrix_conj_transpose(n))
         )
     for n in (1, 2):
         items.append(
-            (f"matrix-over-quaternions-n{n}",
-             lambda n=n: _item_matrix_over(n, cap, seed))
+            (f"matrix-over-quaternions-n{n}", lambda n=n: _item_matrix_over(n))
         )
     for n in range(1, 5):
-        items.append(
-            (f"planar-rook-n{n}", lambda n=n: _item_planar_rook(n, cap, seed))
-        )
+        items.append((f"planar-rook-n{n}", lambda n=n: _item_planar_rook(n, cap)))
     for n in range(2, 6):
         for delta in ("3", "0"):
             items.append(
                 (
                     f"temperley-lieb-n{n}-delta{delta}",
-                    lambda n=n, delta=delta: _item_temperley_lieb(n, delta, cap, seed),
+                    lambda n=n, delta=delta: _item_temperley_lieb(n, delta, cap),
                 )
             )
-    items.append(
-        ("group-S3", lambda: _item_group(symmetric_3_table, 1, seed))
-    )
+    items.append(("group-S3", lambda: _item_group(symmetric_3_table, 1)))
     for k, expected in ((2, 0), (3, 1), (5, 2)):
         items.append(
             (
                 f"group-C{k}",
                 lambda k=k, expected=expected: _item_group(
-                    lambda: cyclic_table(k), expected, seed
+                    lambda: cyclic_table(k), expected
                 ),
             )
         )
     return items
 
 
-def run_suite(cap: int = 6, seed: int = 0) -> dict:
+def run_suite(cap: int = 6) -> dict:
     """Run the whole battery; returns {key: {"status": ..., ...}}."""
     results: dict[str, dict] = {}
-    for key, runner in suite_items(cap, seed):
+    for key, runner in suite_items(cap):
         try:
             detail = runner()
         except SkipItem as exc:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from plesken import cli
-from plesken.algebra import InternalConsistencyError
+from plesken.algebra import Algebra, InternalConsistencyError
 from plesken.builders import (
     group_algebra,
     matrix_algebra,
@@ -270,7 +270,19 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys):
     involution_list = {**valid, "involution": []}
     involution_text = {**valid, "involution": "x"}
     flag_text = {**valid, "involution": {**valid["involution"], "conjugates_scalars": "false"}}
-    for payload in (no_unit, float_scalar, involution_list, involution_text, flag_text):
+    # Signs must give one sign per basis element: an extra sign is not
+    # ignored and a short list is not truncated.
+    long_signs = {**valid, "involution": {**valid["involution"], "signs": [1, -1, -1, -1, 1]}}
+    short_signs = {**valid, "involution": {**valid["involution"], "signs": [1, -1, -1]}}
+    for payload in (
+        no_unit,
+        float_scalar,
+        involution_list,
+        involution_text,
+        flag_text,
+        long_signs,
+        short_signs,
+    ):
         q.write_text(json.dumps(payload))
         code, out = run_cli(capsys, "analyze", str(q))
         assert code == 2
@@ -328,6 +340,41 @@ def test_suite_isolates_failing_items(monkeypatch):
     assert results["quaternions"]["status"] == "fail"
     assert results["planar-rook-n1"]["status"] == "pass"
     assert results["group-S3"]["status"] == "pass"
+
+
+def test_suite_validates_every_item(monkeypatch):
+    # The largest planar rook item is validated like the small ones: a wrong
+    # unit fails it.
+    import plesken.suite as suite_module
+
+    def planar_rook_wrong_unit(n, **kwargs):
+        algebra, sigma = planar_rook(n, **kwargs)
+        if n == 4:
+            unit = algebra.basis_vector(0)
+            algebra = Algebra(algebra.labels, algebra.structure, unit)
+        return algebra, sigma
+
+    monkeypatch.setattr(suite_module, "planar_rook", planar_rook_wrong_unit)
+    results = run_suite(cap=4)
+    assert results["planar-rook-n4"]["status"] == "fail"
+    assert "unit axiom fails" in results["planar-rook-n4"]["reason"]
+    assert results["planar-rook-n3"]["status"] == "pass"
+
+
+def test_suite_builds_each_gram_form_once(monkeypatch):
+    import plesken.cellular as cellular
+
+    calls = {"cell_module": 0, "gram_matrix": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(cellular, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cellular, name, counted)
+    results = run_suite()
+    assert all(item["status"] == "pass" for item in results.values())
+    assert calls["cell_module"] > 0
+    assert calls["gram_matrix"] == calls["cell_module"]
 
 
 def test_out_dir_override(tmp_path, capsys, monkeypatch):

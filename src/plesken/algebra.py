@@ -24,34 +24,27 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .linalg import (
+    Echelon,
     Matrix,
     Subspace,
     Terms,
     Vector,
     bilinear_product,
+    combine,
     kernel_subspace,
     unit_vector,
     vec_is_zero,
     vec_sub,
     vector,
-    zero_vector,
 )
 from .scalars import I, ONE, ZERO, GaussianRational, scalar
 
 
 class InternalConsistencyError(RuntimeError):
     """A condition that the mathematics guarantees was violated anyway."""
-
-
-def _combine(terms: Iterable[tuple[int, GaussianRational]]) -> dict[int, GaussianRational]:
-    """Sum sparse (index, coefficient) terms, dropping the zero totals."""
-    acc: dict[int, GaussianRational] = {}
-    for k, c in terms:
-        acc[k] = acc[k] + c if k in acc else c
-    return {k: c for k, c in acc.items() if c}
 
 
 class Algebra:
@@ -100,7 +93,7 @@ class Algebra:
         ei ej and ej ei over all j first, ties by index; one already in the
         span found so far is skipped.  After each is taken, the span is
         closed under right multiplication by every index taken, in an exact
-        sparse echelon over Q(i).  Every vector of the span is then a
+        `Echelon` over Q(i).  Every vector of the span is then a
         combination of products of generators, so a subspace that contains
         G and is closed under products contains the whole algebra once the
         span has dimension n.  No unit and no associativity are assumed.
@@ -112,36 +105,24 @@ class Algebra:
             for k, _ in terms:
                 targets[i].add(k)
                 targets[j].add(k)
-        rows: dict[int, dict[int, GaussianRational]] = {}  # pivot -> row
-
-        def reduce(v: dict[int, GaussianRational]) -> dict[int, GaussianRational]:
-            # A row holds no index below its pivot, so eliminating pivots in
-            # increasing order terminates.
-            while pivots := [k for k in v if k in rows]:
-                p = min(pivots)
-                c = v[p]
-                v = _combine([*v.items(), *((k, -c * d) for k, d in rows[p].items())])
-            return v
+        span = Echelon(n)
 
         def times(v: dict[int, GaussianRational], g: int) -> dict[int, GaussianRational]:
-            return _combine((m, c * d) for k, c in v.items() for m, d in get((k, g), ()))
+            return combine((m, c * d) for k, c in v.items() for m, d in get((k, g), ()))
 
         generators: list[int] = []
         for b in sorted(range(n), key=lambda b: (-len(targets[b]), b)):
-            if len(rows) == n:
+            if len(span.rows) == n:
                 break
-            if not reduce({b: ONE}):
+            if not span.reduce({b: ONE}):
                 continue
             generators.append(b)
-            pending = [{b: ONE}] + [times(v, b) for v in rows.values()]
+            pending = [{b: ONE}] + [times(v, b) for v in span.rows.values()]
             while pending:
-                v = reduce(pending.pop())
-                if v:
-                    p = min(v)
-                    lead = v[p]
-                    rows[p] = row = {k: c / lead for k, c in v.items()}
+                row = span.insert(pending.pop())
+                if row:
                     pending.extend(times(row, g) for g in generators)
-        if len(rows) != n:
+        if len(span.rows) != n:
             raise InternalConsistencyError("products of the generators do not span the algebra")
         return tuple(sorted(generators))
 
@@ -351,8 +332,8 @@ def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
         for j in generators:
             t_ij = get((i, j), ())
             for k in range(n):
-                left = _combine((m, c * d) for l, c in t_ij for m, d in get((l, k), ()))
-                right = _combine(
+                left = combine((m, c * d) for l, c in t_ij for m, d in get((l, k), ()))
+                right = combine(
                     (m, c * d) for l, c in get((j, k), ()) for m, d in get((i, l), ())
                 )
                 if left != right:
@@ -405,17 +386,23 @@ def validate_involution(
     for i in range(algebra.dim):
         if sigma.apply_vector(images[i]) != algebra.basis_vector(i):
             return InvolutionFailure("square", (i,))
+    # Both sides as sparse terms: sigma(sum c ek) = sum c' sigma(ek), where
+    # c' is c conjugated when sigma conjugates scalars.
+    get = algebra.structure.get
+    sparse = [[(k, c) for k, c in enumerate(image) if c] for image in images]
     for i in algebra.generators:
         for j in range(algebra.dim):
-            product = zero_vector(algebra.dim)
-            terms = algebra.product_terms(i, j)
-            if terms:
-                acc = [ZERO] * algebra.dim
-                for k, c in terms:
-                    acc[k] = c
-                product = tuple(acc)
-            lhs = sigma.apply_vector(product)
-            rhs = algebra.multiply_vectors(images[j], images[i])
+            lhs = combine(
+                (m, (c.conjugate() if sigma.conjugates_scalars else c) * d)
+                for k, c in get((i, j), ())
+                for m, d in sparse[k]
+            )
+            rhs = combine(
+                (m, x * y * c)
+                for a, x in sparse[j]
+                for b, y in sparse[i]
+                for m, c in get((a, b), ())
+            )
             if lhs != rhs:
                 return InvolutionFailure("antihomomorphism", (i, j))
     return None

@@ -167,19 +167,6 @@ def _glue_halves(n, top_cups, bottom_cups) -> TLDiagram:
     return TLDiagram.from_pairs(n, pairs)
 
 
-def _split_diagram(d: TLDiagram):
-    n = d.n
-    top_cups, bottom_cups, through = [], [], 0
-    for a, b in d.pairs:
-        if b <= n:
-            top_cups.append((a, b))
-        elif a > n:
-            bottom_cups.append((a - n, b - n))
-        else:
-            through += 1
-    return through, tuple(sorted(top_cups)), tuple(sorted(bottom_cups))
-
-
 def cell_datum_temperley_lieb(n: int, involution: AntiInvolution) -> CellDatum:
     """Cells of TL(n): label = through-strand count, index set = half diagrams."""
     diagrams = temperley_lieb_diagrams(n)

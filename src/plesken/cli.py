@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .algebra import InternalConsistencyError
 from .builders import (
+    DEFAULT_DIAGRAM_CAP,
     GroupTable,
     group_algebra,
     matrix_algebra,
@@ -40,6 +41,7 @@ from .cellular import (
 )
 from .interchange import FILE_SUFFIX, document_from_algebra, emit, load
 from .report import (
+    DEFAULT_BRACKET_CAP,
     DocumentInvalid,
     analysis_report,
     cellular_report,
@@ -220,7 +222,7 @@ def _parser() -> argparse.ArgumentParser:
     build.add_argument("--delta", help="exact scalar string, e.g. 0, 3, 1/2")
     build.add_argument("--table", help="group multiplication table (JSON)")
     build.add_argument("--inner", help="inner algebra document for matrix-over")
-    build.add_argument("--cap", type=int, default=6)
+    build.add_argument("--cap", type=int, default=DEFAULT_DIAGRAM_CAP)
     build.add_argument("--name")
     build.add_argument("--out")
     build.set_defaults(func=_build)
@@ -230,13 +232,13 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("document")
         cmd.add_argument("--format", choices=("json", "md"), default="json")
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--bracket-cap", type=int, default=12)
+        cmd.add_argument("--bracket-cap", type=int, default=DEFAULT_BRACKET_CAP)
         cmd.add_argument("--out")
         cmd.add_argument("--timing", action="store_true")
         cmd.set_defaults(func=func)
 
     suite = sub.add_parser("paper-suite", help="run the verification battery")
-    suite.add_argument("--cap", type=int, default=6)
+    suite.add_argument("--cap", type=int, default=DEFAULT_DIAGRAM_CAP)
     suite.add_argument("--seed", type=int, default=0)
     suite.add_argument("--allow-skips", action="store_true")
     suite.add_argument("--out")

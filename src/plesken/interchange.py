@@ -49,6 +49,18 @@ def _freeze_label(value):
     raise ValueError(f"unsupported cell label {value!r}")
 
 
+def _list(value, what: str) -> list:
+    """`value` if it is a JSON list; a string is not read as one."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
+def _rows(value, what: str) -> list[list]:
+    """`value` if it is a JSON list of JSON lists."""
+    return [_list(row, f"each entry of {what}") for row in _list(value, what)]
+
+
 def _thaw_label(value):
     if isinstance(value, tuple):
         return [_thaw_label(v) for v in value]
@@ -187,7 +199,7 @@ def _parse_involution(payload: dict, dim: int) -> tuple[Matrix, bool]:
     if not isinstance(conj, bool):
         raise ValueError("involution conjugates_scalars must be true or false")
     if "matrix" in payload:
-        rows = [[scalar(v) for v in row] for row in payload["matrix"]]
+        rows = [[scalar(v) for v in row] for row in _rows(payload["matrix"], "involution matrix")]
         matrix = Matrix(rows)
         if matrix.rows != dim or matrix.cols != dim:
             raise ValueError("involution matrix has wrong shape")
@@ -213,12 +225,12 @@ def parse(text: str) -> AlgebraDocument:
         raise ValueError("basis must be a list of strings")
     dim = len(basis)
     structure = []
-    for quad in payload["structure"]:
+    for quad in _rows(payload["structure"], "structure"):
         i, j, k, c = quad
         if not all(isinstance(v, int) and 0 <= v < dim for v in (i, j, k)):
             raise ValueError(f"structure indices out of range: {quad}")
         structure.append((i, j, k, scalar(c)))
-    unit = [scalar(c) for c in payload["unit"]]
+    unit = [scalar(c) for c in _list(payload["unit"], "unit")]
     if len(unit) != dim:
         raise ValueError("unit vector has wrong length")
     involution = payload["involution"]
@@ -228,16 +240,16 @@ def parse(text: str) -> AlgebraDocument:
     cell = None
     if "cell" in payload:
         raw = payload["cell"]
-        lambdas = tuple(_freeze_label(v) for v in raw["lambdas"])
+        lambdas = tuple(_freeze_label(v) for v in _list(raw["lambdas"], "cell lambdas"))
         order = tuple(
-            (_freeze_label(a), _freeze_label(b)) for a, b in raw["order"]
+            (_freeze_label(a), _freeze_label(b)) for a, b in _rows(raw["order"], "cell order")
         )
         index_sets = tuple(
-            (_freeze_label(lam), tuple(_freeze_label(s) for s in members))
-            for lam, members in raw["index_sets"]
+            (_freeze_label(lam), tuple(_freeze_label(s) for s in _list(members, "an index set")))
+            for lam, members in _rows(raw["index_sets"], "cell index_sets")
         )
         triples = []
-        for lam, s, t, idx in raw["triples"]:
+        for lam, s, t, idx in _rows(raw["triples"], "cell triples"):
             if not isinstance(idx, int) or not 0 <= idx < dim:
                 raise ValueError(f"cell triple index out of range: {idx}")
             triples.append(

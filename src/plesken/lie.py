@@ -1,9 +1,11 @@
 """Structure theory for Lie algebras given by structure constants.
 
-A `LieAlgebra` stores its bracket sparsely for index pairs i < j; the other
-half of the table follows by antisymmetry.  Subspaces are the canonical
-rref-basis `Subspace` values from `linalg`, so series stabilization is
-detected by exact subspace equality.
+A `LieAlgebra` stores its bracket sparsely: `table` holds the index pairs
+i < j, and a private dict holds both halves, the other following by
+antisymmetry.  Subspaces are the canonical rref-basis `Subspace` values from
+`linalg`, so series stabilization is detected by exact subspace equality;
+each series term is the span of brackets inserted one at a time into a
+`linalg.Echelon`, read only until the span is the whole algebra.
 
 `orthogonal_model` builds direct sums of the skew-symmetric matrix Lie
 algebras o(d), each the skew part of M(d) under transposition;
@@ -21,12 +23,12 @@ from typing import Optional, Sequence
 from .algebra import plesken_lie_algebra
 from .builders import matrix_algebra
 from .linalg import (
+    Echelon,
     Matrix,
     Subspace,
     Terms,
     Vector,
     bilinear_product,
-    kernel_subspace,
     rank,
     vector,
 )
@@ -82,9 +84,7 @@ class LieAlgebra:
 
 def bracket_span(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """rref span of all [x, y] with x over a basis of u and y over a basis of v."""
-    brackets = [
-        L.bracket_vectors(x, y) for x in u.basis for y in v.basis
-    ]
+    brackets = (L.bracket_vectors(x, y) for x in u.basis for y in v.basis)
     return Subspace.from_vectors(L.dim, brackets)
 
 
@@ -110,23 +110,19 @@ def lower_central_series(L: LieAlgebra) -> list[Subspace]:
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """{x : [x, e_j] = 0 for all j}, via the kernel of the stacked adjoints."""
-    rows = []
-    for j in range(L.dim):
-        columns = [L.bracket_terms(i, j) for i in range(L.dim)]
-        for k in range(L.dim):
-            row = [ZERO] * L.dim
-            nonzero = False
-            for i, terms in enumerate(columns):
-                for kk, c in terms:
-                    if kk == k:
-                        row[i] = c
-                        nonzero = True
-            if nonzero:
-                rows.append(row)
-    if not rows:
-        return Subspace.full(L.dim)
-    return kernel_subspace(Matrix(rows))
+    """{x : [x, e_j] = 0 for all j}: the kernel of the rows indexed by (j, k)
+    whose entry at i is the coefficient of e_k in [e_i, e_j], all read in one
+    pass over the bracket table."""
+    rows: dict[tuple[int, int], dict[int, GaussianRational]] = {}
+    for (i, j), terms in L._terms.items():
+        for k, c in terms:
+            rows.setdefault((j, k), {})[i] = c
+    span = Echelon(L.dim)
+    for row in rows.values():
+        if len(span.rows) == L.dim:
+            break
+        span.insert(row)
+    return span.kernel()
 
 
 def killing_form(L: LieAlgebra) -> Matrix:

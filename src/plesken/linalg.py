@@ -1,17 +1,18 @@
-"""Dense exact linear algebra over Q(i): rref, rank, kernels, solving.
+"""Exact linear algebra over Q(i): echelon forms, rank, kernels, solving.
 
-Matrices are immutable and dense; at the scale this package targets
-(dimensions up to around a hundred) plain Gauss-Jordan elimination with
-leading-1 normalization is fast enough, and the uniqueness of the reduced
-row echelon form gives canonical representatives for subspaces.  Two
-subspaces are equal exactly when their rref row bases coincide, which is
-how `Subspace` equality is defined.
+Every row reduction in the package goes through `Echelon`, which keeps a
+span in reduced row echelon form as sparse {index: scalar} rows, inserted
+one vector at a time.  The reduced row echelon form is unique, so it gives
+canonical representatives for subspaces: two subspaces are equal exactly
+when their rref row bases coincide, which is how `Subspace` equality is
+defined.  `rref`, `rank`, `kernel_basis` and `solve` are views of it on
+immutable dense `Matrix` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .scalars import ONE, ZERO, GaussianRational, scalar
 
@@ -39,12 +40,16 @@ def vec_sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def vec_scale(c: GaussianRational, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
 def vec_is_zero(x: Vector) -> bool:
     return not any(x)
+
+
+def combine(terms: Iterable[tuple[int, GaussianRational]]) -> dict[int, GaussianRational]:
+    """Sum sparse (index, coefficient) terms, dropping the zero totals."""
+    acc: dict[int, GaussianRational] = {}
+    for k, c in terms:
+        acc[k] = acc[k] + c if k in acc else c
+    return {k: c for k, c in acc.items() if c}
 
 
 def bilinear_product(
@@ -100,11 +105,6 @@ class Matrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> Matrix:
         return cls(columns).transpose()
-
-    @property
-    def entries(self) -> Vector:
-        """Row-major flattening; len == rows * cols."""
-        return tuple(v for row in self.data for v in row)
 
     def __getitem__(self, key):
         i, j = key
@@ -174,47 +174,79 @@ def _dot(x, y):
     return acc
 
 
+class Echelon:
+    """A span kept in reduced row echelon form, grown one vector at a time.
+
+    `rows` maps each pivot to a sparse {index: scalar} row that is 1 at its
+    pivot, zero before it and zero at every other pivot.
+    """
+
+    def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
+        """The span of `vectors`, each dense of length `ambient`, read one at
+        a time until the span is the whole space."""
+        self.ambient = ambient
+        self.rows: dict[int, dict[int, GaussianRational]] = {}
+        vectors = iter(vectors)
+        while len(self.rows) < ambient and (v := next(vectors, None)) is not None:
+            v = vector(v)
+            if len(v) != ambient:
+                raise ValueError("vector length does not match the ambient dimension")
+            self.insert({k: c for k, c in enumerate(v) if c})
+
+    def reduce(self, v: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
+        """v minus the combination of rows that clears it at every pivot.
+
+        A row is zero at every other pivot, so one pass over v suffices.
+        """
+        rows = self.rows
+        cleared = [(k, -c * d) for p, c in v.items() if p in rows for k, d in rows[p].items()]
+        return combine([*v.items(), *cleared])
+
+    def insert(self, v: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
+        """Add v to the span: the new row, or an empty one if v was in it."""
+        row = self.reduce(v)
+        if row:
+            pivot = min(row)
+            lead = row[pivot]
+            if lead != ONE:
+                row = {k: c / lead for k, c in row.items()}
+            for p, other in list(self.rows.items()):
+                if pivot in other:
+                    c = other[pivot]
+                    self.rows[p] = combine([*other.items(), *((k, -c * d) for k, d in row.items())])
+            self.rows[pivot] = row
+        return row
+
+    def subspace(self) -> Subspace:
+        """The span in canonical form."""
+        pivots = tuple(sorted(self.rows))
+        basis = tuple(
+            tuple(self.rows[p].get(k, ZERO) for k in range(self.ambient)) for p in pivots
+        )
+        return Subspace(self.ambient, basis, pivots)
+
+    def kernel(self) -> Subspace:
+        """The x with r . x = 0 for every row r: one vector per free index."""
+        vectors = []
+        for f in range(self.ambient):
+            if f not in self.rows:
+                v = [ZERO] * self.ambient
+                v[f] = ONE
+                for p, row in self.rows.items():
+                    v[p] = -row.get(f, ZERO)
+                vectors.append(v)
+        return Subspace.from_vectors(self.ambient, vectors)
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with its pivot columns.
 
-    The result is the unique rref of `m`; the row space is preserved.
+    The result is the unique rref of `m`, zero rows last; the row space is
+    preserved.
     """
-    work = [list(row) for row in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        lead = work[r][c]
-        if lead != ONE:
-            inv = ONE / lead
-            row = work[r]
-            for j in range(c, ncols):
-                if row[j]:
-                    row[j] = inv * row[j]
-        pivot = work[r]
-        for i in range(nrows):
-            if i == r:
-                continue
-            factor = work[i][c]
-            if not factor:
-                continue
-            row = work[i]
-            for j in range(c, ncols):
-                if pivot[j]:
-                    row[j] = row[j] - factor * pivot[j]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Matrix(work), tuple(pivots)
+    span = Subspace.from_vectors(m.cols, m.data)
+    zero_rows = (zero_vector(m.cols),) * (m.rows - span.dim)
+    return Matrix(span.basis + zero_rows), span.pivots
 
 
 def rank(m: Matrix) -> int:
@@ -227,17 +259,7 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 
 
 def kernel_subspace(m: Matrix) -> Subspace:
-    reduced, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.data[r][f]
-        vectors.append(v)
-    return Subspace.from_vectors(m.cols, vectors)
+    return Echelon(m.cols, m.data).kernel()
 
 
 def solve(m: Matrix, rhs: Sequence) -> Optional[Vector]:
@@ -271,11 +293,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
-        rows = [vector(v) for v in vectors]
-        if not rows:
-            return cls(ambient, (), ())
-        reduced, pivots = rref(Matrix(rows))
-        return cls(ambient, reduced.data[: len(pivots)], pivots)
+        """The span of `vectors`, read only until it is the whole space."""
+        return Echelon(ambient, vectors).subspace()
 
     @classmethod
     def zero(cls, ambient: int) -> Subspace:

@@ -61,10 +61,6 @@ class GaussianRational:
     def conjugate(self) -> GaussianRational:
         return GaussianRational(self.re, -self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return not self.im
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
 

@@ -24,6 +24,7 @@ from typing import Callable
 
 from .algebra import plesken_lie_algebra
 from .builders import (
+    DEFAULT_DIAGRAM_CAP,
     GroupTable,
     group_algebra,
     matrix_algebra,
@@ -248,7 +249,7 @@ def suite_items(cap: int) -> list[tuple[str, Callable[[], dict]]]:
     return items
 
 
-def run_suite(cap: int = 6) -> dict:
+def run_suite(cap: int = DEFAULT_DIAGRAM_CAP) -> dict:
     """Run the whole battery; returns {key: {"status": ..., ...}}."""
     results: dict[str, dict] = {}
     for key, runner in suite_items(cap):

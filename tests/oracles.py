@@ -1,10 +1,16 @@
-"""Slow exact reference scans, kept as oracles for the fast validators.
+"""Slow exact reference code, kept as oracles for the fast paths.
 
 `validate_associativity` and `validate_involution` in `plesken.algebra`
 check their laws only for middle (resp. left) factors in a proved
 generating set.  The scans here are the exhaustive versions they replaced:
 every basis triple for associativity, every basis pair for the
-anti-homomorphism law.  Differential tests compare the two verdicts.
+anti-homomorphism law.
+
+`plesken.linalg.Echelon` reduces sparse rows one at a time.  The dense
+Gauss-Jordan loop it replaced is here, with the subspace, kernel, center
+and fingerprint computations built on it: the center from an O(n^3 t) scan
+of the bracket table, each series term from all brackets stacked into one
+matrix.  Differential tests compare the results, which are canonical.
 """
 
 from __future__ import annotations
@@ -12,8 +18,9 @@ from __future__ import annotations
 from typing import Optional
 
 from plesken.algebra import Algebra, AntiInvolution, InvolutionFailure
-from plesken.linalg import zero_vector
-from plesken.scalars import ZERO, GaussianRational
+from plesken.lie import Fingerprint, LieAlgebra, killing_form
+from plesken.linalg import Matrix, Subspace, zero_vector
+from plesken.scalars import ONE, ZERO, GaussianRational
 
 
 def associativity_all_triples(algebra: Algebra) -> Optional[tuple[int, int, int]]:
@@ -63,3 +70,114 @@ def involution_all_pairs(
             if lhs != rhs:
                 return InvolutionFailure("antihomomorphism", (i, j))
     return None
+
+
+def rref_gauss_jordan(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form with its pivot columns, by dense elimination."""
+    work = [list(row) for row in m.data]
+    nrows, ncols = m.rows, m.cols
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, nrows):
+            if work[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        lead = work[r][c]
+        if lead != ONE:
+            inv = ONE / lead
+            row = work[r]
+            for j in range(c, ncols):
+                if row[j]:
+                    row[j] = inv * row[j]
+        pivot = work[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            factor = work[i][c]
+            if not factor:
+                continue
+            row = work[i]
+            for j in range(c, ncols):
+                if pivot[j]:
+                    row[j] = row[j] - factor * pivot[j]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return Matrix(work), tuple(pivots)
+
+
+def span_gauss_jordan(ambient: int, vectors) -> Subspace:
+    rows = list(vectors)
+    if not rows:
+        return Subspace(ambient, (), ())
+    reduced, pivots = rref_gauss_jordan(Matrix(rows))
+    return Subspace(ambient, reduced.data[: len(pivots)], pivots)
+
+
+def kernel_gauss_jordan(m: Matrix) -> Subspace:
+    reduced, pivots = rref_gauss_jordan(m)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    vectors = []
+    for f in free:
+        v = [ZERO] * m.cols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -reduced.data[r][f]
+        vectors.append(tuple(v))
+    return span_gauss_jordan(m.cols, vectors)
+
+
+def center_scan(L: LieAlgebra) -> Subspace:
+    """{x : [x, e_j] = 0 for all j}, via the kernel of the stacked adjoints."""
+    rows = []
+    for j in range(L.dim):
+        columns = [L.bracket_terms(i, j) for i in range(L.dim)]
+        for k in range(L.dim):
+            row = [ZERO] * L.dim
+            nonzero = False
+            for i, terms in enumerate(columns):
+                for kk, c in terms:
+                    if kk == k:
+                        row[i] = c
+                        nonzero = True
+            if nonzero:
+                rows.append(row)
+    if not rows:
+        return Subspace.full(L.dim)
+    return kernel_gauss_jordan(Matrix(rows))
+
+
+def fingerprint_gauss_jordan(L: LieAlgebra) -> Fingerprint:
+    """`fingerprint` with every bracket of a series term stacked and reduced."""
+
+    def span(u: Subspace, v: Subspace) -> Subspace:
+        return span_gauss_jordan(L.dim, [L.bracket_vectors(x, y) for x in u.basis for y in v.basis])
+
+    def series(step) -> list[int]:
+        chain = [Subspace.full(L.dim)]
+        while chain[-1].dim:
+            chain.append(step(chain[-1]))
+            if chain[-1] == chain[-2]:
+                break
+        return [s.dim for s in chain]
+
+    derived = series(lambda s: span(s, s))
+    lower = series(lambda s: span(Subspace.full(L.dim), s))
+    solvable = derived[-1] == 0
+    return Fingerprint(
+        dim=L.dim,
+        derived_dims=tuple(derived),
+        lower_central_dims=tuple(lower),
+        center_dim=center_scan(L).dim,
+        killing_rank=len(rref_gauss_jordan(killing_form(L))[1]),
+        solvable=solvable,
+        derived_length=len(derived) - 1 if solvable else None,
+        nilpotent=lower[-1] == 0,
+    )

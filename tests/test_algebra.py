@@ -24,7 +24,7 @@ from plesken.builders import (
     temperley_lieb,
 )
 from plesken.linalg import Matrix, kernel_basis, vector
-from plesken.scalars import scalar
+from plesken.scalars import I, scalar
 from plesken.suite import cyclic_table, symmetric_3_table
 from plesken.builders import group_algebra
 
@@ -273,3 +273,18 @@ def test_unit_quaternion_group_gives_a_simple_bracket():
     assert fp.center_dim == 0
     assert fp.killing_rank == 3
     assert bracket_closure_check(A, sigma, 100, seed=3) is None
+
+
+def test_semilinear_involution_in_a_basis_with_imaginary_entries():
+    # M(2) under conjugate transposition, in a basis where some structure
+    # constants are not real: sigma(c ek) = conj(c) sigma(ek) must be used.
+    from oracles import involution_all_pairs
+    from test_validation_oracles import _changed_basis
+
+    columns = [(1, 1, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (I, 0, 0, 1)]
+    A, sigma = _changed_basis(
+        *matrix_algebra(2, "conj_transpose"), [tuple(map(scalar, c)) for c in columns]
+    )
+    assert any(c.im for terms in A.structure.values() for _, c in terms)
+    assert validate_involution(A, sigma) is None
+    assert involution_all_pairs(A, sigma) is None

@@ -1,0 +1,112 @@
+"""Fuzz test of the CLI exit-code contract on mutated documents.
+
+Valid documents made by `plesken build` are mutated at one place (a value
+replaced by another JSON value, or removed) and run through `analyze` and
+`verify-cellular` in-process.  Whatever the input, the exit code must be
+0, 1, 2 or 3; no exception may surface as `internal-error`; and exit 1,
+"refutation", may only come from `verify-cellular` with a valid cell datum
+whose certificate fails.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from plesken import cli
+
+BUILDS = {
+    "quaternions": ["--family", "quaternions"],
+    "matrix-n2": ["--family", "matrix", "--n", "2"],
+    "matrix-conj-n2": ["--family", "matrix-conj", "--n", "2"],
+    "planar-rook-n2": ["--family", "planar-rook", "--n", "2"],
+    "temperley-lieb-n3": ["--family", "temperley-lieb", "--n", "3", "--delta", "0"],
+}
+
+KEYS = ("matrix", "permutation", "signs", "conjugates_scalars", "unit", "cell", "lambdas")
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | st.text("01-/i[]", max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS), children, max_size=2),
+    max_leaves=6,
+)
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("fuzz")
+    docs = {}
+    for name, args in BUILDS.items():
+        path = folder / f"{name}.plesken.json"
+        assert _run(["build", *args, "--out", str(path)])[0] == 0
+        docs[name] = json.loads(path.read_text())
+    return folder, docs
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, as a tuple of keys and indices."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, (*prefix, key))
+
+
+def _mutated(doc, path, value, remove):
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if remove:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_mutated_documents_keep_the_exit_code_contract(documents, data):
+    folder, docs = documents
+    name = data.draw(st.sampled_from(sorted(docs)))
+    doc = docs[name]
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    remove = bool(path) and data.draw(st.booleans())
+    value = None if remove else data.draw(json_values)
+    target = folder / "mutated.plesken.json"
+    target.write_text(json.dumps(_mutated(doc, path, value, remove)))
+    for command in ("analyze", "verify-cellular"):
+        code, out = _run([command, str(target)])
+        assert code in (0, 1, 2, 3)
+        payload = json.loads(out)
+        if "error" in payload:
+            assert payload["error"]["kind"] != "internal-error", payload["error"]
+        if code == 1:
+            assert command == "verify-cellular"
+            assert payload["cellularity"]["valid"]
+            assert payload["theorem"]["certified"] is False

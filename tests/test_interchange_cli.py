@@ -288,6 +288,35 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys):
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "invalid-input"
 
+    # A string where a list is required is not iterated character by
+    # character: "1001" is not the unit [1, 0, 0, 1] of M(2).
+    algebra, sigma = matrix_algebra(2)
+    valid = json.loads(
+        emit(document_from_algebra("m2", algebra, sigma, cell=cell_datum_matrix(2, sigma)))
+    )
+    cell = valid["cell"]
+    transpose = [list(row) for row in ("1000", "0010", "0100", "0001")]
+    q.write_text(json.dumps({**valid, "involution": {"matrix": transpose}}))
+    assert run_cli(capsys, "verify-cellular", str(q))[0] == 0
+    for payload in (
+        {**valid, "unit": "1001"},
+        {**valid, "structure": "[]"},
+        {**valid, "structure": [[0, 0, 0, "1"], "0011"] + valid["structure"]},
+        {**valid, "involution": {"matrix": "1000"}},
+        {**valid, "involution": {"matrix": ["".join(row) for row in transpose]}},
+        {**valid, "cell": {**cell, "lambdas": "1"}},
+        {**valid, "cell": {**cell, "order": "12"}},
+        {**valid, "cell": {**cell, "index_sets": "12"}},
+        {**valid, "cell": {**cell, "index_sets": [[1, "12"]]}},
+        {**valid, "cell": {**cell, "index_sets": ["1[]"]}},
+        {**valid, "cell": {**cell, "triples": "1110"}},
+        {**valid, "cell": {**cell, "triples": ["1110", *cell["triples"][1:]]}},
+    ):
+        q.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "verify-cellular", str(q))
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "invalid-input"
+
 
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     q = tmp_path / "q.plesken.json"

@@ -250,3 +250,21 @@ def test_quaternionic_matrices_give_a_perfect_algebra():
     assert fp.center_dim == 0
     assert fp.killing_rank == 10
     assert not fp.solvable
+
+
+def _oracle_lie_algebras():
+    from test_validation_oracles import FAMILIES
+
+    for name, build in FAMILIES.items():
+        yield pytest.param(lambda build=build: plesken_lie_algebra(*build()), id=name)
+    for sizes in ([1, 3, 2], [0, 2, 5, 1], [2, 2], [4, 1, 3]):
+        yield pytest.param(lambda sizes=sizes: orthogonal_model(sizes), id=f"o{sizes}")
+
+
+@pytest.mark.parametrize("make", _oracle_lie_algebras())
+def test_center_and_fingerprint_match_dense_oracles(make):
+    from oracles import center_scan, fingerprint_gauss_jordan
+
+    L = make()
+    assert center(L) == center_scan(L)
+    assert fingerprint(L) == fingerprint_gauss_jordan(L)

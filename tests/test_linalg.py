@@ -13,9 +13,13 @@ from plesken.linalg import (
     unit_vector,
     vector,
 )
-from plesken.scalars import ZERO, scalar
+from plesken.scalars import ZERO, GaussianRational, scalar
+from oracles import kernel_gauss_jordan, rref_gauss_jordan
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+gaussians = st.builds(
+    GaussianRational, rationals, st.fractions(min_value=-2, max_value=2, max_denominator=3)
+)
 
 
 def small_matrices(max_size=4):
@@ -28,6 +32,40 @@ def small_matrices(max_size=4):
             ).map(Matrix)
         )
     )
+
+
+@st.composite
+def gaussian_matrices(draw):
+    """Q(i) matrices with 0 to 4 rows and 0 to 4 columns, some rows zero."""
+    cols = draw(st.integers(0, 4))
+    zero_row = st.just([ZERO] * cols)
+    row = st.lists(gaussians | st.just(ZERO), min_size=cols, max_size=cols)
+    return Matrix(draw(st.lists(row | zero_row, max_size=4)))
+
+
+@settings(max_examples=150)
+@given(gaussian_matrices())
+def test_echelon_views_match_dense_gauss_jordan(m):
+    assert rref(m) == rref_gauss_jordan(m)
+    assert rank(m) == len(rref_gauss_jordan(m)[1])
+    assert kernel_basis(m) == list(kernel_gauss_jordan(m).basis)
+
+
+def test_from_vectors_stops_reading_once_the_span_is_full():
+    read = []
+
+    def vectors():
+        for v in ([1, 1, 0], [2, 2, 0], [0, "i", 0], [0, 0, 3]):
+            read.append(v)
+            yield v
+        raise AssertionError("read past a full span")
+
+    assert Subspace.from_vectors(3, vectors()) == Subspace.full(3)
+    assert len(read) == 4
+    assert Subspace.from_vectors(0, vectors()) == Subspace.zero(0)
+    assert len(read) == 4
+    with pytest.raises(ValueError):
+        Subspace.from_vectors(3, [[1, 0]])
 
 
 def test_rref_identity():

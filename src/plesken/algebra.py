@@ -5,14 +5,18 @@ tensor: the product of basis elements e_i * e_j is stored as a short list of
 (k, coefficient) terms.  An `AntiInvolution` acts on coefficient vectors by
 a matrix, optionally composed with entrywise scalar conjugation (needed for
 conjugate-transposition, which is semilinear rather than linear over Q(i)).
+Vectors are sparse {index: scalar} terms inside: products go through
+`linalg.bilinear_product`, and sigma sums the sparse images of the basis
+vectors.  `multiply_vectors`, `commutator` and `apply_vector` are dense
+wrappers over them.
 
 The central construction here is the skew part of the involution: the span
 of all a - sigma(a), which is closed under the commutator bracket and hence
-a Lie algebra.  For a linear involution this span is exactly the
-(-1)-eigenspace of sigma, computed as the kernel of (sigma + id); this uses
-that the scalars Q(i) have characteristic zero.  For a conjugating
-involution the eigenspace reading is unavailable and the span is generated
-from basis vectors and their imaginary multiples instead.
+a Lie algebra.  It is spanned by the skew parts of the basis vectors, and of
+their imaginary multiples when sigma conjugates scalars.  For linear sigma,
+(1 + sigma)(1 - sigma) = 1 - sigma^2, so sigma(r) = -r on that span exactly
+when sigma^2 = id; then (Q(i) having characteristic zero) the span is the
+whole (-1)-eigenspace.
 
 The validators prove associativity and the anti-homomorphism law exactly,
 but only for factors in `Algebra.generators`, a generating set whose
@@ -34,7 +38,9 @@ from .linalg import (
     Vector,
     bilinear_product,
     combine,
-    kernel_subspace,
+    dense,
+    difference,
+    sparse,
     unit_vector,
     vec_is_zero,
     vec_sub,
@@ -99,7 +105,6 @@ class Algebra:
         span has dimension n.  No unit and no associativity are assumed.
         """
         n = self.dim
-        get = self.structure.get
         targets: list[set[int]] = [set() for _ in range(n)]
         for (i, j), terms in self.structure.items():
             for k, _ in terms:
@@ -108,7 +113,7 @@ class Algebra:
         span = Echelon(n)
 
         def times(v: dict[int, GaussianRational], g: int) -> dict[int, GaussianRational]:
-            return combine((m, c * d) for k, c in v.items() for m, d in get((k, g), ()))
+            return bilinear_product(self.structure, v, {g: ONE})
 
         generators: list[int] = []
         for b in sorted(range(n), key=lambda b: (-len(targets[b]), b)):
@@ -142,10 +147,17 @@ class Algebra:
         return self.structure.get((i, j), ())
 
     def multiply_vectors(self, x: Sequence, y: Sequence) -> Vector:
-        return bilinear_product(self.dim, self.structure.get, x, y)
+        n = self.dim
+        return dense(n, bilinear_product(self.structure, sparse(x, n), sparse(y, n)))
 
     def commutator(self, x: Sequence, y: Sequence) -> Vector:
-        return vec_sub(self.multiply_vectors(x, y), self.multiply_vectors(y, x))
+        n = self.dim
+        return dense(n, self._commutator_terms(sparse(x, n), sparse(y, n)))
+
+    def _commutator_terms(self, x: Mapping, y: Mapping) -> dict[int, GaussianRational]:
+        """[x, y] = xy - yx for sparse x and y."""
+        s = self.structure
+        return difference(bilinear_product(s, x, y), bilinear_product(s, y, x))
 
 
 class AlgebraElement:
@@ -252,61 +264,54 @@ class AntiInvolution:
     conjugates_scalars: bool = False
 
     @cached_property
+    def images(self) -> tuple[dict[int, GaussianRational], ...]:
+        """sigma(e_j) for each j as sparse terms: the columns of `matrix`."""
+        m = self.matrix
+        return tuple(sparse(column, m.rows) for column in zip(*m.data))
+
+    @cached_property
     def _signed_permutation(self):
         # (perm, signs) with column j supported at row perm[j]; None if the
-        # matrix is not a signed permutation.  Used as a fast apply path.
-        n = self.matrix.rows
-        if n != self.matrix.cols:
+        # matrix is not a signed permutation.  The document shorthand.
+        entries = [tuple(image.items()) for image in self.images]
+        perm = tuple(e[0][0] for e in entries if len(e) == 1 and e[0][1] in (ONE, -ONE))
+        if self.matrix.rows != self.matrix.cols or sorted(perm) != list(range(len(entries))):
             return None
-        perm = [-1] * n
-        signs = [ONE] * n
-        for j in range(n):
-            hits = [(i, self.matrix.data[i][j]) for i in range(n) if self.matrix.data[i][j]]
-            if len(hits) != 1 or hits[0][1] not in (ONE, -ONE):
-                return None
-            perm[j], signs[j] = hits[0]
-        if sorted(perm) != list(range(n)):
-            return None
-        return tuple(perm), tuple(signs)
+        return perm, tuple(e[0][1] for e in entries)
 
     @cached_property
     def skew_subspace(self) -> Subspace:
         """Canonical basis of the span of all a - sigma(a) in Q(i)^n.
 
-        Linear sigma: the kernel of (sigma + id), cross-checked against the
-        span of the generators e_i - sigma(e_i).  Conjugating sigma: since the
-        hat map is only Q-linear, basis vectors and their multiples by the
-        imaginary unit are both needed to generate the Q(i)-span.
+        The span of the skew parts of the e_j, and of the i e_j when sigma
+        conjugates scalars, since the skew-part map is then only Q-linear.
+        For linear sigma each row r must satisfy sigma(r) = -r, which holds
+        exactly when sigma^2 = id and makes the span the (-1)-eigenspace.
         """
         n = self.matrix.rows
-        basis = [unit_vector(n, i) for i in range(n)]
+        scalars = (ONE, I) if self.conjugates_scalars else (ONE,)
+        span = Echelon(n, (self.skew_terms({j: c}) for j in range(n) for c in scalars))
+        if not self.conjugates_scalars:
+            for row in span.rows.values():
+                if self.image(row) != {k: -c for k, c in row.items()}:
+                    raise InternalConsistencyError(
+                        "(-1)-eigenspace differs from the span of the generators"
+                    )
+        return span.subspace()
+
+    def image(self, v: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
+        """sigma(v) for sparse v: the images of the basis vectors, summed."""
         if self.conjugates_scalars:
-            generators = []
-            for e in basis:
-                generators.append(skew_part(self, e))
-                generators.append(skew_part(self, tuple(I * c for c in e)))
-            return Subspace.from_vectors(n, generators)
-        eigen = kernel_subspace(self.matrix + Matrix.identity(n))
-        generated = Subspace.from_vectors(n, [skew_part(self, e) for e in basis])
-        if eigen != generated:
-            raise InternalConsistencyError(
-                "(-1)-eigenspace differs from the span of the generators"
-            )
-        return eigen
+            v = {k: c.conjugate() for k, c in v.items()}
+        images = self.images
+        return combine((i, c * d) for j, c in v.items() for i, d in images[j].items())
+
+    def skew_terms(self, v: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
+        """v - sigma(v) for sparse v."""
+        return difference(v, self.image(v))
 
     def apply_vector(self, v: Sequence) -> Vector:
-        v = vector(v)
-        if self.conjugates_scalars:
-            v = tuple(c.conjugate() for c in v)
-        sp = self._signed_permutation
-        if sp is not None:
-            perm, signs = sp
-            out = [ZERO] * len(v)
-            for j, c in enumerate(v):
-                if c:
-                    out[perm[j]] = signs[j] * c
-            return tuple(out)
-        return self.matrix.apply(v)
+        return dense(self.matrix.rows, self.image(sparse(v, self.matrix.cols)))
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(elem.algebra, self.apply_vector(elem.coeffs))
@@ -343,11 +348,12 @@ def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
 
 def validate_unit(algebra: Algebra) -> Optional[int]:
     """First basis index where unit * e_i != e_i or e_i * unit != e_i, else None."""
+    unit = sparse(algebra.unit, algebra.dim)
     for i in range(algebra.dim):
-        e = algebra.basis_vector(i)
-        if algebra.multiply_vectors(algebra.unit, e) != e:
+        e = {i: ONE}
+        if bilinear_product(algebra.structure, unit, e) != e:
             return i
-        if algebra.multiply_vectors(e, algebra.unit) != e:
+        if bilinear_product(algebra.structure, e, unit) != e:
             return i
     return None
 
@@ -382,27 +388,15 @@ def validate_involution(
     """
     if sigma.matrix.rows != algebra.dim or sigma.matrix.cols != algebra.dim:
         return InvolutionFailure("shape", (sigma.matrix.rows, sigma.matrix.cols))
-    images = [sigma.apply_vector(algebra.basis_vector(i)) for i in range(algebra.dim)]
+    images = sigma.images
     for i in range(algebra.dim):
-        if sigma.apply_vector(images[i]) != algebra.basis_vector(i):
+        if sigma.image(images[i]) != {i: ONE}:
             return InvolutionFailure("square", (i,))
-    # Both sides as sparse terms: sigma(sum c ek) = sum c' sigma(ek), where
-    # c' is c conjugated when sigma conjugates scalars.
     get = algebra.structure.get
-    sparse = [[(k, c) for k, c in enumerate(image) if c] for image in images]
     for i in algebra.generators:
         for j in range(algebra.dim):
-            lhs = combine(
-                (m, (c.conjugate() if sigma.conjugates_scalars else c) * d)
-                for k, c in get((i, j), ())
-                for m, d in sparse[k]
-            )
-            rhs = combine(
-                (m, x * y * c)
-                for a, x in sparse[j]
-                for b, y in sparse[i]
-                for m, c in get((a, b), ())
-            )
+            lhs = sigma.image(dict(get((i, j), ())))
+            rhs = bilinear_product(algebra.structure, images[j], images[i])
             if lhs != rhs:
                 return InvolutionFailure("antihomomorphism", (i, j))
     return None
@@ -410,7 +404,7 @@ def validate_involution(
 
 def skew_part(sigma: AntiInvolution, v: Sequence) -> Vector:
     """v - sigma(v)."""
-    return vec_sub(vector(v), sigma.apply_vector(v))
+    return dense(sigma.matrix.rows, sigma.skew_terms(sparse(v, sigma.matrix.cols)))
 
 
 def plesken_subspace(algebra: Algebra, sigma: AntiInvolution) -> Subspace:
@@ -440,18 +434,18 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
     from .lie import LieAlgebra
 
     sub = plesken_subspace(algebra, sigma)
-    vecs = sub.basis
-    labels = _lie_labels(algebra.labels, vecs)
+    span = sub.echelon
+    rows = [span.rows[p] for p in sub.pivots]
+    labels = _lie_labels(algebra.labels, sub.basis)
     table: dict[tuple[int, int], Terms] = {}
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            z = algebra.commutator(vecs[a], vecs[b])
-            coeffs = sub.coordinates(z)
-            if coeffs is None:
+    for a in range(len(rows)):
+        for b in range(a + 1, len(rows)):
+            z = algebra._commutator_terms(rows[a], rows[b])
+            if span.reduce(z):
                 raise InternalConsistencyError(
                     f"bracket of basis pair ({a}, {b}) left the skew part"
                 )
-            terms = tuple((k, c) for k, c in enumerate(coeffs) if c)
+            terms = tuple((r, z[p]) for r, p in enumerate(sub.pivots) if p in z)
             if terms:
                 table[(a, b)] = terms
     return LieAlgebra(labels, table)

@@ -43,7 +43,7 @@ from .builders import (
     temperley_lieb_diagrams,
 )
 from .linalg import Matrix, rank
-from .scalars import ZERO, GaussianRational
+from .scalars import ONE, ZERO, GaussianRational
 
 Label = object  # cell labels are small hashable values (ints here)
 
@@ -227,8 +227,7 @@ def validate_cell_datum(
         )
     # C2: sigma swaps the two index positions.
     for (lam, s, t), idx in cd.basis_map.items():
-        image = sigma.apply_vector(algebra.basis_vector(idx))
-        if image != algebra.basis_vector(cd.basis_map[(lam, t, s)]):
+        if sigma.images[idx] != {cd.basis_map[(lam, t, s)]: ONE}:
             return CellValidationFailure(
                 "C2", (lam, s, t), "involution does not send C[s,t] to C[t,s]"
             )
@@ -622,8 +621,7 @@ def check_gram_properties(
     if g != g.transpose():
         return GramPropertyFailure(lam, "symmetry", ())
     for a in range(algebra.dim):
-        image = sigma.apply_vector(algebra.basis_vector(a))
-        lhs = module.act(image).transpose() @ g
+        lhs = module.act(sigma.matrix.column(a)).transpose() @ g
         rhs = g @ module.action[a]
         if lhs != rhs:
             return GramPropertyFailure(lam, "adjointness", (a,))

@@ -204,8 +204,8 @@ def _parse_involution(payload: dict, dim: int) -> tuple[Matrix, bool]:
         if matrix.rows != dim or matrix.cols != dim:
             raise ValueError("involution matrix has wrong shape")
         return matrix, conj
-    perm = payload["permutation"]
-    if sorted(perm) != list(range(dim)):
+    perm = _list(payload["permutation"], "involution permutation")
+    if not all(type(p) is int for p in perm) or sorted(perm) != list(range(dim)):
         raise ValueError("involution permutation is not a permutation")
     signs = payload.get("signs")
     if "signs" in payload and not (isinstance(signs, list) and len(signs) == dim):
@@ -227,7 +227,8 @@ def parse(text: str) -> AlgebraDocument:
     structure = []
     for quad in _rows(payload["structure"], "structure"):
         i, j, k, c = quad
-        if not all(isinstance(v, int) and 0 <= v < dim for v in (i, j, k)):
+        # type(v) is int: JSON true and false are not indices.
+        if not all(type(v) is int and 0 <= v < dim for v in (i, j, k)):
             raise ValueError(f"structure indices out of range: {quad}")
         structure.append((i, j, k, scalar(c)))
     unit = [scalar(c) for c in _list(payload["unit"], "unit")]
@@ -250,7 +251,7 @@ def parse(text: str) -> AlgebraDocument:
         )
         triples = []
         for lam, s, t, idx in _rows(raw["triples"], "cell triples"):
-            if not isinstance(idx, int) or not 0 <= idx < dim:
+            if type(idx) is not int or not 0 <= idx < dim:
                 raise ValueError(f"cell triple index out of range: {idx}")
             triples.append(
                 (_freeze_label(lam), _freeze_label(s), _freeze_label(t), idx)

@@ -2,10 +2,12 @@
 
 A `LieAlgebra` stores its bracket sparsely: `table` holds the index pairs
 i < j, and a private dict holds both halves, the other following by
-antisymmetry.  Subspaces are the canonical rref-basis `Subspace` values from
+antisymmetry.  Brackets of sparse {index: scalar} vectors go through
+`linalg.bilinear_product` on that dict; `bracket_vectors` is its dense
+wrapper.  Subspaces are the canonical rref-basis `Subspace` values from
 `linalg`, so series stabilization is detected by exact subspace equality;
-each series term is the span of brackets inserted one at a time into a
-`linalg.Echelon`, read only until the span is the whole algebra.
+each series term is the span of sparse brackets inserted one at a time into
+a `linalg.Echelon`, read only until the span is the whole algebra.
 
 `orthogonal_model` builds direct sums of the skew-symmetric matrix Lie
 algebras o(d), each the skew part of M(d) under transposition;
@@ -29,8 +31,9 @@ from .linalg import (
     Terms,
     Vector,
     bilinear_product,
+    dense,
     rank,
-    vector,
+    sparse,
 )
 from .scalars import ZERO, GaussianRational
 
@@ -58,7 +61,8 @@ class LieAlgebra:
         return self._terms.get((i, j), ())
 
     def bracket_vectors(self, x: Sequence, y: Sequence) -> Vector:
-        return bilinear_product(self.dim, self._terms.get, vector(x), vector(y))
+        n = self.dim
+        return dense(n, bilinear_product(self._terms, sparse(x, n), sparse(y, n)))
 
     def jacobi_failure(self) -> Optional[tuple[int, int, int]]:
         """First basis triple violating the Jacobi identity, else None."""
@@ -84,8 +88,8 @@ class LieAlgebra:
 
 def bracket_span(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """rref span of all [x, y] with x over a basis of u and y over a basis of v."""
-    brackets = (L.bracket_vectors(x, y) for x in u.basis for y in v.basis)
-    return Subspace.from_vectors(L.dim, brackets)
+    xs, ys = u.echelon.rows.values(), v.echelon.rows.values()
+    return Echelon(L.dim, (bilinear_product(L._terms, x, y) for x in xs for y in ys)).subspace()
 
 
 def _series(L: LieAlgebra, step) -> list[Subspace]:
@@ -117,12 +121,7 @@ def center(L: LieAlgebra) -> Subspace:
     for (i, j), terms in L._terms.items():
         for k, c in terms:
             rows.setdefault((j, k), {})[i] = c
-    span = Echelon(L.dim)
-    for row in rows.values():
-        if len(span.rows) == L.dim:
-            break
-        span.insert(row)
-    return span.kernel()
+    return Echelon(L.dim, rows.values()).kernel()
 
 
 def killing_form(L: LieAlgebra) -> Matrix:

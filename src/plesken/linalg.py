@@ -1,18 +1,21 @@
-"""Exact linear algebra over Q(i): echelon forms, rank, kernels, solving.
+"""Exact linear algebra over Q(i): sparse vectors, echelon forms, kernels.
 
-Every row reduction in the package goes through `Echelon`, which keeps a
-span in reduced row echelon form as sparse {index: scalar} rows, inserted
-one vector at a time.  The reduced row echelon form is unique, so it gives
-canonical representatives for subspaces: two subspaces are equal exactly
-when their rref row bases coincide, which is how `Subspace` equality is
-defined.  `rref`, `rank`, `kernel_basis` and `solve` are views of it on
-immutable dense `Matrix` values.
+Sparse {index: scalar} terms are the working format: `bilinear_product`
+multiplies them through a table of basis products, and `Echelon` keeps a
+span in reduced row echelon form as sparse rows, inserted one vector at a
+time.  Dense tuples are the edges (`Matrix`, `Subspace.basis`), converted
+by `sparse` and `dense`.  The reduced row echelon form is unique, so it
+gives canonical representatives for subspaces: two subspaces are equal
+exactly when their rref row bases coincide, which is how `Subspace`
+equality is defined.  `rref`, `rank`, `kernel_basis` and `solve` are views
+of it on immutable dense `Matrix` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .scalars import ONE, ZERO, GaussianRational, scalar
 
@@ -52,30 +55,44 @@ def combine(terms: Iterable[tuple[int, GaussianRational]]) -> dict[int, Gaussian
     return {k: c for k, c in acc.items() if c}
 
 
-def bilinear_product(
-    n: int, terms: Callable[[tuple[int, int]], Optional[Terms]], x: Vector, y: Vector
-) -> Vector:
-    """Bilinear extension of basis products: sum of x_i y_j * terms((i, j)).
-
-    `terms` maps a basis index pair to the sparse expansion of its product,
-    or to an empty or None value when the product is zero.
-    """
-    if len(x) != n or len(y) != n:
+def sparse(v: Sequence, n: int) -> dict[int, GaussianRational]:
+    """The nonzero entries of the dense vector v of length n."""
+    if len(v) != n:
         raise ValueError("dimension mismatch")
-    acc = [ZERO] * n
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for j, yj in enumerate(y):
-            if not yj:
-                continue
-            expansion = terms((i, j))
-            if not expansion:
-                continue
-            c = xi * yj
-            for k, s in expansion:
-                acc[k] = acc[k] + c * s
-    return tuple(acc)
+    return {k: c for k, c in enumerate(vector(v)) if c}
+
+
+def dense(n: int, v: Mapping[int, GaussianRational]) -> Vector:
+    """The dense vector of length n with the sparse entries v."""
+    return tuple(v.get(k, ZERO) for k in range(n))
+
+
+def difference(
+    x: Mapping[int, GaussianRational], y: Mapping[int, GaussianRational]
+) -> dict[int, GaussianRational]:
+    """x - y for sparse x and y."""
+    return combine([*x.items(), *((k, -c) for k, c in y.items())])
+
+
+def bilinear_product(
+    terms: Mapping[tuple[int, int], Terms],
+    x: Mapping[int, GaussianRational],
+    y: Mapping[int, GaussianRational],
+) -> dict[int, GaussianRational]:
+    """Bilinear extension of basis products: sum of x_i y_j * terms[(i, j)].
+
+    `terms` maps a basis index pair to the sparse expansion of its product;
+    a pair it lacks has product zero.
+    """
+    get = terms.get
+    acc: list[tuple[int, GaussianRational]] = []
+    for i, a in x.items():
+        for j, b in y.items():
+            expansion = get((i, j))
+            if expansion:
+                c = a * b
+                acc.extend((k, c * s) for k, s in expansion)
+    return combine(acc)
 
 
 class Matrix:
@@ -181,17 +198,14 @@ class Echelon:
     pivot, zero before it and zero at every other pivot.
     """
 
-    def __init__(self, ambient: int, vectors: Iterable[Sequence] = ()):
-        """The span of `vectors`, each dense of length `ambient`, read one at
-        a time until the span is the whole space."""
+    def __init__(self, ambient: int, vectors: Iterable[Mapping[int, GaussianRational]] = ()):
+        """The span of the sparse `vectors`, read one at a time until the span
+        is the whole space."""
         self.ambient = ambient
         self.rows: dict[int, dict[int, GaussianRational]] = {}
         vectors = iter(vectors)
         while len(self.rows) < ambient and (v := next(vectors, None)) is not None:
-            v = vector(v)
-            if len(v) != ambient:
-                raise ValueError("vector length does not match the ambient dimension")
-            self.insert({k: c for k, c in enumerate(v) if c})
+            self.insert(v)
 
     def reduce(self, v: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
         """v minus the combination of rows that clears it at every pivot.
@@ -220,9 +234,7 @@ class Echelon:
     def subspace(self) -> Subspace:
         """The span in canonical form."""
         pivots = tuple(sorted(self.rows))
-        basis = tuple(
-            tuple(self.rows[p].get(k, ZERO) for k in range(self.ambient)) for p in pivots
-        )
+        basis = tuple(dense(self.ambient, self.rows[p]) for p in pivots)
         return Subspace(self.ambient, basis, pivots)
 
     def kernel(self) -> Subspace:
@@ -255,11 +267,7 @@ def rank(m: Matrix) -> int:
 
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Echelonized basis of the right null space; empty iff rank == cols."""
-    return list(kernel_subspace(m).basis)
-
-
-def kernel_subspace(m: Matrix) -> Subspace:
-    return Echelon(m.cols, m.data).kernel()
+    return list(Echelon(m.cols, (sparse(row, m.cols) for row in m.data)).kernel().basis)
 
 
 def solve(m: Matrix, rhs: Sequence) -> Optional[Vector]:
@@ -293,8 +301,8 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
-        """The span of `vectors`, read only until it is the whole space."""
-        return Echelon(ambient, vectors).subspace()
+        """The span of the dense `vectors`, read only until it is the whole space."""
+        return Echelon(ambient, (sparse(v, ambient) for v in vectors)).subspace()
 
     @classmethod
     def zero(cls, ambient: int) -> Subspace:
@@ -312,26 +320,22 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def echelon(self) -> Echelon:
+        """The span as an `Echelon`, whose rows are the basis as sparse terms."""
+        return Echelon(self.ambient, (sparse(v, self.ambient) for v in self.basis))
+
     def coordinates(self, v: Sequence) -> Optional[Vector]:
         """Coefficients of v in the canonical basis, or None if v is outside.
 
         Because the basis rows are in rref, the coefficient of row r is just
-        the entry of v at the r-th pivot; membership is then a residual check.
+        the entry of v at the r-th pivot; v is in the span when the echelon
+        reduces it to zero.
         """
-        v = vector(v)
-        if len(v) != self.ambient:
-            raise ValueError("shape mismatch")
-        coeffs = tuple(v[p] for p in self.pivots)
-        residual = list(v)
-        for c, row in zip(coeffs, self.basis):
-            if not c:
-                continue
-            for j, entry in enumerate(row):
-                if entry:
-                    residual[j] = residual[j] - c * entry
-        if any(residual):
+        v = sparse(v, self.ambient)
+        if self.echelon.reduce(v):
             return None
-        return coeffs
+        return tuple(v.get(p, ZERO) for p in self.pivots)
 
     def contains(self, v: Sequence) -> bool:
         return self.coordinates(v) is not None

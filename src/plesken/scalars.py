@@ -160,10 +160,10 @@ def _coerce(value):
 
 
 def scalar(value) -> GaussianRational:
-    """Coerce an int, Fraction, string or GaussianRational to a scalar."""
+    """Coerce an int (not a bool), Fraction, string or GaussianRational to a scalar."""
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return GaussianRational(value)
     if isinstance(value, str):
         return GaussianRational.from_string(value)

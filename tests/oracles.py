@@ -11,16 +11,37 @@ Gauss-Jordan loop it replaced is here, with the subspace, kernel, center
 and fingerprint computations built on it: the center from an O(n^3 t) scan
 of the bracket table, each series term from all brackets stacked into one
 matrix.  Differential tests compare the results, which are canonical.
+
+Products, sigma, the skew part and the Lie table work on sparse terms.  The
+dense versions they replaced are here: the dense `bilinear_product` loop,
+sigma as a dense matrix-vector product, the skew part as the kernel of
+(sigma + id) cross-checked against the span of the e_i - sigma(e_i), and
+the Lie table from dense commutators with a dense residual check.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
-from plesken.algebra import Algebra, AntiInvolution, InvolutionFailure
+from plesken.algebra import (
+    Algebra,
+    AntiInvolution,
+    InternalConsistencyError,
+    InvolutionFailure,
+    _lie_labels,
+)
 from plesken.lie import Fingerprint, LieAlgebra, killing_form
-from plesken.linalg import Matrix, Subspace, zero_vector
-from plesken.scalars import ONE, ZERO, GaussianRational
+from plesken.linalg import (
+    Matrix,
+    Subspace,
+    Terms,
+    Vector,
+    unit_vector,
+    vec_sub,
+    vector,
+    zero_vector,
+)
+from plesken.scalars import I, ONE, ZERO, GaussianRational
 
 
 def associativity_all_triples(algebra: Algebra) -> Optional[tuple[int, int, int]]:
@@ -181,3 +202,110 @@ def fingerprint_gauss_jordan(L: LieAlgebra) -> Fingerprint:
         derived_length=len(derived) - 1 if solvable else None,
         nilpotent=lower[-1] == 0,
     )
+
+
+def bilinear_product_dense(
+    n: int, terms: Callable[[tuple[int, int]], Optional[Terms]], x: Vector, y: Vector
+) -> Vector:
+    """Bilinear extension of basis products: sum of x_i y_j * terms((i, j)).
+
+    `terms` maps a basis index pair to the sparse expansion of its product,
+    or to an empty or None value when the product is zero.
+    """
+    if len(x) != n or len(y) != n:
+        raise ValueError("dimension mismatch")
+    acc = [ZERO] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            expansion = terms((i, j))
+            if not expansion:
+                continue
+            c = xi * yj
+            for k, s in expansion:
+                acc[k] = acc[k] + c * s
+    return tuple(acc)
+
+
+def commutator_dense(algebra: Algebra, x: Vector, y: Vector) -> Vector:
+    get = algebra.structure.get
+    return vec_sub(
+        bilinear_product_dense(algebra.dim, get, x, y),
+        bilinear_product_dense(algebra.dim, get, y, x),
+    )
+
+
+def apply_dense(sigma: AntiInvolution, v: Sequence) -> Vector:
+    """sigma(v) as a dense matrix-vector product, after conjugation if any."""
+    v = vector(v)
+    if sigma.conjugates_scalars:
+        v = tuple(c.conjugate() for c in v)
+    return sigma.matrix.apply(v)
+
+
+def skew_part_dense(sigma: AntiInvolution, v: Sequence) -> Vector:
+    return vec_sub(vector(v), apply_dense(sigma, v))
+
+
+def skew_subspace_kernel(sigma: AntiInvolution) -> Subspace:
+    """Canonical basis of the span of all a - sigma(a) in Q(i)^n.
+
+    Linear sigma: the kernel of (sigma + id), cross-checked against the
+    span of the generators e_i - sigma(e_i).  Conjugating sigma: since the
+    hat map is only Q-linear, basis vectors and their multiples by the
+    imaginary unit are both needed to generate the Q(i)-span.
+    """
+    n = sigma.matrix.rows
+    basis = [unit_vector(n, i) for i in range(n)]
+    if sigma.conjugates_scalars:
+        generators = []
+        for e in basis:
+            generators.append(skew_part_dense(sigma, e))
+            generators.append(skew_part_dense(sigma, tuple(I * c for c in e)))
+        return span_gauss_jordan(n, generators)
+    eigen = kernel_gauss_jordan(sigma.matrix + Matrix.identity(n))
+    generated = span_gauss_jordan(n, [skew_part_dense(sigma, e) for e in basis])
+    if eigen != generated:
+        raise InternalConsistencyError(
+            "(-1)-eigenspace differs from the span of the generators"
+        )
+    return eigen
+
+
+def coordinates_dense(sub: Subspace, v: Vector) -> Optional[Vector]:
+    """Coefficients of v in the canonical basis of sub, or None if v is outside:
+    the entries at the pivots, then a dense residual check."""
+    coeffs = tuple(v[p] for p in sub.pivots)
+    residual = list(v)
+    for c, row in zip(coeffs, sub.basis):
+        if not c:
+            continue
+        for j, entry in enumerate(row):
+            if entry:
+                residual[j] = residual[j] - c * entry
+    if any(residual):
+        return None
+    return coeffs
+
+
+def plesken_lie_algebra_dense(algebra: Algebra, sigma: AntiInvolution) -> LieAlgebra:
+    """The Lie table from dense commutators of the kernel-based skew basis."""
+    sub = skew_subspace_kernel(sigma)
+    vecs = sub.basis
+    labels = _lie_labels(algebra.labels, vecs)
+    table: dict[tuple[int, int], Terms] = {}
+    for a in range(len(vecs)):
+        for b in range(a + 1, len(vecs)):
+            z = commutator_dense(algebra, vecs[a], vecs[b])
+            coeffs = coordinates_dense(sub, z)
+            if coeffs is None:
+                raise InternalConsistencyError(
+                    f"bracket of basis pair ({a}, {b}) left the skew part"
+                )
+            terms = tuple((k, c) for k, c in enumerate(coeffs) if c)
+            if terms:
+                table[(a, b)] = terms
+    return LieAlgebra(labels, table)

@@ -168,6 +168,20 @@ def test_closure_proof_fires_when_the_skew_part_is_not_closed():
     assert bracket_closure_check(A, sigma, 25, seed=0) is not None
 
 
+@pytest.mark.parametrize("matrix", [[[1, 1], [0, 1]], [[-1, 0], [0, 2]]])
+def test_skew_part_check_fires_when_sigma_squared_is_not_the_identity(matrix):
+    # On Q x Q, a linear sigma with sigma^2 != id: the span of the
+    # e_j - sigma(e_j) is not the (-1)-eigenspace (span(e0) against 0 for
+    # the unipotent block, everything against span(e0) for diag(-1, 2)).
+    # Only the check sigma(r) = -r on the rows of the span sees it.
+    A = Algebra(("a", "b"), {(0, 0): ((0, 1),), (1, 1): ((1, 1),)}, (1, 1))
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"\(-1\)-eigenspace differs from the span of the generators",
+    ):
+        plesken_lie_algebra(A, AntiInvolution(Matrix(matrix)))
+
+
 def test_group_bracket_identity_on_elements():
     table = symmetric_3_table()
     A, sigma = group_algebra(table)

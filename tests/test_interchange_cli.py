@@ -317,6 +317,29 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys):
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "invalid-input"
 
+    # JSON true is neither the index 1 nor the scalar 1, wherever it stands.
+    involution = valid["involution"]
+    true_one = [[True if v == "1" else v for v in row] for row in transpose]
+
+    def structure(old, new):
+        return [new if entry == old else entry for entry in valid["structure"]]
+
+    for payload in (
+        {**valid, "structure": structure([1, 2, 0, "1"], [True, 2, 0, "1"])},
+        {**valid, "structure": structure([0, 0, 0, "1"], [0, 0, 0, True])},
+        {**valid, "unit": [True, "0", "0", "1"]},
+        {**valid, "involution": {**involution, "permutation": [0, 2, True, 3]}},
+        {**valid, "involution": {**involution, "signs": [True, 1, 1, 1]}},
+        {**valid, "involution": {"matrix": true_one}},
+        {**valid, "cell": {**cell, "triples": [
+            [*triple[:3], True if triple[3] == 1 else triple[3]] for triple in cell["triples"]
+        ]}},
+    ):
+        q.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "verify-cellular", str(q))
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "invalid-input"
+
 
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     q = tmp_path / "q.plesken.json"

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plesken.algebra import plesken_subspace
+from plesken.builders import matrix_algebra
 from plesken.linalg import (
     Matrix,
     Subspace,
@@ -158,6 +160,18 @@ def test_subspace_coordinates():
     coords = sub.coordinates([2, 3, -1])
     assert coords == vector([2, 3])
     assert sub.coordinates([0, 0, 1]) is None
+
+
+def test_coordinates_reject_a_vector_outside_the_span():
+    # E12 + E21 has entry 1 at the pivot of the skew row E12 - E21 of M(3),
+    # so only the residual shows that it is not skew.
+    A, sigma = matrix_algebra(3)
+    skew = plesken_subspace(A, sigma)
+    symmetric = [0] * 9
+    symmetric[1] = symmetric[3] = 1
+    assert skew.coordinates(symmetric) is None
+    assert skew.coordinates([0, 1, 0, -1, 0, 0, 0, 0, 0]) is not None
+    assert Subspace.from_vectors(2, [[1, "i"]]).coordinates([1, "-i"]) is None
 
 
 def test_matrix_operations():

@@ -14,14 +14,18 @@ The axioms checked by `validate_cell_datum` are:
 
 Because the cellular basis *is* the algebra basis here, C3 is a support
 check on structure constants plus a coefficient comparison across t; no
-linear algebra is needed.  The C3 coefficients give the cell module action
-matrices, products of cellular basis elements give the Gram matrix of each
-cell, and the whole package is assembled by `verify_theorem`: when every
-Gram form is non-degenerate and the direct sum of cell representations is
-injective, the skew part of the involution maps isomorphically onto the
-block-skew matrices (X^T G + G X = 0 per cell), the direct sum of the
-orthogonal Lie algebras of the Gram forms.  The poset is used only through
-its comparability pairs, so non-total orders work unchanged.
+linear algebra is needed.  The C3 coefficients give the cell module
+actions as sparse {(row, col): scalar} entries, at most one per column for
+the monomial families; products of cellular basis elements give the dense
+Gram matrix of each cell.  The whole package is assembled by
+`verify_theorem`: when every Gram form is non-degenerate and the direct sum
+of cell representations is injective, the skew part of the involution maps
+isomorphically onto the block-skew matrices (X^T G + G X = 0 per cell), the
+direct sum of the orthogonal Lie algebras of the Gram forms.  The form
+checks multiply sparse entries by the Gram matrix, d terms per entry, and
+injectivity is the rank of one sparse row per (cell, row, col) in an
+`Echelon`.  The poset is used only through its comparability pairs, so
+non-total orders work unchanged.
 """
 
 from __future__ import annotations
@@ -42,10 +46,11 @@ from .builders import (
     planar_rook_diagrams,
     temperley_lieb_diagrams,
 )
-from .linalg import Matrix, rank
+from .linalg import Echelon, Matrix, combine, rank
 from .scalars import ONE, ZERO, GaussianRational
 
 Label = object  # cell labels are small hashable values (ints here)
+Entries = Mapping[tuple[int, int], GaussianRational]  # sparse matrix: (row, col) -> scalar
 
 
 class CellDatum:
@@ -274,23 +279,20 @@ def validate_cell_datum(
 class CellModule:
     lam: Label
     basis: tuple
-    action: Mapping[int, Matrix]  # algebra basis index -> matrix on the module
+    action: Mapping[int, Entries]  # algebra basis index -> nonzero entries of its matrix
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def act(self, x: Sequence) -> Matrix:
-        """Matrix of an arbitrary algebra element on the module."""
-        out = Matrix.zeros(self.dim, self.dim)
-        for a, coeff in enumerate(x):
-            if coeff:
-                out = out + self.action[a].scale(coeff)
-        return out
+    def act(self, x: Mapping[int, GaussianRational]) -> dict[tuple[int, int], GaussianRational]:
+        """Nonzero entries of the matrix of the algebra element with sparse terms x."""
+        action = self.action
+        return combine((key, c * d) for a, c in x.items() for key, d in action[a].items())
 
 
 def cell_module(algebra: Algebra, cd: CellDatum, lam: Label) -> CellModule:
-    """Extract the action matrices from the triangularity coefficients.
+    """Extract the action entries from the triangularity coefficients.
 
     Requires a validated datum; the coefficients are read off against the
     first column index t.
@@ -298,34 +300,15 @@ def cell_module(algebra: Algebra, cd: CellDatum, lam: Label) -> CellModule:
     members = cd.members(lam)
     pos = {s: i for i, s in enumerate(members)}
     lower = cd.lower_indices(lam)
-    action = {}
     t0 = members[0] if members else None
+    action = {}
     for a in range(algebra.dim):
-        rows = [[ZERO] * len(members) for _ in members]
-        if t0 is not None:
-            for s in members:
-                for k, c in algebra.product_terms(a, cd.basis_map[(lam, s, t0)]):
-                    if k in lower:
-                        continue
-                    triple = cd.triples_of[k][0]
-                    rows[pos[triple[1]]][pos[s]] = c
-        action[a] = Matrix(rows)
+        entries = action[a] = {}
+        for s in members:
+            for k, c in algebra.product_terms(a, cd.basis_map[(lam, s, t0)]):
+                if k not in lower:
+                    entries[(pos[cd.triples_of[k][0][1]], pos[s])] = c
     return CellModule(lam, members, action)
-
-
-def module_axiom_failure(algebra: Algebra, module: CellModule) -> Optional[tuple]:
-    """First failure of rho(unit) = id or rho(ei ej) = rho(ei) rho(ej)."""
-    d = module.dim
-    if module.act(algebra.unit) != Matrix.identity(d):
-        return ("unit",)
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            expected = Matrix.zeros(d, d)
-            for k, c in algebra.product_terms(i, j):
-                expected = expected + module.action[k].scale(c)
-            if module.action[i] @ module.action[j] != expected:
-                return (i, j)
-    return None
 
 
 @dataclass(frozen=True)
@@ -482,8 +465,10 @@ class TheoremReport:
     representations is injective on the algebra, (b) every skew-part basis
     element acts G-skewly on every cell (X^T G + G X = 0), and (c) the
     skew part has dimension sum(d(d-1)/2).  A refutation records the first
-    failed check; (b) holds for every valid datum, so refutations normally
-    come from (a) on non-semisimple input.
+    failed check; (b) holds for every valid datum with a linear sigma, so
+    refutations then come from (a) on non-semisimple input.  A semilinear
+    sigma can fail (b): under conjugate transposition the skew part of M(n)
+    holds i E_11, which is not skew for G = I.
     """
 
     certified: bool
@@ -516,6 +501,17 @@ class TheoremReport:
         }
 
 
+def _gram_terms(
+    x: Entries, g: Matrix, *, transposed: bool
+) -> list[tuple[tuple[int, int], GaussianRational]]:
+    """Terms of X^T G if `transposed`, else of G X, for the matrix X with the
+    sparse entries x and a dense G: at most d terms per entry of x."""
+    rows = g.data
+    if transposed:
+        return [((i, j), c * v) for (k, i), c in x.items() for j, v in enumerate(rows[k]) if v]
+    return [((i, j), row[k] * c) for (k, j), c in x.items() for i, row in enumerate(rows) if row[k]]
+
+
 def verify_theorem(
     algebra: Algebra,
     sigma: AntiInvolution,
@@ -533,36 +529,30 @@ def verify_theorem(
     modules, grams = forms.modules, forms.grams
     gram_ranks = tuple((lam, grams[lam].size, grams[lam].rank) for lam in cd.lambdas)
 
-    # (a) injectivity of the combined cell representation.
-    rows = []
+    # (a) injectivity of the combined cell representation: the rows are
+    # indexed by (cell, row, col), and the entry of a row at a is that entry
+    # of rho(e_a).
+    rows: dict[tuple, dict[int, GaussianRational]] = {}
     for lam in cd.lambdas:
-        module = modules[lam]
-        for r in range(module.dim):
-            for c in range(module.dim):
-                rows.append(
-                    [module.action[a].data[r][c] for a in range(algebra.dim)]
-                )
-    injective = bool(rows) and rank(Matrix(rows)) == algebra.dim
+        for a, entries in modules[lam].action.items():
+            for (r, c), value in entries.items():
+                rows.setdefault((lam, r, c), {})[a] = value
+    injective = 0 < len(Echelon(algebra.dim, rows.values()).rows) == algebra.dim
 
     # (b) G-skewness of the action of every skew-part basis element.
     sub = plesken_subspace(algebra, sigma)
-    skew_ok = True
     skew_witness = None
-    for r, x in enumerate(sub.basis):
+    for r, p in enumerate(sub.pivots):
+        x = sub.echelon.rows[p]
         for lam in cd.lambdas:
-            module = modules[lam]
-            if module.dim == 0:
-                continue
-            g = grams[lam].gram
-            action = module.act(x)
-            if (action.transpose() @ g) + (g @ action) != Matrix.zeros(
-                module.dim, module.dim
-            ):
-                skew_ok = False
+            action, g = modules[lam].act(x), grams[lam].gram
+            terms = _gram_terms(action, g, transposed=True)
+            if combine(terms + _gram_terms(action, g, transposed=False)):
                 skew_witness = (r, lam)
                 break
-        if not skew_ok:
+        if skew_witness:
             break
+    skew_ok = skew_witness is None
 
     # (c) dimension count.
     block_sizes = tuple(
@@ -621,8 +611,7 @@ def check_gram_properties(
     if g != g.transpose():
         return GramPropertyFailure(lam, "symmetry", ())
     for a in range(algebra.dim):
-        lhs = module.act(sigma.matrix.column(a)).transpose() @ g
-        rhs = g @ module.action[a]
-        if lhs != rhs:
+        lhs = combine(_gram_terms(module.act(sigma.images[a]), g, transposed=True))
+        if lhs != combine(_gram_terms(module.action[a], g, transposed=False)):
             return GramPropertyFailure(lam, "adjointness", (a,))
     return None

@@ -64,21 +64,6 @@ class LieAlgebra:
         n = self.dim
         return dense(n, bilinear_product(self._terms, sparse(x, n), sparse(y, n)))
 
-    def jacobi_failure(self) -> Optional[tuple[int, int, int]]:
-        """First basis triple violating the Jacobi identity, else None."""
-        bt = self.bracket_terms
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    acc: dict[int, GaussianRational] = {}
-                    for outer, inner_pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-                        for l, c in bt(*inner_pair):
-                            for m, d in bt(outer, l):
-                                acc[m] = acc.get(m, ZERO) + c * d
-                    if any(acc.values()):
-                        return (i, j, k)
-        return None
-
     def full_subspace(self) -> Subspace:
         return Subspace.full(self.dim)
 
@@ -125,20 +110,27 @@ def center(L: LieAlgebra) -> Subspace:
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
-    """K(x, y) = trace(ad x . ad y), as a symmetric matrix on the basis."""
+    """K(x, y) = trace(ad x . ad y), as a symmetric matrix on the basis.
+
+    Each ad(a) is read once from the bracket table as sparse {(k, i): c},
+    the coefficient of e_k in [e_a, e_i]; an entry is then one pass over the
+    terms of ad(b) with lookups in ad(a).
+    """
     n = L.dim
-    bt = L.bracket_terms
+    ad: list[dict[tuple[int, int], GaussianRational]] = [{} for _ in range(n)]
+    for (a, i), terms in L._terms.items():
+        for k, c in terms:
+            ad[a][(k, i)] = c
     rows = [[ZERO] * n for _ in range(n)]
     for a in range(n):
+        get = ad[a].get
         for b in range(a, n):
             s = ZERO
-            for i in range(n):
-                for k, c1 in bt(b, i):
-                    for m, c2 in bt(a, k):
-                        if m == i:
-                            s = s + c1 * c2
-            rows[a][b] = s
-            rows[b][a] = s
+            for (k, i), c in ad[b].items():
+                d = get((i, k))
+                if d:
+                    s = s + c * d
+            rows[a][b] = rows[b][a] = s
     return Matrix(rows)
 
 

@@ -4,11 +4,14 @@ Sparse {index: scalar} terms are the working format: `bilinear_product`
 multiplies them through a table of basis products, and `Echelon` keeps a
 span in reduced row echelon form as sparse rows, inserted one vector at a
 time.  Dense tuples are the edges (`Matrix`, `Subspace.basis`), converted
-by `sparse` and `dense`.  The reduced row echelon form is unique, so it
-gives canonical representatives for subspaces: two subspaces are equal
-exactly when their rref row bases coincide, which is how `Subspace`
-equality is defined.  `rref`, `rank`, `kernel_basis` and `solve` are views
-of it on immutable dense `Matrix` values.
+by `sparse` and `dense`.  `Matrix` is a container without arithmetic:
+constructors, row, column and transpose views, indexing and equality.  It
+holds sigma, the Gram and Killing matrices and the input of `rref`.  The
+reduced row echelon form is unique, so it gives canonical representatives
+for subspaces: two subspaces are equal exactly when their rref row bases
+coincide, which is how `Subspace` equality is defined.  `rref`, `rank`,
+`kernel_basis` and `solve` are views of it on immutable dense `Matrix`
+values.
 """
 
 from __future__ import annotations
@@ -33,10 +36,6 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def vector(values: Iterable) -> Vector:
     return tuple(scalar(v) for v in values)
-
-
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def vec_sub(x: Vector, y: Vector) -> Vector:
@@ -96,7 +95,8 @@ def bilinear_product(
 
 
 class Matrix:
-    """Immutable dense matrix of GaussianRational entries."""
+    """Immutable dense matrix of GaussianRational entries: a container with
+    views and equality, and no arithmetic."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -136,59 +136,14 @@ class Matrix:
     def transpose(self) -> Matrix:
         return Matrix(list(zip(*self.data))) if self.data else Matrix([])
 
-    def conjugate(self) -> Matrix:
-        return Matrix([[v.conjugate() for v in row] for row in self.data])
-
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.data == other.data
 
     def __hash__(self):
         return hash(self.data)
 
-    def __add__(self, other: Matrix) -> Matrix:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix([vec_add(a, b) for a, b in zip(self.data, other.data)])
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return Matrix([vec_sub(a, b) for a, b in zip(self.data, other.data)])
-
-    def __neg__(self) -> Matrix:
-        return Matrix([[-v for v in row] for row in self.data])
-
-    def scale(self, c) -> Matrix:
-        c = scalar(c)
-        return Matrix([[c * v for v in row] for row in self.data])
-
-    def __matmul__(self, other: Matrix) -> Matrix:
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        cols = other.transpose().data
-        return Matrix(
-            [[_dot(row, col) for col in cols] for row in self.data]
-        )
-
-    def apply(self, v: Sequence) -> Vector:
-        """Matrix-vector product."""
-        if len(v) != self.cols:
-            raise ValueError("shape mismatch")
-        return tuple(_dot(row, v) for row in self.data)
-
-    def is_zero(self) -> bool:
-        return all(not v for row in self.data for v in row)
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def _dot(x, y):
-    acc = ZERO
-    for a, b in zip(x, y):
-        if a and b:
-            acc = acc + a * b
-    return acc
 
 
 class Echelon:

@@ -16,12 +16,21 @@ Products, sigma, the skew part and the Lie table work on sparse terms.  The
 dense versions they replaced are here: the dense `bilinear_product` loop,
 sigma as a dense matrix-vector product, the skew part as the kernel of
 (sigma + id) cross-checked against the span of the e_i - sigma(e_i), and
-the Lie table from dense commutators with a dense residual check.
+the Lie table from dense commutators with a dense residual check.  So are
+the Jacobi scan over all basis triples and the Killing form from an
+O(n^3 t) scan of the bracket table.
+
+`plesken.linalg.Matrix` is a container without arithmetic, and the cell
+modules act by sparse entries.  The dense matrix arithmetic the
+certificate used is here: `matmul`, `matvec`, `linear_combination`, the
+action matrices read off the C3 coefficients as dense matrices, `act` as
+a sum of scaled dense matrices, the module axioms, and the dense form
+checks (b) and adjointness, with the witnesses of `plesken.cellular`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from plesken.algebra import (
     Algebra,
@@ -30,7 +39,8 @@ from plesken.algebra import (
     InvolutionFailure,
     _lie_labels,
 )
-from plesken.lie import Fingerprint, LieAlgebra, killing_form
+from plesken.cellular import CellDatum, CellForms, CellModule, GramPropertyFailure, Label
+from plesken.lie import Fingerprint, LieAlgebra
 from plesken.linalg import (
     Matrix,
     Subspace,
@@ -175,6 +185,40 @@ def center_scan(L: LieAlgebra) -> Subspace:
     return kernel_gauss_jordan(Matrix(rows))
 
 
+def jacobi_failure(L: LieAlgebra) -> Optional[tuple[int, int, int]]:
+    """First basis triple violating the Jacobi identity, else None."""
+    bt = L.bracket_terms
+    for i in range(L.dim):
+        for j in range(L.dim):
+            for k in range(L.dim):
+                acc: dict[int, GaussianRational] = {}
+                for outer, inner_pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
+                    for l, c in bt(*inner_pair):
+                        for m, d in bt(outer, l):
+                            acc[m] = acc.get(m, ZERO) + c * d
+                if any(acc.values()):
+                    return (i, j, k)
+    return None
+
+
+def killing_form_scan(L: LieAlgebra) -> Matrix:
+    """K(x, y) = trace(ad x . ad y), summed over every basis index i."""
+    n = L.dim
+    bt = L.bracket_terms
+    rows = [[ZERO] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            s = ZERO
+            for i in range(n):
+                for k, c1 in bt(b, i):
+                    for m, c2 in bt(a, k):
+                        if m == i:
+                            s = s + c1 * c2
+            rows[a][b] = s
+            rows[b][a] = s
+    return Matrix(rows)
+
+
 def fingerprint_gauss_jordan(L: LieAlgebra) -> Fingerprint:
     """`fingerprint` with every bracket of a series term stacked and reduced."""
 
@@ -197,7 +241,7 @@ def fingerprint_gauss_jordan(L: LieAlgebra) -> Fingerprint:
         derived_dims=tuple(derived),
         lower_central_dims=tuple(lower),
         center_dim=center_scan(L).dim,
-        killing_rank=len(rref_gauss_jordan(killing_form(L))[1]),
+        killing_rank=len(rref_gauss_jordan(killing_form_scan(L))[1]),
         solvable=solvable,
         derived_length=len(derived) - 1 if solvable else None,
         nilpotent=lower[-1] == 0,
@@ -243,7 +287,7 @@ def apply_dense(sigma: AntiInvolution, v: Sequence) -> Vector:
     v = vector(v)
     if sigma.conjugates_scalars:
         v = tuple(c.conjugate() for c in v)
-    return sigma.matrix.apply(v)
+    return matvec(sigma.matrix, v)
 
 
 def skew_part_dense(sigma: AntiInvolution, v: Sequence) -> Vector:
@@ -266,7 +310,9 @@ def skew_subspace_kernel(sigma: AntiInvolution) -> Subspace:
             generators.append(skew_part_dense(sigma, e))
             generators.append(skew_part_dense(sigma, tuple(I * c for c in e)))
         return span_gauss_jordan(n, generators)
-    eigen = kernel_gauss_jordan(sigma.matrix + Matrix.identity(n))
+    eigen = kernel_gauss_jordan(
+        linear_combination(n, n, [(ONE, sigma.matrix), (ONE, Matrix.identity(n))])
+    )
     generated = span_gauss_jordan(n, [skew_part_dense(sigma, e) for e in basis])
     if eigen != generated:
         raise InternalConsistencyError(
@@ -309,3 +355,144 @@ def plesken_lie_algebra_dense(algebra: Algebra, sigma: AntiInvolution) -> LieAlg
             if terms:
                 table[(a, b)] = terms
     return LieAlgebra(labels, table)
+
+
+def _dot(x: Sequence, y: Sequence) -> GaussianRational:
+    acc = ZERO
+    for a, b in zip(x, y):
+        if a and b:
+            acc = acc + a * b
+    return acc
+
+
+def matmul(x: Matrix, y: Matrix) -> Matrix:
+    """The dense product x y."""
+    if x.cols != y.rows:
+        raise ValueError("shape mismatch")
+    columns = [y.column(j) for j in range(y.cols)]
+    return Matrix([[_dot(row, col) for col in columns] for row in x.data])
+
+
+def matvec(m: Matrix, v: Sequence) -> Vector:
+    """The dense matrix-vector product m v."""
+    if len(v) != m.cols:
+        raise ValueError("shape mismatch")
+    return tuple(_dot(row, v) for row in m.data)
+
+
+def linear_combination(
+    rows: int, cols: int, terms: Iterable[tuple[GaussianRational, Matrix]]
+) -> Matrix:
+    """The sum of c * m over the (c, m) in terms, all of shape rows x cols."""
+    acc = [[ZERO] * cols for _ in range(rows)]
+    for c, m in terms:
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError("shape mismatch")
+        for i, row in enumerate(m.data):
+            for j, v in enumerate(row):
+                if v:
+                    acc[i][j] = acc[i][j] + c * v
+    return Matrix(acc)
+
+
+def entries_matrix(d: int, entries: Mapping[tuple[int, int], GaussianRational]) -> Matrix:
+    """The dense d x d matrix with the sparse entries {(row, col): c}."""
+    rows = [[ZERO] * d for _ in range(d)]
+    for (r, c), value in entries.items():
+        rows[r][c] = value
+    return Matrix(rows)
+
+
+def dense_action(module: CellModule) -> dict[int, Matrix]:
+    """The action matrices of a cell module, as dense matrices."""
+    return {a: entries_matrix(module.dim, e) for a, e in module.action.items()}
+
+
+def action_matrices(algebra: Algebra, cd: CellDatum, lam: Label) -> dict[int, Matrix]:
+    """The dense action matrices of cell lam, read off the C3 coefficients
+    against the first column index t, for a validated datum."""
+    members = cd.members(lam)
+    pos = {s: i for i, s in enumerate(members)}
+    lower = cd.lower_indices(lam)
+    action = {}
+    t0 = members[0] if members else None
+    for a in range(algebra.dim):
+        rows = [[ZERO] * len(members) for _ in members]
+        if t0 is not None:
+            for s in members:
+                for k, c in algebra.product_terms(a, cd.basis_map[(lam, s, t0)]):
+                    if k in lower:
+                        continue
+                    triple = cd.triples_of[k][0]
+                    rows[pos[triple[1]]][pos[s]] = c
+        action[a] = Matrix(rows)
+    return action
+
+
+def act(matrices: Mapping[int, Matrix], d: int, x: Sequence) -> Matrix:
+    """The matrix of the algebra element with dense coefficients x, as the
+    sum of its coefficients times the dense action matrices."""
+    return linear_combination(d, d, ((c, matrices[a]) for a, c in enumerate(x) if c))
+
+
+def module_axiom_failure(algebra: Algebra, module: CellModule) -> Optional[tuple]:
+    """First failure of rho(unit) = id or rho(ei ej) = rho(ei) rho(ej)."""
+    d = module.dim
+    matrices = dense_action(module)
+    if act(matrices, d, algebra.unit) != Matrix.identity(d):
+        return ("unit",)
+    for i in range(algebra.dim):
+        for j in range(algebra.dim):
+            expected = linear_combination(
+                d, d, ((c, matrices[k]) for k, c in algebra.product_terms(i, j))
+            )
+            if matmul(matrices[i], matrices[j]) != expected:
+                return (i, j)
+    return None
+
+
+def form_skewness_dense(
+    algebra: Algebra, sigma: AntiInvolution, cd: CellDatum, forms: CellForms
+) -> Optional[tuple]:
+    """Check (b) of `verify_theorem` by dense products: the first (r, lam)
+    where X^T G + G X != 0 for the r-th skew-part basis vector, else None."""
+    matrices = {lam: dense_action(forms.modules[lam]) for lam in cd.lambdas}
+    for r, x in enumerate(skew_subspace_kernel(sigma).basis):
+        for lam in cd.lambdas:
+            d = forms.modules[lam].dim
+            if d == 0:
+                continue
+            g = forms.grams[lam].gram
+            action = act(matrices[lam], d, x)
+            both = [(ONE, matmul(action.transpose(), g)), (ONE, matmul(g, action))]
+            if linear_combination(d, d, both) != Matrix.zeros(d, d):
+                return (r, lam)
+    return None
+
+
+def injective_dense(algebra: Algebra, cd: CellDatum, forms: CellForms) -> bool:
+    """Check (a) of `verify_theorem`: the rank of the dense matrix with one row
+    per (cell, row, col) and one column per basis index."""
+    rows = []
+    for lam in cd.lambdas:
+        module = forms.modules[lam]
+        matrices = dense_action(module)
+        for r in range(module.dim):
+            for c in range(module.dim):
+                rows.append([matrices[a][r, c] for a in range(algebra.dim)])
+    return bool(rows) and len(rref_gauss_jordan(Matrix(rows))[1]) == algebra.dim
+
+
+def gram_properties_dense(
+    algebra: Algebra, sigma: AntiInvolution, lam: Label, forms: CellForms
+) -> Optional[GramPropertyFailure]:
+    """`check_gram_properties` by dense products."""
+    module, g = forms.modules[lam], forms.grams[lam].gram
+    if g != g.transpose():
+        return GramPropertyFailure(lam, "symmetry", ())
+    matrices = dense_action(module)
+    for a in range(algebra.dim):
+        lhs = matmul(act(matrices, module.dim, sigma.matrix.column(a)).transpose(), g)
+        if lhs != matmul(g, matrices[a]):
+            return GramPropertyFailure(lam, "adjointness", (a,))
+    return None

@@ -1,12 +1,25 @@
 import math
 
 import pytest
+from oracles import (
+    act,
+    action_matrices,
+    entries_matrix,
+    form_skewness_dense,
+    gram_properties_dense,
+    injective_dense,
+    linear_combination,
+    matmul,
+    module_axiom_failure,
+)
 
-from plesken.algebra import plesken_basis
+from plesken.algebra import plesken_basis, plesken_subspace
 from plesken.builders import matrix_algebra, planar_rook, temperley_lieb
 from plesken.cellular import (
     CellDatum,
     CellForms,
+    CellModule,
+    GramForm,
     cell_datum_matrix,
     cell_datum_planar_rook,
     cell_datum_temperley_lieb,
@@ -15,13 +28,12 @@ from plesken.cellular import (
     gram_matrix,
     half_diagrams,
     is_semisimple,
-    module_axiom_failure,
     predicted_decomposition,
     validate_cell_datum,
     verify_theorem,
 )
-from plesken.linalg import Matrix
-from plesken.scalars import scalar
+from plesken.linalg import Matrix, sparse
+from plesken.scalars import I, ONE, scalar
 
 
 # -- data construction -------------------------------------------------------
@@ -110,7 +122,8 @@ def test_matrix_algebra_natural_module():
         for s in range(n):
             expected = [[0] * n for _ in range(n)]
             expected[r][s] = 1
-            assert module.action[r * n + s] == Matrix(expected)
+            assert module.action[r * n + s] == {(r, s): ONE}
+            assert entries_matrix(n, module.action[r * n + s]) == Matrix(expected)
 
 
 def test_planar_rook_module_unit_action():
@@ -118,7 +131,9 @@ def test_planar_rook_module_unit_action():
     cd = cell_datum_planar_rook(3, sigma)
     module = cell_module(A, cd, 1)
     assert module.dim == 3
-    assert module.act(A.unit) == Matrix.identity(3)
+    unit = module.act(sparse(A.unit, A.dim))
+    assert unit == {(i, i): ONE for i in range(3)}
+    assert entries_matrix(3, unit) == Matrix.identity(3)
 
 
 def test_tl_module_axioms():
@@ -293,8 +308,9 @@ def test_bracket_transport_through_cell_representations(factory, n, datum_factor
         for y in basis:
             z = A.commutator(x, y)
             for lam, module in modules.items():
-                rx, ry = module.act(x), module.act(y)
-                assert module.act(z) == (rx @ ry) - (ry @ rx)
+                d = module.dim
+                rx, ry, rz = (entries_matrix(d, module.act(sparse(v, A.dim))) for v in (x, y, z))
+                assert rz == linear_combination(d, d, [(ONE, matmul(rx, ry)), (-ONE, matmul(ry, rx))])
 
 
 @pytest.mark.parametrize("delta", ["1/2", "1+1i", "-2/3+1/5i"])
@@ -332,3 +348,124 @@ def test_cell_count_identity():
         A, sigma = temperley_lieb(n, 3)
         cd = cell_datum_temperley_lieb(n, sigma)
         assert sum(len(cd.members(lam)) ** 2 for lam in cd.lambdas) == A.dim
+
+
+# -- failure paths of the certificate, against the dense oracles -------------
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_semilinear_involution_refutes_form_skewness(n):
+    # Conjugate transposition is a valid cell datum for M(n), and adjointness
+    # holds, but the skew part holds i E_11, which is not skew for G = I.
+    A, sigma = matrix_algebra(n, "conj_transpose")
+    cd = cell_datum_matrix(n, sigma)
+    assert validate_cell_datum(A, sigma, cd) is None
+    forms = CellForms.build(A, cd)
+    outcome = verify_theorem(A, sigma, cd, forms=forms)
+    assert outcome.injective is True
+    assert outcome.skew_ok is False
+    assert outcome.skew_witness == (0, 1) == form_skewness_dense(A, sigma, cd, forms)
+    assert outcome.failed_check == "form_skewness" and not outcome.certified
+    assert check_gram_properties(A, sigma, cd, 1, forms=forms) is None
+
+
+CORRUPTIBLE = [
+    (lambda: temperley_lieb(4, 3), 4, cell_datum_temperley_lieb),
+    (lambda: planar_rook(3), 3, cell_datum_planar_rook),
+    (lambda: matrix_algebra(3), 3, cell_datum_matrix),
+]
+
+
+def _largest_cell(cd):
+    return max(cd.lambdas, key=lambda lam: len(cd.members(lam)))
+
+
+@pytest.mark.parametrize("factory, n, datum_factory", CORRUPTIBLE)
+def test_changed_gram_entry_fails_symmetry(factory, n, datum_factory):
+    A, sigma = factory()
+    cd = datum_factory(n, sigma)
+    forms = CellForms.build(A, cd)
+    lam = _largest_cell(cd)
+    rows = [list(row) for row in forms.grams[lam].gram.data]
+    rows[0][1] = rows[0][1] + 1
+    corrupted = CellForms(forms.modules, {**forms.grams, lam: GramForm(lam, Matrix(rows))})
+    failure = check_gram_properties(A, sigma, cd, lam, forms=corrupted)
+    assert (failure.kind, failure.witness) == ("symmetry", ())
+    assert failure == gram_properties_dense(A, sigma, lam, corrupted)
+
+
+@pytest.mark.parametrize("factory, n, datum_factory", CORRUPTIBLE)
+def test_changed_action_entry_fails_adjointness(factory, n, datum_factory):
+    # sigma(e_a) = e_b with b != a, and G is nondegenerate: the change moves
+    # G rho(e_a) but not rho(e_b)^T G, so the first of a, b fails.
+    A, sigma = factory()
+    cd = datum_factory(n, sigma)
+    forms = CellForms.build(A, cd)
+    assert all(form.nondegenerate for form in forms.grams.values())
+    lam = _largest_cell(cd)
+    a = next(a for a, image in enumerate(sigma.images) if image != {a: ONE})
+    (b,) = sigma.images[a]
+    module = forms.modules[lam]
+    entries = dict(module.action[a])
+    entries[(0, 0)] = entries.get((0, 0), 0) + ONE
+    changed = CellModule(lam, module.basis, {**module.action, a: entries})
+    corrupted = CellForms({**forms.modules, lam: changed}, forms.grams)
+    failure = check_gram_properties(A, sigma, cd, lam, forms=corrupted)
+    assert (failure.kind, failure.witness) == ("adjointness", (min(a, b),))
+    assert failure == gram_properties_dense(A, sigma, lam, corrupted)
+    outcome = verify_theorem(A, sigma, cd, forms=corrupted)
+    assert outcome.skew_witness == form_skewness_dense(A, sigma, cd, corrupted)
+
+
+@pytest.mark.parametrize("factory, n, datum_factory", CORRUPTIBLE)
+def test_zeroed_action_refutes_injectivity(factory, n, datum_factory):
+    A, sigma = factory()
+    cd = datum_factory(n, sigma)
+    forms = CellForms.build(A, cd)
+    assert verify_theorem(A, sigma, cd, forms=forms).injective is True
+    assert injective_dense(A, cd, forms) is True
+    a = A.dim - 1
+    corrupted = CellForms(
+        {lam: CellModule(lam, m.basis, {**m.action, a: {}}) for lam, m in forms.modules.items()},
+        forms.grams,
+    )
+    outcome = verify_theorem(A, sigma, cd, forms=corrupted)
+    assert outcome.injective is False
+    assert injective_dense(A, cd, corrupted) is False
+    assert outcome.failed_check == "representation_injective"
+    assert outcome.skew_witness == form_skewness_dense(A, sigma, cd, corrupted)
+
+
+# -- sparse cell actions against the dense oracles ---------------------------
+
+
+CELLULAR_FAMILIES = {
+    "tl-delta-3": (lambda n: temperley_lieb(n, 3), cell_datum_temperley_lieb),
+    "tl-delta-0": (lambda n: temperley_lieb(n, 0), cell_datum_temperley_lieb),
+    "planar-rook": (planar_rook, cell_datum_planar_rook),
+    "matrix": (matrix_algebra, cell_datum_matrix),
+    "matrix-conj": (lambda n: matrix_algebra(n, "conj_transpose"), cell_datum_matrix),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", sorted(CELLULAR_FAMILIES))
+def test_sparse_cell_actions_match_dense_oracles(family, n):
+    factory, datum_factory = CELLULAR_FAMILIES[family]
+    A, sigma = factory(n)
+    cd = datum_factory(n, sigma)
+    assert validate_cell_datum(A, sigma, cd) is None
+    forms = CellForms.build(A, cd)
+    generic = [scalar(k + 1) + I * (k % 3) for k in range(A.dim)]
+    elements = [A.unit, generic, *plesken_subspace(A, sigma).basis]
+    for lam in cd.lambdas:
+        module, d = forms.modules[lam], forms.modules[lam].dim
+        matrices = action_matrices(A, cd, lam)
+        assert {a: entries_matrix(d, e) for a, e in module.action.items()} == matrices
+        for x in elements:
+            assert entries_matrix(d, module.act(sparse(x, A.dim))) == act(matrices, d, x)
+        expected = gram_properties_dense(A, sigma, lam, forms)
+        assert check_gram_properties(A, sigma, cd, lam, forms=forms) == expected
+    outcome = verify_theorem(A, sigma, cd, forms=forms)
+    assert outcome.injective == injective_dense(A, cd, forms)
+    assert outcome.skew_witness == form_skewness_dense(A, sigma, cd, forms)

@@ -448,6 +448,8 @@ def test_dense_involution_matrix_document(tmp_path, capsys):
     # Twisted transposition M -> S^-1 M^T S with S = [[1,1],[1,2]]: a genuine
     # anti-involution whose matrix is not a signed permutation, exercising
     # the full-matrix serialization and the generic apply path end to end.
+    from oracles import matmul
+
     from plesken.algebra import AntiInvolution, validate_involution
     from plesken.linalg import Matrix
 
@@ -459,7 +461,7 @@ def test_dense_involution_matrix_document(tmp_path, capsys):
         for c in range(2):
             unit = Matrix([[1 if (i, j) == (r, c) else 0 for j in range(2)]
                            for i in range(2)])
-            image = s_inv @ unit.transpose() @ s
+            image = matmul(matmul(s_inv, unit.transpose()), s)
             columns.append([image.data[i][j] for i in range(2) for j in range(2)])
     sigma = AntiInvolution(Matrix.from_columns(columns))
     assert sigma._signed_permutation is None

@@ -18,14 +18,13 @@ linear algebra is needed.  The C3 coefficients give the cell module
 actions as sparse {(row, col): scalar} entries, at most one per column for
 the monomial families; products of cellular basis elements give the dense
 Gram matrix of each cell.  The whole package is assembled by
-`verify_theorem`: when every Gram form is non-degenerate and the direct sum
-of cell representations is injective, the skew part of the involution maps
+`verify_theorem`: when every Gram form is non-degenerate, the direct sum of
+cell representations is injective, and the skew part of the involution maps
 isomorphically onto the block-skew matrices (X^T G + G X = 0 per cell), the
-direct sum of the orthogonal Lie algebras of the Gram forms.  The form
-checks multiply sparse entries by the Gram matrix, d terms per entry, and
-injectivity is the rank of one sparse row per (cell, row, col) in an
-`Echelon`.  The poset is used only through its comparability pairs, so
-non-total orders work unchanged.
+direct sum of the orthogonal Lie algebras of the Gram forms.  Injectivity is
+read off the Gram ranks, and the form checks multiply sparse entries by the
+Gram matrix, d terms per entry.  The poset is used only through its
+comparability pairs, so non-total orders work unchanged.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .builders import (
     planar_rook_diagrams,
     temperley_lieb_diagrams,
 )
-from .linalg import Echelon, Matrix, combine, rank
+from .linalg import Matrix, combine, rank
 from .scalars import ONE, ZERO, GaussianRational
 
 Label = object  # cell labels are small hashable values (ints here)
@@ -446,11 +445,12 @@ def predicted_decomposition(
                 f"cell {form.lam!r} has a degenerate Gram form; "
                 "no decomposition is predicted"
             )
-    sizes = tuple(
-        (lam, len(cd.members(lam))) for lam in cd.lambdas if cd.members(lam)
-    )
-    lie_dim = sum(d * (d - 1) // 2 for _, d in sizes)
-    return PredictedDecomposition(sizes, lie_dim)
+    return _blocks(cd)
+
+
+def _blocks(cd: CellDatum) -> PredictedDecomposition:
+    sizes = tuple((lam, len(cd.members(lam))) for lam in cd.lambdas if cd.members(lam))
+    return PredictedDecomposition(sizes, sum(d * (d - 1) // 2 for _, d in sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +462,13 @@ class TheoremReport:
     """Outcome of the orthogonal-decomposition verification.
 
     certified means all three checks passed: (a) the direct sum of cell
-    representations is injective on the algebra, (b) every skew-part basis
-    element acts G-skewly on every cell (X^T G + G X = 0), and (c) the
-    skew part has dimension sum(d(d-1)/2).  A refutation records the first
-    failed check; (b) holds for every valid datum with a linear sigma, so
-    refutations then come from (a) on non-semisimple input.  A semilinear
-    sigma can fail (b): under conjugate transposition the skew part of M(n)
-    holds i E_11, which is not skew for G = I.
+    representations is injective, read off `gram_ranks` as every Gram form
+    being nondegenerate, (b) every skew-part basis element acts G-skewly on
+    every cell (X^T G + G X = 0), and (c) the skew part has dimension
+    sum(d(d-1)/2).  A refutation records the first failed check; with a
+    linear sigma (b) holds for every valid datum, so refutations come from
+    (a) on non-semisimple input.  A semilinear sigma can fail (b): under
+    conjugate transposition M(n) has i E_11 in its skew part, not G-skew.
     """
 
     certified: bool
@@ -522,22 +522,27 @@ def verify_theorem(
     """Certify (or refute) that the skew part is the direct sum of the
     orthogonal Lie algebras of the cell Gram forms.
 
-    `forms`, if given, must be `CellForms.build(algebra, cd)`.
+    Requires a datum that passed `validate_cell_datum`; `forms`, if given,
+    must be `CellForms.build(algebra, cd)`.  Then check (a), injectivity of
+    Phi = (+) rho_lam, holds iff every Gram form G_lam is nondegenerate:
+
+    * C3 makes J(<=lam) = span{C[mu,s,t] : mu <= lam} a left ideal, and C2
+      with sigma(xy) = sigma(y) sigma(x) a right one, also for semilinear
+      sigma.  So rho_mu is zero on cell lam unless mu <= lam, and
+      rho_lam(sum x_st C[lam,s,t]) = X G_lam.  If Phi(x) = 0, a maximal lam
+      with x_lam != 0 gives X_lam G_lam = 0, so G_lam is degenerate.
+    * C1 gives dim A = sum d_lam^2, so an injective Phi is onto and each
+      W_lam is simple.  By adjointness ker G_lam is a submodule, 0 or W_lam,
+      and G_lam = 0 would make Phi map J(<=lam) into the smaller sum of
+      End(W_mu) over mu < lam.
     """
     if forms is None:
         forms = CellForms.build(algebra, cd)
     modules, grams = forms.modules, forms.grams
     gram_ranks = tuple((lam, grams[lam].size, grams[lam].rank) for lam in cd.lambdas)
 
-    # (a) injectivity of the combined cell representation: the rows are
-    # indexed by (cell, row, col), and the entry of a row at a is that entry
-    # of rho(e_a).
-    rows: dict[tuple, dict[int, GaussianRational]] = {}
-    for lam in cd.lambdas:
-        for a, entries in modules[lam].action.items():
-            for (r, c), value in entries.items():
-                rows.setdefault((lam, r, c), {})[a] = value
-    injective = 0 < len(Echelon(algebra.dim, rows.values()).rows) == algebra.dim
+    # (a) injectivity of the combined cell representation, read off the ranks.
+    injective = algebra.dim > 0 and all(size == rk for _, size, rk in gram_ranks)
 
     # (b) G-skewness of the action of every skew-part basis element.
     sub = plesken_subspace(algebra, sigma)
@@ -555,27 +560,20 @@ def verify_theorem(
     skew_ok = skew_witness is None
 
     # (c) dimension count.
-    block_sizes = tuple(
-        (lam, len(cd.members(lam))) for lam in cd.lambdas if cd.members(lam)
-    )
-    predicted = sum(d * (d - 1) // 2 for _, d in block_sizes)
-    dims_match = sub.dim == predicted
+    blocks = _blocks(cd)
+    dims_match = sub.dim == blocks.lie_dim
 
-    failed = None
-    if not injective:
-        failed = "representation_injective"
-    elif not skew_ok:
-        failed = "form_skewness"
-    elif not dims_match:
-        failed = "dimension_match"
+    checks = (("representation_injective", injective), ("form_skewness", skew_ok),
+              ("dimension_match", dims_match))
+    failed = next((name for name, ok in checks if not ok), None)
     return TheoremReport(
         certified=failed is None,
         injective=injective,
         skew_ok=skew_ok,
         skew_witness=skew_witness,
         lie_dim=sub.dim,
-        predicted_lie_dim=predicted,
-        block_sizes=block_sizes,
+        predicted_lie_dim=blocks.lie_dim,
+        block_sizes=blocks.sizes,
         gram_ranks=gram_ranks,
         failed_check=failed,
     )

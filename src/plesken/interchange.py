@@ -44,7 +44,7 @@ FILE_SUFFIX = ".plesken.json"
 def _freeze_label(value):
     if isinstance(value, list):
         return tuple(_freeze_label(v) for v in value)
-    if isinstance(value, (int, str)):
+    if type(value) in (int, str):  # JSON true and false are not labels
         return value
     raise ValueError(f"unsupported cell label {value!r}")
 
@@ -257,6 +257,8 @@ def parse(text: str) -> AlgebraDocument:
                 (_freeze_label(lam), _freeze_label(s), _freeze_label(t), idx)
             )
         cell = CellSection(lambdas, order, index_sets, tuple(triples))
+    if not isinstance(payload["name"], str):
+        raise ValueError("name must be a JSON string")
     return AlgebraDocument(
         name=payload["name"],
         basis=tuple(basis),

@@ -25,7 +25,9 @@ modules act by sparse entries.  The dense matrix arithmetic the
 certificate used is here: `matmul`, `matvec`, `linear_combination`, the
 action matrices read off the C3 coefficients as dense matrices, `act` as
 a sum of scaled dense matrices, the module axioms, and the dense form
-checks (b) and adjointness, with the witnesses of `plesken.cellular`.
+checks (b) and adjointness, with the witnesses of `plesken.cellular`.  The
+certificate reads injectivity off the Gram ranks; `injective_dense` ranks
+the action rows instead, as the definition of check (a) says.
 """
 
 from __future__ import annotations
@@ -471,8 +473,9 @@ def form_skewness_dense(
 
 
 def injective_dense(algebra: Algebra, cd: CellDatum, forms: CellForms) -> bool:
-    """Check (a) of `verify_theorem`: the rank of the dense matrix with one row
-    per (cell, row, col) and one column per basis index."""
+    """Injectivity of the direct sum of the cell actions, check (a) of
+    `verify_theorem` by its definition: the rank of the dense matrix with one
+    row per (cell, row, col) and one column per basis index."""
     rows = []
     for lam in cd.lambdas:
         module = forms.modules[lam]

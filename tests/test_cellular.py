@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import pytest
 from oracles import (
@@ -418,22 +419,59 @@ def test_changed_action_entry_fails_adjointness(factory, n, datum_factory):
 
 
 @pytest.mark.parametrize("factory, n, datum_factory", CORRUPTIBLE)
-def test_zeroed_action_refutes_injectivity(factory, n, datum_factory):
+def test_degenerate_gram_form_refutes_injectivity(factory, n, datum_factory):
+    # Injectivity is read off the Gram ranks: a zeroed row makes one form
+    # degenerate, one short of full rank, and check (a) fails although the
+    # cell actions are untouched.
     A, sigma = factory()
     cd = datum_factory(n, sigma)
     forms = CellForms.build(A, cd)
     assert verify_theorem(A, sigma, cd, forms=forms).injective is True
     assert injective_dense(A, cd, forms) is True
-    a = A.dim - 1
-    corrupted = CellForms(
-        {lam: CellModule(lam, m.basis, {**m.action, a: {}}) for lam, m in forms.modules.items()},
-        forms.grams,
-    )
+    lam = _largest_cell(cd)
+    rows = [list(row) for row in forms.grams[lam].gram.data]
+    rows[0] = [scalar(0)] * len(rows[0])
+    corrupted = CellForms(forms.modules, {**forms.grams, lam: GramForm(lam, Matrix(rows))})
     outcome = verify_theorem(A, sigma, cd, forms=corrupted)
     assert outcome.injective is False
-    assert injective_dense(A, cd, corrupted) is False
-    assert outcome.failed_check == "representation_injective"
+    assert injective_dense(A, cd, corrupted) is True
+    assert outcome.failed_check == "representation_injective" and not outcome.certified
+    d = len(cd.members(lam))
+    assert outcome.gram_ranks == tuple(
+        (mu, d, d - 1) if mu == lam else (mu, form.size, form.rank)
+        for mu, form in forms.grams.items()
+    )
     assert outcome.skew_witness == form_skewness_dense(A, sigma, cd, corrupted)
+
+
+def _gram_sweep():
+    for n in range(1, 6):
+        for delta in ("0", "1", "-1", "2", "1/2", "i", "1+i"):
+            yield f"tl-{delta}-{n}", partial(temperley_lieb, n, delta), n, cell_datum_temperley_lieb
+    for n in range(1, 5):
+        yield f"pr-{n}", partial(planar_rook, n), n, cell_datum_planar_rook
+    for n in range(1, 4):
+        for involution in ("transpose", "conj_transpose"):
+            factory = partial(matrix_algebra, n, involution)
+            yield f"m-{involution}-{n}", factory, n, cell_datum_matrix
+
+
+GRAM_SWEEP = list(_gram_sweep())  # 35 TL, 4 PR and 6 M(n) inputs
+DEGENERATE = {"tl-0-2", "tl-0-4", "tl-1-3", "tl-1-4", "tl-1-5", "tl--1-3", "tl--1-4", "tl--1-5"}
+
+
+@pytest.mark.parametrize(
+    "name, factory, n, datum_factory", GRAM_SWEEP, ids=[case[0] for case in GRAM_SWEEP]
+)
+def test_injectivity_is_gram_nondegeneracy(name, factory, n, datum_factory):
+    A, sigma = factory()
+    cd = datum_factory(n, sigma)
+    assert validate_cell_datum(A, sigma, cd) is None
+    forms = CellForms.build(A, cd)
+    nondegenerate = all(form.nondegenerate for form in forms.grams.values())
+    assert nondegenerate == (name not in DEGENERATE)
+    injective = verify_theorem(A, sigma, cd, forms=forms).injective
+    assert injective == injective_dense(A, cd, forms) == nondegenerate
 
 
 # -- sparse cell actions against the dense oracles ---------------------------

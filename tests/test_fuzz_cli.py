@@ -5,12 +5,16 @@ replaced by another JSON value, or removed) and run through `analyze` and
 `verify-cellular` in-process.  Whatever the input, the exit code must be
 0, 1, 2 or 3; no exception may surface as `internal-error`; and exit 1,
 "refutation", may only come from `verify-cellular` with a valid cell datum
-whose certificate fails.
+whose certificate fails.  A second test replaces one JSON integer (an
+index, a sign or a cell label) with `true` or `false`, which both commands
+must refuse as invalid input.
 """
 
 import contextlib
 import io
 import json
+import operator
+from functools import reduce
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -110,3 +114,25 @@ def test_mutated_documents_keep_the_exit_code_contract(documents, data):
             assert command == "verify-cellular"
             assert payload["cellularity"]["valid"]
             assert payload["theorem"]["certified"] is False
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_booleans_are_refused_at_every_integer_position(documents, data):
+    # bool is a subclass of int, so JSON true and false must be refused
+    # explicitly wherever the format asks for an integer.
+    folder, docs = documents
+    doc = docs[data.draw(st.sampled_from(sorted(docs)))]
+    positions = [path for path in _paths(doc) if type(reduce(operator.getitem, path, doc)) is int]
+    path = data.draw(st.sampled_from(positions))
+    target = folder / "boolean.plesken.json"
+    target.write_text(json.dumps(_mutated(doc, path, data.draw(st.booleans()), False)))
+    for command in ("analyze", "verify-cellular"):
+        code, out = _run([command, str(target)])
+        assert code == 2, (path, command)
+        assert json.loads(out)["error"]["kind"] == "invalid-input"

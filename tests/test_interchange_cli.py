@@ -246,7 +246,7 @@ def test_cli_verify_needs_cell_section(tmp_path, capsys):
     assert code == 2
 
 
-def test_cli_rejects_corrupted_document(tmp_path, capsys):
+def test_cli_rejects_corrupted_document(tmp_path, capsys, monkeypatch):
     q = tmp_path / "q.plesken.json"
     run_cli(capsys, "build", "--family", "quaternions", "--out", str(q))
     payload = json.loads(q.read_text())
@@ -274,6 +274,9 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys):
     # ignored and a short list is not truncated.
     long_signs = {**valid, "involution": {**valid["involution"], "signs": [1, -1, -1, -1, 1]}}
     short_signs = {**valid, "involution": {**valid["involution"], "signs": [1, -1, -1]}}
+    # The name is a JSON string, not a list or a number to be formatted.
+    name_list = {**valid, "name": ["x"]}
+    name_int = {**valid, "name": 7}
     for payload in (
         no_unit,
         float_scalar,
@@ -282,11 +285,18 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys):
         flag_text,
         long_signs,
         short_signs,
+        name_list,
+        name_int,
     ):
         q.write_text(json.dumps(payload))
         code, out = run_cli(capsys, "analyze", str(q))
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "invalid-input"
+    # build names its default output after the inner document's name.
+    q.write_text(json.dumps(name_list))
+    monkeypatch.setenv("PLESKEN_OUT_DIR", str(tmp_path))
+    code, _ = run_cli(capsys, "build", "--family", "matrix-over", "--n", "2", "--inner", str(q))
+    assert code == 2 and not list(tmp_path.glob("matrix-over-*"))
 
     # A string where a list is required is not iterated character by
     # character: "1001" is not the unit [1, 0, 0, 1] of M(2).
@@ -334,6 +344,28 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys):
         {**valid, "cell": {**cell, "triples": [
             [*triple[:3], True if triple[3] == 1 else triple[3]] for triple in cell["triples"]
         ]}},
+    ):
+        q.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "verify-cellular", str(q))
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "invalid-input"
+
+    # Nor is it the cell label 1, in any label position.  The first triple
+    # of M(2) is [1, 1, 1, 0]; PR(2) has the cells 0 < 1 < 2.
+    first, *rest = cell["triples"]
+    assert first == [1, 1, 1, 0]
+    algebra, sigma = planar_rook(2)
+    rook = json.loads(
+        emit(document_from_algebra("pr2", algebra, sigma, cell=cell_datum_planar_rook(2, sigma)))
+    )
+    for payload in (
+        {**valid, "cell": {**cell, "lambdas": [True]}},
+        {**rook, "cell": {**rook["cell"], "order": [[0, True], [0, 2], [True, 2]]}},
+        {**valid, "cell": {**cell, "index_sets": [[True, [1, 2]]]}},
+        {**valid, "cell": {**cell, "index_sets": [[1, [True, 2]]]}},
+        {**valid, "cell": {**cell, "triples": [[True, 1, 1, 0], *rest]}},
+        {**valid, "cell": {**cell, "triples": [[1, True, 1, 0], *rest]}},
+        {**valid, "cell": {**cell, "triples": [[1, 1, True, 0], *rest]}},
     ):
         q.write_text(json.dumps(payload))
         code, out = run_cli(capsys, "verify-cellular", str(q))

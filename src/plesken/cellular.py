@@ -14,10 +14,10 @@ The axioms checked by `validate_cell_datum` are:
 
 Because the cellular basis *is* the algebra basis here, C3 is a support
 check on structure constants plus a coefficient comparison across t; no
-linear algebra is needed.  The C3 coefficients give the cell module
-actions as sparse {(row, col): scalar} entries, at most one per column for
-the monomial families; products of cellular basis elements give the dense
-Gram matrix of each cell.  The whole package is assembled by
+linear algebra is needed.  One reader gives the C3 blocks: C3 compares
+them across t, those of the first column are the cell module actions as
+sparse {(row, col): scalar} entries, and those of the C[s0, t] hold the
+rows of each cell's dense Gram matrix.  The whole package is assembled by
 `verify_theorem`: when every Gram form is non-degenerate, the direct sum of
 cell representations is injective, and the skew part of the involution maps
 isomorphically onto the block-skew matrices (X^T G + G X = 0 per cell), the
@@ -33,12 +33,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from .algebra import (
-    Algebra,
-    AntiInvolution,
-    InternalConsistencyError,
-    plesken_subspace,
-)
+from .algebra import Algebra, AntiInvolution, plesken_subspace
 from .builders import (
     PlanarRookDiagram,
     TLDiagram,
@@ -239,35 +234,34 @@ def validate_cell_datum(
     for a in range(algebra.dim):
         for lam in cd.lambdas:
             members = cd.members(lam)
-            if not members:
-                continue
-            lower = cd.lower_indices(lam)
-            reference: Optional[dict] = None
-            reference_t = None
             for t in members:
-                block: dict[tuple, GaussianRational] = {}
-                for s in members:
-                    for k, c in algebra.product_terms(a, cd.basis_map[(lam, s, t)]):
-                        if k in lower:
-                            continue
-                        triple = cd.triples_of[k][0]
-                        if triple[0] != lam or triple[2] != t:
-                            return CellValidationFailure(
-                                "C3",
-                                (a, lam, s, t, algebra.labels[k]),
-                                "product has support outside column t "
-                                "and the lower cells",
-                            )
-                        block[(triple[1], s)] = c
-                if reference is None:
-                    reference, reference_t = block, t
+                block = _column_action(algebra, cd, lam, a, t)
+                if isinstance(block, tuple):
+                    message = "product has support outside column t and the lower cells"
+                    return CellValidationFailure("C3", block, message)
+                if t == members[0]:
+                    reference = block
                 elif block != reference:
-                    return CellValidationFailure(
-                        "C3",
-                        (a, lam, reference_t, t),
-                        "action coefficients depend on t",
-                    )
+                    message = "action coefficients depend on t"
+                    return CellValidationFailure("C3", (a, lam, members[0], t), message)
     return None
+
+
+def _column_action(algebra: Algebra, cd: CellDatum, lam: Label, a: int, t) -> dict | tuple:
+    """The C3 block {(s', s): c} of e_a on column t of cell lam, c the coefficient
+    of C[lam, s', t] in e_a * C[lam, s, t] modulo the lower cells; a term outside
+    column t and the lower cells gives the witness (a, lam, s, t, label) instead."""
+    lower = cd.lower_indices(lam)
+    block = {}
+    for s in cd.members(lam):
+        for k, c in algebra.product_terms(a, cd.basis_map[(lam, s, t)]):
+            if k in lower:
+                continue
+            mu, row, column = cd.triples_of[k][0]
+            if mu != lam or column != t:
+                return (a, lam, s, t, algebra.labels[k])
+            block[(row, s)] = c
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +285,13 @@ class CellModule:
 
 
 def cell_module(algebra: Algebra, cd: CellDatum, lam: Label) -> CellModule:
-    """Extract the action entries from the triangularity coefficients.
-
-    Requires a validated datum; the coefficients are read off against the
-    first column index t.
-    """
+    """The action entries: the first column's C3 blocks, for a validated datum."""
     members = cd.members(lam)
     pos = {s: i for i, s in enumerate(members)}
-    lower = cd.lower_indices(lam)
-    t0 = members[0] if members else None
     action = {}
     for a in range(algebra.dim):
-        entries = action[a] = {}
-        for s in members:
-            for k, c in algebra.product_terms(a, cd.basis_map[(lam, s, t0)]):
-                if k not in lower:
-                    entries[(pos[cd.triples_of[k][0][1]], pos[s])] = c
+        block = _column_action(algebra, cd, lam, a, members[0]) if members else {}
+        action[a] = {(pos[row], pos[s]): c for (row, s), c in block.items()}
     return CellModule(lam, members, action)
 
 
@@ -329,43 +314,27 @@ class GramForm:
 
 
 def gram_matrix(algebra: Algebra, cd: CellDatum, lam: Label) -> GramForm:
-    """Gram matrix of the cell bilinear form.
+    """Gram matrix of the cell bilinear form, for a datum that passed
+    `validate_cell_datum`: with J the span of the cells below lam,
+    C[s,t] C[u,v] = phi(t,u) C[s,v] mod J, and row t is read off the C3 block
+    of C[s0,t] at column s0, s0 the first index.  Proof, also for a
+    semilinear sigma and without associativity:
 
-    Entry (t, u) is the coefficient of C[s, v] in C[s, t] * C[u, v] modulo
-    the lower cells, read off at witness indices s, v; a second witness pair
-    re-verifies the independence when the cell has more than one index.
+    * C3 gives C[s,t] C[u,v] = sum r(s',u) C[s',v] mod J, r free of v.
+    * C2 gives sigma(J) = J and sigma(C[s,t] C[u,v]) = C[v,u] C[t,s], so C3
+      and then sigma give C[s,t] C[u,v] = sum bar(r'(v',t)) C[s,v'] mod J,
+      bar conjugating scalars when sigma does.
+    * Modulo J the product lies in both spans, which meet in the span of
+      C[s,v]; its coefficient phi is free of v by the first, of s by the
+      second.
     """
     members = cd.members(lam)
-    if not members:
-        return GramForm(lam, Matrix([]))
-    witnesses = [(members[0], members[0])]
-    if len(members) > 1:
-        witnesses.append((members[-1], members[-1]))
-    grams = []
-    for s, v in witnesses:
-        rows = []
-        target = cd.basis_map[(lam, s, v)]
-        lower = cd.lower_indices(lam)
-        for t in members:
-            row = []
-            left = cd.basis_map[(lam, s, t)]
-            for u in members:
-                right = cd.basis_map[(lam, u, v)]
-                value = ZERO
-                for k, c in algebra.product_terms(left, right):
-                    if k == target:
-                        value = c
-                    elif k not in lower:
-                        triple = cd.triples_of[k][0]
-                        raise InternalConsistencyError(
-                            f"cell product has unexpected support at {triple}"
-                        )
-                row.append(value)
-            rows.append(row)
-        grams.append(Matrix(rows))
-    if len(grams) == 2 and grams[0] != grams[1]:
-        raise InternalConsistencyError("Gram entries depend on the witness pair")
-    return GramForm(lam, grams[0])
+    rows = []
+    for t in members:
+        s0 = members[0]
+        block = _column_action(algebra, cd, lam, cd.basis_map[(lam, s0, t)], s0)
+        rows.append([block.get((s0, u), ZERO) for u in members])
+    return GramForm(lam, Matrix(rows))
 
 
 @dataclass(frozen=True)
@@ -410,7 +379,8 @@ class SemisimplicityReport:
 
 
 def is_semisimple(algebra: Algebra, cd: CellDatum) -> SemisimplicityReport:
-    """Semisimple iff every cell Gram matrix has full rank."""
+    """Semisimple iff every cell Gram matrix has full rank, for a datum that
+    passed `validate_cell_datum`."""
     forms = [gram_matrix(algebra, cd, lam) for lam in cd.lambdas]
     return SemisimplicityReport.from_ranks((f.lam, f.size, f.rank) for f in forms)
 
@@ -597,19 +567,23 @@ def check_gram_properties(
     *,
     forms: Optional[CellForms] = None,
 ) -> Optional[GramPropertyFailure]:
-    """Check G = G^T and rho(sigma(a))^T G = G rho(a) for all basis a.
+    """Check G = bar(G)^T and bar(rho(sigma(a)))^T G = G rho(a) for all basis
+    a, bar conjugating scalars when sigma does: G is symmetric for a linear
+    sigma and Hermitian for a semilinear one.
 
-    These hold for every valid cell datum, semisimple or not.  `forms`, if
-    given, must be `CellForms.build(algebra, cd)`.
+    These hold for every datum that passed `validate_cell_datum`, semisimple
+    or not.  `forms`, if given, must be `CellForms.build(algebra, cd)`.
     """
     if forms is None:
         module, g = cell_module(algebra, cd, lam), gram_matrix(algebra, cd, lam).gram
     else:
         module, g = forms.modules[lam], forms.grams[lam].gram
-    if g != g.transpose():
+    bar = GaussianRational.conjugate if sigma.conjugates_scalars else (lambda c: c)
+    if g != Matrix([[bar(v) for v in column] for column in zip(*g.data)]):
         return GramPropertyFailure(lam, "symmetry", ())
     for a in range(algebra.dim):
-        lhs = combine(_gram_terms(module.act(sigma.images[a]), g, transposed=True))
+        image = {key: bar(c) for key, c in module.act(sigma.images[a]).items()}
+        lhs = combine(_gram_terms(image, g, transposed=True))
         if lhs != combine(_gram_terms(module.action[a], g, transposed=False)):
             return GramPropertyFailure(lam, "adjointness", (a,))
     return None

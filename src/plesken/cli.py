@@ -117,8 +117,12 @@ def _build(args) -> int:
             table = GroupTable(raw["product"], labels=raw.get("labels"))
         except (KeyError, TypeError) as exc:
             raise DocumentInvalid(f"malformed group table: {exc}") from exc
+        name, labels = raw.get("name", Path(args.table).stem), raw.get("labels", [])
+        if not isinstance(name, str):
+            raise DocumentInvalid("group table name must be a JSON string")
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise DocumentInvalid("group table labels must be a JSON list of strings")
         algebra, sigma = group_algebra(table)
-        name = raw.get("name", Path(args.table).stem)
     elif family == "matrix-over":
         if args.n is None or args.inner is None:
             raise DocumentInvalid("--n and --inner are required for matrix-over")

@@ -259,6 +259,9 @@ def parse(text: str) -> AlgebraDocument:
         cell = CellSection(lambdas, order, index_sets, tuple(triples))
     if not isinstance(payload["name"], str):
         raise ValueError("name must be a JSON string")
+    metadata = payload.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError("metadata must be a JSON object")
     return AlgebraDocument(
         name=payload["name"],
         basis=tuple(basis),
@@ -267,7 +270,7 @@ def parse(text: str) -> AlgebraDocument:
         involution_matrix=matrix,
         conjugates_scalars=conj,
         cell=cell,
-        metadata=payload.get("metadata", {}),
+        metadata=metadata,
     )
 
 

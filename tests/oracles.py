@@ -28,6 +28,11 @@ a sum of scaled dense matrices, the module axioms, and the dense form
 checks (b) and adjointness, with the witnesses of `plesken.cellular`.  The
 certificate reads injectivity off the Gram ranks; `injective_dense` ranks
 the action rows instead, as the definition of check (a) says.
+
+`plesken.cellular.gram_matrix` reads each Gram entry at one witness pair,
+which C2 and C3 make sufficient.  `gram_every_witness` reads it at every
+pair (s, v) and raises when a product leaves C[s, v] and the lower cells
+or two pairs disagree.
 """
 
 from __future__ import annotations
@@ -486,16 +491,50 @@ def injective_dense(algebra: Algebra, cd: CellDatum, forms: CellForms) -> bool:
     return bool(rows) and len(rref_gauss_jordan(Matrix(rows))[1]) == algebra.dim
 
 
+def gram_every_witness(algebra: Algebra, cd: CellDatum, lam: Label) -> Matrix:
+    """The Gram matrix of cell lam read at every witness pair (s, v): entry
+    (t, u) is the coefficient of C[s, v] in C[s, t] * C[u, v] modulo the
+    lower cells.  Raises InternalConsistencyError if a product has support
+    outside C[s, v] and the lower cells, or if two witness pairs disagree."""
+    members = cd.members(lam)
+    lower = cd.lower_indices(lam)
+    grams = set()
+    for s in members:
+        for v in members:
+            target = cd.basis_map[(lam, s, v)]
+            rows = [[ZERO] * len(members) for _ in members]
+            for i, t in enumerate(members):
+                for j, u in enumerate(members):
+                    left, right = cd.basis_map[(lam, s, t)], cd.basis_map[(lam, u, v)]
+                    for k, c in algebra.product_terms(left, right):
+                        if k == target:
+                            rows[i][j] = c
+                        elif k not in lower:
+                            raise InternalConsistencyError(
+                                f"cell product has unexpected support at {cd.triples_of[k][0]}"
+                            )
+            grams.add(Matrix(rows))
+    if len(grams) > 1:
+        raise InternalConsistencyError("Gram entries depend on the witness pair")
+    return grams.pop() if grams else Matrix([])
+
+
 def gram_properties_dense(
     algebra: Algebra, sigma: AntiInvolution, lam: Label, forms: CellForms
 ) -> Optional[GramPropertyFailure]:
     """`check_gram_properties` by dense products."""
     module, g = forms.modules[lam], forms.grams[lam].gram
-    if g != g.transpose():
+
+    def bar(m: Matrix) -> Matrix:
+        if not sigma.conjugates_scalars:
+            return m
+        return Matrix([[v.conjugate() for v in row] for row in m.data])
+
+    if g != bar(g).transpose():
         return GramPropertyFailure(lam, "symmetry", ())
     matrices = dense_action(module)
     for a in range(algebra.dim):
-        lhs = matmul(act(matrices, module.dim, sigma.matrix.column(a)).transpose(), g)
+        lhs = matmul(bar(act(matrices, module.dim, sigma.matrix.column(a))).transpose(), g)
         if lhs != matmul(g, matrices[a]):
             return GramPropertyFailure(lam, "adjointness", (a,))
     return None

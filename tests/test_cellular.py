@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -7,6 +8,7 @@ from oracles import (
     action_matrices,
     entries_matrix,
     form_skewness_dense,
+    gram_every_witness,
     gram_properties_dense,
     injective_dense,
     linear_combination,
@@ -14,8 +16,19 @@ from oracles import (
     module_axiom_failure,
 )
 
-from plesken.algebra import plesken_basis, plesken_subspace
-from plesken.builders import matrix_algebra, planar_rook, temperley_lieb
+from plesken.algebra import (
+    Algebra,
+    AntiInvolution,
+    InternalConsistencyError,
+    plesken_basis,
+    plesken_subspace,
+)
+from plesken.builders import (
+    matrix_algebra,
+    planar_rook,
+    signed_permutation_matrix,
+    temperley_lieb,
+)
 from plesken.cellular import (
     CellDatum,
     CellForms,
@@ -34,6 +47,7 @@ from plesken.cellular import (
     verify_theorem,
 )
 from plesken.linalg import Matrix, sparse
+from plesken.report import cellular_report, validate_algebra
 from plesken.scalars import I, ONE, scalar
 
 
@@ -84,6 +98,45 @@ def test_reversed_poset_breaks_triangularity():
     )
     failure = validate_cell_datum(A, sigma, reversed_cd)
     assert failure is not None and failure.clause == "C3"
+    assert failure.message == "product has support outside column t and the lower cells"
+    assert failure.witness == (0, 1, (1,), (1,), "-/-")
+    with pytest.raises(InternalConsistencyError, match="unexpected support"):
+        gram_every_witness(A, reversed_cd, 1)
+
+
+def _two_by_two(coefficient, unit, conjugates_scalars=False):
+    """An algebra on C[s, t], s, t in (1, 2), with C[s, t] * C[u, v] =
+    coefficient(s, t, u, v) * C[s, v], sigma sending C[s, t] to C[t, s],
+    and its one-cell datum."""
+    members = (1, 2)
+    index = {(s, t): 2 * (s - 1) + (t - 1) for s in members for t in members}
+    structure = {}
+    for (s, t), left in index.items():
+        for (u, v), right in index.items():
+            if c := scalar(coefficient(s, t, u, v)):
+                structure[(left, right)] = ((index[(s, v)], c),)
+    algebra = Algebra([f"C{s}{t}" for s, t in index], structure, [scalar(c) for c in unit])
+    perm = [index[(t, s)] for s, t in index]
+    sigma = AntiInvolution(signed_permutation_matrix(4, perm), conjugates_scalars)
+    basis_map = {(1, s, t): k for (s, t), k in index.items()}
+    return algebra, sigma, CellDatum((1,), (), {1: members}, basis_map, sigma)
+
+
+def test_t_dependent_coefficients_break_c3():
+    # M(2) in the basis C[s, t] = c_st E_st with c = [[1, 1], [1, 2]]: c is
+    # symmetric, so C2 holds, but C[1, 2] * C[2, 1] = C[1, 1] while
+    # C[1, 2] * C[2, 2] = 2 C[1, 2], so the action depends on t.
+    c = [[1, 1], [1, 2]]
+
+    def coefficient(s, t, u, v):
+        return Fraction(c[s - 1][t - 1] * c[u - 1][v - 1], c[s - 1][v - 1]) if t == u else 0
+
+    A, sigma, cd = _two_by_two(coefficient, [1, 0, 0, Fraction(1, 2)])
+    assert validate_algebra(A, sigma)
+    failure = validate_cell_datum(A, sigma, cd)
+    assert str(failure) == "C3 fails: action coefficients depend on t (witness (1, 1, 1, 2))"
+    with pytest.raises(InternalConsistencyError, match="witness pair"):
+        gram_every_witness(A, cd, 1)
 
 
 def test_c2_failure_detected():
@@ -269,7 +322,6 @@ def test_cellular_report_builds_each_cell_form_once(monkeypatch):
     # The report checks the Gram properties and the certificate on one
     # shared CellForms; both give what they give on their own.
     import plesken.cellular as cellular
-    from plesken.report import cellular_report
 
     A, sigma = temperley_lieb(4, 0)
     cd = cell_datum_temperley_lieb(4, sigma)
@@ -370,6 +422,24 @@ def test_semilinear_involution_refutes_form_skewness(n):
     assert check_gram_properties(A, sigma, cd, 1, forms=forms) is None
 
 
+def test_hermitian_cell_form_under_semilinear_sigma():
+    # C[s, t] * C[u, v] = phi(t, u) C[s, v] with phi Hermitian, and sigma the
+    # conjugate transposition C[s, t] -> C[t, s]: one valid cell whose form
+    # is Hermitian, not symmetric, and adjoint up to conjugation.
+    phi = [[2, I], [-I, 1]]
+    psi = [1, -I, I, 2]  # phi^-1, row by row: the unit is sum psi(s, t) C[s, t]
+    A, sigma, cd = _two_by_two(lambda s, t, u, v: phi[t - 1][u - 1], psi, True)
+    assert validate_algebra(A, sigma)
+    assert validate_cell_datum(A, sigma, cd) is None
+    forms = CellForms.build(A, cd)
+    assert forms.grams[1].gram == Matrix(phi) == gram_every_witness(A, cd, 1)
+    assert check_gram_properties(A, sigma, cd, 1, forms=forms) is None
+    assert gram_properties_dense(A, sigma, 1, forms) is None
+    report = cellular_report("hermitian", A, sigma, cd)
+    assert report["gram_properties"] == {"pass": True, "failures": []}
+    assert report["theorem"]["failed_check"] == "form_skewness"
+
+
 CORRUPTIBLE = [
     (lambda: temperley_lieb(4, 3), 4, cell_datum_temperley_lieb),
     (lambda: planar_rook(3), 3, cell_datum_planar_rook),
@@ -446,7 +516,7 @@ def test_degenerate_gram_form_refutes_injectivity(factory, n, datum_factory):
 
 def _gram_sweep():
     for n in range(1, 6):
-        for delta in ("0", "1", "-1", "2", "1/2", "i", "1+i"):
+        for delta in ("0", "1", "-1", "2", "1/2", "i", "1+i", "3"):
             yield f"tl-{delta}-{n}", partial(temperley_lieb, n, delta), n, cell_datum_temperley_lieb
     for n in range(1, 5):
         yield f"pr-{n}", partial(planar_rook, n), n, cell_datum_planar_rook
@@ -456,7 +526,7 @@ def _gram_sweep():
             yield f"m-{involution}-{n}", factory, n, cell_datum_matrix
 
 
-GRAM_SWEEP = list(_gram_sweep())  # 35 TL, 4 PR and 6 M(n) inputs
+GRAM_SWEEP = list(_gram_sweep())  # 40 TL, 4 PR and 6 M(n) inputs
 DEGENERATE = {"tl-0-2", "tl-0-4", "tl-1-3", "tl-1-4", "tl-1-5", "tl--1-3", "tl--1-4", "tl--1-5"}
 
 
@@ -472,6 +542,20 @@ def test_injectivity_is_gram_nondegeneracy(name, factory, n, datum_factory):
     assert nondegenerate == (name not in DEGENERATE)
     injective = verify_theorem(A, sigma, cd, forms=forms).injective
     assert injective == injective_dense(A, cd, forms) == nondegenerate
+
+
+@pytest.mark.parametrize(
+    "name, factory, n, datum_factory", GRAM_SWEEP, ids=[case[0] for case in GRAM_SWEEP]
+)
+def test_gram_matrix_matches_every_witness_pair(name, factory, n, datum_factory):
+    # gram_matrix reads each entry at one witness pair; the oracle reads it
+    # at every pair (s, v) and checks that no product leaves C[s, v] and
+    # the lower cells.
+    A, sigma = factory()
+    cd = datum_factory(n, sigma)
+    assert validate_cell_datum(A, sigma, cd) is None
+    for lam in cd.lambdas:
+        assert gram_matrix(A, cd, lam).gram == gram_every_witness(A, cd, lam)
 
 
 # -- sparse cell actions against the dense oracles ---------------------------

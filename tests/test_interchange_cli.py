@@ -137,6 +137,28 @@ def test_cli_build_group_and_matrix_over(tmp_path, capsys):
     assert code == 0
     assert len(load(out).basis) == 6
 
+    # The name is a JSON string and the labels a JSON list of strings: a
+    # number is not formatted into a path, integer labels do not make a
+    # document that analyze refuses, and a string is not read as its
+    # characters.
+    c2 = {"product": [[0, 1], [1, 0]]}
+    for bad in ({"name": 7}, {"labels": [0, 1]}, {"labels": "ab"}, {"labels": None}):
+        table_file.write_text(json.dumps({**c2, **bad}))
+        code = cli.main([
+            "build", "--family", "group", "--table", str(table_file),
+            "--out", str(tmp_path / "c2.plesken.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: group table ")
+    assert not (tmp_path / "c2.plesken.json").exists()
+    table_file.write_text(json.dumps({**c2, "name": "C2", "labels": ["e", "g"]}))
+    code, _ = run_cli(
+        capsys, "build", "--family", "group", "--table", str(table_file),
+        "--out", str(tmp_path / "c2.plesken.json"),
+    )
+    assert code == 0
+    assert load(tmp_path / "c2.plesken.json").basis == ("e", "g")
+
     q = tmp_path / "q.plesken.json"
     code, _ = run_cli(
         capsys, "build", "--family", "quaternions", "--out", str(q)
@@ -277,7 +299,10 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys, monkeypatch):
     # The name is a JSON string, not a list or a number to be formatted.
     name_list = {**valid, "name": ["x"]}
     name_int = {**valid, "name": 7}
+    # The metadata is a JSON object.
+    metadata = [{**valid, "metadata": value} for value in (5, [1], "x")]
     for payload in (
+        *metadata,
         no_unit,
         float_scalar,
         involution_list,
@@ -321,6 +346,9 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys, monkeypatch):
         {**valid, "cell": {**cell, "index_sets": ["1[]"]}},
         {**valid, "cell": {**cell, "triples": "1110"}},
         {**valid, "cell": {**cell, "triples": ["1110", *cell["triples"][1:]]}},
+        {**valid, "metadata": 5},
+        {**valid, "metadata": [1]},
+        {**valid, "metadata": "x"},
     ):
         q.write_text(json.dumps(payload))
         code, out = run_cli(capsys, "verify-cellular", str(q))

@@ -12,11 +12,11 @@ from plesken import (
     fingerprint_match,
     matrix_algebra,
     matrix_over_algebra,
-    plesken_basis,
     plesken_lie_algebra,
     quaternions,
     validate_involution,
 )
+from plesken.algebra import plesken_subspace
 
 for n in range(1, 5):
     A, sigma = matrix_algebra(n, "transpose")
@@ -28,8 +28,8 @@ for n in range(1, 5):
 print()
 for n in range(1, 4):
     A, sigma = matrix_algebra(n, "conj_transpose")
-    basis = plesken_basis(A, sigma)
-    print(f"M({n}) conjugate transpose: skew dim {len(basis)} (= {n}^2)")
+    skew = plesken_subspace(A, sigma)
+    print(f"M({n}) conjugate transpose: skew dim {skew.dim} (= {n}^2)")
 
 # gl(2) is not semisimple: the identity matrix is central, and the Killing
 # form picks that up exactly.

@@ -23,12 +23,9 @@ from .linalg import (
 )
 from .algebra import (
     Algebra,
-    AlgebraElement,
     AntiInvolution,
     InternalConsistencyError,
     bracket_closure_check,
-    multiply,
-    plesken_basis,
     plesken_lie_algebra,
     validate_associativity,
     validate_involution,

@@ -7,8 +7,8 @@ a matrix, optionally composed with entrywise scalar conjugation (needed for
 conjugate-transposition, which is semilinear rather than linear over Q(i)).
 Vectors are sparse {index: scalar} terms inside: products go through
 `linalg.bilinear_product`, and sigma sums the sparse images of the basis
-vectors.  `multiply_vectors`, `commutator` and `apply_vector` are dense
-wrappers over them.
+vectors.  `multiply_vectors` and `apply_vector` are dense wrappers over
+them.
 
 The central construction here is the skew part of the involution: the span
 of all a - sigma(a), which is closed under the commutator bracket and hence
@@ -42,7 +42,6 @@ from .linalg import (
     difference,
     sparse,
     unit_vector,
-    vec_is_zero,
     vec_sub,
     vector,
 )
@@ -134,92 +133,12 @@ class Algebra:
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(self.dim, i)
 
-    def basis_element(self, i: int) -> AlgebraElement:
-        return AlgebraElement(self, self.basis_vector(i))
-
-    def element(self, coeffs: Sequence) -> AlgebraElement:
-        return AlgebraElement(self, vector(coeffs))
-
-    def unit_element(self) -> AlgebraElement:
-        return AlgebraElement(self, self.unit)
-
     def product_terms(self, i: int, j: int) -> Terms:
         return self.structure.get((i, j), ())
 
     def multiply_vectors(self, x: Sequence, y: Sequence) -> Vector:
         n = self.dim
         return dense(n, bilinear_product(self.structure, sparse(x, n), sparse(y, n)))
-
-    def commutator(self, x: Sequence, y: Sequence) -> Vector:
-        n = self.dim
-        return dense(n, self._commutator_terms(sparse(x, n), sparse(y, n)))
-
-    def _commutator_terms(self, x: Mapping, y: Mapping) -> dict[int, GaussianRational]:
-        """[x, y] = xy - yx for sparse x and y."""
-        s = self.structure
-        return difference(bilinear_product(s, x, y), bilinear_product(s, y, x))
-
-
-class AlgebraElement:
-    """A coefficient vector tied to a specific algebra."""
-
-    __slots__ = ("algebra", "coeffs")
-
-    def __init__(self, algebra: Algebra, coeffs: Sequence):
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coeffs", vector(coeffs))
-        if len(self.coeffs) != algebra.dim:
-            raise ValueError("dimension mismatch")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AlgebraElement is immutable")
-
-    def _check_same(self, other: AlgebraElement):
-        if self.algebra is not other.algebra:
-            raise ValueError("elements belong to different algebras")
-
-    def __add__(self, other: AlgebraElement) -> AlgebraElement:
-        self._check_same(other)
-        return AlgebraElement(
-            self.algebra, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        self._check_same(other)
-        return AlgebraElement(
-            self.algebra, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.algebra, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            self._check_same(other)
-            return AlgebraElement(
-                self.algebra, self.algebra.multiply_vectors(self.coeffs, other.coeffs)
-            )
-        return AlgebraElement(self.algebra, tuple(scalar(other) * a for a in self.coeffs))
-
-    def __rmul__(self, other):
-        return AlgebraElement(self.algebra, tuple(scalar(other) * a for a in self.coeffs))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra is other.algebra
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return vec_is_zero(self.coeffs)
-
-    def __repr__(self):
-        return f"<{describe_vector(self.algebra.labels, self.coeffs)}>"
-
 
 def describe_vector(labels: Sequence[str], coeffs: Sequence) -> str:
     """Human-readable linear combination, e.g. '2*k' or 'E12-E21'."""
@@ -241,13 +160,6 @@ def describe_vector(labels: Sequence[str], coeffs: Sequence) -> str:
         else:
             parts.append(term)
     return "".join(parts) if parts else "0"
-
-
-def multiply(algebra: Algebra, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear extension of the structure tensor."""
-    if x.algebra is not algebra or y.algebra is not algebra:
-        raise ValueError("elements do not belong to the given algebra")
-    return AlgebraElement(algebra, algebra.multiply_vectors(x.coeffs, y.coeffs))
 
 
 @dataclass(frozen=True)
@@ -312,9 +224,6 @@ class AntiInvolution:
 
     def apply_vector(self, v: Sequence) -> Vector:
         return dense(self.matrix.rows, self.image(sparse(v, self.matrix.cols)))
-
-    def apply(self, elem: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(elem.algebra, self.apply_vector(elem.coeffs))
 
 
 def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
@@ -417,14 +326,6 @@ def plesken_subspace(algebra: Algebra, sigma: AntiInvolution) -> Subspace:
     return sigma.skew_subspace
 
 
-def plesken_basis(algebra: Algebra, sigma: AntiInvolution) -> list[AlgebraElement]:
-    """Echelonized basis of the skew part {a : sigma(a) = -a}."""
-    return [
-        AlgebraElement(algebra, row)
-        for row in plesken_subspace(algebra, sigma).basis
-    ]
-
-
 def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra":
     """The Lie algebra on the skew part, with brackets expressed in its basis.
 
@@ -433,6 +334,7 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
     """
     from .lie import LieAlgebra
 
+    s = algebra.structure
     sub = plesken_subspace(algebra, sigma)
     span = sub.echelon
     rows = [span.rows[p] for p in sub.pivots]
@@ -440,7 +342,8 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
     table: dict[tuple[int, int], Terms] = {}
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
-            z = algebra._commutator_terms(rows[a], rows[b])
+            x, y = rows[a], rows[b]
+            z = difference(bilinear_product(s, x, y), bilinear_product(s, y, x))
             if span.reduce(z):
                 raise InternalConsistencyError(
                     f"bracket of basis pair ({a}, {b}) left the skew part"
@@ -500,7 +403,8 @@ def bracket_closure_check(
         b = vector(rng.randint(-9, 9) for _ in range(algebra.dim))
         sa = sigma.apply_vector(a)
         sb = sigma.apply_vector(b)
-        lhs = algebra.commutator(hat(a), hat(b))
+        ha, hb = hat(a), hat(b)
+        lhs = vec_sub(mul(ha, hb), mul(hb, ha))
         rhs = vec_sub(
             vec_sub(hat(mul(a, b)), hat(mul(a, sb))),
             vec_sub(hat(mul(sa, b)), hat(mul(sa, sb))),

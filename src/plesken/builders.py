@@ -182,7 +182,7 @@ class GroupTable:
             raise ValueError("product table must be square")
         for row in self.product:
             for v in row:
-                if not 0 <= v < self.order:
+                if type(v) is not int or not 0 <= v < self.order:
                     raise ValueError("closure: product table entry out of range")
         if labels is None:
             labels = tuple(f"g{i}" for i in range(self.order))

@@ -36,7 +36,6 @@ from typing import Mapping, Optional, Sequence
 from .algebra import Algebra, AntiInvolution, plesken_subspace
 from .builders import (
     PlanarRookDiagram,
-    TLDiagram,
     planar_rook_diagrams,
     temperley_lieb_diagrams,
 )
@@ -132,52 +131,24 @@ def cell_datum_planar_rook(n: int, involution: AntiInvolution) -> CellDatum:
     return CellDatum(lambdas, less, index_sets, basis_map, involution)
 
 
-def half_diagrams(n: int, cups: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Non-crossing partial matchings of 1..n with the given number of cups
-    and every unmatched point outside all cups (sorted cup tuples)."""
-    results: list[tuple[tuple[int, int], ...]] = []
-
-    def walk(pos: int, stack: tuple[int, ...], cups_made: tuple[tuple[int, int], ...]):
-        if pos > n:
-            if not stack and len(cups_made) == cups:
-                results.append(tuple(sorted(cups_made)))
-            return
-        walk(pos + 1, stack + (pos,), cups_made)  # open a cup
-        if stack:
-            walk(pos + 1, stack[:-1], cups_made + ((stack[-1], pos),))  # close
-        else:
-            walk(pos + 1, stack, cups_made)  # defect at nesting depth 0
-        return
-
-    walk(1, (), ())
-    return tuple(sorted(set(results)))
-
-
-def _glue_halves(n, top_cups, bottom_cups) -> TLDiagram:
-    pairs = list(top_cups)
-    for a, b in bottom_cups:
-        pairs.append((a + n, b + n))
-    top_defects = [p for p in range(1, n + 1) if all(p not in cup for cup in top_cups)]
-    bottom_defects = [
-        p for p in range(1, n + 1) if all(p not in cup for cup in bottom_cups)
-    ]
-    for a, b in zip(top_defects, bottom_defects):
-        pairs.append((a, b + n))
-    return TLDiagram.from_pairs(n, pairs)
-
-
 def cell_datum_temperley_lieb(n: int, involution: AntiInvolution) -> CellDatum:
-    """Cells of TL(n): label = through-strand count, index set = half diagrams."""
-    diagrams = temperley_lieb_diagrams(n)
-    index = {d: i for i, d in enumerate(diagrams)}
+    """Cells of TL(n): label = through-strand count, index set = half diagrams.
+
+    A diagram is its through count, its cups among the top points and its
+    cups among the bottom points shifted to 1..n (sorted cup tuples): the
+    through strands join the free points of the two rows in order.
+    """
     lambdas = tuple(range(n % 2, n + 1, 2))
     less = [(a, b) for a in lambdas for b in lambdas if a < b]
-    index_sets = {lam: half_diagrams(n, (n - lam) // 2) for lam in lambdas}
+    halves: dict[int, set] = {lam: set() for lam in lambdas}
     basis_map = {}
-    for lam in lambdas:
-        for s in index_sets[lam]:
-            for t in index_sets[lam]:
-                basis_map[(lam, s, t)] = index[_glue_halves(n, s, t)]
+    for i, d in enumerate(temperley_lieb_diagrams(n)):
+        lam = d.through_count()
+        top = tuple((a, b) for a, b in d.pairs if b <= n)
+        bottom = tuple((a - n, b - n) for a, b in d.pairs if a > n)
+        halves[lam].add(top)
+        basis_map[(lam, top, bottom)] = i
+    index_sets = {lam: tuple(sorted(halves[lam])) for lam in lambdas}
     return CellDatum(lambdas, less, index_sets, basis_map, involution)
 
 

@@ -42,10 +42,6 @@ def vec_sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def vec_is_zero(x: Vector) -> bool:
-    return not any(x)
-
-
 def combine(terms: Iterable[tuple[int, GaussianRational]]) -> dict[int, GaussianRational]:
     """Sum sparse (index, coefficient) terms, dropping the zero totals."""
     acc: dict[int, GaussianRational] = {}

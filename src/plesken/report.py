@@ -186,11 +186,13 @@ def render_markdown(report: dict) -> str:
     for key, value in sorted(report["fingerprint"].items()):
         lines.append(f"- {key}: {value}")
     lines.append("")
-    if "semisimplicity" in report:
+    if "cellularity" in report:
         lines.append("## Cellular structure")
         lines.append("")
         lines.append(f"- cell datum valid: {report['cellularity']['valid']}")
-        if report["cellularity"]["valid"]:
+        if not report["cellularity"]["valid"]:
+            lines.append(f"- failure: {report['cellularity']['failure']}")
+        else:
             lines.append(
                 f"- semisimple: {report['semisimplicity']['semisimple']}"
             )

@@ -71,7 +71,8 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real scalar hashes as its Fraction, hence as an equal int.
+        return hash((self.re, self.im)) if self.im else hash(self.re)
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)

@@ -16,7 +16,6 @@ from pathlib import Path
 import plesken
 from plesken.algebra import (
     bracket_closure_check,
-    plesken_basis,
     plesken_lie_algebra,
     plesken_subspace,
     validate_involution,
@@ -51,7 +50,7 @@ from plesken.lie import (
 from plesken.linalg import Matrix, Subspace, solve, vector
 from plesken.scalars import scalar
 from plesken.suite import cyclic_table, symmetric_3_table
-from oracles import jacobi_failure
+from oracles import commutator_dense, jacobi_failure
 
 
 @contextmanager
@@ -74,9 +73,9 @@ def test_criterion_1_quaternions():
         assert L.bracket_terms(1, 2) == ((0, scalar(2)),)   # [j, k] = 2i
         half = scalar(Fraction(1, 2))
         e = [tuple(half * c for c in A.basis_vector(n)) for n in (1, 2, 3)]
-        assert A.commutator(e[0], e[1]) == e[2]
-        assert A.commutator(e[0], e[2]) == tuple(-c for c in e[1])
-        assert A.commutator(e[1], e[2]) == e[0]
+        assert commutator_dense(A, e[0], e[1]) == e[2]
+        assert commutator_dense(A, e[0], e[2]) == tuple(-c for c in e[1])
+        assert commutator_dense(A, e[1], e[2]) == e[0]
 
 
 def test_criterion_2_matrix_algebras():
@@ -88,7 +87,7 @@ def test_criterion_2_matrix_algebras():
             assert fingerprint_match(L, [n]).matches
         for n in range(1, 5):
             A, sigma = matrix_algebra(n, "conj_transpose")
-            assert len(plesken_basis(A, sigma)) == n * n
+            assert plesken_subspace(A, sigma).dim == n * n
 
 
 def test_criterion_3_matrices_over_quaternions():
@@ -187,7 +186,7 @@ def test_criterion_6_tl0_counterexample():
             (2, 3): [0, 0, 0, 0],
         }
         for (i, j), coeffs in expected.items():
-            z = A.commutator(b[i], b[j])
+            z = commutator_dense(A, b[i], b[j])
             assert solve(basis_matrix, z) == vector(coeffs)
         assert [s.dim for s in derived_series(L)] == [4, 3, 1, 0]
         fp = fingerprint(L)
@@ -203,7 +202,7 @@ def test_criterion_7_group_algebras():
         specht = [1, 2, 1]
         assert L.dim == sum(d * (d - 1) // 2 for d in specht)
         A2, s2 = group_algebra(cyclic_table(2))
-        assert len(plesken_basis(A2, s2)) == 0
+        assert plesken_subspace(A2, s2).dim == 0
         A5, s5 = group_algebra(cyclic_table(5))
         L5 = plesken_lie_algebra(A5, s5)
         assert L5.dim == 2 and not L5.table

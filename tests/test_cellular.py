@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     act,
     action_matrices,
+    commutator_dense,
     entries_matrix,
     form_skewness_dense,
     gram_every_witness,
@@ -20,7 +21,6 @@ from plesken.algebra import (
     Algebra,
     AntiInvolution,
     InternalConsistencyError,
-    plesken_basis,
     plesken_subspace,
 )
 from plesken.builders import (
@@ -40,7 +40,6 @@ from plesken.cellular import (
     cell_module,
     check_gram_properties,
     gram_matrix,
-    half_diagrams,
     is_semisimple,
     predicted_decomposition,
     validate_cell_datum,
@@ -81,9 +80,10 @@ def test_temperley_lieb_datum(delta):
 
 def test_half_diagram_counts_match_hook_formula():
     for n in range(1, 7):
+        cd = cell_datum_temperley_lieb(n, None)
         for p in range(n // 2 + 1):
             expected = math.comb(n, p) - (math.comb(n, p - 1) if p else 0)
-            assert len(half_diagrams(n, p)) == expected
+            assert len(cd.members(n - 2 * p)) == expected
 
 
 def test_reversed_poset_breaks_triangularity():
@@ -356,10 +356,10 @@ def test_bracket_transport_through_cell_representations(factory, n, datum_factor
     A, sigma = factory()
     cd = datum_factory(n, sigma)
     modules = {lam: cell_module(A, cd, lam) for lam in cd.lambdas}
-    basis = [b.coeffs for b in plesken_basis(A, sigma)]
+    basis = plesken_subspace(A, sigma).basis
     for x in basis:
         for y in basis:
-            z = A.commutator(x, y)
+            z = commutator_dense(A, x, y)
             for lam, module in modules.items():
                 d = module.dim
                 rx, ry, rz = (entries_matrix(d, module.act(sparse(v, A.dim))) for v in (x, y, z))

@@ -150,6 +150,18 @@ def test_cli_build_group_and_matrix_over(tmp_path, capsys):
         ])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: group table ")
+    # Table entries are JSON integers: booleans are not read as 0 and 1 and
+    # floats are not refused by a Python error.
+    for product in ([[False, True], [True, False]], [[0.0, 1], [1, 0]]):
+        table_file.write_text(json.dumps({"product": product, "labels": ["a", "b"]}))
+        code = cli.main([
+            "build", "--family", "group", "--table", str(table_file),
+            "--out", str(tmp_path / "c2.plesken.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: closure: product table entry out of range\n"
+        )
     assert not (tmp_path / "c2.plesken.json").exists()
     table_file.write_text(json.dumps({**c2, "name": "C2", "labels": ["e", "g"]}))
     code, _ = run_cli(
@@ -266,6 +278,29 @@ def test_cli_verify_needs_cell_section(tmp_path, capsys):
     run_cli(capsys, "build", "--family", "quaternions", "--out", str(q))
     code, _ = run_cli(capsys, "verify-cellular", str(q))
     assert code == 2
+
+
+def test_cli_markdown_names_the_cell_datum_failure(tmp_path, capsys):
+    # M(2) with the basis indices of its first two cell triples swapped
+    # fails C2; the Markdown report must say so, as the JSON one does.
+    m2 = tmp_path / "m2.plesken.json"
+    run_cli(capsys, "build", "--family", "matrix", "--n", "2", "--out", str(m2))
+    payload = json.loads(m2.read_text())
+    triples = payload["cell"]["triples"]
+    triples[0][3], triples[1][3] = triples[1][3], triples[0][3]
+    m2.write_text(json.dumps(payload))
+    failure = (
+        "C2 fails: involution does not send C[s,t] to C[t,s] (witness (1, 1, 1))"
+    )
+    code, out = run_cli(capsys, "verify-cellular", str(m2))
+    assert code == 2
+    assert json.loads(out)["cellularity"] == {"valid": False, "failure": failure}
+    code, out = run_cli(capsys, "verify-cellular", str(m2), "--format", "md")
+    assert code == 2
+    assert out.endswith(
+        "## Cellular structure\n\n- cell datum valid: False\n"
+        f"- failure: {failure}\n"
+    )
 
 
 def test_cli_rejects_corrupted_document(tmp_path, capsys, monkeypatch):

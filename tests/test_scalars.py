@@ -82,3 +82,17 @@ def test_powers():
     assert I**4 == ONE
     with pytest.raises(ValueError):
         scalar(2) ** -1
+
+
+def test_real_scalars_hash_as_their_value():
+    # GaussianRational(1) == 1, so the two must meet in sets and dict lookups.
+    assert len({1, GaussianRational(1)}) == 1
+    assert {1: "a"}.get(GaussianRational(1)) == "a"
+    assert {Fraction(1, 2): "h"}.get(scalar("1/2")) == "h"
+
+
+@given(scalars)
+def test_equal_values_hash_equal(a):
+    assert hash(a) == hash(GaussianRational(a.re, a.im))
+    if not a.im:
+        assert a == a.re and hash(a) == hash(a.re)

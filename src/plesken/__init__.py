@@ -74,4 +74,6 @@ from .lie import (
 )
 from .interchange import AlgebraDocument, document_from_algebra, emit, load, parse, save
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+__all__ = [n for n in dir() if not (n.startswith("_") or isinstance(globals()[n], _ModuleType))]

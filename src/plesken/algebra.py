@@ -45,7 +45,7 @@ from .linalg import (
     vec_sub,
     vector,
 )
-from .scalars import I, ONE, ZERO, GaussianRational, scalar
+from .scalars import I, ONE, GaussianRational, scalar
 
 
 class InternalConsistencyError(RuntimeError):
@@ -67,14 +67,12 @@ class Algebra:
         for (i, j), terms in structure.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
                 raise ValueError(f"structure index out of range: {(i, j)}")
-            merged: dict[int, GaussianRational] = {}
-            for k, c in terms:
+            for k, _ in terms:
                 if not 0 <= k < self.dim:
                     raise ValueError(f"structure target out of range: {k}")
-                merged[k] = merged.get(k, ZERO) + scalar(c)
-            cleaned = tuple(sorted((k, c) for k, c in merged.items() if c))
-            if cleaned:
-                table[(i, j)] = cleaned
+            merged = combine((k, scalar(c)) for k, c in terms)
+            if merged:
+                table[(i, j)] = tuple(sorted(merged.items()))
         self.structure = table
 
     def __eq__(self, other):

@@ -6,7 +6,8 @@ constants and golden values):
 * Quaternions: basis labels "1", "i", "j", "k" in that order.  The labels
   i, j, k name basis elements of the algebra and are unrelated to the
   imaginary unit of the scalar field.
-* Matrix units E_rs (1-based) in row-major order; label "E{r}{s}".
+* Matrix units E_rs (1-based) in row-major order; label "E{r}{s}", or
+  "E{r},{s}" from n = 10 on, where E1,11 and E11,1 would both read E111.
 * Group algebras: one basis element per group element, in table order.
 * Planar rook diagrams on n+n nodes: an arc joins a top node to a bottom
   node, arcs are non-crossing, so a diagram is determined by the pair
@@ -95,7 +96,8 @@ def matrix_algebra(n: int, involution: str = "transpose") -> tuple[Algebra, Anti
         raise ValueError("n must be at least 1")
     if involution not in ("transpose", "conj_transpose"):
         raise ValueError(f"unknown involution {involution!r}")
-    labels = tuple(f"E{r}{s}" for r in range(1, n + 1) for s in range(1, n + 1))
+    sep = "," if n >= 10 else ""
+    labels = tuple(f"E{r}{sep}{s}" for r in range(1, n + 1) for s in range(1, n + 1))
     idx = lambda r, s: (r - 1) * n + (s - 1)
     structure = {}
     for r in range(1, n + 1):
@@ -127,12 +129,13 @@ def matrix_over_algebra(
         raise ValueError("n must be at least 1")
     d = inner.dim
     dim = n * n * d
+    sep = "," if n >= 10 else ""
 
     def idx(r, s, i):
         return ((r - 1) * n + (s - 1)) * d + i
 
     labels = tuple(
-        f"E{r}{s}.{inner.labels[i]}"
+        f"E{r}{sep}{s}.{inner.labels[i]}"
         for r in range(1, n + 1)
         for s in range(1, n + 1)
         for i in range(d)

@@ -78,6 +78,14 @@ class CellDatum:
             self.triples_of.setdefault(idx, []).append(triple)
         self._lower_cache: dict[Label, frozenset[int]] = {}
 
+    def __eq__(self, other):
+        return isinstance(other, CellDatum) and all(
+            getattr(self, key) == getattr(other, key)
+            for key in ("lambdas", "less", "index_sets", "basis_map", "involution")
+        )
+
+    __hash__ = None
+
     @property
     def dim(self) -> int:
         return len(self.basis_map)

@@ -39,7 +39,7 @@ from .cellular import (
     cell_datum_planar_rook,
     cell_datum_temperley_lieb,
 )
-from .interchange import FILE_SUFFIX, document_from_algebra, emit, load
+from .interchange import FILE_SUFFIX, AlgebraDocument, document_from_algebra, emit, load
 from .report import (
     DEFAULT_BRACKET_CAP,
     DocumentInvalid,
@@ -90,7 +90,8 @@ def _sanitize(text: str) -> str:
     return text.replace("/", "_").replace("+", "p").replace("-", "m")
 
 
-def _build(args) -> int:
+def _family_member(args):
+    """(name, algebra, sigma, cell datum or None) that the build arguments name."""
     family = args.family
     cell = None
     if family == "quaternions":
@@ -126,9 +127,9 @@ def _build(args) -> int:
     elif family == "matrix-over":
         if args.n is None or args.inner is None:
             raise DocumentInvalid("--n and --inner are required for matrix-over")
-        inner_doc, inner, inner_sigma, _ = _load_validated(args.inner)
-        algebra, sigma = matrix_over_algebra(args.n, inner, inner_sigma)
-        name = f"matrix-over-{inner_doc.name}-n{args.n}"
+        inner = _load_validated(args.inner)
+        algebra, sigma = matrix_over_algebra(args.n, inner.algebra, inner.sigma)
+        name = f"matrix-over-{inner.name}-n{args.n}"
     elif family == "planar-rook":
         if args.n is None:
             raise DocumentInvalid("--n is required for planar-rook")
@@ -143,6 +144,14 @@ def _build(args) -> int:
         name = f"temperley-lieb-n{args.n}-delta{_sanitize(args.delta)}"
     else:
         raise DocumentInvalid(f"unknown family {family!r}")
+    return name, algebra, sigma, cell
+
+
+def _build(args) -> int:
+    try:
+        name, algebra, sigma, cell = _family_member(args)
+    except ValueError as exc:  # the builders refuse their arguments with ValueError
+        raise DocumentInvalid(str(exc)) from exc
     validate_algebra(algebra, sigma)  # refuse to emit invalid documents
     doc = document_from_algebra(args.name or name, algebra, sigma, cell=cell)
     path = _out_path(args.out, (args.name or name) + FILE_SUFFIX)
@@ -150,17 +159,15 @@ def _build(args) -> int:
     return EXIT_OK
 
 
-def _load_validated(path: str):
+def _load_validated(path: str) -> AlgebraDocument:
     try:
-        doc = load(path)
+        return load(path)
     except OSError as exc:
         raise DocumentInvalid(f"cannot read {path}: {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise DocumentInvalid(f"cannot parse {path}: {exc}") from exc
     except KeyError as exc:
         raise DocumentInvalid(f"cannot parse {path}: missing field {exc}") from exc
-    algebra, sigma, datum = doc.to_algebra()
-    return doc, algebra, sigma, datum
 
 
 def _emit_report(report: dict, args) -> None:
@@ -171,20 +178,20 @@ def _emit_report(report: dict, args) -> None:
 
 
 def _analyze(args) -> int:
-    doc, algebra, sigma, _ = _load_validated(args.document)
+    doc = _load_validated(args.document)
     report = analysis_report(
-        doc.name, algebra, sigma, bracket_cap=args.bracket_cap, seed=args.seed
+        doc.name, doc.algebra, doc.sigma, bracket_cap=args.bracket_cap, seed=args.seed
     )
     _emit_report(report, args)
     return EXIT_OK
 
 
 def _verify_cellular(args) -> int:
-    doc, algebra, sigma, datum = _load_validated(args.document)
-    if datum is None:
+    doc = _load_validated(args.document)
+    if doc.cell is None:
         raise DocumentInvalid("document has no cell section")
     report = cellular_report(
-        doc.name, algebra, sigma, datum, bracket_cap=args.bracket_cap, seed=args.seed
+        doc.name, doc.algebra, doc.sigma, doc.cell, bracket_cap=args.bracket_cap, seed=args.seed
     )
     _emit_report(report, args)
     if not report["cellularity"]["valid"]:
@@ -262,9 +269,6 @@ def main(argv=None) -> int:
     except InternalConsistencyError as exc:
         _report_error(args, "internal-inconsistency", str(exc))
         return EXIT_INTERNAL
-    except ValueError as exc:
-        _report_error(args, "invalid-input", str(exc))
-        return EXIT_INVALID
     except Exception as exc:  # never let a crash read as exit 1, "refutation"
         traceback.print_exc()
         _report_error(args, "internal-error", f"{type(exc).__name__}: {exc}")

@@ -45,6 +45,16 @@ def test_matrix_algebra_rejects_zero():
         matrix_algebra(2, "hermitian")
 
 
+def test_matrix_unit_labels_stay_distinct_past_nine():
+    # E1,11 and E11,1 would both read E111 without the separator, which
+    # M(n) takes from n = 10 on; M(9) keeps its labels.
+    assert matrix_algebra(9)[0].labels[-1] == "E99"
+    assert matrix_algebra(10)[0].labels[9:11] == ("E1,10", "E2,1")
+    for A, _ in (matrix_algebra(11), matrix_over_algebra(11, *quaternions())):
+        assert len(set(A.labels)) == A.dim
+    assert "E1,11" in matrix_algebra(11)[0].labels
+
+
 def test_transpose_is_permutation():
     A, sigma = matrix_algebra(3)
     for j in range(A.dim):

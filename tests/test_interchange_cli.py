@@ -44,7 +44,8 @@ def test_document_round_trip(name, build):
     algebra, sigma, cell = build()
     doc = document_from_algebra(name, algebra, sigma, cell=cell)
     assert parse(emit(doc)) == doc
-    algebra2, sigma2, cell2 = parse(emit(doc)).to_algebra()
+    parsed = parse(emit(doc))
+    algebra2, sigma2, cell2 = parsed.algebra, parsed.sigma, parsed.cell
     assert algebra2 == algebra
     assert sigma2.matrix == sigma.matrix
     assert sigma2.conjugates_scalars == sigma.conjugates_scalars
@@ -103,7 +104,7 @@ def test_cli_build_families(tmp_path, capsys):
     )
     assert code == 0
     doc = load(out)
-    assert len(doc.basis) == 14
+    assert doc.algebra.dim == 14
     assert doc.cell is not None
 
     out2 = tmp_path / "pr.plesken.json"
@@ -111,7 +112,7 @@ def test_cli_build_families(tmp_path, capsys):
         capsys, "build", "--family", "planar-rook", "--n", "3", "--out", str(out2)
     )
     assert code == 0
-    assert len(load(out2).basis) == 20
+    assert load(out2).algebra.dim == 20
 
     out3 = tmp_path / "m1.plesken.json"
     code, _ = run_cli(
@@ -119,8 +120,8 @@ def test_cli_build_families(tmp_path, capsys):
     )
     assert code == 0
     doc3 = load(out3)
-    assert len(doc3.basis) == 1
-    assert doc3.involution_matrix.data[0][0] == 1
+    assert doc3.algebra.dim == 1
+    assert doc3.sigma.matrix.data[0][0] == 1
 
 
 def test_cli_build_group_and_matrix_over(tmp_path, capsys):
@@ -135,7 +136,7 @@ def test_cli_build_group_and_matrix_over(tmp_path, capsys):
         "--out", str(out),
     )
     assert code == 0
-    assert len(load(out).basis) == 6
+    assert load(out).algebra.dim == 6
 
     # The name is a JSON string and the labels a JSON list of strings: a
     # number is not formatted into a path, integer labels do not make a
@@ -169,7 +170,7 @@ def test_cli_build_group_and_matrix_over(tmp_path, capsys):
         "--out", str(tmp_path / "c2.plesken.json"),
     )
     assert code == 0
-    assert load(tmp_path / "c2.plesken.json").basis == ("e", "g")
+    assert load(tmp_path / "c2.plesken.json").algebra.labels == ("e", "g")
 
     q = tmp_path / "q.plesken.json"
     code, _ = run_cli(
@@ -182,7 +183,7 @@ def test_cli_build_group_and_matrix_over(tmp_path, capsys):
         "--inner", str(q), "--out", str(out2),
     )
     assert code == 0
-    assert len(load(out2).basis) == 16
+    assert load(out2).algebra.dim == 16
 
 
 def test_cli_build_rejects(capsys, tmp_path):
@@ -190,6 +191,32 @@ def test_cli_build_rejects(capsys, tmp_path):
     assert code == 2
     code, _ = run_cli(capsys, "build", "--family", "matrix")
     assert code == 2
+
+
+def test_cli_build_refuses_bad_arguments_as_input(tmp_path, capsys, monkeypatch):
+    kinds = []
+    monkeypatch.setattr(cli, "_report_error", lambda args, kind, message: kinds.append(kind))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"product": [[0, 1], [0, 1]]}))  # no identity
+    for argv in (
+        ["--family", "matrix", "--n", "0"],
+        ["--family", "temperley-lieb", "--n", "7", "--delta", "0"],
+        ["--family", "temperley-lieb", "--n", "3", "--delta", "abc"],
+        ["--family", "group", "--table", str(table)],
+    ):
+        assert cli.main(["build", *argv, "--out", str(tmp_path / "x.plesken.json")]) == 2
+    assert kinds == ["invalid-input"] * 4
+    assert not (tmp_path / "x.plesken.json").exists()
+
+
+def test_cli_build_and_verify_m11(tmp_path, capsys):
+    # M(11) has both E_{1,11} and E_{11,1}; PR(6)'s certificate compares
+    # against o(15) and o(20), built from M(15) and M(20).
+    out = tmp_path / "m11.plesken.json"
+    assert run_cli(capsys, "build", "--family", "matrix", "--n", "11", "--out", str(out))[0] == 0
+    code, report = run_cli(capsys, "verify-cellular", str(out))
+    assert code == 0
+    assert json.loads(report)["theorem"]["certified"] is True
 
 
 def test_cli_analyze_tl0(tmp_path, capsys):
@@ -390,6 +417,20 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys, monkeypatch):
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "invalid-input"
 
+    # The algebra and the cell datum refuse these as the document is read,
+    # whichever command reads it.
+    for payload in (
+        {**valid, "basis": ["E11", "E12", "E12", "E22"]},
+        {**valid, "cell": {**cell, "lambdas": [1, 1]}},
+        {**valid, "cell": {**cell, "order": [[1, 1]]}},
+        {**valid, "cell": {**cell, "order": [[1, 7]]}},
+    ):
+        q.write_text(json.dumps(payload))
+        for command in ("analyze", "verify-cellular"):
+            code, out = run_cli(capsys, command, str(q))
+            assert code == 2
+            assert json.loads(out)["error"]["kind"] == "invalid-input"
+
     # JSON true is neither the index 1 nor the scalar 1, wherever it stands.
     involution = valid["involution"]
     true_one = [[True if v == "1" else v for v in row] for row in transpose]
@@ -443,6 +484,9 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     for error, kind in (
         (InternalConsistencyError("forced"), "internal-inconsistency"),
         (ZeroDivisionError("unexpected"), "internal-error"),
+        # Every input error is refused while the document is read; a
+        # ValueError after that is the program's fault, not the input's.
+        (ValueError("unexpected"), "internal-error"),
     ):
         def boom(*args, error=error, **kwargs):
             raise error

@@ -188,6 +188,12 @@ def test_fingerprint_model_1331():
     assert not fp.solvable and fp.derived_length is None
 
 
+def test_fingerprint_model_eleven():
+    # o(11) is built from M(11), whose matrix-unit labels must not collide.
+    fp = fingerprint(orthogonal_model([11]))
+    assert (fp.dim, fp.center_dim, fp.killing_rank, fp.derived_dims) == (55, 0, 55, (55, 55))
+
+
 def test_fingerprint_zero_algebra():
     fp = fingerprint(LieAlgebra((), {}))
     assert fp.dim == 0 and fp.solvable and fp.nilpotent

@@ -236,7 +236,56 @@ def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
     every product of generators and hence the whole algebra.  The triple
     returned is the lexicographically first failing one whose middle index
     is in G.
+
+    Every builder family has a monomial table: each stored product e_i e_j
+    is a single term c e_k.  Such a table is read once into rows
+    {j: (k, c)}, with c a Python int when it is a real integer and a
+    GaussianRational otherwise.  The same loop then compares one
+    (target, coefficient) pair per side, None for a zero product, so the
+    witness is the same.  The table only multiplies and compares, so no
+    int division can arise.  A table with a product of two or more terms
+    runs the loop over `combine`d sums instead.
     """
+    rows = _monomial_rows(algebra)
+    if rows is None:
+        return _associativity_by_sums(algebra)
+    n = algebra.dim
+    for i in range(n):
+        row_i = rows[i]
+        for j in algebra.generators:
+            ij = row_i.get(j)
+            row_j = rows[j]
+            row_l = rows[ij[0]] if ij is not None else {}
+            for k in range(n):
+                left = right = None
+                lk = row_l.get(k)
+                if lk is not None:
+                    left = (lk[0], ij[1] * lk[1])
+                jk = row_j.get(k)
+                if jk is not None:
+                    il = row_i.get(jk[0])
+                    if il is not None:
+                        right = (il[0], jk[1] * il[1])
+                if left != right:
+                    return (i, j, k)
+    return None
+
+
+def _monomial_rows(algebra: Algebra) -> Optional[list[dict[int, tuple]]]:
+    """rows[i][j] = (k, c) with e_i e_j = c e_k, c an int when it is a real
+    integer; None if some product has two or more terms."""
+    rows: list[dict[int, tuple]] = [{} for _ in range(algebra.dim)]
+    for (i, j), terms in algebra.structure.items():
+        if len(terms) != 1:
+            return None
+        ((k, c),) = terms
+        if not c.im and c.re.denominator == 1:
+            c = c.re.numerator
+        rows[i][j] = (k, c)
+    return rows
+
+
+def _associativity_by_sums(algebra: Algebra) -> Optional[tuple[int, int, int]]:
     get = algebra.structure.get
     n = algebra.dim
     generators = algebra.generators

@@ -4,7 +4,9 @@
 check their laws only for middle (resp. left) factors in a proved
 generating set.  The scans here are the exhaustive versions they replaced:
 every basis triple for associativity, every basis pair for the
-anti-homomorphism law.
+anti-homomorphism law.  Restricted to the middle indices in the generating
+set, the associativity scan gives the witness the fast path must return; it
+sums every product over `GaussianRational`, whatever the table's shape.
 
 `plesken.linalg.Echelon` reduces sparse rows one at a time.  The dense
 Gauss-Jordan loop it replaced is here, with the subspace, kernel, center
@@ -61,12 +63,16 @@ from plesken.linalg import (
 from plesken.scalars import I, ONE, ZERO, GaussianRational
 
 
-def associativity_all_triples(algebra: Algebra) -> Optional[tuple[int, int, int]]:
-    """First basis triple (lexicographic) where (ei ej) ek != ei (ej ek), else None."""
+def associativity_all_triples(
+    algebra: Algebra, middles: Optional[Iterable[int]] = None
+) -> Optional[tuple[int, int, int]]:
+    """First basis triple (lexicographic) where (ei ej) ek != ei (ej ek), else
+    None; with `middles`, only triples whose middle index j is in it."""
     get = algebra.structure.get
     n = algebra.dim
+    middles = range(n) if middles is None else sorted(set(middles))
     for i in range(n):
-        for j in range(n):
+        for j in middles:
             t_ij = get((i, j), ())
             for k in range(n):
                 left: dict[int, GaussianRational] = {}

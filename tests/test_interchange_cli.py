@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from oracles import associativity_all_triples
 
 from plesken import cli
 from plesken.algebra import Algebra, InternalConsistencyError
@@ -475,6 +476,27 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys, monkeypatch):
         code, out = run_cli(capsys, "verify-cellular", str(q))
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "invalid-input"
+
+
+def test_cli_names_the_associativity_witness(tmp_path, capsys):
+    # TL_3(4) has one term per product, so validation runs on the monomial
+    # table; a changed coefficient (integral or not) or target must be
+    # refused at the triple the restricted full scan finds first.
+    q = tmp_path / "tl.plesken.json"
+    valid = json.loads(emit(document_from_algebra("tl", *temperley_lieb(4, 3))))
+    quad = [0, 7, 0, "1"]
+    assert quad in valid["structure"]
+    for corrupted in ([0, 7, 0, "2"], [0, 7, 0, "1/2"], [0, 7, 1, "1"]):
+        structure = [corrupted if entry == quad else entry for entry in valid["structure"]]
+        q.write_text(json.dumps({**valid, "structure": structure}))
+        algebra = load(q).algebra
+        triple = associativity_all_triples(algebra, algebra.generators)
+        assert triple is not None
+        code, out = run_cli(capsys, "analyze", str(q))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "invalid-input"
+        assert error["message"] == f"associativity fails at basis triple {triple}"
 
 
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -96,3 +96,43 @@ def test_equal_values_hash_equal(a):
     assert hash(a) == hash(GaussianRational(a.re, a.im))
     if not a.im:
         assert a == a.re and hash(a) == hash(a.re)
+
+
+# The monomial associativity table keeps a real integer coefficient as a
+# Python int and any other as a GaussianRational, and multiplies and compares
+# the two freely.  Mixed values must compare exactly as their scalar values.
+coefficients = st.one_of(st.integers(min_value=-3, max_value=3), scalars)
+factored = st.tuples(st.integers(min_value=0, max_value=2), coefficients, coefficients)
+
+
+def _exact(c):
+    return c if isinstance(c, GaussianRational) else GaussianRational(c)
+
+
+@given(*[coefficients] * 4, st.integers(0, 1), st.integers(0, 1))
+def test_mixed_products_compare_as_their_values(a, b, c, d, k, m):
+    x, y = a * b, c * d
+    exact_x, exact_y = _exact(a) * _exact(b), _exact(c) * _exact(d)
+    assert _exact(x) == exact_x and _exact(y) == exact_y
+    assert (x == y) == (exact_x == exact_y)
+    assert (x != y) == (exact_x != exact_y)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert ((k, x) == (m, y)) == (k == m and exact_x == exact_y)
+    assert ((k, x) != (m, y)) == (k != m or exact_x != exact_y)
+
+
+@given(
+    st.dictionaries(st.integers(0, 2), factored, max_size=3),
+    st.dictionaries(st.integers(0, 2), factored, max_size=3),
+)
+def test_mixed_sparse_dicts_compare_as_their_values(x, y):
+    def mixed(terms):
+        return {k: (m, a * b) for k, (m, a, b) in terms.items()}
+
+    def exact(terms):
+        return {k: (m, _exact(a) * _exact(b)) for k, (m, a, b) in terms.items()}
+
+    assert mixed(x) == exact(x)
+    assert (mixed(x) == mixed(y)) == (exact(x) == exact(y))
+    assert (mixed(x) != mixed(y)) == (exact(x) != exact(y))

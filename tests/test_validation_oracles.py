@@ -5,7 +5,10 @@ the proved generating set `Algebra.generators`; `oracles.py` keeps the
 exhaustive scans they replaced.  On every builder family at n <= 4, on
 single structure-constant corruptions and on column-swapped involutions the
 two must agree on the verdict, every witness must be a genuine failure, and
-the generating set must span the algebra.
+the generating set must span the algebra.  The associativity witness must
+be the one the scan finds over middle indices in the generating set, on the
+monomial-table path (one term per product, int or `GaussianRational`
+coefficients) and on the general one alike.
 """
 
 import itertools
@@ -57,7 +60,7 @@ def _skewed_m2():
 
 FAMILIES = {
     **{f"TL_{d}({n})": (lambda n=n, d=d: temperley_lieb(n, d))
-       for d in ("0", "1", "3", "i") for n in (1, 2, 3, 4)},
+       for d in ("0", "1", "3", "i", "1/2") for n in (1, 2, 3, 4)},
     **{f"PR({n})": (lambda n=n: planar_rook(n)) for n in (1, 2, 3, 4)},
     **{f"M({n})": (lambda n=n: matrix_algebra(n)) for n in (1, 2, 3, 4)},
     **{f"M({n})*": (lambda n=n: matrix_algebra(n, "conj_transpose")) for n in (1, 2, 3, 4)},
@@ -68,7 +71,10 @@ FAMILIES = {
     "M(2) skewed basis": _skewed_m2,
 }
 
-SMALL = ("H", "M(2)", "M(2)*", "QS3", "C3", "TL_0(3)", "TL_i(3)", "PR(2)", "M(2) skewed basis")
+SMALL = (
+    "H", "M(2)", "M(2)*", "QS3", "C3", "TL_0(3)", "TL_i(3)", "TL_1/2(3)", "PR(2)",
+    "M(2) skewed basis",
+)
 
 
 def _assert_spans(algebra):
@@ -89,6 +95,7 @@ def _assert_spans(algebra):
 
 def _assert_associativity_agrees(algebra):
     fast = validate_associativity(algebra)
+    assert fast == associativity_all_triples(algebra, algebra.generators)
     assert (fast is None) == (associativity_all_triples(algebra) is None)
     if fast is not None:
         i, g, k = fast
@@ -139,6 +146,8 @@ def test_structure_constant_corruptions(name):
         if terms:
             k, c = terms[0]
             variants.append(((k, 2 * c),) + terms[1:])
+            variants.append(((k, c / 2),) + terms[1:])  # a non-integral coefficient
+            variants.append(((k, I * c),) + terms[1:])  # an imaginary one
             variants.append((((k + 1) % n, c),) + terms[1:])
             variants.append(terms[1:])  # one term dropped
         for variant in variants:

@@ -8,8 +8,8 @@ linear Lie algebra of dimension n^2.
 """
 
 from plesken import (
+    Fingerprint,
     fingerprint,
-    fingerprint_match,
     matrix_algebra,
     matrix_over_algebra,
     plesken_lie_algebra,
@@ -21,7 +21,7 @@ from plesken.algebra import plesken_subspace
 for n in range(1, 5):
     A, sigma = matrix_algebra(n, "transpose")
     L = plesken_lie_algebra(A, sigma)
-    match = fingerprint_match(L, [n])
+    match = fingerprint(L).compare(Fingerprint.orthogonal([n]))
     print(f"M({n}) transpose: skew dim {L.dim} "
           f"(= {n}({n}-1)/2), model match: {match.matches}")
 

@@ -12,9 +12,10 @@ that the dimensions add up.
 """
 
 from plesken import (
+    Fingerprint,
     cell_datum_planar_rook,
     cell_datum_temperley_lieb,
-    fingerprint_match,
+    fingerprint,
     gram_matrix,
     is_semisimple,
     planar_rook,
@@ -47,5 +48,5 @@ for title, (algebra, sigma), datum_of in (
           f"(skew dim {outcome.lie_dim} == {outcome.predicted_lie_dim})")
     L = plesken_lie_algebra(algebra, sigma)
     print("  fingerprint matches block model:",
-          fingerprint_match(L, decomposition.size_list()).matches)
+          fingerprint(L).compare(Fingerprint.orthogonal(decomposition.size_list())).matches)
     print()

@@ -11,10 +11,10 @@ the would-be blocks {1, 3, 2} fails.
 """
 
 from plesken import (
+    Fingerprint,
     cell_datum_temperley_lieb,
     derived_series,
     fingerprint,
-    fingerprint_match,
     is_semisimple,
     plesken_lie_algebra,
     temperley_lieb,
@@ -49,4 +49,5 @@ for a in range(L.dim):
 print("\nderived series dimensions:", [s.dim for s in derived_series(L)])
 fp = fingerprint(L)
 print("solvable:", fp.solvable, "| derived length:", fp.derived_length)
-print("fingerprint matches blocks {1,3,2}:", fingerprint_match(L, [1, 3, 2]).matches)
+print("fingerprint matches blocks {1,3,2}:",
+      fp.compare(Fingerprint.orthogonal([1, 3, 2])).matches)

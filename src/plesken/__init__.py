@@ -67,7 +67,6 @@ from .lie import (
     center,
     derived_series,
     fingerprint,
-    fingerprint_match,
     killing_form,
     lower_central_series,
     orthogonal_model,

@@ -385,7 +385,7 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
     sub = plesken_subspace(algebra, sigma)
     span = sub.echelon
     rows = [span.rows[p] for p in sub.pivots]
-    labels = _lie_labels(algebra.labels, sub.basis)
+    labels = lie_labels(algebra.labels, sub.basis)
     table: dict[tuple[int, int], Terms] = {}
     for a in range(len(rows)):
         for b in range(a + 1, len(rows)):
@@ -401,7 +401,9 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
     return LieAlgebra(labels, table)
 
 
-def _lie_labels(ambient_labels: Sequence[str], vecs: Sequence[Vector]) -> list[str]:
+def lie_labels(ambient_labels: Sequence[str], vecs: Sequence[Vector]) -> list[str]:
+    """Labels of the skew basis `vecs`: a vector of at most two terms +-1 written
+    out in at most 24 characters, else x{r}; x{r} for all on a collision."""
     labels = []
     for r, v in enumerate(vecs):
         text = describe_vector(ambient_labels, v)

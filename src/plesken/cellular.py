@@ -70,7 +70,11 @@ class CellDatum:
             for c, d in self.less:
                 if b == c and (a, d) not in self.less:
                     raise ValueError("order pairs are not transitively closed")
+        if not set(index_sets) <= set(self.lambdas):
+            raise ValueError("index set given for an unknown cell label")
         self.index_sets = {lam: tuple(index_sets.get(lam, ())) for lam in self.lambdas}
+        if any(len(set(m)) != len(m) for m in self.index_sets.values()):
+            raise ValueError("an index set lists a member twice")
         self.basis_map = dict(basis_map)
         self.involution = involution
         self.triples_of: dict[int, list[tuple]] = {}
@@ -98,15 +102,11 @@ class CellDatum:
 
     def lower_indices(self, lam: Label) -> frozenset[int]:
         """Basis indices of all cells strictly below lam."""
-        cached = self._lower_cache.get(lam)
-        if cached is None:
-            cached = frozenset(
-                idx
-                for (mu, _, _), idx in self.basis_map.items()
-                if self.is_less(mu, lam)
+        if lam not in self._lower_cache:
+            self._lower_cache[lam] = frozenset(
+                idx for (mu, _, _), idx in self.basis_map.items() if self.is_less(mu, lam)
             )
-            self._lower_cache[lam] = cached
-        return cached
+        return self._lower_cache[lam]
 
 
 # ---------------------------------------------------------------------------

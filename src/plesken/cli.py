@@ -171,9 +171,9 @@ def _load_validated(path: str) -> AlgebraDocument:
 
 
 def _emit_report(report: dict, args) -> None:
-    if getattr(args, "timing", False):
+    if args.timing:
         report["timing_ms"] = int((time.monotonic() - args.started) * 1000)
-    text = render_markdown(report) if args.format == "md" else dumps(report)
+    text = render_markdown(report) if getattr(args, "format", None) == "md" else dumps(report)
     _write_or_print(text, _out_path(args.out, None))
 
 
@@ -209,14 +209,9 @@ def _paper_suite(args) -> int:
         "failed": sorted(k for k, v in results.items() if v["status"] == "fail"),
         "skipped": sorted(k for k, v in results.items() if v["status"] == "skip"),
     }
-    if getattr(args, "timing", False):
-        payload["timing_ms"] = int((time.monotonic() - args.started) * 1000)
-    _write_or_print(dumps(payload), _out_path(args.out, None))
-    if "fail" in statuses:
-        return EXIT_REFUTED
-    if "skip" in statuses and not args.allow_skips:
-        return EXIT_REFUTED
-    return EXIT_OK
+    _emit_report(payload, args)
+    refuted = "fail" in statuses or ("skip" in statuses and not args.allow_skips)
+    return EXIT_REFUTED if refuted else EXIT_OK
 
 
 def _parser() -> argparse.ArgumentParser:

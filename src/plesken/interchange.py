@@ -20,8 +20,9 @@ Document layout (format_version "1", the only one):
 
 In memory a document is the `Algebra`, `AntiInvolution` and `CellDatum`
 it describes.  `parse` builds them directly, so their constructors' checks
-(distinct labels, a strict order on known cells) refuse a document in
-`parse`, with ValueError; `emit` writes straight from them.
+(distinct labels, a strict order on known cells, one index set per known
+cell with no member twice) refuse a document in `parse`, with ValueError;
+`emit` writes straight from them.
 
 Scalars are exact strings, never decimals.  Cell index labels may be
 integers or (nested) lists of integers; they are converted to tuples on
@@ -162,10 +163,12 @@ def _parse_involution(payload: dict, dim: int) -> AntiInvolution:
 def _parse_cell(raw: dict, dim: int, sigma: AntiInvolution) -> CellDatum:
     lambdas = [_freeze_label(v) for v in _list(raw["lambdas"], "cell lambdas")]
     order = [(_freeze_label(a), _freeze_label(b)) for a, b in _rows(raw["order"], "cell order")]
-    index_sets = {
-        _freeze_label(lam): tuple(_freeze_label(s) for s in _list(members, "an index set"))
-        for lam, members in _rows(raw["index_sets"], "cell index_sets")
-    }
+    index_sets = {}
+    for lam, members in _rows(raw["index_sets"], "cell index_sets"):
+        lam = _freeze_label(lam)
+        if lam in index_sets:
+            raise ValueError(f"cell {lam!r} has two index sets")
+        index_sets[lam] = tuple(map(_freeze_label, _list(members, "an index set")))
     basis_map = {}
     for lam, s, t, idx in _rows(raw["triples"], "cell triples"):
         if type(idx) is not int or not 0 <= idx < dim:

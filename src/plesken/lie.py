@@ -9,12 +9,13 @@ wrapper.  Subspaces are the canonical rref-basis `Subspace` values from
 each series term is the span of sparse brackets inserted one at a time into
 a `linalg.Echelon`, read only until the span is the whole algebra.
 
-`orthogonal_model` builds direct sums of the skew-symmetric matrix Lie
-algebras o(d), each the skew part of M(d) under transposition;
 `fingerprint` collects exact invariants (derived and lower central series,
-center, Killing rank, solvability) that are compared field-by-field by
-`fingerprint_match`.  A matching fingerprint is a necessary condition for
-isomorphism, not a proof.
+center, Killing rank, solvability), compared field by field by
+`Fingerprint.compare`; a matching fingerprint is a necessary condition for
+isomorphism, not a proof.  `Fingerprint.orthogonal` gives the fingerprint
+of a direct sum of the orthogonal Lie algebras o(d) in closed form, and
+`orthogonal_model` builds that sum, each o(d) the skew part of M(d) under
+transposition, as a reference for it.
 """
 
 from __future__ import annotations
@@ -168,6 +169,25 @@ class Fingerprint:
         )
         return FingerprintComparison(not diffs, diffs)
 
+    @classmethod
+    def orthogonal(cls, sizes: Sequence[int]) -> Fingerprint:
+        """The fingerprint of the direct sum of o(d), d in `sizes`, in closed form.
+
+        With D = sum d(d-1)/2 and a = #{d = 2}: the a blocks o(2) are the
+        center and the blocks o(d), d >= 3, are semisimple (Humphreys,
+        Introduction to Lie Algebras, 1.2 and 19), so the Killing rank is
+        D - a and both series go from D to the perfect D - a.
+        """
+        if any(d < 0 for d in sizes):
+            raise ValueError("sizes must be non-negative")
+        dim = sum(d * (d - 1) // 2 for d in sizes)
+        a = sum(1 for d in sizes if d == 2)
+        # [0], [D, D], [D, D - a, D - a] or [D, 0], as `_series` stops.
+        series = (dim, dim - a, dim - a)[: 1 + (dim > 0) + (0 < a < dim)]
+        solvable = dim == a
+        return cls(dim, series, series, a, dim - a, solvable,
+                   len(series) - 1 if solvable else None, solvable)
+
 
 def fingerprint(L: LieAlgebra) -> Fingerprint:
     derived = [s.dim for s in derived_series(L)]
@@ -227,8 +247,3 @@ class FingerprintComparison:
 
 def _plain(value):
     return list(value) if isinstance(value, tuple) else value
-
-
-def fingerprint_match(L: LieAlgebra, sizes: Sequence[int]) -> FingerprintComparison:
-    """Compare fingerprint(L) with the fingerprint of the model of given sizes."""
-    return fingerprint(L).compare(fingerprint(orthogonal_model(sizes)))

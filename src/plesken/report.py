@@ -5,12 +5,23 @@ each artifact once; nothing is cached between runs.  Reports are rendered
 byte-identically for identical inputs, flags and seed; wall-clock timing is
 therefore only included when explicitly requested.
 
-The `bracket_closure` check reports the exact closure proof made while the
-Lie table is built: the bracket of every pair of skew-part basis vectors
-must lie in the skew part, or `plesken_lie_algebra` raises
-`InternalConsistencyError`, and bilinearity extends this to the whole skew
-part.  The seed is only echoed into the report; no report verdict is
-randomized.
+The `bracket_closure` check rests on `validate_algebra`, which proves that
+sigma squares to the identity and reverses products.  With a^ = a - sigma(a)
+these alone (sigma additive, also when semilinear) turn b^ a^ into
+sigma(ab) - sigma(a sigma(b)) - sigma(sigma(a) b) + sigma(sigma(a) sigma(b)),
+so [a^, b^] = (ab)^ - (a sigma(b))^ - (sigma(a) b)^ + (sigma(a) sigma(b))^
+lies in the skew part, and by bilinearity so does every bracket in it.
+
+The fingerprint is computed from the Lie table, built only then or to be
+printed, unless the certificate decides it.  A certified `verify_theorem`
+with passing Gram checks maps the skew part by the injective Lie
+homomorphism (+) rho_lam onto the sum of the o(G_lam), of equal dimension,
+each G_lam symmetric and nondegenerate (sigma is linear: a semilinear one
+makes the skew part the whole algebra, too large to certify).  Over C each
+o(G_lam) is o(d_lam), and field extension keeps the ranks that make up the
+fingerprint, so it is `Fingerprint.orthogonal` of the block sizes (Graham
+and Lehrer, Cellular algebras, 1996, section 3).  The seed is only echoed
+into the report; no report verdict is randomized.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from .algebra import (
     Algebra,
     AntiInvolution,
     describe_vector,
+    lie_labels,
     plesken_lie_algebra,
     plesken_subspace,
     validate_associativity,
@@ -36,8 +48,8 @@ from .cellular import (
     validate_cell_datum,
     verify_theorem,
 )
-from .lie import Fingerprint, fingerprint, orthogonal_model
-from .scalars import ZERO
+from .lie import Fingerprint, LieAlgebra, fingerprint
+from .linalg import dense
 
 DEFAULT_BRACKET_CAP = 12
 
@@ -73,49 +85,47 @@ def analysis_report(
     seed: int = 0,
 ) -> dict:
     """Skew-part structure of one algebra: basis, brackets, fingerprint."""
-    return _analysis(name, algebra, sigma, bracket_cap, seed)[0]
+    checks = validate_algebra(algebra, sigma)
+    return _analysis(name, algebra, sigma, checks, None, bracket_cap, seed)[0]
 
 
 def _analysis(
-    name: str, algebra: Algebra, sigma: AntiInvolution, bracket_cap: int, seed: int
+    name: str, algebra: Algebra, sigma: AntiInvolution, checks: dict,
+    fp: Fingerprint | None, bracket_cap: int, seed: int,
 ) -> tuple[dict, Fingerprint]:
-    checks = validate_algebra(algebra, sigma)
-    # Raises InternalConsistencyError if a basis bracket leaves the skew part.
-    lie = plesken_lie_algebra(algebra, sigma)
-    checks["bracket_closure"] = "pass"
-    basis = plesken_subspace(algebra, sigma).basis
-    fp = fingerprint(lie)
+    """The shared fields after validation; `fp` is None unless the certificate decided it."""
+    sub = plesken_subspace(algebra, sigma)
+    printed = sub.dim <= bracket_cap
+    lie = plesken_lie_algebra(algebra, sigma) if fp is None or printed else None
+    fp = fingerprint(lie) if fp is None else fp
+    labels = lie_labels(algebra.labels, sub.basis) if lie is None else lie.labels
     report = {
         "input": {
             "name": name,
             "dim": algebra.dim,
             "involution_conjugates_scalars": sigma.conjugates_scalars,
         },
-        "checks": checks,
+        "checks": {**checks, "bracket_closure": "pass"},
         "plesken": {
-            "dim": lie.dim,
+            "dim": sub.dim,
             "basis": [
                 {"label": label, "element": describe_vector(algebra.labels, v)}
-                for label, v in zip(lie.labels, basis)
+                for label, v in zip(labels, sub.basis)
             ],
+            "bracket_table": _bracket_table(lie) if printed else None,
         },
         "fingerprint": fp.as_dict(),
         "seed": seed,
     }
-    if lie.dim <= bracket_cap:
-        table = []
-        for a in range(lie.dim):
-            for b in range(a + 1, lie.dim):
-                coeffs = [ZERO] * lie.dim
-                for k, c in lie.bracket_terms(a, b):
-                    coeffs[k] = c
-                table.append(
-                    [lie.labels[a], lie.labels[b], describe_vector(lie.labels, coeffs)]
-                )
-        report["plesken"]["bracket_table"] = table
-    else:
-        report["plesken"]["bracket_table"] = None
     return report, fp
+
+
+def _bracket_table(lie: LieAlgebra) -> list[list[str]]:
+    n, labels = lie.dim, lie.labels
+    return [
+        [labels[a], labels[b], describe_vector(labels, dense(n, dict(lie.bracket_terms(a, b))))]
+        for a in range(n) for b in range(a + 1, n)
+    ]
 
 
 def cellular_report(
@@ -128,12 +138,12 @@ def cellular_report(
     seed: int = 0,
 ) -> dict:
     """Full cellularity verification on top of the analysis report."""
-    report, fp = _analysis(name, algebra, sigma, bracket_cap, seed)
+    checks = validate_algebra(algebra, sigma)
     failure = validate_cell_datum(algebra, sigma, datum)
     if failure is not None:
+        report = _analysis(name, algebra, sigma, checks, None, bracket_cap, seed)[0]
         report["cellularity"] = {"valid": False, "failure": str(failure)}
         return report
-    report["cellularity"] = {"valid": True}
     forms = CellForms.build(algebra, datum)
     gram_issues = [
         str(problem)
@@ -141,8 +151,13 @@ def cellular_report(
         if (problem := check_gram_properties(algebra, sigma, datum, lam, forms=forms))
         is not None
     ]
-    report["gram_properties"] = {"pass": not gram_issues, "failures": gram_issues}
     outcome = verify_theorem(algebra, sigma, datum, forms=forms)
+    sizes = [d for _, d in outcome.block_sizes]
+    model = Fingerprint.orthogonal(sizes)
+    decided = model if outcome.certified and not gram_issues else None
+    report, fp = _analysis(name, algebra, sigma, checks, decided, bracket_cap, seed)
+    report["cellularity"] = {"valid": True}
+    report["gram_properties"] = {"pass": not gram_issues, "failures": gram_issues}
     verdict = SemisimplicityReport.from_ranks(outcome.gram_ranks)
     report["semisimplicity"] = verdict.as_dict()
     report["predicted_decomposition"] = (
@@ -151,11 +166,7 @@ def cellular_report(
         else None
     )
     report["theorem"] = outcome.as_dict()
-    sizes = [d for _, d in outcome.block_sizes]
-    report["fingerprint_comparison"] = {
-        "model_sizes": sizes,
-        **fp.compare(fingerprint(orthogonal_model(sizes))).as_dict(),
-    }
+    report["fingerprint_comparison"] = {"model_sizes": sizes, **fp.compare(model).as_dict()}
     return report
 
 
@@ -168,52 +179,39 @@ def _md_table(headers: list[str], rows: list[list]) -> list[str]:
 
 
 def render_markdown(report: dict) -> str:
-    lines = [f"# Report: {report['input']['name']}", ""]
-    lines.append(f"- algebra dimension: {report['input']['dim']}")
-    lines.append(f"- skew-part dimension: {report['plesken']['dim']}")
-    for check, verdict in sorted(report["checks"].items()):
-        lines.append(f"- {check}: {verdict}")
-    lines.append("")
-    if report["plesken"].get("bracket_table"):
-        lines.append("## Bracket table")
-        lines.append("")
-        lines.extend(
-            _md_table(["x", "y", "[x, y]"], report["plesken"]["bracket_table"])
-        )
-        lines.append("")
-    lines.append("## Fingerprint")
-    lines.append("")
-    for key, value in sorted(report["fingerprint"].items()):
-        lines.append(f"- {key}: {value}")
-    lines.append("")
+    plesken = report["plesken"]
+    lines = [
+        f"# Report: {report['input']['name']}",
+        "",
+        f"- algebra dimension: {report['input']['dim']}",
+        f"- skew-part dimension: {plesken['dim']}",
+        *(f"- {check}: {verdict}" for check, verdict in sorted(report["checks"].items())),
+        "",
+    ]
+    if plesken["bracket_table"]:
+        table = _md_table(["x", "y", "[x, y]"], plesken["bracket_table"])
+        lines += ["## Bracket table", "", *table, ""]
+    fingerprint_lines = (f"- {k}: {v}" for k, v in sorted(report["fingerprint"].items()))
+    lines += ["## Fingerprint", "", *fingerprint_lines, ""]
     if "cellularity" in report:
-        lines.append("## Cellular structure")
-        lines.append("")
-        lines.append(f"- cell datum valid: {report['cellularity']['valid']}")
-        if not report["cellularity"]["valid"]:
-            lines.append(f"- failure: {report['cellularity']['failure']}")
+        cellularity = report["cellularity"]
+        lines += ["## Cellular structure", "", f"- cell datum valid: {cellularity['valid']}"]
+        if not cellularity["valid"]:
+            lines.append(f"- failure: {cellularity['failure']}")
         else:
+            semisimplicity, theorem = report["semisimplicity"], report["theorem"]
+            cells = [[c["cell"], c["size"], c["rank"]] for c in semisimplicity["cells"]]
+            lines += [
+                f"- semisimple: {semisimplicity['semisimple']}",
+                *_md_table(["cell", "size", "rank"], cells),
+                "",
+                f"- certificate: {theorem['certified']}",
+            ]
+            if theorem["failed_check"]:
+                lines.append(f"- failed check: {theorem['failed_check']}")
+            comparison = report["fingerprint_comparison"]
             lines.append(
-                f"- semisimple: {report['semisimplicity']['semisimple']}"
+                f"- fingerprint matches model {comparison['model_sizes']}: {comparison['matches']}"
             )
-            lines.extend(
-                _md_table(
-                    ["cell", "size", "rank"],
-                    [
-                        [c["cell"], c["size"], c["rank"]]
-                        for c in report["semisimplicity"]["cells"]
-                    ],
-                )
-            )
-            lines.append("")
-            lines.append(f"- certificate: {report['theorem']['certified']}")
-            if report["theorem"]["failed_check"]:
-                lines.append(f"- failed check: {report['theorem']['failed_check']}")
-            comparison = report.get("fingerprint_comparison")
-            if comparison:
-                lines.append(
-                    f"- fingerprint matches model {comparison['model_sizes']}: "
-                    f"{comparison['matches']}"
-                )
     lines.append("")
     return "\n".join(lines)

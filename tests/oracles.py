@@ -46,7 +46,7 @@ from plesken.algebra import (
     AntiInvolution,
     InternalConsistencyError,
     InvolutionFailure,
-    _lie_labels,
+    lie_labels,
 )
 from plesken.cellular import CellDatum, CellForms, CellModule, GramPropertyFailure, Label
 from plesken.lie import Fingerprint, LieAlgebra
@@ -354,7 +354,7 @@ def plesken_lie_algebra_dense(algebra: Algebra, sigma: AntiInvolution) -> LieAlg
     """The Lie table from dense commutators of the kernel-based skew basis."""
     sub = skew_subspace_kernel(sigma)
     vecs = sub.basis
-    labels = _lie_labels(algebra.labels, vecs)
+    labels = lie_labels(algebra.labels, vecs)
     table: dict[tuple[int, int], Terms] = {}
     for a in range(len(vecs)):
         for b in range(a + 1, len(vecs)):

@@ -41,9 +41,9 @@ from plesken.cellular import (
     verify_theorem,
 )
 from plesken.lie import (
+    Fingerprint,
     derived_series,
     fingerprint,
-    fingerprint_match,
     killing_form,
     orthogonal_model,
 )
@@ -84,7 +84,7 @@ def test_criterion_2_matrix_algebras():
             A, sigma = matrix_algebra(n, "transpose")
             L = plesken_lie_algebra(A, sigma)
             assert L.dim == n * (n - 1) // 2
-            assert fingerprint_match(L, [n]).matches
+            assert fingerprint(L).compare(Fingerprint.orthogonal([n])).matches
         for n in range(1, 5):
             A, sigma = matrix_algebra(n, "conj_transpose")
             assert plesken_subspace(A, sigma).dim == n * n
@@ -122,7 +122,7 @@ def test_criterion_4_planar_rook():
                 assert outcome.lie_dim == 27 == 0 + 6 + 15 + 6 + 0
             L = plesken_lie_algebra(A, sigma)
             sizes = [math.comb(n, k) for k in range(n + 1)]
-            assert fingerprint_match(L, sizes).matches
+            assert fingerprint(L).compare(Fingerprint.orthogonal(sizes)).matches
 
 
 def test_criterion_5_temperley_lieb_semisimple():
@@ -191,7 +191,7 @@ def test_criterion_6_tl0_counterexample():
         assert [s.dim for s in derived_series(L)] == [4, 3, 1, 0]
         fp = fingerprint(L)
         assert fp.solvable and fp.derived_length == 3
-        assert not fingerprint_match(L, [1, 3, 2]).matches
+        assert not fp.compare(Fingerprint.orthogonal([1, 3, 2])).matches
 
 
 def test_criterion_7_group_algebras():

@@ -21,6 +21,7 @@ from plesken.algebra import (
     Algebra,
     AntiInvolution,
     InternalConsistencyError,
+    plesken_lie_algebra,
     plesken_subspace,
 )
 from plesken.builders import (
@@ -45,8 +46,9 @@ from plesken.cellular import (
     validate_cell_datum,
     verify_theorem,
 )
+from plesken.lie import Fingerprint, fingerprint
 from plesken.linalg import Matrix, sparse
-from plesken.report import cellular_report, validate_algebra
+from plesken.report import analysis_report, cellular_report, validate_algebra
 from plesken.scalars import I, ONE, scalar
 
 
@@ -556,6 +558,77 @@ def test_gram_matrix_matches_every_witness_pair(name, factory, n, datum_factory)
     assert validate_cell_datum(A, sigma, cd) is None
     for lam in cd.lambdas:
         assert gram_matrix(A, cd, lam).gram == gram_every_witness(A, cd, lam)
+
+
+# -- the fingerprint a certificate decides ----------------------------------
+
+CLOSED_FORM_SWEEP = [
+    *GRAM_SWEEP,
+    *(
+        (f"m-{involution}-{n}", partial(matrix_algebra, n, involution), n, cell_datum_matrix)
+        for n in (4, 5)
+        for involution in ("transpose", "conj_transpose")
+    ),
+    ("tl-3-6", partial(temperley_lieb, 6, "3"), 6, cell_datum_temperley_lieb),
+    ("pr-5", partial(planar_rook, 5), 5, cell_datum_planar_rook),
+]
+
+
+@pytest.mark.parametrize(
+    "name, factory, n, datum_factory",
+    CLOSED_FORM_SWEEP,
+    ids=[case[0] for case in CLOSED_FORM_SWEEP],
+)
+def test_certified_fingerprint_is_the_closed_form(name, factory, n, datum_factory):
+    # A certified report with passing Gram checks takes its fingerprint from
+    # the block sizes; every other report computes it from the Lie table.
+    # Both must equal the fingerprint computed from the table.
+    A, sigma = factory()
+    report = cellular_report(name, A, sigma, datum_factory(n, sigma))
+    certified = report["theorem"]["certified"] and report["gram_properties"]["pass"]
+    assert certified == (name not in DEGENERATE and "conj" not in name)
+    computed = fingerprint(plesken_lie_algebra(A, sigma))
+    if certified:
+        sizes = report["fingerprint_comparison"]["model_sizes"]
+        assert computed == Fingerprint.orthogonal(sizes)
+    assert report["fingerprint"] == computed.as_dict()
+
+
+def test_certified_report_builds_no_table_and_no_fingerprint(monkeypatch):
+    import plesken.lie as lie
+    import plesken.report as report
+
+    calls = {}
+    for module, name in (
+        (report, "fingerprint"),
+        (report, "plesken_lie_algebra"),
+        (lie, "orthogonal_model"),
+    ):
+        def counted(*args, name=name, original=getattr(module, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert not hasattr(report, "orthogonal_model")
+
+    A, sigma = temperley_lieb(5, 3)
+    cd = cell_datum_temperley_lieb(5, sigma)
+    out = cellular_report("tl35", A, sigma, cd)
+    assert out["theorem"]["certified"] and out["plesken"]["dim"] == 16
+    assert out["plesken"]["bracket_table"] is None
+    assert calls == {}
+    out = cellular_report("tl35", A, sigma, cd, bracket_cap=16)
+    assert len(out["plesken"]["bracket_table"]) == 16 * 15 // 2
+    assert calls == {"plesken_lie_algebra": 1}
+
+    A, sigma = temperley_lieb(4, 0)
+    for make in (
+        lambda: cellular_report("tl04", A, sigma, cell_datum_temperley_lieb(4, sigma)),
+        lambda: analysis_report("tl04", A, sigma),
+    ):
+        calls.clear()
+        assert make()["fingerprint"]["derived_dims"] == [4, 3, 1, 0]
+        assert calls == {"plesken_lie_algebra": 1, "fingerprint": 1}
 
 
 # -- sparse cell actions against the dense oracles ---------------------------

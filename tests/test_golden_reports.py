@@ -18,6 +18,8 @@ BUILDS = {
     "pr3": ("--family", "planar-rook", "--n", "3"),
     "tl0": ("--family", "temperley-lieb", "--n", "4", "--delta", "0"),
     "tl3": ("--family", "temperley-lieb", "--n", "4", "--delta", "3"),
+    "tl35": ("--family", "temperley-lieb", "--n", "5", "--delta", "3"),
+    "m5": ("--family", "matrix", "--n", "5"),
 }
 
 REPORTS = [
@@ -33,6 +35,14 @@ REPORTS = [
      "d44c4e029a4c955b72e00bea4cf095265eea2b845591d6fda11606a84957869e"),
     ("verify-cellular", "tl0", ("--format", "md"), 1,
      "c3873a44b1702b6614094a706280fddce5695caf0490d52c21d6a4f3a654c0de"),
+    # Lie dimension 16 is over the default bracket cap: no table is printed.
+    ("verify-cellular", "tl35", (), 0,
+     "7faeaa216630a07be04176b0f40d5f134a8bf7ad220ae271c2388a965cda2b72"),
+    ("verify-cellular", "tl35", ("--format", "md"), 0,
+     "ac867fc53c4c57f970c6ada262b2101007cf13cbdcbdb8a7b4e9dde6db05811a"),
+    # Certified, with its 10-dimensional bracket table printed.
+    ("verify-cellular", "m5", (), 0,
+     "d9bcfbd39cc09cf05ce91e37d89939c489c14263aaad36fa2ceb44b69ce3837e"),
 ]
 
 

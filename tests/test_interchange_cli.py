@@ -419,12 +419,16 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys, monkeypatch):
         assert json.loads(out)["error"]["kind"] == "invalid-input"
 
     # The algebra and the cell datum refuse these as the document is read,
-    # whichever command reads it.
+    # whichever command reads it.  A repeated index-set member would pass C1,
+    # which compares sets of triples, and give a degenerate 3x3 Gram form.
     for payload in (
         {**valid, "basis": ["E11", "E12", "E12", "E22"]},
         {**valid, "cell": {**cell, "lambdas": [1, 1]}},
         {**valid, "cell": {**cell, "order": [[1, 1]]}},
         {**valid, "cell": {**cell, "order": [[1, 7]]}},
+        {**valid, "cell": {**cell, "index_sets": [[1, [1, 2, 2]]]}},
+        {**valid, "cell": {**cell, "index_sets": [[1, [1, 2]], [1, [1, 2]]]}},
+        {**valid, "cell": {**cell, "index_sets": [[1, [1, 2]], [7, [1]]]}},
     ):
         q.write_text(json.dumps(payload))
         for command in ("analyze", "verify-cellular"):

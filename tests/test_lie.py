@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from oracles import jacobi_failure
 
@@ -5,12 +7,12 @@ from plesken.algebra import plesken_lie_algebra, plesken_subspace
 from plesken.builders import matrix_algebra, temperley_lieb
 from plesken.builders import planar_rook
 from plesken.lie import (
+    Fingerprint,
     LieAlgebra,
     bracket_span,
     center,
     derived_series,
     fingerprint,
-    fingerprint_match,
     killing_form,
     lower_central_series,
     orthogonal_model,
@@ -229,14 +231,27 @@ def test_orthogonal_model_satisfies_jacobi(sizes):
 def test_fingerprint_match_examples():
     A, sigma = planar_rook(3)
     L = plesken_lie_algebra(A, sigma)
-    assert fingerprint_match(L, [1, 3, 3, 1]).matches
+    assert fingerprint(L).compare(Fingerprint.orthogonal([1, 3, 3, 1])).matches
 
     _, _, L0 = tl0_lie()
-    comparison = fingerprint_match(L0, [1, 3, 2])
+    comparison = fingerprint(L0).compare(Fingerprint.orthogonal([1, 3, 2]))
     assert not comparison.matches
     assert any(field == "solvable" for field, _, _ in comparison.diffs)
 
-    assert fingerprint_match(LieAlgebra((), {}), [1]).matches
+    assert fingerprint(LieAlgebra((), {})).compare(Fingerprint.orthogonal([1])).matches
+
+
+@pytest.mark.parametrize("d", range(13))
+def test_closed_form_fingerprint_of_one_block(d):
+    assert Fingerprint.orthogonal([d]) == fingerprint(orthogonal_model([d]))
+
+
+def test_closed_form_fingerprint_of_up_to_three_blocks():
+    for k in range(4):
+        for sizes in itertools.combinations_with_replacement(range(7), k):
+            assert Fingerprint.orthogonal(sizes) == fingerprint(orthogonal_model(sizes)), sizes
+    with pytest.raises(ValueError):
+        Fingerprint.orthogonal([3, -1])
 
 
 def test_killing_form_is_symmetric():

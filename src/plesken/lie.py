@@ -12,10 +12,19 @@ a `linalg.Echelon`, read only until the span is the whole algebra.
 `fingerprint` collects exact invariants (derived and lower central series,
 center, Killing rank, solvability), compared field by field by
 `Fingerprint.compare`; a matching fingerprint is a necessary condition for
-isomorphism, not a proof.  `Fingerprint.orthogonal` gives the fingerprint
-of a direct sum of the orthogonal Lie algebras o(d) in closed form, and
-`orthogonal_model` builds that sum, each o(d) the skew part of M(d) under
-transposition, as a reference for it.
+isomorphism, not a proof.  It first reads the Killing matrix off the table
+reduced mod a fixed prime P = 1 (mod 4), with i -> a square root of -1 mod
+P.  Reduction is a ring homomorphism, so a full rank mod P proves K
+nondegenerate over Q(i); then the center lies in Rad K = 0, and by
+invariance [L, L]^perp = Z(L) = 0, so L is perfect and the fingerprint is
+the semisimple closed form (Humphreys, Introduction to Lie Algebras, 5).
+Any deficit mod P, or a denominator that P divides, falls back to the exact
+series, center and Killing rank over Q(i); one Killing loop serves both.
+
+`Fingerprint.orthogonal` gives the fingerprint of a direct sum of the
+orthogonal Lie algebras o(d) in closed form, and `orthogonal_model` builds
+that sum, each o(d) the skew part of M(d) under transposition, as a
+reference for it.
 """
 
 from __future__ import annotations
@@ -34,9 +43,10 @@ from .linalg import (
     bilinear_product,
     dense,
     rank,
+    rank_mod_p,
     sparse,
 )
-from .scalars import ZERO, GaussianRational
+from .scalars import ZERO, GaussianRational, scalar
 
 
 class LieAlgebra:
@@ -49,7 +59,7 @@ class LieAlgebra:
         for (i, j), terms in table.items():
             if not 0 <= i < j < self.dim:
                 raise ValueError("bracket table keys must satisfy i < j")
-            terms = tuple(sorted((k, c) for k, c in terms if c))
+            terms = tuple(sorted((k, scalar(c)) for k, c in terms if c))
             if terms:
                 cleaned[(i, j)] = terms
         self.table = cleaned
@@ -111,28 +121,57 @@ def center(L: LieAlgebra) -> Subspace:
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
-    """K(x, y) = trace(ad x . ad y), as a symmetric matrix on the basis.
+    """K(x, y) = trace(ad x . ad y), as a symmetric matrix on the basis."""
+    return Matrix(_killing_entries(L, ZERO, lambda c: c))
+
+
+def _killing_entries(L: LieAlgebra, zero, value) -> list[list]:
+    """The Killing matrix of L over the scalars that `value` maps each
+    structure constant to: itself, or its residue mod P.
 
     Each ad(a) is read once from the bracket table as sparse {(k, i): c},
     the coefficient of e_k in [e_a, e_i]; an entry is then one pass over the
     terms of ad(b) with lookups in ad(a).
     """
     n = L.dim
-    ad: list[dict[tuple[int, int], GaussianRational]] = [{} for _ in range(n)]
+    ad: list[dict] = [{} for _ in range(n)]
     for (a, i), terms in L._terms.items():
         for k, c in terms:
-            ad[a][(k, i)] = c
-    rows = [[ZERO] * n for _ in range(n)]
+            ad[a][(k, i)] = value(c)
+    rows = [[zero] * n for _ in range(n)]
     for a in range(n):
         get = ad[a].get
         for b in range(a, n):
-            s = ZERO
+            s = zero
             for (k, i), c in ad[b].items():
                 d = get((i, k))
                 if d:
                     s = s + c * d
             rows[a][b] = rows[b][a] = s
-    return Matrix(rows)
+    return rows
+
+
+# A prime P = 1 (mod 4), so that -1 has the square root I_MOD_P in F_P and
+# Z_(P)[i] -> F_P, i -> I_MOD_P, is a ring homomorphism.
+P = 998_244_353  # 119 * 2**23 + 1
+I_MOD_P = 911_660_635  # 3 ** ((P - 1) // 4) mod P, 3 a primitive root
+
+
+def _residue(c: GaussianRational) -> int:
+    """c mod P, with i -> I_MOD_P; P divides neither denominator of c."""
+    re, im = c.re, c.im
+    return (re.numerator * pow(re.denominator, -1, P)
+            + I_MOD_P * im.numerator * pow(im.denominator, -1, P)) % P
+
+
+def _killing_rank_mod_p(L: LieAlgebra) -> Optional[int]:
+    """The rank over F_P of the Killing matrix of the table read mod P, or
+    None when P divides a denominator of the table."""
+    if any(c.re.denominator % P == 0 or c.im.denominator % P == 0
+           for terms in L.table.values() for _, c in terms):
+        return None
+    rows = _killing_entries(L, 0, _residue)
+    return rank_mod_p(({k: c for k, c in enumerate(row) if c} for row in rows), P)
 
 
 @dataclass(frozen=True)
@@ -181,7 +220,12 @@ class Fingerprint:
         if any(d < 0 for d in sizes):
             raise ValueError("sizes must be non-negative")
         dim = sum(d * (d - 1) // 2 for d in sizes)
-        a = sum(1 for d in sizes if d == 2)
+        return cls._reductive(dim, sum(1 for d in sizes if d == 2))
+
+    @classmethod
+    def _reductive(cls, dim: int, a: int) -> Fingerprint:
+        """The fingerprint of an a-dimensional center plus a semisimple
+        ideal of dimension dim - a."""
         # [0], [D, D], [D, D - a, D - a] or [D, 0], as `_series` stops.
         series = (dim, dim - a, dim - a)[: 1 + (dim > 0) + (0 < a < dim)]
         solvable = dim == a
@@ -190,6 +234,29 @@ class Fingerprint:
 
 
 def fingerprint(L: LieAlgebra) -> Fingerprint:
+    """The exact fingerprint of L, read off the Killing rank mod P when that
+    rank is L.dim, and computed step by step otherwise.
+
+    Why a full rank mod P decides the rest:
+    - Reading the table mod P, with i -> I_MOD_P, is a ring homomorphism
+      Z_(P)[i] -> F_P, and the Killing entries are polynomials in the
+      table.  So the matrix built from the reduced table is K mod P, a
+      nonzero minor mod P is a nonzero minor over Q(i), and
+      rank_P(K mod P) <= rank K.  Full rank mod P makes K nondegenerate.
+    - ad z = 0 for z in the center Z(L), so Z(L) lies in Rad K = 0.
+    - By invariance K(x, [y, z]) = K([x, y], z), so x is orthogonal to
+      [L, L] exactly when [x, L] lies in Rad K = 0, that is, when x is
+      central.  Hence [L, L]^perp = Z(L) = 0, and as K is nondegenerate,
+      [L, L] = L and [L, [L, L]] = L (Humphreys, Introduction to Lie
+      Algebras, 5.1-5.2).
+    Both series are then (n, n), or (0,) when n = 0, and the fingerprint
+    is the semisimple case a = 0 of `Fingerprint.orthogonal`.  A rank
+    below L.dim mod P, or a denominator that P divides, proves nothing,
+    and the derived and lower central series, the center and the exact
+    Killing rank are computed over Q(i).
+    """
+    if _killing_rank_mod_p(L) == L.dim:
+        return Fingerprint._reductive(L.dim, 0)
     derived = [s.dim for s in derived_series(L)]
     lower = [s.dim for s in lower_central_series(L)]
     solvable = derived[-1] == 0

@@ -11,7 +11,9 @@ reduced row echelon form is unique, so it gives canonical representatives
 for subspaces: two subspaces are equal exactly when their rref row bases
 coincide, which is how `Subspace` equality is defined.  `rref`, `rank`,
 `kernel_basis` and `solve` are views of it on immutable dense `Matrix`
-values.
+values.  `rank_mod_p` is the one routine over a finite field: the rank of
+sparse integer rows mod a prime, which bounds the rank over Q(i) from
+below (see `lie.fingerprint`).
 """
 
 from __future__ import annotations
@@ -214,6 +216,31 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def rank(m: Matrix) -> int:
     return len(rref(m)[1])
+
+
+def rank_mod_p(rows: Iterable[Mapping[int, int]], p: int) -> int:
+    """The rank over F_p of sparse {index: int} rows, read mod the prime p.
+
+    Each row is cleared at its leading index by the row already kept there
+    until it vanishes or takes a new leading index.
+    """
+    kept: dict[int, dict[int, int]] = {}
+    for row in rows:
+        v = {k: c % p for k, c in row.items() if c % p}
+        while v:
+            lead = min(v)
+            if lead not in kept:
+                inverse = pow(v[lead], -1, p)
+                kept[lead] = {k: c * inverse % p for k, c in v.items()}
+                break
+            c = v[lead]
+            for k, d in kept[lead].items():
+                x = (v.get(k, 0) - c * d) % p
+                if x:
+                    v[k] = x
+                else:
+                    del v[k]
+    return len(kept)
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:

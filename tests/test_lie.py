@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from oracles import jacobi_failure
@@ -7,8 +8,11 @@ from plesken.algebra import plesken_lie_algebra, plesken_subspace
 from plesken.builders import matrix_algebra, temperley_lieb
 from plesken.builders import planar_rook
 from plesken.lie import (
+    I_MOD_P,
+    P,
     Fingerprint,
     LieAlgebra,
+    _killing_rank_mod_p,
     bracket_span,
     center,
     derived_series,
@@ -291,3 +295,77 @@ def test_center_and_fingerprint_match_dense_oracles(make):
     assert center(L) == center_scan(L)
     assert killing_form(L) == killing_form_scan(L)
     assert fingerprint(L) == fingerprint_gauss_jordan(L)
+
+
+def test_modular_prime_and_square_root_of_minus_one():
+    assert P % 4 == 1
+    assert all(P % d for d in range(2, int(P**0.5) + 1))
+    assert I_MOD_P * I_MOD_P % P == P - 1
+
+
+def _count_exact_steps(monkeypatch) -> dict:
+    """Count the calls `fingerprint` makes to the exact steps."""
+    import plesken.lie as lie
+
+    calls = dict.fromkeys(("killing_form", "center", "derived_series", "lower_central_series"), 0)
+    for name in calls:
+        def counted(L, name=name, original=getattr(lie, name)):
+            calls[name] += 1
+            return original(L)
+
+        monkeypatch.setattr(lie, name, counted)
+    return calls
+
+
+def _family_lie(name):
+    from test_validation_oracles import FAMILIES
+
+    families = {**FAMILIES, "TL_3(5)": lambda: temperley_lieb(5, 3)}
+    return plesken_lie_algebra(*families[name]())
+
+
+@pytest.mark.parametrize("name", ["TL_3(5)", "PR(3)", "H", "M(2,H)"])
+def test_full_killing_rank_mod_p_skips_the_exact_steps(monkeypatch, name):
+    from oracles import fingerprint_gauss_jordan
+
+    L = _family_lie(name)
+    calls = _count_exact_steps(monkeypatch)
+    fp = fingerprint(L)
+    assert calls == dict.fromkeys(calls, 0)
+    assert (fp.killing_rank, fp.center_dim, fp.derived_dims) == (L.dim, 0, (L.dim, L.dim))
+    assert fp == fingerprint_gauss_jordan(L)
+
+
+@pytest.mark.parametrize("name", ["TL_3(4)", "TL_0(4)", "M(3)*", "QS3"])
+def test_killing_deficit_mod_p_runs_the_exact_steps(monkeypatch, name):
+    from oracles import fingerprint_gauss_jordan
+
+    L = _family_lie(name)
+    calls = _count_exact_steps(monkeypatch)
+    fp = fingerprint(L)
+    assert calls == dict.fromkeys(calls, 1)
+    assert fp.killing_rank < L.dim
+    assert fp == fingerprint_gauss_jordan(L)
+
+
+@pytest.mark.parametrize(
+    "factor, rank_mod_p",
+    [(P, 0), (Fraction(1, P), None)],
+    ids=["K = 0 mod P", "P divides a denominator"],
+)
+def test_modular_failures_fall_back_to_the_exact_fingerprint(monkeypatch, factor, rank_mod_p):
+    # o(3) in the basis factor * e_a: [f_a, f_b] = factor * c * f_k.
+    o3 = orthogonal_model([3])
+    L = LieAlgebra(o3.labels, {
+        key: tuple((k, c * factor) for k, c in terms) for key, terms in o3.table.items()
+    })
+    assert _killing_rank_mod_p(L) == rank_mod_p
+    calls = _count_exact_steps(monkeypatch)
+    assert fingerprint(L) == Fingerprint.orthogonal([3])
+    assert calls == dict.fromkeys(calls, 1)
+
+
+def test_integer_structure_constants_are_read_as_scalars():
+    L = LieAlgebra("xyz", {(0, 1): ((2, -1),), (0, 2): ((1, 1),), (1, 2): ((0, -1),)})
+    assert L.table == orthogonal_model([3]).table
+    assert fingerprint(L) == Fingerprint.orthogonal([3])

@@ -10,6 +10,7 @@ from plesken.linalg import (
     Subspace,
     kernel_basis,
     rank,
+    rank_mod_p,
     rref,
     solve,
     unit_vector,
@@ -179,3 +180,32 @@ def test_matrix_operations():
     assert a.transpose().transpose() == a
     with pytest.raises(ValueError):
         Matrix([[1], [2, 3]])
+
+
+def _integer_rows(m):
+    return [{k: int(c.re) for k, c in enumerate(row) if c} for row in m.data]
+
+
+integer_matrices = st.integers(1, 4).flatmap(
+    lambda r: st.integers(1, 4).flatmap(
+        lambda c: st.lists(
+            st.lists(st.integers(-3, 3), min_size=c, max_size=c), min_size=r, max_size=r
+        )
+    )
+).map(Matrix)
+
+
+@given(integer_matrices)
+def test_rank_mod_p_bounds_the_exact_rank(m):
+    # Every minor of a 4x4 matrix with entries in [-3, 3] is below 4! * 3**4
+    # in absolute value, so a large prime divides none that is nonzero.
+    assert rank_mod_p(_integer_rows(m), 998_244_353) == rank(m)
+    assert rank_mod_p(_integer_rows(m), 5) <= rank(m)
+
+
+def test_rank_mod_p_drops_where_p_divides_a_minor():
+    rows = [{0: 5, 1: 1}, {1: 1}]
+    assert rank(Matrix([[5, 1], [0, 1]])) == 2
+    assert rank_mod_p(rows, 5) == 1
+    assert rank_mod_p(rows, 7) == 2
+    assert rank_mod_p([{0: 3, 1: -3}, {0: 1, 1: -1}, {}], 7) == 1

@@ -45,7 +45,7 @@ from .linalg import (
     vec_sub,
     vector,
 )
-from .scalars import I, ONE, GaussianRational, scalar
+from .scalars import I, ONE, GaussianRational, int_or_scalar, scalar
 
 
 class InternalConsistencyError(RuntimeError):
@@ -239,12 +239,11 @@ def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
 
     Every builder family has a monomial table: each stored product e_i e_j
     is a single term c e_k.  Such a table is read once into rows
-    {j: (k, c)}, with c a Python int when it is a real integer and a
-    GaussianRational otherwise.  The same loop then compares one
-    (target, coefficient) pair per side, None for a zero product, so the
-    witness is the same.  The table only multiplies and compares, so no
-    int division can arise.  A table with a product of two or more terms
-    runs the loop over `combine`d sums instead.
+    {j: (k, c)}, c taken by `int_or_scalar`.  The same loop then compares
+    one (target, coefficient) pair per side, None for a zero product, so
+    the witness is the same; it only multiplies and compares.  A table
+    with a product of two or more terms runs the loop over `combine`d sums
+    instead.
     """
     rows = _monomial_rows(algebra)
     if rows is None:
@@ -279,9 +278,7 @@ def _monomial_rows(algebra: Algebra) -> Optional[list[dict[int, tuple]]]:
         if len(terms) != 1:
             return None
         ((k, c),) = terms
-        if not c.im and c.re.denominator == 1:
-            c = c.re.numerator
-        rows[i][j] = (k, c)
+        rows[i][j] = (k, int_or_scalar(c))
     return rows
 
 
@@ -376,45 +373,57 @@ def plesken_subspace(algebra: Algebra, sigma: AntiInvolution) -> Subspace:
 def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra":
     """The Lie algebra on the skew part, with brackets expressed in its basis.
 
-    Expressing [x, y] must succeed for every basis pair; failure would mean
-    the bracket left the subspace, which the closure identity rules out.
+    Each bracket xy - yx of skew basis rows sums the product terms read in
+    place from `algebra.structure`, each coefficient of the rows and the
+    table taken by `int_or_scalar`: an int in every builder family but TL
+    at a non-integral delta.  The sums only add and multiply; `LieAlgebra`
+    coerces them.  A row is 1 at its pivot and 0 at the others, so the
+    coordinates are the entries at the pivots.  A remainder after taking
+    off those rows would mean the bracket left the subspace, which the
+    closure identity rules out.
     """
     from .lie import LieAlgebra
 
-    s = algebra.structure
+    get = algebra.structure.get
     sub = plesken_subspace(algebra, sigma)
-    span = sub.echelon
-    rows = [span.rows[p] for p in sub.pivots]
-    labels = lie_labels(algebra.labels, sub.basis)
-    table: dict[tuple[int, int], Terms] = {}
-    for a in range(len(rows)):
+    rows = [{k: int_or_scalar(c) for k, c in row.items()} for row in sub.sparse_basis]
+    position = {p: r for r, p in enumerate(sub.pivots)}
+    table: dict[tuple[int, int], list] = {}
+    for a, x in enumerate(rows):
         for b in range(a + 1, len(rows)):
-            x, y = rows[a], rows[b]
-            z = difference(bilinear_product(s, x, y), bilinear_product(s, y, x))
-            if span.reduce(z):
+            y = rows[b]
+            z: dict = {}
+            for i, c in x.items():
+                for j, d in y.items():
+                    cd = c * d
+                    for k, e in get((i, j), ()):
+                        z[k] = z.get(k, 0) + cd * int_or_scalar(e)
+                    for k, e in get((j, i), ()):
+                        z[k] = z.get(k, 0) - cd * int_or_scalar(e)
+            terms = sorted((position[p], c) for p, c in z.items() if c and p in position)
+            for r, c in terms:
+                for k, d in rows[r].items():
+                    z[k] = z.get(k, 0) - c * d
+            if any(z.values()):
                 raise InternalConsistencyError(
                     f"bracket of basis pair ({a}, {b}) left the skew part"
                 )
-            terms = tuple((r, z[p]) for r, p in enumerate(sub.pivots) if p in z)
             if terms:
                 table[(a, b)] = terms
-    return LieAlgebra(labels, table)
+    return LieAlgebra(lie_labels(algebra.labels, sub.sparse_basis), table)
 
 
-def lie_labels(ambient_labels: Sequence[str], vecs: Sequence[Vector]) -> list[str]:
-    """Labels of the skew basis `vecs`: a vector of at most two terms +-1 written
-    out in at most 24 characters, else x{r}; x{r} for all on a collision."""
+def lie_labels(ambient_labels: Sequence[str], rows: Sequence[Mapping]) -> list[str]:
+    """Labels of the skew basis, given as sparse rows: a row of at most two
+    terms +-1 written out in at most 24 characters, else x{r}; x{r} for all
+    on a collision."""
     labels = []
-    for r, v in enumerate(vecs):
-        text = describe_vector(ambient_labels, v)
-        nonzero = sum(1 for c in v if c)
-        if nonzero <= 2 and len(text) <= 24 and all(c in (ONE, -ONE) for c in v if c):
-            labels.append(text)
-        else:
-            labels.append(f"x{r}")
-    # Fall back uniformly if sparse rendering produced duplicates.
+    for r, row in enumerate(rows):
+        keys = sorted(row) if len(row) <= 2 and all(c in (ONE, -ONE) for c in row.values()) else ()
+        text = describe_vector([ambient_labels[k] for k in keys], [row[k] for k in keys])
+        labels.append(text if keys and len(text) <= 24 else f"x{r}")
     if len(set(labels)) != len(labels):
-        labels = [f"x{r}" for r in range(len(vecs))]
+        labels = [f"x{r}" for r in range(len(rows))]
     return labels
 
 

@@ -496,8 +496,7 @@ def verify_theorem(
     # (b) G-skewness of the action of every skew-part basis element.
     sub = plesken_subspace(algebra, sigma)
     skew_witness = None
-    for r, p in enumerate(sub.pivots):
-        x = sub.echelon.rows[p]
+    for r, x in enumerate(sub.sparse_basis):
         for lam in cd.lambdas:
             action, g = modules[lam].act(x), grams[lam].gram
             terms = _gram_terms(action, g, transposed=True)

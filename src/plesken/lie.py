@@ -19,7 +19,10 @@ nondegenerate over Q(i); then the center lies in Rad K = 0, and by
 invariance [L, L]^perp = Z(L) = 0, so L is perfect and the fingerprint is
 the semisimple closed form (Humphreys, Introduction to Lie Algebras, 5).
 Any deficit mod P, or a denominator that P divides, falls back to the exact
-series, center and Killing rank over Q(i); one Killing loop serves both.
+series, center and Killing rank over Q(i).  One Killing loop serves both:
+it sums trace(ad a ad b) over table positions, adding for each position
+(i, k) whose transpose (k, i) is filled the outer product of the constants
+there, so only products of two nonzero constants are formed.
 
 `Fingerprint.orthogonal` gives the fingerprint of a direct sum of the
 orthogonal Lie algebras o(d) in closed form, and `orthogonal_model` builds
@@ -46,7 +49,7 @@ from .linalg import (
     rank_mod_p,
     sparse,
 )
-from .scalars import ZERO, GaussianRational, scalar
+from .scalars import GaussianRational, int_or_scalar, scalar
 
 
 class LieAlgebra:
@@ -55,18 +58,23 @@ class LieAlgebra:
     def __init__(self, labels: Sequence[str], table):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        cleaned: dict[tuple[int, int], Terms] = {}
+        signed: dict = {}
+
+        def pair(c):  # (scalar(c), -scalar(c)), computed once per distinct c
+            if (p := signed.get((type(c), c))) is None:
+                p = signed[(type(c), c)] = (scalar(c), -scalar(c))
+            return p
+
+        self.table: dict[tuple[int, int], Terms] = {}
+        # Both halves of the antisymmetric table, for lookups in either order.
+        self._terms: dict[tuple[int, int], Terms] = {}
         for (i, j), terms in table.items():
             if not 0 <= i < j < self.dim:
                 raise ValueError("bracket table keys must satisfy i < j")
-            terms = tuple(sorted((k, scalar(c)) for k, c in terms if c))
+            terms = sorted((k, pair(c)) for k, c in terms if c)
             if terms:
-                cleaned[(i, j)] = terms
-        self.table = cleaned
-        # Both halves of the antisymmetric table, for lookups in either order.
-        self._terms = dict(cleaned)
-        for (i, j), terms in cleaned.items():
-            self._terms[(j, i)] = tuple((k, -c) for k, c in terms)
+                self.table[(i, j)] = self._terms[(i, j)] = tuple((k, c) for k, (c, _) in terms)
+                self._terms[(j, i)] = tuple((k, d) for k, (_, d) in terms)
 
     def bracket_terms(self, i: int, j: int) -> Terms:
         return self._terms.get((i, j), ())
@@ -122,32 +130,30 @@ def center(L: LieAlgebra) -> Subspace:
 
 def killing_form(L: LieAlgebra) -> Matrix:
     """K(x, y) = trace(ad x . ad y), as a symmetric matrix on the basis."""
-    return Matrix(_killing_entries(L, ZERO, lambda c: c))
+    return Matrix(_killing_entries(L, int_or_scalar))
 
 
-def _killing_entries(L: LieAlgebra, zero, value) -> list[list]:
-    """The Killing matrix of L over the scalars that `value` maps each
-    structure constant to: itself, or its residue mod P.
+def _killing_entries(L: LieAlgebra, value) -> list[list]:
+    """The Killing matrix of L, each structure constant mapped by `value`
+    (`int_or_scalar`, or the residue mod P, summed unreduced).
 
-    Each ad(a) is read once from the bracket table as sparse {(k, i): c},
-    the coefficient of e_k in [e_a, e_i]; an entry is then one pass over the
-    terms of ad(b) with lookups in ad(a).
+    K(a, b) = sum over i, k of (ad a)_ki (ad b)_ik, and the table is read
+    once into at[(i, k)] = {a: (ad a)_ki}, the coefficient of e_k in
+    [e_a, e_i].  Each position adds the outer product of at[(i, k)] and
+    at[(k, i)] into K, a diagonal one (i = k) with itself.
     """
-    n = L.dim
-    ad: list[dict] = [{} for _ in range(n)]
+    at: dict[tuple[int, int], dict] = {}
     for (a, i), terms in L._terms.items():
         for k, c in terms:
-            ad[a][(k, i)] = value(c)
-    rows = [[zero] * n for _ in range(n)]
-    for a in range(n):
-        get = ad[a].get
-        for b in range(a, n):
-            s = zero
-            for (k, i), c in ad[b].items():
-                d = get((i, k))
-                if d:
-                    s = s + c * d
-            rows[a][b] = rows[b][a] = s
+            at.setdefault((i, k), {})[a] = value(c)
+    rows = [[0] * L.dim for _ in range(L.dim)]
+    for (i, k), u in at.items():
+        v = at.get((k, i))
+        if v:
+            for a, c in u.items():
+                row = rows[a]
+                for b, d in v.items():
+                    row[b] += c * d
     return rows
 
 
@@ -170,8 +176,7 @@ def _killing_rank_mod_p(L: LieAlgebra) -> Optional[int]:
     if any(c.re.denominator % P == 0 or c.im.denominator % P == 0
            for terms in L.table.values() for _, c in terms):
         return None
-    rows = _killing_entries(L, 0, _residue)
-    return rank_mod_p(({k: c for k, c in enumerate(row) if c} for row in rows), P)
+    return rank_mod_p((dict(enumerate(row)) for row in _killing_entries(L, _residue)), P)
 
 
 @dataclass(frozen=True)

@@ -303,6 +303,11 @@ class Subspace:
         """The span as an `Echelon`, whose rows are the basis as sparse terms."""
         return Echelon(self.ambient, (sparse(v, self.ambient) for v in self.basis))
 
+    @property
+    def sparse_basis(self) -> list[dict[int, GaussianRational]]:
+        """The basis as the sparse rows of `echelon`, in pivot order."""
+        return [self.echelon.rows[p] for p in self.pivots]
+
     def coordinates(self, v: Sequence) -> Optional[Vector]:
         """Coefficients of v in the canonical basis, or None if v is outside.
 

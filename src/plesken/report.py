@@ -98,7 +98,7 @@ def _analysis(
     printed = sub.dim <= bracket_cap
     lie = plesken_lie_algebra(algebra, sigma) if fp is None or printed else None
     fp = fingerprint(lie) if fp is None else fp
-    labels = lie_labels(algebra.labels, sub.basis) if lie is None else lie.labels
+    labels = lie_labels(algebra.labels, sub.sparse_basis) if lie is None else lie.labels
     report = {
         "input": {
             "name": name,

@@ -171,6 +171,14 @@ def scalar(value) -> GaussianRational:
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
+def int_or_scalar(c: GaussianRational):
+    """c as a Python int when it is a real integer, else c itself: a mix
+    for loops that only add, multiply and compare (an int quotient would be
+    a float), where equal values compare and hash equal."""
+    re = c.re
+    return re.numerator if not c.im and re.denominator == 1 else c
+
+
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)

@@ -17,8 +17,9 @@ matrix.  Differential tests compare the results, which are canonical.
 Products, sigma, the skew part and the Lie table work on sparse terms.  The
 dense versions they replaced are here: the dense `bilinear_product` loop,
 sigma as a dense matrix-vector product, the skew part as the kernel of
-(sigma + id) cross-checked against the span of the e_i - sigma(e_i), and
-the Lie table from dense commutators with a dense residual check.  So are
+(sigma + id) cross-checked against the span of the e_i - sigma(e_i), the
+Lie table from dense commutators of `GaussianRational` vectors with a dense
+residual check, and its labels read off the dense basis vectors.  So are
 the Jacobi scan over all basis triples and the Killing form from an
 O(n^3 t) scan of the bracket table.
 
@@ -46,7 +47,7 @@ from plesken.algebra import (
     AntiInvolution,
     InternalConsistencyError,
     InvolutionFailure,
-    lie_labels,
+    describe_vector,
 )
 from plesken.cellular import CellDatum, CellForms, CellModule, GramPropertyFailure, Label
 from plesken.lie import Fingerprint, LieAlgebra
@@ -354,7 +355,7 @@ def plesken_lie_algebra_dense(algebra: Algebra, sigma: AntiInvolution) -> LieAlg
     """The Lie table from dense commutators of the kernel-based skew basis."""
     sub = skew_subspace_kernel(sigma)
     vecs = sub.basis
-    labels = lie_labels(algebra.labels, vecs)
+    labels = lie_labels_dense(algebra.labels, vecs)
     table: dict[tuple[int, int], Terms] = {}
     for a in range(len(vecs)):
         for b in range(a + 1, len(vecs)):
@@ -368,6 +369,22 @@ def plesken_lie_algebra_dense(algebra: Algebra, sigma: AntiInvolution) -> LieAlg
             if terms:
                 table[(a, b)] = terms
     return LieAlgebra(labels, table)
+
+
+def lie_labels_dense(ambient_labels: Sequence[str], vecs: Sequence[Vector]) -> list[str]:
+    """`lie_labels` on dense basis vectors: each written out in full, then
+    kept when it has at most two entries, all +-1, and 24 characters."""
+    labels = []
+    for r, v in enumerate(vecs):
+        text = describe_vector(ambient_labels, v)
+        nonzero = sum(1 for c in v if c)
+        if nonzero <= 2 and len(text) <= 24 and all(c in (ONE, -ONE) for c in v if c):
+            labels.append(text)
+        else:
+            labels.append(f"x{r}")
+    if len(set(labels)) != len(labels):
+        labels = [f"x{r}" for r in range(len(vecs))]
+    return labels
 
 
 def _dot(x: Sequence, y: Sequence) -> GaussianRational:

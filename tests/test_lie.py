@@ -2,7 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from oracles import jacobi_failure
+from hypothesis import given, settings, strategies as st
+from oracles import jacobi_failure, killing_form_scan
 
 from plesken.algebra import plesken_lie_algebra, plesken_subspace
 from plesken.builders import matrix_algebra, temperley_lieb
@@ -13,6 +14,7 @@ from plesken.lie import (
     Fingerprint,
     LieAlgebra,
     _killing_rank_mod_p,
+    _residue,
     bracket_span,
     center,
     derived_series,
@@ -21,8 +23,8 @@ from plesken.lie import (
     lower_central_series,
     orthogonal_model,
 )
-from plesken.linalg import Matrix, Subspace, vector
-from plesken.scalars import scalar
+from plesken.linalg import Matrix, Subspace, rank_mod_p, vector
+from plesken.scalars import GaussianRational, scalar
 
 
 def tl0_lie():
@@ -369,3 +371,29 @@ def test_integer_structure_constants_are_read_as_scalars():
     L = LieAlgebra("xyz", {(0, 1): ((2, -1),), (0, 2): ((1, 1),), (1, 2): ((0, -1),)})
     assert L.table == orthogonal_model([3]).table
     assert fingerprint(L) == Fingerprint.orthogonal([3])
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+@st.composite
+def antisymmetric_tables(draw):
+    """A bracket table on at most five basis vectors, Jacobi not required."""
+    n = draw(st.integers(0, 5))
+    table = {
+        (i, j): tuple(draw(st.dictionaries(st.integers(0, n - 1), gaussians, max_size=3)).items())
+        for i in range(n) for j in range(i + 1, n)
+    }
+    return LieAlgebra([f"e{i}" for i in range(n)], table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(antisymmetric_tables())
+def test_killing_form_by_positions_matches_the_scan(L):
+    # The position sum pairs (i, k) with (k, i); the scan sums over every index.
+    K = killing_form(L)
+    assert K == killing_form_scan(L)
+    # P divides no denominator here (all are 1, 2, 3 or their products).
+    residues = ({k: _residue(c) for k, c in enumerate(row)} for row in K.data)
+    assert _killing_rank_mod_p(L) == rank_mod_p(residues, P)

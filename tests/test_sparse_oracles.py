@@ -5,7 +5,9 @@ the dense code they replaced.
 part with its cross-check, and the Lie table built from dense commutators
 with a dense residual check.  On every builder family at n <= 4 the sparse
 pipeline must give the same canonical skew basis, the same Lie table and
-labels, and the same products.
+labels, and the same products.  TL at delta = i and 1/2 mixes int and
+`GaussianRational` constants in the Lie table's sums, and M(2) in a skewed
+basis has products of several terms.
 """
 
 import pytest
@@ -15,6 +17,7 @@ from oracles import (
     plesken_lie_algebra_dense,
     skew_subspace_kernel,
 )
+from test_validation_oracles import FAMILIES as VALIDATION_FAMILIES
 
 from plesken.algebra import plesken_lie_algebra, plesken_subspace
 from plesken.builders import (
@@ -31,13 +34,14 @@ from plesken.suite import cyclic_table, symmetric_3_table
 
 FAMILIES = {
     **{f"TL_{d}({n})": (lambda n=n, d=d: temperley_lieb(n, d))
-       for d in ("3", "0") for n in (1, 2, 3, 4)},
+       for d in ("3", "0", "i", "1/2") for n in (1, 2, 3, 4)},
     **{f"PR({n})": (lambda n=n: planar_rook(n)) for n in (1, 2, 3, 4)},
     **{f"M({n})": (lambda n=n: matrix_algebra(n)) for n in (1, 2, 3, 4)},
     **{f"M({n})*": (lambda n=n: matrix_algebra(n, "conj_transpose")) for n in (1, 2, 3, 4)},
     "M(2,H)": lambda: matrix_over_algebra(2, *quaternions()),
     **{f"C{k}": (lambda k=k: group_algebra(cyclic_table(k))) for k in (2, 3, 4)},
     "QS3": lambda: group_algebra(symmetric_3_table()),
+    "M(2) skewed basis": VALIDATION_FAMILIES["M(2) skewed basis"],
 }
 
 

@@ -20,7 +20,6 @@ from plesken import (
     is_semisimple,
     planar_rook,
     plesken_lie_algebra,
-    predicted_decomposition,
     temperley_lieb,
     validate_cell_datum,
     verify_theorem,
@@ -39,14 +38,12 @@ for title, (algebra, sigma), datum_of in (
         print(f"  cell {lam}: |M| = {form.size}, Gram rank {form.rank}")
     verdict = is_semisimple(algebra, cd)
     print("  semisimple:", verdict.semisimple)
-    grams = [gram_matrix(algebra, cd, lam) for lam in cd.lambdas]
-    decomposition = predicted_decomposition(cd, grams)
-    print("  predicted orthogonal blocks:", decomposition.size_list(),
-          "-> Lie dim", decomposition.lie_dim)
     outcome = verify_theorem(algebra, sigma, cd)
+    sizes = [d for _, d in outcome.block_sizes]
+    print("  predicted orthogonal blocks:", sizes, "-> Lie dim", outcome.predicted_lie_dim)
     print("  certificate:", outcome.certified,
           f"(skew dim {outcome.lie_dim} == {outcome.predicted_lie_dim})")
     L = plesken_lie_algebra(algebra, sigma)
     print("  fingerprint matches block model:",
-          fingerprint(L).compare(Fingerprint.orthogonal(decomposition.size_list())).matches)
+          fingerprint(L).compare(Fingerprint.orthogonal(sizes)).matches)
     print()

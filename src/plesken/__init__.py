@@ -13,14 +13,7 @@ All arithmetic is exact over the Gaussian rationals Q(i).
 """
 
 from .scalars import GaussianRational, scalar
-from .linalg import (
-    Matrix,
-    Subspace,
-    kernel_basis,
-    rank,
-    rref,
-    solve,
-)
+from .linalg import Matrix, Subspace, rank, rref
 from .algebra import (
     Algebra,
     AntiInvolution,
@@ -56,7 +49,6 @@ from .cellular import (
     check_gram_properties,
     gram_matrix,
     is_semisimple,
-    predicted_decomposition,
     validate_cell_datum,
     verify_theorem,
 )

@@ -45,7 +45,7 @@ from .linalg import (
     vec_sub,
     vector,
 )
-from .scalars import I, ONE, GaussianRational, int_or_scalar, scalar
+from .scalars import I, GaussianRational, exact
 
 
 class InternalConsistencyError(RuntimeError):
@@ -55,24 +55,34 @@ class InternalConsistencyError(RuntimeError):
 class Algebra:
     """Associative algebra given by labeled basis, structure tensor and unit."""
 
-    def __init__(self, labels: Sequence[str], structure: Mapping, unit: Sequence):
+    def __init__(self, labels: Sequence[str], structure, unit: Sequence):
+        """`structure` maps basis index pairs (i, j) to the (k, c) terms of
+        e_i e_j, or is an iterable of ((i, j), terms) items in which a pair
+        may recur, its terms then summed.  Every index must be an int (not a
+        bool) in range; coefficients are read by `exact`."""
         self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        if len(set(self.labels)) != self.dim:
+        n = self.dim = len(self.labels)
+        if len(set(self.labels)) != n:
             raise ValueError("basis labels must be distinct")
         self.unit = vector(unit)
-        if len(self.unit) != self.dim:
+        if len(self.unit) != n:
             raise ValueError("unit vector has wrong length")
+
+        def index(v) -> bool:
+            return type(v) is int and 0 <= v < n
+
+        items = structure.items() if isinstance(structure, Mapping) else structure
         table: dict[tuple[int, int], Terms] = {}
-        for (i, j), terms in structure.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
+        for (i, j), terms in items:
+            if not (index(i) and index(j)):
                 raise ValueError(f"structure index out of range: {(i, j)}")
+            terms = [*table.pop((i, j), ()), *terms]
             for k, _ in terms:
-                if not 0 <= k < self.dim:
+                if not index(k):
                     raise ValueError(f"structure target out of range: {k}")
-            merged = combine((k, scalar(c)) for k, c in terms)
-            if merged:
-                table[(i, j)] = tuple(sorted(merged.items()))
+            merged = combine((k, exact(c)) for k, c in terms)
+            if merged:  # a sum of non-integral values can be an integer
+                table[(i, j)] = tuple(sorted((k, exact(c)) for k, c in merged.items()))
         self.structure = table
 
     def __eq__(self, other):
@@ -110,16 +120,16 @@ class Algebra:
         span = Echelon(n)
 
         def times(v: dict[int, GaussianRational], g: int) -> dict[int, GaussianRational]:
-            return bilinear_product(self.structure, v, {g: ONE})
+            return bilinear_product(self.structure, v, {g: 1})
 
         generators: list[int] = []
         for b in sorted(range(n), key=lambda b: (-len(targets[b]), b)):
             if len(span.rows) == n:
                 break
-            if not span.reduce({b: ONE}):
+            if not span.reduce({b: 1}):
                 continue
             generators.append(b)
-            pending = [{b: ONE}] + [times(v, b) for v in span.rows.values()]
+            pending = [{b: 1}] + [times(v, b) for v in span.rows.values()]
             while pending:
                 row = span.insert(pending.pop())
                 if row:
@@ -144,9 +154,9 @@ def describe_vector(labels: Sequence[str], coeffs: Sequence) -> str:
     for label, c in zip(labels, coeffs):
         if not c:
             continue
-        if c == ONE:
+        if c == 1:
             term = label
-        elif c == -ONE:
+        elif c == -1:
             term = f"-{label}"
         else:
             text = str(c)
@@ -184,7 +194,7 @@ class AntiInvolution:
         # (perm, signs) with column j supported at row perm[j]; None if the
         # matrix is not a signed permutation.  The document shorthand.
         entries = [tuple(image.items()) for image in self.images]
-        perm = tuple(e[0][0] for e in entries if len(e) == 1 and e[0][1] in (ONE, -ONE))
+        perm = tuple(e[0][0] for e in entries if len(e) == 1 and e[0][1] in (1, -1))
         if self.matrix.rows != self.matrix.cols or sorted(perm) != list(range(len(entries))):
             return None
         return perm, tuple(e[0][1] for e in entries)
@@ -199,7 +209,7 @@ class AntiInvolution:
         exactly when sigma^2 = id and makes the span the (-1)-eigenspace.
         """
         n = self.matrix.rows
-        scalars = (ONE, I) if self.conjugates_scalars else (ONE,)
+        scalars = (1, I) if self.conjugates_scalars else (1,)
         span = Echelon(n, (self.skew_terms({j: c}) for j in range(n) for c in scalars))
         if not self.conjugates_scalars:
             for row in span.rows.values():
@@ -239,11 +249,10 @@ def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
 
     Every builder family has a monomial table: each stored product e_i e_j
     is a single term c e_k.  Such a table is read once into rows
-    {j: (k, c)}, c taken by `int_or_scalar`.  The same loop then compares
-    one (target, coefficient) pair per side, None for a zero product, so
-    the witness is the same; it only multiplies and compares.  A table
-    with a product of two or more terms runs the loop over `combine`d sums
-    instead.
+    {j: (k, c)} of its stored terms.  The same loop then compares one
+    (target, coefficient) pair per side, None for a zero product, so the
+    witness is the same.  A table with a product of two or more terms runs
+    the loop over `combine`d sums instead.
     """
     rows = _monomial_rows(algebra)
     if rows is None:
@@ -271,14 +280,13 @@ def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
 
 
 def _monomial_rows(algebra: Algebra) -> Optional[list[dict[int, tuple]]]:
-    """rows[i][j] = (k, c) with e_i e_j = c e_k, c an int when it is a real
-    integer; None if some product has two or more terms."""
+    """rows[i][j] = (k, c) with e_i e_j = c e_k; None if some product has
+    two or more terms."""
     rows: list[dict[int, tuple]] = [{} for _ in range(algebra.dim)]
     for (i, j), terms in algebra.structure.items():
         if len(terms) != 1:
             return None
-        ((k, c),) = terms
-        rows[i][j] = (k, int_or_scalar(c))
+        rows[i][j] = terms[0]
     return rows
 
 
@@ -303,7 +311,7 @@ def validate_unit(algebra: Algebra) -> Optional[int]:
     """First basis index where unit * e_i != e_i or e_i * unit != e_i, else None."""
     unit = sparse(algebra.unit, algebra.dim)
     for i in range(algebra.dim):
-        e = {i: ONE}
+        e = {i: 1}
         if bilinear_product(algebra.structure, unit, e) != e:
             return i
         if bilinear_product(algebra.structure, e, unit) != e:
@@ -343,7 +351,7 @@ def validate_involution(
         return InvolutionFailure("shape", (sigma.matrix.rows, sigma.matrix.cols))
     images = sigma.images
     for i in range(algebra.dim):
-        if sigma.image(images[i]) != {i: ONE}:
+        if sigma.image(images[i]) != {i: 1}:
             return InvolutionFailure("square", (i,))
     get = algebra.structure.get
     for i in algebra.generators:
@@ -374,11 +382,8 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
     """The Lie algebra on the skew part, with brackets expressed in its basis.
 
     Each bracket xy - yx of skew basis rows sums the product terms read in
-    place from `algebra.structure`, each coefficient of the rows and the
-    table taken by `int_or_scalar`: an int in every builder family but TL
-    at a non-integral delta.  The sums only add and multiply; `LieAlgebra`
-    coerces them.  A row is 1 at its pivot and 0 at the others, so the
-    coordinates are the entries at the pivots.  A remainder after taking
+    place from `algebra.structure`.  A row is 1 at its pivot and 0 at the
+    others, so the coordinates are the entries at the pivots.  A remainder after taking
     off those rows would mean the bracket left the subspace, which the
     closure identity rules out.
     """
@@ -386,7 +391,7 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
 
     get = algebra.structure.get
     sub = plesken_subspace(algebra, sigma)
-    rows = [{k: int_or_scalar(c) for k, c in row.items()} for row in sub.sparse_basis]
+    rows = sub.sparse_basis
     position = {p: r for r, p in enumerate(sub.pivots)}
     table: dict[tuple[int, int], list] = {}
     for a, x in enumerate(rows):
@@ -397,9 +402,9 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
                 for j, d in y.items():
                     cd = c * d
                     for k, e in get((i, j), ()):
-                        z[k] = z.get(k, 0) + cd * int_or_scalar(e)
+                        z[k] = z.get(k, 0) + cd * e
                     for k, e in get((j, i), ()):
-                        z[k] = z.get(k, 0) - cd * int_or_scalar(e)
+                        z[k] = z.get(k, 0) - cd * e
             terms = sorted((position[p], c) for p, c in z.items() if c and p in position)
             for r, c in terms:
                 for k, d in rows[r].items():
@@ -410,7 +415,7 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
                 )
             if terms:
                 table[(a, b)] = terms
-    return LieAlgebra(lie_labels(algebra.labels, sub.sparse_basis), table)
+    return LieAlgebra(lie_labels(algebra.labels, rows), table)
 
 
 def lie_labels(ambient_labels: Sequence[str], rows: Sequence[Mapping]) -> list[str]:
@@ -419,7 +424,7 @@ def lie_labels(ambient_labels: Sequence[str], rows: Sequence[Mapping]) -> list[s
     on a collision."""
     labels = []
     for r, row in enumerate(rows):
-        keys = sorted(row) if len(row) <= 2 and all(c in (ONE, -ONE) for c in row.values()) else ()
+        keys = sorted(row) if len(row) <= 2 and all(c in (1, -1) for c in row.values()) else ()
         text = describe_vector([ambient_labels[k] for k in keys], [row[k] for k in keys])
         labels.append(text if keys and len(text) <= 24 else f"x{r}")
     if len(set(labels)) != len(labels):

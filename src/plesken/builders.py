@@ -35,16 +35,16 @@ from typing import Sequence
 
 from .algebra import Algebra, AntiInvolution
 from .linalg import Matrix
-from .scalars import ONE, ZERO, scalar
+from .scalars import exact
 
 DEFAULT_DIAGRAM_CAP = 6
 
 
 def signed_permutation_matrix(n: int, perm: Sequence[int], signs=None) -> Matrix:
     """Matrix sending basis vector j to signs[j] * basis vector perm[j]."""
-    rows = [[ZERO] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for j in range(n):
-        rows[perm[j]][j] = ONE if signs is None else scalar(signs[j])
+        rows[perm[j]][j] = 1 if signs is None else signs[j]
     return Matrix(rows)
 
 
@@ -60,26 +60,26 @@ def quaternions() -> tuple[Algebra, AntiInvolution]:
     """
     labels = ("1", "i", "j", "k")
     one, i, j, k = range(4)
-    neg = -ONE
+    neg = -1
     structure = {
-        (one, one): ((one, ONE),),
-        (one, i): ((i, ONE),),
-        (one, j): ((j, ONE),),
-        (one, k): ((k, ONE),),
-        (i, one): ((i, ONE),),
-        (j, one): ((j, ONE),),
-        (k, one): ((k, ONE),),
+        (one, one): ((one, 1),),
+        (one, i): ((i, 1),),
+        (one, j): ((j, 1),),
+        (one, k): ((k, 1),),
+        (i, one): ((i, 1),),
+        (j, one): ((j, 1),),
+        (k, one): ((k, 1),),
         (i, i): ((one, neg),),
         (j, j): ((one, neg),),
         (k, k): ((one, neg),),
-        (i, j): ((k, ONE),),
+        (i, j): ((k, 1),),
         (j, i): ((k, neg),),
-        (j, k): ((i, ONE),),
+        (j, k): ((i, 1),),
         (k, j): ((i, neg),),
-        (k, i): ((j, ONE),),
+        (k, i): ((j, 1),),
         (i, k): ((j, neg),),
     }
-    algebra = Algebra(labels, structure, (ONE, ZERO, ZERO, ZERO))
+    algebra = Algebra(labels, structure, (1, 0, 0, 0))
     sigma = AntiInvolution(
         signed_permutation_matrix(4, (0, 1, 2, 3), (1, -1, -1, -1))
     )
@@ -105,10 +105,10 @@ def matrix_algebra(n: int, involution: str = "transpose") -> tuple[Algebra, Anti
             for u in range(1, n + 1):
                 for v in range(1, n + 1):
                     if s == u:
-                        structure[(idx(r, s), idx(u, v))] = ((idx(r, v), ONE),)
-    unit = [ZERO] * (n * n)
+                        structure[(idx(r, s), idx(u, v))] = ((idx(r, v), 1),)
+    unit = [0] * (n * n)
     for r in range(1, n + 1):
-        unit[idx(r, r)] = ONE
+        unit[idx(r, r)] = 1
     perm = [idx(s, r) for r in range(1, n + 1) for s in range(1, n + 1)]
     sigma = AntiInvolution(
         signed_permutation_matrix(n * n, perm),
@@ -151,7 +151,7 @@ def matrix_over_algebra(
                             structure[(idx(r, s, i), idx(s, v, j))] = tuple(
                                 (idx(r, v, k), c) for k, c in terms
                             )
-    unit = [ZERO] * dim
+    unit = [0] * dim
     for r in range(1, n + 1):
         for i, c in enumerate(inner.unit):
             unit[idx(r, r, i)] = c
@@ -160,7 +160,7 @@ def matrix_over_algebra(
         for s in range(1, n + 1):
             for i in range(d):
                 image = inner_sigma.matrix.column(i)
-                col = [ZERO] * dim
+                col = [0] * dim
                 for k, c in enumerate(image):
                     col[idx(s, r, k)] = c
                 columns.append(col)
@@ -236,10 +236,10 @@ def group_algebra(table: GroupTable) -> tuple[Algebra, AntiInvolution]:
     """Group algebra with the involution that inverts group elements."""
     n = table.order
     structure = {
-        (i, j): ((table.product[i][j], ONE),) for i in range(n) for j in range(n)
+        (i, j): ((table.product[i][j], 1),) for i in range(n) for j in range(n)
     }
-    unit = [ZERO] * n
-    unit[table.identity] = ONE
+    unit = [0] * n
+    unit[table.identity] = 1
     sigma = AntiInvolution(signed_permutation_matrix(n, table.inverse))
     return Algebra(table.labels, structure, unit), sigma
 
@@ -322,10 +322,10 @@ def planar_rook(
     structure = {}
     for i, d1 in enumerate(diagrams):
         for j, d2 in enumerate(diagrams):
-            structure[(i, j)] = ((index[d1.compose(d2)], ONE),)
+            structure[(i, j)] = ((index[d1.compose(d2)], 1),)
     full = tuple(range(1, n + 1))
-    unit = [ZERO] * len(diagrams)
-    unit[index[PlanarRookDiagram(n, full, full)]] = ONE
+    unit = [0] * len(diagrams)
+    unit[index[PlanarRookDiagram(n, full, full)]] = 1
     perm = [index[d.flip()] for d in diagrams]
     sigma = AntiInvolution(signed_permutation_matrix(len(diagrams), perm))
     labels = tuple(d.label() for d in diagrams)
@@ -473,7 +473,7 @@ def temperley_lieb(
         raise ValueError("n must be at least 1")
     if n > cap:
         raise ValueError(f"n={n} exceeds the size cap {cap}")
-    delta = scalar(delta)
+    delta = exact(delta)
     diagrams = temperley_lieb_diagrams(n)
     index = {d: i for i, d in enumerate(diagrams)}
     structure = {}
@@ -483,8 +483,8 @@ def temperley_lieb(
             coeff = delta**loops
             if coeff:
                 structure[(i, j)] = ((index[product], coeff),)
-    unit = [ZERO] * len(diagrams)
-    unit[index[TLDiagram.identity(n)]] = ONE
+    unit = [0] * len(diagrams)
+    unit[index[TLDiagram.identity(n)]] = 1
     perm = [index[d.flip()] for d in diagrams]
     sigma = AntiInvolution(signed_permutation_matrix(len(diagrams), perm))
     labels = tuple(d.label() for d in diagrams)

@@ -40,7 +40,7 @@ from .builders import (
     temperley_lieb_diagrams,
 )
 from .linalg import Matrix, combine, rank
-from .scalars import ONE, ZERO, GaussianRational
+from .scalars import GaussianRational
 
 Label = object  # cell labels are small hashable values (ints here)
 Entries = Mapping[tuple[int, int], GaussianRational]  # sparse matrix: (row, col) -> scalar
@@ -205,7 +205,7 @@ def validate_cell_datum(
         )
     # C2: sigma swaps the two index positions.
     for (lam, s, t), idx in cd.basis_map.items():
-        if sigma.images[idx] != {cd.basis_map[(lam, t, s)]: ONE}:
+        if sigma.images[idx] != {cd.basis_map[(lam, t, s)]: 1}:
             return CellValidationFailure(
                 "C2", (lam, s, t), "involution does not send C[s,t] to C[t,s]"
             )
@@ -312,7 +312,7 @@ def gram_matrix(algebra: Algebra, cd: CellDatum, lam: Label) -> GramForm:
     for t in members:
         s0 = members[0]
         block = _column_action(algebra, cd, lam, cd.basis_map[(lam, s0, t)], s0)
-        rows.append([block.get((s0, u), ZERO) for u in members])
+        rows.append([block.get((s0, u), 0) for u in members])
     return GramForm(lam, Matrix(rows))
 
 
@@ -369,32 +369,11 @@ class PredictedDecomposition:
     sizes: tuple[tuple[Label, int], ...]  # (lam, module dimension)
     lie_dim: int
 
-    def size_list(self) -> list[int]:
-        return [d for _, d in self.sizes]
-
     def as_dict(self) -> dict:
         return {
             "blocks": [{"cell": lam, "size": d} for lam, d in self.sizes],
             "lie_dim": self.lie_dim,
         }
-
-
-def predicted_decomposition(
-    cd: CellDatum, grams: Sequence[GramForm]
-) -> PredictedDecomposition:
-    """Orthogonal block sizes predicted for a semisimple datum.
-
-    Refuses (ValueError) when some Gram form is degenerate, since the
-    prediction only means anything under the semisimplicity hypothesis.
-    Cells with empty index sets are skipped.
-    """
-    for form in grams:
-        if not form.nondegenerate:
-            raise ValueError(
-                f"cell {form.lam!r} has a degenerate Gram form; "
-                "no decomposition is predicted"
-            )
-    return _blocks(cd)
 
 
 def _blocks(cd: CellDatum) -> PredictedDecomposition:
@@ -556,7 +535,7 @@ def check_gram_properties(
         module, g = cell_module(algebra, cd, lam), gram_matrix(algebra, cd, lam).gram
     else:
         module, g = forms.modules[lam], forms.grams[lam].gram
-    bar = GaussianRational.conjugate if sigma.conjugates_scalars else (lambda c: c)
+    bar = (lambda c: c.conjugate()) if sigma.conjugates_scalars else (lambda c: c)
     if g != Matrix([[bar(v) for v in column] for column in zip(*g.data)]):
         return GramPropertyFailure(lam, "symmetry", ())
     for a in range(algebra.dim):

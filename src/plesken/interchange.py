@@ -20,8 +20,9 @@ Document layout (format_version "1", the only one):
 
 In memory a document is the `Algebra`, `AntiInvolution` and `CellDatum`
 it describes.  `parse` builds them directly, so their constructors' checks
-(distinct labels, a strict order on known cells, one index set per known
-cell with no member twice) refuse a document in `parse`, with ValueError;
+(distinct labels, structure indices that are ints in range, a strict order
+on known cells, one index set per known cell with no member twice) refuse a
+document in `parse`, with ValueError;
 `emit` writes straight from them.
 
 Scalars are exact strings, never decimals.  Cell index labels may be
@@ -41,7 +42,6 @@ from .algebra import Algebra, AntiInvolution
 from .builders import signed_permutation_matrix
 from .cellular import CellDatum
 from .linalg import Matrix
-from .scalars import ONE
 
 FORMAT_VERSION = "1"
 FILE_SUFFIX = ".plesken.json"
@@ -102,7 +102,7 @@ def _involution_payload(sigma: AntiInvolution) -> dict:
     else:
         perm, signs = shorthand
         payload["permutation"] = list(perm)
-        payload["signs"] = [1 if sign == ONE else -1 for sign in signs]
+        payload["signs"] = list(signs)
     return payload
 
 
@@ -188,13 +188,8 @@ def parse(text: str) -> AlgebraDocument:
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise ValueError("basis must be a list of strings")
     dim = len(basis)
-    structure: dict[tuple[int, int], list] = {}
-    for quad in _rows(payload["structure"], "structure"):
-        i, j, k, c = quad
-        # type(v) is int: JSON true and false are not indices.
-        if not all(type(v) is int and 0 <= v < dim for v in (i, j, k)):
-            raise ValueError(f"structure indices out of range: {quad}")
-        structure.setdefault((i, j), []).append((k, c))
+    quads = _rows(payload["structure"], "structure")
+    structure = (((i, j), ((k, c),)) for i, j, k, c in quads)
     algebra = Algebra(basis, structure, _list(payload["unit"], "unit"))
     sigma = _parse_involution(payload["involution"], dim)
     cell = _parse_cell(payload["cell"], dim, sigma) if "cell" in payload else None

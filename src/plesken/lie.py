@@ -49,7 +49,7 @@ from .linalg import (
     rank_mod_p,
     sparse,
 )
-from .scalars import GaussianRational, int_or_scalar, scalar
+from .scalars import GaussianRational, exact
 
 
 class LieAlgebra:
@@ -58,23 +58,17 @@ class LieAlgebra:
     def __init__(self, labels: Sequence[str], table):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        signed: dict = {}
-
-        def pair(c):  # (scalar(c), -scalar(c)), computed once per distinct c
-            if (p := signed.get((type(c), c))) is None:
-                p = signed[(type(c), c)] = (scalar(c), -scalar(c))
-            return p
-
         self.table: dict[tuple[int, int], Terms] = {}
         # Both halves of the antisymmetric table, for lookups in either order.
         self._terms: dict[tuple[int, int], Terms] = {}
         for (i, j), terms in table.items():
             if not 0 <= i < j < self.dim:
                 raise ValueError("bracket table keys must satisfy i < j")
-            terms = sorted((k, pair(c)) for k, c in terms if c)
+            terms = [(k, exact(c)) for k, c in terms]
+            terms = tuple(sorted((k, c) for k, c in terms if c))
             if terms:
-                self.table[(i, j)] = self._terms[(i, j)] = tuple((k, c) for k, (c, _) in terms)
-                self._terms[(j, i)] = tuple((k, d) for k, (_, d) in terms)
+                self.table[(i, j)] = self._terms[(i, j)] = terms
+                self._terms[(j, i)] = tuple((k, -c) for k, c in terms)
 
     def bracket_terms(self, i: int, j: int) -> Terms:
         return self._terms.get((i, j), ())
@@ -130,12 +124,12 @@ def center(L: LieAlgebra) -> Subspace:
 
 def killing_form(L: LieAlgebra) -> Matrix:
     """K(x, y) = trace(ad x . ad y), as a symmetric matrix on the basis."""
-    return Matrix(_killing_entries(L, int_or_scalar))
+    return Matrix(_killing_entries(L, lambda c: c))
 
 
 def _killing_entries(L: LieAlgebra, value) -> list[list]:
     """The Killing matrix of L, each structure constant mapped by `value`
-    (`int_or_scalar`, or the residue mod P, summed unreduced).
+    (the identity, or the residue mod P, summed unreduced).
 
     K(a, b) = sum over i, k of (ad a)_ki (ad b)_ik, and the table is read
     once into at[(i, k)] = {a: (ad a)_ki}, the coefficient of e_k in
@@ -163,8 +157,10 @@ P = 998_244_353  # 119 * 2**23 + 1
 I_MOD_P = 911_660_635  # 3 ** ((P - 1) // 4) mod P, 3 a primitive root
 
 
-def _residue(c: GaussianRational) -> int:
+def _residue(c) -> int:
     """c mod P, with i -> I_MOD_P; P divides neither denominator of c."""
+    if type(c) is int:
+        return c % P
     re, im = c.re, c.im
     return (re.numerator * pow(re.denominator, -1, P)
             + I_MOD_P * im.numerator * pow(im.denominator, -1, P)) % P
@@ -173,7 +169,7 @@ def _residue(c: GaussianRational) -> int:
 def _killing_rank_mod_p(L: LieAlgebra) -> Optional[int]:
     """The rank over F_P of the Killing matrix of the table read mod P, or
     None when P divides a denominator of the table."""
-    if any(c.re.denominator % P == 0 or c.im.denominator % P == 0
+    if any(type(c) is not int and (c.re.denominator % P == 0 or c.im.denominator % P == 0)
            for terms in L.table.values() for _, c in terms):
         return None
     return rank_mod_p((dict(enumerate(row)) for row in _killing_entries(L, _residue)), P)

@@ -9,11 +9,13 @@ constructors, row, column and transpose views, indexing and equality.  It
 holds sigma, the Gram and Killing matrices and the input of `rref`.  The
 reduced row echelon form is unique, so it gives canonical representatives
 for subspaces: two subspaces are equal exactly when their rref row bases
-coincide, which is how `Subspace` equality is defined.  `rref`, `rank`,
-`kernel_basis` and `solve` are views of it on immutable dense `Matrix`
-values.  `rank_mod_p` is the one routine over a finite field: the rank of
-sparse integer rows mod a prime, which bounds the rank over Q(i) from
-below (see `lie.fingerprint`).
+coincide, which is how `Subspace` equality is defined.  `rref` and `rank`
+are views of it on immutable dense `Matrix` values.  `vector` reads
+entries by `scalars.exact`, and `sparse`, `Matrix` and the `Subspace`
+bases read through it; `Echelon.insert`, the one division, divides by a
+`GaussianRational`.  `rank_mod_p` is the one routine over a finite field:
+the rank of sparse integer rows mod a prime, which bounds the rank over
+Q(i) from below (see `lie.fingerprint`).
 """
 
 from __future__ import annotations
@@ -22,22 +24,22 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .scalars import ONE, ZERO, GaussianRational, scalar
+from .scalars import GaussianRational, exact, scalar
 
 Vector = tuple[GaussianRational, ...]
 Terms = tuple[tuple[int, GaussianRational], ...]  # sparse (index, coefficient)
 
 
 def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
+    return (0,) * n
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return (ZERO,) * i + (ONE,) + (ZERO,) * (n - i - 1)
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 def vector(values: Iterable) -> Vector:
-    return tuple(scalar(v) for v in values)
+    return tuple(map(exact, values))
 
 
 def vec_sub(x: Vector, y: Vector) -> Vector:
@@ -61,7 +63,7 @@ def sparse(v: Sequence, n: int) -> dict[int, GaussianRational]:
 
 def dense(n: int, v: Mapping[int, GaussianRational]) -> Vector:
     """The dense vector of length n with the sparse entries v."""
-    return tuple(v.get(k, ZERO) for k in range(n))
+    return tuple(v.get(k, 0) for k in range(n))
 
 
 def difference(
@@ -93,13 +95,13 @@ def bilinear_product(
 
 
 class Matrix:
-    """Immutable dense matrix of GaussianRational entries: a container with
-    views and equality, and no arithmetic."""
+    """Immutable dense matrix of exact entries, read by `vector`: a container
+    with views and equality, and no arithmetic."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: Sequence[Sequence]):
-        data = tuple(tuple(scalar(v) for v in row) for row in rows)
+        data = tuple(vector(row) for row in rows)
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValueError("ragged rows")
         object.__setattr__(self, "data", data)
@@ -115,7 +117,7 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> Matrix:
-        return cls([[ZERO] * cols for _ in range(rows)])
+        return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> Matrix:
@@ -175,7 +177,8 @@ class Echelon:
         if row:
             pivot = min(row)
             lead = row[pivot]
-            if lead != ONE:
+            if lead != 1:
+                lead = scalar(lead)
                 row = {k: c / lead for k, c in row.items()}
             for p, other in list(self.rows.items()):
                 if pivot in other:
@@ -187,7 +190,7 @@ class Echelon:
     def subspace(self) -> Subspace:
         """The span in canonical form."""
         pivots = tuple(sorted(self.rows))
-        basis = tuple(dense(self.ambient, self.rows[p]) for p in pivots)
+        basis = tuple(vector(dense(self.ambient, self.rows[p])) for p in pivots)
         return Subspace(self.ambient, basis, pivots)
 
     def kernel(self) -> Subspace:
@@ -195,10 +198,10 @@ class Echelon:
         vectors = []
         for f in range(self.ambient):
             if f not in self.rows:
-                v = [ZERO] * self.ambient
-                v[f] = ONE
+                v = [0] * self.ambient
+                v[f] = 1
                 for p, row in self.rows.items():
-                    v[p] = -row.get(f, ZERO)
+                    v[p] = -row.get(f, 0)
                 vectors.append(v)
         return Subspace.from_vectors(self.ambient, vectors)
 
@@ -241,28 +244,6 @@ def rank_mod_p(rows: Iterable[Mapping[int, int]], p: int) -> int:
                 else:
                     del v[k]
     return len(kept)
-
-
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Echelonized basis of the right null space; empty iff rank == cols."""
-    return list(Echelon(m.cols, (sparse(row, m.cols) for row in m.data)).kernel().basis)
-
-
-def solve(m: Matrix, rhs: Sequence) -> Optional[Vector]:
-    """Some exact solution of m @ x = rhs, or None if the system is inconsistent."""
-    rhs = vector(rhs)
-    if len(rhs) != m.rows:
-        raise ValueError("shape mismatch")
-    augmented = Matrix([row + (b,) for row, b in zip(m.data, rhs)]) if m.rows else m
-    if m.rows == 0:
-        return zero_vector(m.cols)
-    reduced, pivots = rref(augmented)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    x = [ZERO] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced.data[r][m.cols]
-    return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -318,7 +299,7 @@ class Subspace:
         v = sparse(v, self.ambient)
         if self.echelon.reduce(v):
             return None
-        return tuple(v.get(p, ZERO) for p in self.pivots)
+        return tuple(v.get(p, 0) for p in self.pivots)
 
     def contains(self, v: Sequence) -> bool:
         return self.coordinates(v) is not None

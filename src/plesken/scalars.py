@@ -9,6 +9,14 @@ Text form (used in the JSON interchange documents): "a", "a/b" or
 "a/b+c/di", e.g. "3", "-1/2", "0+1i", "1/2-3/4i".  `from_string` also
 accepts the obvious shorthands ("i", "-i", "2+i", "3i"); `str()` always
 emits the canonical form, so parse/emit round trips are stable.
+
+The reading rule: a value the package stores (structure constants, the
+unit, `Matrix` entries, vectors and the Lie table) is read once, where it
+enters, by `exact`: a Python `int` when it is a real integer, a
+`GaussianRational` otherwise.  Integer tables, the common case, then add,
+multiply and compare as ints, and mix with `GaussianRational`s, which
+coerce ints.  An int has no `.re` or `.im`, and `int / int` is a float,
+so code that divides stored values divides by `scalar(c)`.
 """
 
 from __future__ import annotations
@@ -171,10 +179,12 @@ def scalar(value) -> GaussianRational:
     raise TypeError(f"cannot interpret {value!r} as a scalar")
 
 
-def int_or_scalar(c: GaussianRational):
-    """c as a Python int when it is a real integer, else c itself: a mix
-    for loops that only add, multiply and compare (an int quotient would be
-    a float), where equal values compare and hash equal."""
+def exact(value):
+    """The stored form of a value `scalar` accepts: an int when it is a real
+    integer, else its `GaussianRational`."""
+    if type(value) is int:
+        return value
+    c = scalar(value)
     re = c.re
     return re.numerator if not c.im and re.denominator == 1 else c
 

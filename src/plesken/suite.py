@@ -40,7 +40,6 @@ from .cellular import (
     cell_datum_temperley_lieb,
 )
 from .report import cellular_report, validate_algebra
-from .scalars import scalar
 
 
 def cyclic_table(k: int) -> GroupTable:
@@ -110,9 +109,9 @@ def _item_quaternions() -> dict:
     lie = _lie(*quaternions())
     _check(lie.dim == 3, "skew part should be 3-dimensional")
     i, j, k = 0, 1, 2
-    _check(lie.bracket_terms(i, j) == ((k, scalar(2)),), "[i,j] != 2k")
-    _check(lie.bracket_terms(i, k) == ((j, scalar(-2)),), "[i,k] != -2j")
-    _check(lie.bracket_terms(j, k) == ((i, scalar(2)),), "[j,k] != 2i")
+    _check(lie.bracket_terms(i, j) == ((k, 2),), "[i,j] != 2k")
+    _check(lie.bracket_terms(i, k) == ((j, -2),), "[i,k] != -2j")
+    _check(lie.bracket_terms(j, k) == ((i, 2),), "[j,k] != 2i")
     return {"lie_dim": lie.dim}
 
 
@@ -156,7 +155,7 @@ def _item_planar_rook(n: int, cap: int) -> dict:
 def _item_temperley_lieb(n: int, delta_text: str, cap: int) -> dict:
     if n > cap:
         raise SkipItem(f"n={n} exceeds cap {cap}")
-    algebra, sigma = temperley_lieb(n, scalar(delta_text), cap=cap)
+    algebra, sigma = temperley_lieb(n, delta_text, cap=cap)
     catalan = math.comb(2 * n, n) // (n + 1)
     _check(algebra.dim == catalan, "dimension != Catalan(n)")
     report = _verified(

@@ -9,10 +9,10 @@ set, the associativity scan gives the witness the fast path must return; it
 sums every product over `GaussianRational`, whatever the table's shape.
 
 `plesken.linalg.Echelon` reduces sparse rows one at a time.  The dense
-Gauss-Jordan loop it replaced is here, with the subspace, kernel, center
-and fingerprint computations built on it: the center from an O(n^3 t) scan
-of the bracket table, each series term from all brackets stacked into one
-matrix.  Differential tests compare the results, which are canonical.
+Gauss-Jordan loop it replaced is here, with the subspace, kernel, solve,
+center and fingerprint computations built on it: the center from an
+O(n^3 t) scan of the bracket table, each series term from all brackets
+stacked into one matrix.  Differential tests compare the results, which are canonical.
 
 Products, sigma, the skew part and the Lie table work on sparse terms.  The
 dense versions they replaced are here: the dense `bilinear_product` loop,
@@ -177,6 +177,21 @@ def kernel_gauss_jordan(m: Matrix) -> Subspace:
             v[p] = -reduced.data[r][f]
         vectors.append(tuple(v))
     return span_gauss_jordan(m.cols, vectors)
+
+
+def solve_gauss_jordan(m: Matrix, rhs: Sequence) -> Optional[Vector]:
+    """Some exact solution of m @ x = rhs, or None if the system is
+    inconsistent, read off the rref of the augmented matrix."""
+    rhs = vector(rhs)
+    if len(rhs) != m.rows:
+        raise ValueError("shape mismatch")
+    reduced, pivots = rref_gauss_jordan(Matrix([row + (b,) for row, b in zip(m.data, rhs)]))
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [0] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = reduced.data[r][m.cols]
+    return vector(x)
 
 
 def center_scan(L: LieAlgebra) -> Subspace:

@@ -42,7 +42,6 @@ from plesken.cellular import (
     check_gram_properties,
     gram_matrix,
     is_semisimple,
-    predicted_decomposition,
     validate_cell_datum,
     verify_theorem,
 )
@@ -260,34 +259,28 @@ def test_semisimplicity_verdicts():
 
 
 def test_predicted_decomposition():
+    # The certificate reads the predicted block sizes off the cells.
     A, sigma = planar_rook(3)
-    cd = cell_datum_planar_rook(3, sigma)
-    grams = [gram_matrix(A, cd, lam) for lam in cd.lambdas]
-    decomposition = predicted_decomposition(cd, grams)
-    assert decomposition.size_list() == [1, 3, 3, 1]
-    assert decomposition.lie_dim == 6
+    outcome = verify_theorem(A, sigma, cell_datum_planar_rook(3, sigma))
+    assert [d for _, d in outcome.block_sizes] == [1, 3, 3, 1]
+    assert outcome.predicted_lie_dim == 6
 
     A3, s3 = temperley_lieb(4, 3)
-    cd3 = cell_datum_temperley_lieb(4, s3)
-    grams3 = [gram_matrix(A3, cd3, lam) for lam in cd3.lambdas]
-    decomposition3 = predicted_decomposition(cd3, grams3)
-    assert sorted(decomposition3.size_list()) == [1, 2, 3]
-    assert decomposition3.lie_dim == 4
+    outcome3 = verify_theorem(A3, s3, cell_datum_temperley_lieb(4, s3))
+    assert sorted(d for _, d in outcome3.block_sizes) == [1, 2, 3]
+    assert outcome3.predicted_lie_dim == 4
 
     AM, sM = matrix_algebra(3)
-    cdM = cell_datum_matrix(3, sM)
-    decompositionM = predicted_decomposition(
-        cdM, [gram_matrix(AM, cdM, 1)]
-    )
-    assert decompositionM.size_list() == [3] and decompositionM.lie_dim == 3
+    outcomeM = verify_theorem(AM, sM, cell_datum_matrix(3, sM))
+    assert [d for _, d in outcomeM.block_sizes] == [3] and outcomeM.predicted_lie_dim == 3
 
 
 def test_predicted_decomposition_refuses_degenerate():
+    # A degenerate Gram form refutes the prediction at check (a).
     A, sigma = temperley_lieb(4, 0)
-    cd = cell_datum_temperley_lieb(4, sigma)
-    grams = [gram_matrix(A, cd, lam) for lam in cd.lambdas]
-    with pytest.raises(ValueError, match="degenerate"):
-        predicted_decomposition(cd, grams)
+    outcome = verify_theorem(A, sigma, cell_datum_temperley_lieb(4, sigma))
+    assert any(rank < size for _, size, rank in outcome.gram_ranks)
+    assert not outcome.certified and outcome.failed_check == "representation_injective"
 
 
 # -- the certificate -----------------------------------------------------------

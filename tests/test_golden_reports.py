@@ -1,7 +1,8 @@
-"""Byte identity of CLI reports.
+"""Byte identity of CLI reports and documents.
 
 Each document is written by `plesken build` and each report is produced
-with default flags; the SHA-256 of the report bytes must not change.  A
+with default flags; the SHA-256 of the report bytes, and of the document
+bytes listed in DOCUMENTS, must not change.  A
 change that alters a report on purpose has to say why and re-record the
 digest here.
 """
@@ -20,6 +21,9 @@ BUILDS = {
     "tl3": ("--family", "temperley-lieb", "--n", "4", "--delta", "3"),
     "tl35": ("--family", "temperley-lieb", "--n", "5", "--delta", "3"),
     "m5": ("--family", "matrix", "--n", "5"),
+    # Non-integral structure constants: delta 1/2 and delta i.
+    "tlhalf": ("--family", "temperley-lieb", "--n", "3", "--delta", "1/2"),
+    "tli": ("--family", "temperley-lieb", "--n", "3", "--delta", "i"),
 }
 
 REPORTS = [
@@ -43,7 +47,20 @@ REPORTS = [
     # Certified, with its 10-dimensional bracket table printed.
     ("verify-cellular", "m5", (), 0,
      "d9bcfbd39cc09cf05ce91e37d89939c489c14263aaad36fa2ceb44b69ce3837e"),
+    ("analyze", "tlhalf", (), 0,
+     "25878ed6a5938e5eed4282185990ec784a838550b6365d4d6ba6151c831cb2dd"),
+    ("verify-cellular", "tlhalf", (), 0,
+     "322c8df1af47b06c6f00d38b8f7fb3c5dc6efd506a2fcf83f10953b16f79883a"),
+    ("analyze", "tli", (), 0,
+     "d1b5b5fb6d042c436c6352e06a9038114791ea82ce5963ebf8e6f76fe3af0f43"),
+    ("verify-cellular", "tli", (), 0,
+     "d79271eec29c83889c9de9e89d5e53cff58cb28239c552ea2ee198dd5ca76af3"),
 ]
+
+# The bytes of `plesken build` documents.
+DOCUMENTS = {
+    "tlhalf": "6436f63de3cd08eae2ece142aff5d2d2ac3bf5dcd292827e3a4b063feb81da69",
+}
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +84,8 @@ def test_report_bytes_unchanged(documents, capsys, command, key, flags, exit_cod
     assert cli.main([command, str(documents[key]), *flags]) == exit_code
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+@pytest.mark.parametrize("key, digest", sorted(DOCUMENTS.items()))
+def test_document_bytes_unchanged(documents, key, digest):
+    assert hashlib.sha256(documents[key].read_bytes()).hexdigest() == digest

@@ -87,6 +87,23 @@ def test_parse_rejects_bad_documents():
         parse(json.dumps(payload))
 
 
+def test_algebra_checks_every_structure_index():
+    # bool is a subclass of int, so True must be refused as an index too.
+    for structure in ({(True, 0): ((0, 1),)}, {(0, 0): ((True, 1),)}, {(0, 2): ((0, 1),)}):
+        with pytest.raises(ValueError, match="out of range"):
+            Algebra(["a", "b"], structure, [1, 0])
+    # In a document, `true` is refused also where it equals an earlier pair:
+    # [1, 0, ...] comes before the appended [true, 0, ...].
+    payload = json.loads(emit(document_from_algebra("q", *quaternions())))
+    payload["structure"].append([True, 0, 1, "1"])
+    with pytest.raises(ValueError, match="out of range"):
+        parse(json.dumps(payload))
+    # A pair may recur among ((i, j), terms) items; its terms are summed.
+    items = [((0, 0), ((0, "1/2"),)), ((0, 1), ((1, 1),)), ((0, 0), ((0, "1/2"), (1, 1))),
+             ((0, 1), ((1, -1),))]
+    assert Algebra(["a", "b"], items, [1, 0]).structure == {(0, 0): ((0, 1), (1, 1))}
+
+
 # -- CLI ----------------------------------------------------------------------
 
 

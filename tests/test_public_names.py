@@ -11,11 +11,11 @@ PUBLIC_NAMES = [
     "cell_datum_matrix", "cell_datum_planar_rook", "cell_datum_temperley_lieb",
     "cell_module", "center", "check_gram_properties", "derived_series",
     "document_from_algebra", "emit", "fingerprint", "gram_matrix",
-    "group_algebra", "is_semisimple", "kernel_basis", "killing_form", "load",
+    "group_algebra", "is_semisimple", "killing_form", "load",
     "lower_central_series", "matrix_algebra", "matrix_over_algebra",
     "orthogonal_model", "parse", "planar_rook", "planar_rook_diagrams",
-    "plesken_lie_algebra", "predicted_decomposition", "quaternions", "rank",
-    "rref", "save", "scalar", "solve", "temperley_lieb",
+    "plesken_lie_algebra", "quaternions", "rank",
+    "rref", "save", "scalar", "temperley_lieb",
     "temperley_lieb_diagrams", "validate_associativity", "validate_cell_datum",
     "validate_involution", "validate_unit", "verify_theorem",
 ]

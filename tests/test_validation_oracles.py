@@ -14,7 +14,7 @@ coefficients) and on the general one alike.
 import itertools
 
 import pytest
-from oracles import associativity_all_triples, involution_all_pairs
+from oracles import associativity_all_triples, involution_all_pairs, solve_gauss_jordan
 
 from plesken.algebra import Algebra, AntiInvolution, validate_associativity, validate_involution
 from plesken.builders import (
@@ -25,7 +25,7 @@ from plesken.builders import (
     quaternions,
     temperley_lieb,
 )
-from plesken.linalg import Matrix, Subspace, solve
+from plesken.linalg import Matrix, Subspace
 from plesken.scalars import I, scalar
 from plesken.suite import cyclic_table, symmetric_3_table
 
@@ -35,7 +35,7 @@ def _changed_basis(algebra, sigma, columns):
     p = Matrix.from_columns(columns)
 
     def coordinates(v):
-        x = solve(p, v)
+        x = solve_gauss_jordan(p, v)
         assert x is not None
         return x
 
@@ -146,7 +146,7 @@ def test_structure_constant_corruptions(name):
         if terms:
             k, c = terms[0]
             variants.append(((k, 2 * c),) + terms[1:])
-            variants.append(((k, c / 2),) + terms[1:])  # a non-integral coefficient
+            variants.append(((k, scalar(c) / 2),) + terms[1:])  # a non-integral coefficient
             variants.append(((k, I * c),) + terms[1:])  # an imaginary one
             variants.append((((k + 1) % n, c),) + terms[1:])
             variants.append(terms[1:])  # one term dropped

@@ -14,22 +14,19 @@ from plesken.scalars import scalar
 
 A, sigma = quaternions()
 print("basis:", A.labels)
-print("sigma(i) =", describe_vector(A.labels, sigma.apply_vector(A.basis_vector(1))))
+print("sigma(i) =", describe_vector(A.labels, enumerate(sigma.apply_vector(A.basis_vector(1)))))
 
-basis = plesken_subspace(A, sigma).basis
-print("\nskew part dimension:", len(basis))
-for v in basis:
-    print("  ", describe_vector(A.labels, v))
+rows = plesken_subspace(A, sigma).rows
+print("\nskew part dimension:", len(rows))
+for row in rows.values():
+    print("  ", describe_vector(A.labels, row.items()))
 
 L = plesken_lie_algebra(A, sigma)
 print("\nbrackets:")
 for a in range(L.dim):
     for b in range(a + 1, L.dim):
-        coeffs = [scalar(0)] * L.dim
-        for k, c in L.bracket_terms(a, b):
-            coeffs[k] = c
         print(f"  [{L.labels[a]}, {L.labels[b]}] =",
-              describe_vector(L.labels, coeffs))
+              describe_vector(L.labels, L.bracket_terms(a, b)))
 
 # Scaling the basis by 1/2 turns the brackets into the cross product rules.
 # Vectors here are coordinates in the skew basis (i, j, k).

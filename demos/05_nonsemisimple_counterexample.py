@@ -21,7 +21,6 @@ from plesken import (
     verify_theorem,
 )
 from plesken.algebra import describe_vector
-from plesken.scalars import scalar
 
 A, sigma = temperley_lieb(4, 0)
 cd = cell_datum_temperley_lieb(4, sigma)
@@ -40,11 +39,8 @@ L = plesken_lie_algebra(A, sigma)
 print("\nbracket table in the canonical skew basis:")
 for a in range(L.dim):
     for b in range(a + 1, L.dim):
-        coeffs = [scalar(0)] * L.dim
-        for k, c in L.bracket_terms(a, b):
-            coeffs[k] = c
         print(f"  [{L.labels[a]}, {L.labels[b]}] =",
-              describe_vector(L.labels, coeffs))
+              describe_vector(L.labels, L.bracket_terms(a, b)))
 
 print("\nderived series dimensions:", [s.dim for s in derived_series(L)])
 fp = fingerprint(L)

@@ -27,5 +27,5 @@ for name, table in (
 # For S3 the skew part is 1-dimensional: the two 3-cycles are the only
 # non-involutive elements and they are inverse to each other.
 A, sigma = group_algebra(symmetric_3_table())
-for v in plesken_subspace(A, sigma).basis:
-    print("S3 skew generator:", describe_vector(A.labels, v))
+for row in plesken_subspace(A, sigma).rows.values():
+    print("S3 skew generator:", describe_vector(A.labels, row.items()))

@@ -16,7 +16,7 @@ a Lie algebra.  It is spanned by the skew parts of the basis vectors, and of
 their imaginary multiples when sigma conjugates scalars.  For linear sigma,
 (1 + sigma)(1 - sigma) = 1 - sigma^2, so sigma(r) = -r on that span exactly
 when sigma^2 = id; then (Q(i) having characteristic zero) the span is the
-whole (-1)-eigenspace.
+whole (-1)-eigenspace.  It is held as its sparse echelon rows, `Subspace.rows`.
 
 The validators prove associativity and the anti-homomorphism law exactly,
 but only for factors in `Algebra.generators`, a generating set whose
@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .linalg import (
     Echelon,
@@ -40,6 +40,7 @@ from .linalg import (
     combine,
     dense,
     difference,
+    reduce_by,
     sparse,
     unit_vector,
     vec_sub,
@@ -126,7 +127,7 @@ class Algebra:
         for b in sorted(range(n), key=lambda b: (-len(targets[b]), b)):
             if len(span.rows) == n:
                 break
-            if not span.reduce({b: 1}):
+            if not reduce_by(span.rows, {b: 1}):
                 continue
             generators.append(b)
             pending = [{b: 1}] + [times(v, b) for v in span.rows.values()]
@@ -148,12 +149,14 @@ class Algebra:
         n = self.dim
         return dense(n, bilinear_product(self.structure, sparse(x, n), sparse(y, n)))
 
-def describe_vector(labels: Sequence[str], coeffs: Sequence) -> str:
-    """Human-readable linear combination, e.g. '2*k' or 'E12-E21'."""
+def describe_vector(labels: Sequence[str], terms: Iterable[tuple[int, GaussianRational]]) -> str:
+    """Human-readable linear combination of (index, coefficient) terms, e.g.
+    '2*k' or 'E12-E21', in the order given; a dense v is `enumerate(v)`."""
     parts = []
-    for label, c in zip(labels, coeffs):
+    for k, c in terms:
         if not c:
             continue
+        label = labels[k]
         if c == 1:
             term = label
         elif c == -1:
@@ -391,8 +394,8 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
 
     get = algebra.structure.get
     sub = plesken_subspace(algebra, sigma)
-    rows = sub.sparse_basis
-    position = {p: r for r, p in enumerate(sub.pivots)}
+    rows = list(sub.rows.values())
+    position = {p: r for r, p in enumerate(sub.rows)}
     table: dict[tuple[int, int], list] = {}
     for a, x in enumerate(rows):
         for b in range(a + 1, len(rows)):
@@ -418,17 +421,17 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
     return LieAlgebra(lie_labels(algebra.labels, rows), table)
 
 
-def lie_labels(ambient_labels: Sequence[str], rows: Sequence[Mapping]) -> list[str]:
-    """Labels of the skew basis, given as sparse rows: a row of at most two
-    terms +-1 written out in at most 24 characters, else x{r}; x{r} for all
-    on a collision."""
+def lie_labels(ambient_labels: Sequence[str], rows: Iterable[Mapping]) -> list[str]:
+    """Labels of the skew basis, given as sparse rows in index order: a row of
+    at most two terms +-1 written out in at most 24 characters, else x{r};
+    x{r} for all on a collision."""
     labels = []
     for r, row in enumerate(rows):
-        keys = sorted(row) if len(row) <= 2 and all(c in (1, -1) for c in row.values()) else ()
-        text = describe_vector([ambient_labels[k] for k in keys], [row[k] for k in keys])
-        labels.append(text if keys and len(text) <= 24 else f"x{r}")
+        short = len(row) <= 2 and all(c in (1, -1) for c in row.values())
+        text = describe_vector(ambient_labels, row.items()) if short else ""
+        labels.append(text if short and len(text) <= 24 else f"x{r}")
     if len(set(labels)) != len(labels):
-        labels = [f"x{r}" for r in range(len(rows))]
+        labels = [f"x{r}" for r in range(len(labels))]
     return labels
 
 

@@ -276,7 +276,7 @@ class PlanarRookDiagram:
 
     def compose(self, other: PlanarRookDiagram) -> PlanarRookDiagram:
         """Concatenation with self on top; arcs survive where self's bottom
-        endpoint meets other's top endpoint."""
+        endpoint meets other's top endpoint, sorted as planarity keeps order."""
         if self.n != other.n:
             raise ValueError("sizes differ")
         top_of = dict(zip(self.bottom, self.top))
@@ -284,8 +284,8 @@ class PlanarRookDiagram:
         middle = sorted(set(self.bottom) & set(other.top))
         return PlanarRookDiagram(
             self.n,
-            tuple(sorted(top_of[m] for m in middle)),
-            tuple(sorted(bottom_of[m] for m in middle)),
+            tuple(top_of[m] for m in middle),
+            tuple(bottom_of[m] for m in middle),
         )
 
     def flip(self) -> PlanarRookDiagram:

@@ -364,21 +364,9 @@ def is_semisimple(algebra: Algebra, cd: CellDatum) -> SemisimplicityReport:
     return SemisimplicityReport.from_ranks((f.lam, f.size, f.rank) for f in forms)
 
 
-@dataclass(frozen=True)
-class PredictedDecomposition:
-    sizes: tuple[tuple[Label, int], ...]  # (lam, module dimension)
-    lie_dim: int
-
-    def as_dict(self) -> dict:
-        return {
-            "blocks": [{"cell": lam, "size": d} for lam, d in self.sizes],
-            "lie_dim": self.lie_dim,
-        }
-
-
-def _blocks(cd: CellDatum) -> PredictedDecomposition:
+def _blocks(cd: CellDatum) -> tuple[tuple[tuple[Label, int], ...], int]:
     sizes = tuple((lam, len(cd.members(lam))) for lam in cd.lambdas if cd.members(lam))
-    return PredictedDecomposition(sizes, sum(d * (d - 1) // 2 for _, d in sizes))
+    return sizes, sum(d * (d - 1) // 2 for _, d in sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +463,7 @@ def verify_theorem(
     # (b) G-skewness of the action of every skew-part basis element.
     sub = plesken_subspace(algebra, sigma)
     skew_witness = None
-    for r, x in enumerate(sub.sparse_basis):
+    for r, x in enumerate(sub.rows.values()):
         for lam in cd.lambdas:
             action, g = modules[lam].act(x), grams[lam].gram
             terms = _gram_terms(action, g, transposed=True)
@@ -487,8 +475,8 @@ def verify_theorem(
     skew_ok = skew_witness is None
 
     # (c) dimension count.
-    blocks = _blocks(cd)
-    dims_match = sub.dim == blocks.lie_dim
+    sizes, predicted = _blocks(cd)
+    dims_match = sub.dim == predicted
 
     checks = (("representation_injective", injective), ("form_skewness", skew_ok),
               ("dimension_match", dims_match))
@@ -499,8 +487,8 @@ def verify_theorem(
         skew_ok=skew_ok,
         skew_witness=skew_witness,
         lie_dim=sub.dim,
-        predicted_lie_dim=blocks.lie_dim,
-        block_sizes=blocks.sizes,
+        predicted_lie_dim=predicted,
+        block_sizes=sizes,
         gram_ranks=gram_ranks,
         failed_check=failed,
     )

@@ -25,10 +25,10 @@ on known cells, one index set per known cell with no member twice) refuse a
 document in `parse`, with ValueError;
 `emit` writes straight from them.
 
-Scalars are exact strings, never decimals.  Cell index labels may be
-integers or (nested) lists of integers; they are converted to tuples on
-parse, so parse(emit(doc)) == doc.  Emission sorts keys and uses a fixed
-layout, making output byte-deterministic.
+Scalars are exact strings, never decimals.  Cell labels may be integers,
+strings or (nested) lists of them; lists are converted to tuples on parse,
+so parse(emit(doc)) == doc.  Emission sorts keys, and order pairs by
+`_label_key`, and uses a fixed layout, making output byte-deterministic.
 """
 
 from __future__ import annotations
@@ -71,6 +71,13 @@ def _thaw_label(value):
     if isinstance(value, tuple):
         return [_thaw_label(v) for v in value]
     return value
+
+
+def _label_key(value):
+    """Sort key on labels of mixed kinds: ints, then strings, then tuples."""
+    if isinstance(value, tuple):
+        return 2, tuple(map(_label_key, value))
+    return int(isinstance(value, str)), value
 
 
 @dataclass
@@ -126,7 +133,7 @@ def document_to_jsonable(doc: AlgebraDocument) -> dict:
     if cell is not None:
         payload["cell"] = {
             "lambdas": [_thaw_label(lam) for lam in cell.lambdas],
-            "order": [_thaw_label(pair) for pair in sorted(cell.less)],
+            "order": [_thaw_label(pair) for pair in sorted(cell.less, key=_label_key)],
             "index_sets": [_thaw_label((lam, cell.index_sets[lam])) for lam in cell.lambdas],
             "triples": [
                 [*_thaw_label(triple), idx]

@@ -4,9 +4,9 @@ A `LieAlgebra` stores its bracket sparsely: `table` holds the index pairs
 i < j, and a private dict holds both halves, the other following by
 antisymmetry.  Brackets of sparse {index: scalar} vectors go through
 `linalg.bilinear_product` on that dict; `bracket_vectors` is its dense
-wrapper.  Subspaces are the canonical rref-basis `Subspace` values from
+wrapper.  Subspaces are the canonical sparse-row `Subspace` values from
 `linalg`, so series stabilization is detected by exact subspace equality;
-each series term is the span of sparse brackets inserted one at a time into
+each series term is the span of brackets of rows inserted one at a time into
 a `linalg.Echelon`, read only until the span is the whole algebra.
 
 `fingerprint` collects exact invariants (derived and lower central series,
@@ -86,7 +86,7 @@ class LieAlgebra:
 
 def bracket_span(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """rref span of all [x, y] with x over a basis of u and y over a basis of v."""
-    xs, ys = u.echelon.rows.values(), v.echelon.rows.values()
+    xs, ys = u.rows.values(), v.rows.values()
     return Echelon(L.dim, (bilinear_product(L._terms, x, y) for x in xs for y in ys)).subspace()
 
 

@@ -3,25 +3,24 @@
 Sparse {index: scalar} terms are the working format: `bilinear_product`
 multiplies them through a table of basis products, and `Echelon` keeps a
 span in reduced row echelon form as sparse rows, inserted one vector at a
-time.  Dense tuples are the edges (`Matrix`, `Subspace.basis`), converted
-by `sparse` and `dense`.  `Matrix` is a container without arithmetic:
-constructors, row, column and transpose views, indexing and equality.  It
-holds sigma, the Gram and Killing matrices and the input of `rref`.  The
-reduced row echelon form is unique, so it gives canonical representatives
-for subspaces: two subspaces are equal exactly when their rref row bases
-coincide, which is how `Subspace` equality is defined.  `rref` and `rank`
-are views of it on immutable dense `Matrix` values.  `vector` reads
-entries by `scalars.exact`, and `sparse`, `Matrix` and the `Subspace`
-bases read through it; `Echelon.insert`, the one division, divides by a
-`GaussianRational`.  `rank_mod_p` is the one routine over a finite field:
-the rank of sparse integer rows mod a prime, which bounds the rank over
-Q(i) from below (see `lie.fingerprint`).
+time.  A `Subspace` is the span those rows end in, held as the rows
+themselves; the reduced row echelon form is unique, so two subspaces are
+equal exactly when their rows coincide.  Dense tuples are the edges
+(`Matrix`, the `Subspace.basis` view), converted by `sparse` and `dense`.
+`Matrix` is a container without arithmetic: constructors, row, column and
+transpose views, indexing and equality.  It holds sigma, the Gram and
+Killing matrices and the input of `rref`; `rref` and `rank` are views of a
+`Subspace` on immutable dense `Matrix` values.  `vector` reads entries by
+`scalars.exact`, and `sparse` and `Matrix` read through it, as
+`Echelon.subspace` reads the rows it hands on; `Echelon.insert`, the one
+division, divides by a `GaussianRational`.  `rank_mod_p` is the one routine
+over a finite field: the rank of sparse integer rows mod a prime, which
+bounds the rank over Q(i) from below (see `lie.fingerprint`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .scalars import GaussianRational, exact, scalar
@@ -162,18 +161,9 @@ class Echelon:
         while len(self.rows) < ambient and (v := next(vectors, None)) is not None:
             self.insert(v)
 
-    def reduce(self, v: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
-        """v minus the combination of rows that clears it at every pivot.
-
-        A row is zero at every other pivot, so one pass over v suffices.
-        """
-        rows = self.rows
-        cleared = [(k, -c * d) for p, c in v.items() if p in rows for k, d in rows[p].items()]
-        return combine([*v.items(), *cleared])
-
     def insert(self, v: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
         """Add v to the span: the new row, or an empty one if v was in it."""
-        row = self.reduce(v)
+        row = reduce_by(self.rows, v)
         if row:
             pivot = min(row)
             lead = row[pivot]
@@ -188,22 +178,31 @@ class Echelon:
         return row
 
     def subspace(self) -> Subspace:
-        """The span in canonical form."""
-        pivots = tuple(sorted(self.rows))
-        basis = tuple(vector(dense(self.ambient, self.rows[p])) for p in pivots)
-        return Subspace(self.ambient, basis, pivots)
+        """The span in canonical form: the rows by ascending pivot, each by
+        ascending index, with entries read by `exact`."""
+        rows = {p: {k: exact(c) for k, c in sorted(r.items())} for p, r in self.rows.items()}
+        return Subspace(self.ambient, dict(sorted(rows.items())))
 
     def kernel(self) -> Subspace:
-        """The x with r . x = 0 for every row r: one vector per free index."""
-        vectors = []
-        for f in range(self.ambient):
-            if f not in self.rows:
-                v = [0] * self.ambient
-                v[f] = 1
-                for p, row in self.rows.items():
-                    v[p] = -row.get(f, 0)
-                vectors.append(v)
-        return Subspace.from_vectors(self.ambient, vectors)
+        """The x with r . x = 0 for every row r: one vector per free index f,
+        1 at f and -r_f at the pivot of each row r."""
+        rows = self.rows
+        vectors = (
+            {f: 1, **{p: -row[f] for p, row in rows.items() if f in row}}
+            for f in range(self.ambient)
+            if f not in rows
+        )
+        return Echelon(self.ambient, vectors).subspace()
+
+
+def reduce_by(
+    rows: Mapping[int, Mapping[int, GaussianRational]], v: Mapping[int, GaussianRational]
+) -> dict[int, GaussianRational]:
+    """v minus the combination of the echelon `rows` (of an `Echelon` or a
+    `Subspace`) that clears it at every pivot: empty exactly when v is in
+    their span.  A row is zero at every other pivot, so one pass suffices."""
+    cleared = [(k, -c * d) for p, c in v.items() if p in rows for k, d in rows[p].items()]
+    return combine([*v.items(), *cleared])
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
@@ -248,15 +247,19 @@ def rank_mod_p(rows: Iterable[Mapping[int, int]], p: int) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q(i)^ambient in canonical (rref row basis) form.
+    """A subspace of Q(i)^ambient in canonical form: its reduced row echelon rows.
 
-    Equality of subspaces is equality of the canonical bases, so `==` is a
-    genuine subspace-equality test.
+    `rows` maps each pivot, ascending, to its sparse {index: scalar} row, 1
+    at the pivot, zero before it and zero at every other pivot, with its
+    entries by ascending index and read by `exact`.  These rows are unique,
+    so `==` is a genuine subspace-equality test.  They are dicts, so a
+    `Subspace` is not hashable.
     """
 
     ambient: int
-    basis: tuple[Vector, ...]
-    pivots: tuple[int, ...]
+    rows: Mapping[int, Mapping[int, GaussianRational]]
+
+    __hash__ = None
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Sequence]) -> Subspace:
@@ -265,41 +268,36 @@ class Subspace:
 
     @classmethod
     def zero(cls, ambient: int) -> Subspace:
-        return cls(ambient, (), ())
+        return cls(ambient, {})
 
     @classmethod
     def full(cls, ambient: int) -> Subspace:
-        return cls(
-            ambient,
-            tuple(unit_vector(ambient, i) for i in range(ambient)),
-            tuple(range(ambient)),
-        )
+        return cls(ambient, {i: {i: 1} for i in range(ambient)})
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        return tuple(self.rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def echelon(self) -> Echelon:
-        """The span as an `Echelon`, whose rows are the basis as sparse terms."""
-        return Echelon(self.ambient, (sparse(v, self.ambient) for v in self.basis))
+        return len(self.rows)
 
     @property
-    def sparse_basis(self) -> list[dict[int, GaussianRational]]:
-        """The basis as the sparse rows of `echelon`, in pivot order."""
-        return [self.echelon.rows[p] for p in self.pivots]
+    def basis(self) -> tuple[Vector, ...]:
+        """The rows as dense vectors, in pivot order."""
+        return tuple(dense(self.ambient, row) for row in self.rows.values())
 
     def coordinates(self, v: Sequence) -> Optional[Vector]:
         """Coefficients of v in the canonical basis, or None if v is outside.
 
-        Because the basis rows are in rref, the coefficient of row r is just
-        the entry of v at the r-th pivot; v is in the span when the echelon
-        reduces it to zero.
+        Because the rows are in rref, the coefficient of row r is just the
+        entry of v at the r-th pivot; v is in the span when the rows reduce
+        it to zero.
         """
         v = sparse(v, self.ambient)
-        if self.echelon.reduce(v):
+        if reduce_by(self.rows, v):
             return None
-        return tuple(v.get(p, 0) for p in self.pivots)
+        return tuple(v.get(p, 0) for p in self.rows)
 
     def contains(self, v: Sequence) -> bool:
         return self.coordinates(v) is not None

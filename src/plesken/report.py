@@ -42,14 +42,12 @@ from .algebra import (
 from .cellular import (
     CellDatum,
     CellForms,
-    PredictedDecomposition,
     SemisimplicityReport,
     check_gram_properties,
     validate_cell_datum,
     verify_theorem,
 )
 from .lie import Fingerprint, LieAlgebra, fingerprint
-from .linalg import dense
 
 DEFAULT_BRACKET_CAP = 12
 
@@ -98,7 +96,7 @@ def _analysis(
     printed = sub.dim <= bracket_cap
     lie = plesken_lie_algebra(algebra, sigma) if fp is None or printed else None
     fp = fingerprint(lie) if fp is None else fp
-    labels = lie_labels(algebra.labels, sub.sparse_basis) if lie is None else lie.labels
+    labels = lie_labels(algebra.labels, sub.rows.values()) if lie is None else lie.labels
     report = {
         "input": {
             "name": name,
@@ -109,8 +107,8 @@ def _analysis(
         "plesken": {
             "dim": sub.dim,
             "basis": [
-                {"label": label, "element": describe_vector(algebra.labels, v)}
-                for label, v in zip(labels, sub.basis)
+                {"label": label, "element": describe_vector(algebra.labels, row.items())}
+                for label, row in zip(labels, sub.rows.values())
             ],
             "bracket_table": _bracket_table(lie) if printed else None,
         },
@@ -123,7 +121,7 @@ def _analysis(
 def _bracket_table(lie: LieAlgebra) -> list[list[str]]:
     n, labels = lie.dim, lie.labels
     return [
-        [labels[a], labels[b], describe_vector(labels, dense(n, dict(lie.bracket_terms(a, b))))]
+        [labels[a], labels[b], describe_vector(labels, lie.bracket_terms(a, b))]
         for a in range(n) for b in range(a + 1, n)
     ]
 
@@ -160,12 +158,12 @@ def cellular_report(
     report["gram_properties"] = {"pass": not gram_issues, "failures": gram_issues}
     verdict = SemisimplicityReport.from_ranks(outcome.gram_ranks)
     report["semisimplicity"] = verdict.as_dict()
+    report["theorem"] = theorem = outcome.as_dict()
     report["predicted_decomposition"] = (
-        PredictedDecomposition(outcome.block_sizes, outcome.predicted_lie_dim).as_dict()
+        {"blocks": theorem["blocks"], "lie_dim": theorem["predicted_lie_dim"]}
         if verdict.semisimple
         else None
     )
-    report["theorem"] = outcome.as_dict()
     report["fingerprint_comparison"] = {"model_sizes": sizes, **fp.compare(model).as_dict()}
     return report
 

@@ -160,9 +160,9 @@ def rref_gauss_jordan(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 def span_gauss_jordan(ambient: int, vectors) -> Subspace:
     rows = list(vectors)
     if not rows:
-        return Subspace(ambient, (), ())
+        return Subspace.zero(ambient)
     reduced, pivots = rref_gauss_jordan(Matrix(rows))
-    return Subspace(ambient, reduced.data[: len(pivots)], pivots)
+    return Subspace.from_vectors(ambient, reduced.data[: len(pivots)])
 
 
 def kernel_gauss_jordan(m: Matrix) -> Subspace:
@@ -391,7 +391,7 @@ def lie_labels_dense(ambient_labels: Sequence[str], vecs: Sequence[Vector]) -> l
     kept when it has at most two entries, all +-1, and 24 characters."""
     labels = []
     for r, v in enumerate(vecs):
-        text = describe_vector(ambient_labels, v)
+        text = describe_vector(ambient_labels, enumerate(v))
         nonzero = sum(1 for c in v if c)
         if nonzero <= 2 and len(text) <= 24 and all(c in (ONE, -ONE) for c in v if c):
             labels.append(text)

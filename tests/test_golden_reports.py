@@ -1,13 +1,15 @@
-"""Byte identity of CLI reports and documents.
+"""Byte identity of CLI reports, documents and demo output.
 
 Each document is written by `plesken build` and each report is produced
-with default flags; the SHA-256 of the report bytes, and of the document
-bytes listed in DOCUMENTS, must not change.  A
+with default flags; the SHA-256 of the report bytes, of the document
+bytes listed in DOCUMENTS and of each demo's stdout must not change.  A
 change that alters a report on purpose has to say why and re-record the
 digest here.
 """
 
 import hashlib
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -89,3 +91,29 @@ def test_report_bytes_unchanged(documents, capsys, command, key, flags, exit_cod
 @pytest.mark.parametrize("key, digest", sorted(DOCUMENTS.items()))
 def test_document_bytes_unchanged(documents, key, digest):
     assert hashlib.sha256(documents[key].read_bytes()).hexdigest() == digest
+
+
+# The stdout of each script in demos/, run in this process.
+DEMOS = {
+    "01_quaternions": "1b366b6ccfaecdf5c646421f3e53b8bc8fc6f0f57d01753f73ae9b4f3a52f23b",
+    "02_matrix_algebras": "38b967270c93c1f4b3a82380e3e5e53ae8dbd30fc244ca796a032656999d645a",
+    "03_diagram_algebras": "2820f088756ef58ff2d8dd0514d1c43bcf25356e9a3b4722dfb9b6b56c09afb0",
+    "04_cellular_certificates":
+        "9ea77c1405f7f9e35380d42b73269c51583053520db471904504e19a6426e948",
+    "05_nonsemisimple_counterexample":
+        "96dd3cfd529d2211886372a7fd2b6a1f884568dc13d3d93ee63f4f599198a06e",
+    "06_group_algebras": "6a0fce899c5cbb18cb959ac96cca125ee15c59dd83517a439058179dcf25cd79",
+}
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("stem, digest", sorted(DEMOS.items()), ids=sorted(DEMOS))
+def test_demo_output_unchanged(capsys, stem, digest):
+    capsys.readouterr()
+    runpy.run_path(str(DEMO_DIR / f"{stem}.py"), run_name="__main__")
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.stem for p in DEMO_DIR.glob("*.py")) == sorted(DEMOS)

@@ -1,30 +1,36 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import associativity_all_triples
 
 from plesken import cli
-from plesken.algebra import Algebra, InternalConsistencyError
+from plesken.algebra import Algebra, AntiInvolution, InternalConsistencyError
 from plesken.builders import (
     group_algebra,
     matrix_algebra,
     matrix_over_algebra,
     planar_rook,
     quaternions,
+    signed_permutation_matrix,
     temperley_lieb,
 )
 from plesken.cellular import (
+    CellDatum,
     cell_datum_matrix,
     cell_datum_planar_rook,
     cell_datum_temperley_lieb,
 )
 from plesken.interchange import (
+    AlgebraDocument,
     document_from_algebra,
     emit,
     load,
     parse,
     save,
 )
+from plesken.linalg import Matrix
+from plesken.scalars import GaussianRational
 from plesken.suite import run_suite, symmetric_3_table
 
 
@@ -54,6 +60,70 @@ def test_document_round_trip(name, build):
         assert cell2.basis_map == cell.basis_map
         assert cell2.lambdas == cell.lambdas
         assert cell2.index_sets == cell.index_sets
+
+
+fractions = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["-3/4", "1/2+i", "i", "-2-3/2i"]),
+    fractions,
+    st.builds(GaussianRational, fractions, fractions),
+)
+cell_labels = st.recursive(
+    st.integers(-2, 2) | st.text("ab", max_size=2),
+    lambda inner: st.lists(inner, max_size=2).map(tuple),
+    max_leaves=3,
+)
+
+
+@st.composite
+def documents(draw):
+    """Small documents that no builder makes: any structure table (associative
+    or not) over int, fractional and non-real coefficients, sigma as a signed
+    permutation or a full matrix, and an optional cell section."""
+    n = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.text("xyz", min_size=1, max_size=3), min_size=n, max_size=n,
+                           unique=True))
+    index = st.integers(0, n - 1)
+    quads = draw(st.lists(st.tuples(index, index, index, coefficients), max_size=12))
+    structure = [((i, j), ((k, c),)) for i, j, k, c in quads]
+    algebra = Algebra(labels, structure, draw(st.lists(coefficients, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+        matrix = signed_permutation_matrix(n, perm, signs)
+    else:
+        matrix = Matrix(draw(st.lists(st.lists(coefficients, min_size=n, max_size=n),
+                                      min_size=n, max_size=n)))
+    sigma = AntiInvolution(matrix, draw(st.booleans()))
+    cell = None
+    if draw(st.booleans()):
+        lambdas = draw(st.lists(cell_labels, min_size=1, max_size=3, unique=True))
+        height = {lam: draw(st.integers(0, 2)) for lam in lambdas}
+        less = [(a, b) for a in lambdas for b in lambdas if height[a] < height[b]]
+        index_sets = {
+            lam: draw(st.lists(cell_labels, max_size=2, unique=True)) for lam in lambdas
+        }
+        triples = draw(st.lists(
+            st.sampled_from(lambdas).flatmap(lambda lam: st.tuples(
+                st.just(lam),
+                st.sampled_from(index_sets[lam] or [0]),
+                st.sampled_from(index_sets[lam] or [0]),
+            )),
+            max_size=4,
+        ))
+        basis_map = {triple: draw(index) for triple in triples}
+        cell = CellDatum(lambdas, less, index_sets, basis_map, sigma)
+    metadata = draw(st.dictionaries(st.text("mn", max_size=2), st.integers(-9, 9), max_size=2))
+    return AlgebraDocument(draw(st.text(max_size=4)), algebra, sigma, cell, metadata)
+
+
+@settings(max_examples=150, deadline=None)
+@given(documents())
+def test_document_round_trip_on_tables_no_builder_makes(doc):
+    text = emit(doc)
+    assert parse(text) == doc
+    assert emit(parse(text)) == text
 
 
 def _with_cell(pair, datum_factory, n):

@@ -16,8 +16,14 @@ from plesken.linalg import (
     unit_vector,
     vector,
 )
-from plesken.scalars import ZERO, GaussianRational, scalar
-from oracles import kernel_gauss_jordan, matvec, rref_gauss_jordan, solve_gauss_jordan
+from plesken.scalars import ZERO, GaussianRational, exact, scalar
+from oracles import (
+    kernel_gauss_jordan,
+    matvec,
+    rref_gauss_jordan,
+    solve_gauss_jordan,
+    span_gauss_jordan,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 gaussians = st.builds(
@@ -54,6 +60,14 @@ def test_echelon_views_match_dense_gauss_jordan(m):
     assert Echelon(m.cols, (sparse(row, m.cols) for row in m.data)).kernel() == (
         kernel_gauss_jordan(m)
     )
+    span = Subspace.from_vectors(m.cols, m.data)
+    assert span == span_gauss_jordan(m.cols, m.data)
+    # The canonical rows: ascending pivots, each row 1 at its pivot and by
+    # ascending index, every entry read once (an int when a real integer).
+    assert span.pivots == tuple(sorted(span.rows)) == rref_gauss_jordan(m)[1]
+    for p, row in span.rows.items():
+        assert list(row) == sorted(row) and min(row) == p and row[p] == 1
+        assert all(c and type(c) is type(exact(c)) for c in row.values())
 
 
 def test_from_vectors_stops_reading_once_the_span_is_full():
@@ -153,6 +167,8 @@ def test_subspace_equality_is_canonical():
     a = Subspace.from_vectors(3, [[1, 1, 0], [0, 0, 2]])
     b = Subspace.from_vectors(3, [[2, 2, 2], [0, 0, -5]])
     assert a == b
+    assert a != Subspace.from_vectors(3, [[1, 1, 0]])
+    assert Subspace.__hash__ is None  # the rows are dicts
     assert a.dim == 2
     assert a.contains([3, 3, 7])
     assert not a.contains([1, 0, 0])

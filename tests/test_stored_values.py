@@ -2,7 +2,7 @@
 integer and a `GaussianRational` otherwise.
 
 The value is read once, where it enters (`Algebra`, `LieAlgebra`, `Matrix`,
-`linalg.vector` and the `Subspace` bases), and every later stage holds what
+`linalg.vector` and the `Subspace` rows), and every later stage holds what
 those give it.  So no stage may store a float, which an `int` quotient
 would give, nor a `GaussianRational` equal to an integer, which a stage
 that skipped the reading would leave.  Walked on every builder family, on
@@ -81,7 +81,7 @@ def test_every_stage_stores_ints_and_non_integral_gaussian_rationals(name):
 
     sub = plesken_subspace(algebra, sigma)
     _assert_read_once([c for v in sub.basis for c in v], "skew basis")
-    _assert_read_once([c for row in sub.sparse_basis for c in row.values()], "skew rows")
+    _assert_read_once([c for row in sub.rows.values() for c in row.values()], "skew rows")
     L = plesken_lie_algebra(algebra, sigma)
     _assert_read_once(_terms(L._terms), "Lie table")
     _assert_read_once([c for row in killing_form(L).data for c in row], "Killing form")

@@ -60,7 +60,9 @@ class Algebra:
         """`structure` maps basis index pairs (i, j) to the (k, c) terms of
         e_i e_j, or is an iterable of ((i, j), terms) items in which a pair
         may recur, its terms then summed.  Every index must be an int (not a
-        bool) in range; coefficients are read by `exact`."""
+        bool) in range; coefficients are read by `exact`.  A single term on
+        a new pair is stored as read, one tuple per distinct term, or not at
+        all if zero; only a recurring pair or several terms are summed."""
         self.labels = tuple(labels)
         n = self.dim = len(self.labels)
         if len(set(self.labels)) != n:
@@ -74,14 +76,20 @@ class Algebra:
 
         items = structure.items() if isinstance(structure, Mapping) else structure
         table: dict[tuple[int, int], Terms] = {}
+        shared: dict[tuple, Terms] = {}
         for (i, j), terms in items:
             if not (index(i) and index(j)):
                 raise ValueError(f"structure index out of range: {(i, j)}")
-            terms = [*table.pop((i, j), ()), *terms]
+            terms = tuple(terms)
             for k, _ in terms:
                 if not index(k):
                     raise ValueError(f"structure target out of range: {k}")
-            merged = combine((k, exact(c)) for k, c in terms)
+            if len(terms) == 1 and (i, j) not in table:
+                ((k, c),) = terms
+                if c := exact(c):
+                    table[(i, j)] = shared.setdefault((k, c), ((k, c),))
+                continue
+            merged = combine((k, exact(c)) for k, c in [*table.pop((i, j), ()), *terms])
             if merged:  # a sum of non-integral values can be an integer
                 table[(i, j)] = tuple(sorted((k, exact(c)) for k, c in merged.items()))
         self.structure = table

@@ -17,10 +17,10 @@ constants and golden values):
 * Temperley-Lieb diagrams: a perfect non-crossing matching of 2n points,
   top row numbered 1..n left to right, bottom row n+1..2n left to right.
   Encoded as the sorted tuple of sorted pairs; basis order is
-  lexicographic.  Concatenation stacks the left factor on top of the right
-  factor, traces composite strands with a union-find over the 3n stacked
-  points, and counts the closed loops made entirely of middle points; a
-  loop contributes one factor of the parameter delta.
+  lexicographic.  Products compose mate tuples (mate[p] is the point
+  joined to p, 0-based): with the left factor on top, each outer point is
+  traced through the middle row to an outer point, and each cycle of
+  middle points never passed is a closed loop, one factor of delta.
 
 Diagram families are capped (default n <= 6) because dimensions grow like
 C(2n, n) and the Catalan numbers; the cap is a keyword argument.
@@ -34,7 +34,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .algebra import Algebra, AntiInvolution
-from .linalg import Matrix
+from .linalg import Matrix, unit_vector
 from .scalars import exact
 
 DEFAULT_DIAGRAM_CAP = 6
@@ -275,18 +275,11 @@ class PlanarRookDiagram:
         return len(self.top)
 
     def compose(self, other: PlanarRookDiagram) -> PlanarRookDiagram:
-        """Concatenation with self on top; arcs survive where self's bottom
-        endpoint meets other's top endpoint, sorted as planarity keeps order."""
+        """Concatenation with self on top, by `_pr_compose`."""
         if self.n != other.n:
             raise ValueError("sizes differ")
         top_of = dict(zip(self.bottom, self.top))
-        bottom_of = dict(zip(other.top, other.bottom))
-        middle = sorted(set(self.bottom) & set(other.top))
-        return PlanarRookDiagram(
-            self.n,
-            tuple(top_of[m] for m in middle),
-            tuple(bottom_of[m] for m in middle),
-        )
+        return PlanarRookDiagram(self.n, *_pr_compose(top_of, other.top, other.bottom))
 
     def flip(self) -> PlanarRookDiagram:
         return PlanarRookDiagram(self.n, self.bottom, self.top)
@@ -294,6 +287,18 @@ class PlanarRookDiagram:
     def label(self) -> str:
         fmt = lambda side: "".join(map(str, side)) if side else "-"
         return f"{fmt(self.top)}/{fmt(self.bottom)}"
+
+
+def _pr_compose(top_of: dict[int, int], top, bottom) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(top, bottom) of the product of a left factor with bottom -> top map
+    `top_of` and the right factor (top, bottom): the right factor's arcs
+    whose top endpoint is in `top_of` survive, in order, as planarity keeps it."""
+    new_top, new_bottom = [], []
+    for t, b in zip(top, bottom):
+        if t in top_of:
+            new_top.append(top_of[t])
+            new_bottom.append(b)
+    return tuple(new_top), tuple(new_bottom)
 
 
 @lru_cache(maxsize=None)
@@ -318,15 +323,16 @@ def planar_rook(
     if n > cap:
         raise ValueError(f"n={n} exceeds the size cap {cap}")
     diagrams = planar_rook_diagrams(n)
-    index = {d: i for i, d in enumerate(diagrams)}
-    structure = {}
-    for i, d1 in enumerate(diagrams):
-        for j, d2 in enumerate(diagrams):
-            structure[(i, j)] = ((index[d1.compose(d2)], 1),)
+    ends = [(d.top, d.bottom) for d in diagrams]
+    index = {e: i for i, e in enumerate(ends)}
+    structure = (
+        ((i, j), ((index[_pr_compose(top_of, top, bottom)], 1),))
+        for i, top_of in enumerate(dict(zip(bottom, top)) for top, bottom in ends)
+        for j, (top, bottom) in enumerate(ends)
+    )
     full = tuple(range(1, n + 1))
-    unit = [0] * len(diagrams)
-    unit[index[PlanarRookDiagram(n, full, full)]] = 1
-    perm = [index[d.flip()] for d in diagrams]
+    unit = unit_vector(len(diagrams), index[full, full])
+    perm = [index[bottom, top] for top, bottom in ends]
     sigma = AntiInvolution(signed_permutation_matrix(len(diagrams), perm))
     labels = tuple(d.label() for d in diagrams)
     return Algebra(labels, structure, unit), sigma
@@ -390,49 +396,49 @@ class TLDiagram:
         return TLDiagram.from_pairs(self.n, [(swap(a), swap(b)) for a, b in self.pairs])
 
     def compose(self, other: TLDiagram) -> tuple[TLDiagram, int]:
-        """Concatenate with self on top; returns (diagram, closed loop count).
-
-        The stacked picture has 3n points: self's top keeps ids 1..n, the
-        identified middle row gets n+1..2n (self's bottom == other's top),
-        and other's bottom moves to 2n+1..3n.  Union-find over these points
-        joins the arcs; components with two outer points give the arcs of
-        the product, components containing only middle points are loops.
-        """
+        """Concatenate with self on top, by `_tl_compose`: (diagram, loops)."""
         if self.n != other.n:
             raise ValueError("sizes differ")
-        n = self.n
-        parent = list(range(3 * n + 1))
+        mates, loops = _tl_compose(self.mates(), other.mates())
+        pairs = [(p + 1, q + 1) for p, q in enumerate(mates) if p < q]
+        return TLDiagram.from_pairs(self.n, pairs), loops
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for a, b in self.pairs:
-            union(a, b)
-        for a, b in other.pairs:
-            union(a + n, b + n)
-        outer_of: dict[int, list[int]] = {}
-        for p in itertools.chain(range(1, n + 1), range(2 * n + 1, 3 * n + 1)):
-            outer_of.setdefault(find(p), []).append(p)
-        pairs = []
-        for members in outer_of.values():
-            assert len(members) == 2, "outer points must pair up"
-            a, b = members
-            pairs.append((a if a <= n else a - n, b if b <= n else b - n))
-        loops = len(
-            {find(p) for p in range(n + 1, 2 * n + 1)} - set(outer_of.keys())
-        )
-        return TLDiagram.from_pairs(n, pairs), loops
+    def mates(self) -> tuple[int, ...]:
+        """Points 1..2n read as 0..2n-1: mates[p] is the point joined to p."""
+        ends = sorted([*self.pairs, *((b, a) for a, b in self.pairs)])
+        return tuple(b - 1 for _, b in ends)
 
     def label(self) -> str:
         return ",".join(f"{a}-{b}" for a, b in self.pairs)
+
+
+def _tl_compose(up: Sequence[int], low: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(mates, loops) of `up` stacked on `low`.  Middle point m is up's
+    n + m and low's m; a strand crosses factors at each one it reaches and
+    ends in up's top row (< n) or low's bottom row (>= n).  The middle
+    points never passed lie on closed loops, alternating between factors."""
+    n = len(up) // 2
+    mates = [-1] * (2 * n)
+    passed = [False] * n
+    for start in range(2 * n):
+        if mates[start] >= 0:
+            continue
+        in_up = start < n
+        q = up[start] if in_up else low[start]
+        while (q >= n) if in_up else (q < n):
+            m = q - n if in_up else q
+            passed[m] = True
+            in_up = not in_up
+            q = up[n + m] if in_up else low[m]
+        mates[start], mates[q] = q, start
+    loops = 0
+    for m in range(n):
+        if not passed[m]:
+            loops += 1
+            while not passed[m]:
+                passed[m] = passed[low[m]] = True
+                m = up[n + low[m]] - n
+    return tuple(mates), loops
 
 
 def _noncrossing_matchings(points: tuple[int, ...]):
@@ -474,18 +480,18 @@ def temperley_lieb(
     if n > cap:
         raise ValueError(f"n={n} exceeds the size cap {cap}")
     delta = exact(delta)
+    powers = [delta**loops for loops in range(n // 2 + 1)]
     diagrams = temperley_lieb_diagrams(n)
-    index = {d: i for i, d in enumerate(diagrams)}
-    structure = {}
-    for i, d1 in enumerate(diagrams):
-        for j, d2 in enumerate(diagrams):
-            product, loops = d1.compose(d2)
-            coeff = delta**loops
-            if coeff:
-                structure[(i, j)] = ((index[product], coeff),)
-    unit = [0] * len(diagrams)
-    unit[index[TLDiagram.identity(n)]] = 1
-    perm = [index[d.flip()] for d in diagrams]
+    mates = [d.mates() for d in diagrams]
+    index = {m: i for i, m in enumerate(mates)}
+    structure = (
+        ((i, j), ((index[m], powers[loops]),))
+        for i, up in enumerate(mates)
+        for j, low in enumerate(mates)
+        for m, loops in [_tl_compose(up, low)]
+    )
+    unit = unit_vector(len(diagrams), index[TLDiagram.identity(n).mates()])
+    perm = [index[d.flip().mates()] for d in diagrams]
     sigma = AntiInvolution(signed_permutation_matrix(len(diagrams), perm))
     labels = tuple(d.label() for d in diagrams)
     return Algebra(labels, structure, unit), sigma

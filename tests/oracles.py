@@ -32,6 +32,14 @@ checks (b) and adjointness, with the witnesses of `plesken.cellular`.  The
 certificate reads injectivity off the Gram ranks; `injective_dense` ranks
 the action rows instead, as the definition of check (a) says.
 
+The diagram builders compose on plain tuples, `_tl_compose` on mate
+tuples and `_pr_compose` on endpoint tuples, and `Algebra` stores a
+single-term product on a new pair as read.  The code they replaced is here:
+the union-find over the 3n stacked points of two TL diagrams, the planar
+rook product built as a validated `PlanarRookDiagram`, the whole TL and PR
+tables built from them, and a structure table summed over
+`GaussianRational` for every item.
+
 `plesken.cellular.gram_matrix` reads each Gram entry at one witness pair,
 which C2 and C3 make sufficient.  `gram_every_witness` reads it at every
 pair (s, v) and raises when a product leaves C[s, v] and the lower cells
@@ -49,6 +57,13 @@ from plesken.algebra import (
     InvolutionFailure,
     describe_vector,
 )
+from plesken.builders import (
+    PlanarRookDiagram,
+    TLDiagram,
+    planar_rook_diagrams,
+    signed_permutation_matrix,
+    temperley_lieb_diagrams,
+)
 from plesken.cellular import CellDatum, CellForms, CellModule, GramPropertyFailure, Label
 from plesken.lie import Fingerprint, LieAlgebra
 from plesken.linalg import (
@@ -61,7 +76,7 @@ from plesken.linalg import (
     vector,
     zero_vector,
 )
-from plesken.scalars import I, ONE, ZERO, GaussianRational
+from plesken.scalars import I, ONE, ZERO, GaussianRational, scalar
 
 
 def associativity_all_triples(
@@ -576,3 +591,105 @@ def gram_properties_dense(
         if lhs != matmul(g, matrices[a]):
             return GramPropertyFailure(lam, "adjointness", (a,))
     return None
+
+
+def summed_structure(items) -> dict[tuple[int, int], Terms]:
+    """The table of ((i, j), terms) items: every pair's terms summed over
+    `GaussianRational`, zero totals dropped, terms sorted by target."""
+    sums: dict[tuple[int, int], dict[int, GaussianRational]] = {}
+    for pair, terms in items:
+        row = sums.setdefault(pair, {})
+        for k, c in terms:
+            row[k] = row.get(k, ZERO) + scalar(c)
+    table = {}
+    for pair, row in sums.items():
+        terms = tuple(sorted((k, c) for k, c in row.items() if c))
+        if terms:
+            table[pair] = terms
+    return table
+
+
+def tl_compose_union_find(up: TLDiagram, low: TLDiagram) -> tuple[TLDiagram, int]:
+    """(product, closed loop count) of `up` stacked on `low`.
+
+    The stacked picture has 3n points: up's top keeps ids 1..n, the
+    identified middle row gets n+1..2n (up's bottom == low's top), and
+    low's bottom moves to 2n+1..3n.  Union-find over these points joins the
+    arcs; components with two outer points give the arcs of the product,
+    components containing only middle points are loops.
+    """
+    n = up.n
+    parent = list(range(3 * n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    for a, b in up.pairs:
+        union(a, b)
+    for a, b in low.pairs:
+        union(a + n, b + n)
+    outer_of: dict[int, list[int]] = {}
+    for p in [*range(1, n + 1), *range(2 * n + 1, 3 * n + 1)]:
+        outer_of.setdefault(find(p), []).append(p)
+    pairs = []
+    for members in outer_of.values():
+        assert len(members) == 2, "outer points must pair up"
+        a, b = members
+        pairs.append((a if a <= n else a - n, b if b <= n else b - n))
+    loops = len({find(p) for p in range(n + 1, 2 * n + 1)} - set(outer_of))
+    return TLDiagram.from_pairs(n, pairs), loops
+
+
+def pr_compose_dataclass(d1: PlanarRookDiagram, d2: PlanarRookDiagram) -> PlanarRookDiagram:
+    """d1 on top of d2: arcs survive where d1's bottom endpoint meets d2's
+    top endpoint, sorted as planarity keeps order."""
+    top_of = dict(zip(d1.bottom, d1.top))
+    bottom_of = dict(zip(d2.top, d2.bottom))
+    middle = sorted(set(d1.bottom) & set(d2.top))
+    return PlanarRookDiagram(
+        d1.n, tuple(top_of[m] for m in middle), tuple(bottom_of[m] for m in middle)
+    )
+
+
+def temperley_lieb_by_union_find(n: int, delta) -> tuple[dict, Vector, Matrix]:
+    """(structure, unit, involution matrix) of TL_delta(n), every product
+    composed by `tl_compose_union_find` and weighted by repeated products."""
+    delta = scalar(delta)
+    diagrams = temperley_lieb_diagrams(n)
+    index = {d: i for i, d in enumerate(diagrams)}
+    structure = {}
+    for i, d1 in enumerate(diagrams):
+        for j, d2 in enumerate(diagrams):
+            product, loops = tl_compose_union_find(d1, d2)
+            coeff = ONE
+            for _ in range(loops):
+                coeff = coeff * delta
+            if coeff:
+                structure[(i, j)] = ((index[product], coeff),)
+    unit = unit_vector(len(diagrams), index[TLDiagram.identity(n)])
+    perm = [index[d.flip()] for d in diagrams]
+    return structure, unit, signed_permutation_matrix(len(diagrams), perm)
+
+
+def planar_rook_by_dataclass(n: int) -> tuple[dict, Vector, Matrix]:
+    """(structure, unit, involution matrix) of PR(n), every product composed
+    by `pr_compose_dataclass`."""
+    diagrams = planar_rook_diagrams(n)
+    index = {d: i for i, d in enumerate(diagrams)}
+    structure = {
+        (i, j): ((index[pr_compose_dataclass(d1, d2)], ONE),)
+        for i, d1 in enumerate(diagrams)
+        for j, d2 in enumerate(diagrams)
+    }
+    full = tuple(range(1, n + 1))
+    unit = unit_vector(len(diagrams), index[PlanarRookDiagram(n, full, full)])
+    perm = [index[d.flip()] for d in diagrams]
+    return structure, unit, signed_permutation_matrix(len(diagrams), perm)

@@ -26,6 +26,11 @@ BUILDS = {
     # Non-integral structure constants: delta 1/2 and delta i.
     "tlhalf": ("--family", "temperley-lieb", "--n", "3", "--delta", "1/2"),
     "tli": ("--family", "temperley-lieb", "--n", "3", "--delta", "i"),
+    # Larger diagram tables, pinned by their document bytes only.
+    "tl36": ("--family", "temperley-lieb", "--n", "6", "--delta", "3"),
+    "tl05": ("--family", "temperley-lieb", "--n", "5", "--delta", "0"),
+    "pr4": ("--family", "planar-rook", "--n", "4"),
+    "pr5": ("--family", "planar-rook", "--n", "5"),
 }
 
 REPORTS = [
@@ -62,6 +67,11 @@ REPORTS = [
 # The bytes of `plesken build` documents.
 DOCUMENTS = {
     "tlhalf": "6436f63de3cd08eae2ece142aff5d2d2ac3bf5dcd292827e3a4b063feb81da69",
+    "tl36": "13653c107741a0fbc232274335d46e626d76963e460f37a942ef905b6c3dcd1b",
+    "tl05": "36136243e565cc796930adb2907e71ed51900c9766d1610692795f901fa5a35e",
+    "tli": "1566aa2adc84c7d7144e0f3445b2c180e0db1038547fc90a6c06875296c8515c",
+    "pr4": "50d05302363530bb4156b128db9928e2aa14f8481d4122fbeb59ea8b4870d956",
+    "pr5": "c8886b3526f8b8023c04a35b4730fa6bee6628e1130e333e2af9d954d1aadfcd",
 }
 
 

@@ -2,13 +2,14 @@
 
 An `Algebra` is a labeled basis together with a sparse structure-constant
 tensor: the product of basis elements e_i * e_j is stored as a short list of
-(k, coefficient) terms.  An `AntiInvolution` acts on coefficient vectors by
-a matrix, optionally composed with entrywise scalar conjugation (needed for
-conjugate-transposition, which is semilinear rather than linear over Q(i)).
-Vectors are sparse {index: scalar} terms inside: products go through
-`linalg.bilinear_product`, and sigma sums the sparse images of the basis
-vectors.  `multiply_vectors` and `apply_vector` are dense wrappers over
-them.
+(k, coefficient) terms.  An `AntiInvolution` is held as the sparse images
+sigma(e_j), optionally composed with entrywise scalar conjugation (needed
+for conjugate-transposition, which is semilinear rather than linear over
+Q(i)); on a cellular basis sigma permutes the basis up to sign, and
+`AntiInvolution.signed_permutation` builds it so.  Its dense `matrix` is a
+view.  Vectors are sparse {index: scalar} terms inside: products go through
+`linalg.bilinear_product`, and sigma sums the images.  `multiply_vectors`
+and `apply_vector` are dense wrappers over them.
 
 The central construction here is the skew part of the involution: the span
 of all a - sigma(a), which is closed under the commutator bracket and hence
@@ -185,28 +186,50 @@ def describe_vector(labels: Sequence[str], terms: Iterable[tuple[int, GaussianRa
 class AntiInvolution:
     """Action of sigma on coefficient vectors.
 
-    `matrix` is applied after entrywise scalar conjugation of the input when
-    `conjugates_scalars` is set (conjugate-transposition on matrix algebras
-    over Q(i) is of this semilinear kind).  In both cases sigma squares to
-    the identity and reverses products.
+    `images[j]` is sigma(e_j) as sparse terms {index: scalar}, by ascending
+    index, entries read by `exact` and zeros dropped; every index must be
+    an int (not a bool) in range(len(images)).  Sigma is applied after
+    entrywise scalar conjugation of the input when `conjugates_scalars` is
+    set (conjugate-transposition on matrix algebras over Q(i) is of this
+    semilinear kind).  In both cases sigma squares to the identity and
+    reverses products.  The images are dicts, so an `AntiInvolution` is
+    not hashable.
     """
 
-    matrix: Matrix
+    images: tuple[Mapping[int, GaussianRational], ...]
     conjugates_scalars: bool = False
 
-    @cached_property
-    def images(self) -> tuple[dict[int, GaussianRational], ...]:
-        """sigma(e_j) for each j as sparse terms: the columns of `matrix`."""
-        m = self.matrix
-        return tuple(sparse(column, m.rows) for column in zip(*m.data))
+    __hash__ = None
+
+    def __post_init__(self):
+        n = len(self.images)
+        images = []
+        for image in self.images:
+            for k in image:
+                if not (type(k) is int and 0 <= k < n):
+                    raise ValueError(f"involution image index out of range: {k!r}")
+            images.append({k: e for k, c in sorted(image.items()) if (e := exact(c))})
+        object.__setattr__(self, "images", tuple(images))
+
+    @classmethod
+    def signed_permutation(cls, perm: Sequence[int], signs=None, conjugates_scalars=False):
+        """sigma(e_j) = signs[j] e_perm[j], every sign 1 when `signs` is None."""
+        signs = (1,) * len(perm) if signs is None else signs
+        return cls(tuple({p: c} for p, c in zip(perm, signs, strict=True)), conjugates_scalars)
+
+    @property
+    def matrix(self) -> Matrix:
+        """The dense matrix whose columns are the images."""
+        n = len(self.images)
+        return Matrix.from_columns([dense(n, image) for image in self.images])
 
     @cached_property
     def _signed_permutation(self):
-        # (perm, signs) with column j supported at row perm[j]; None if the
-        # matrix is not a signed permutation.  The document shorthand.
+        # (perm, signs) with image j supported at perm[j]; None if sigma is
+        # not a signed permutation.  The document shorthand.
         entries = [tuple(image.items()) for image in self.images]
         perm = tuple(e[0][0] for e in entries if len(e) == 1 and e[0][1] in (1, -1))
-        if self.matrix.rows != self.matrix.cols or sorted(perm) != list(range(len(entries))):
+        if sorted(perm) != list(range(len(entries))):
             return None
         return perm, tuple(e[0][1] for e in entries)
 
@@ -219,7 +242,7 @@ class AntiInvolution:
         For linear sigma each row r must satisfy sigma(r) = -r, which holds
         exactly when sigma^2 = id and makes the span the (-1)-eigenspace.
         """
-        n = self.matrix.rows
+        n = len(self.images)
         scalars = (1, I) if self.conjugates_scalars else (1,)
         span = Echelon(n, (self.skew_terms({j: c}) for j in range(n) for c in scalars))
         if not self.conjugates_scalars:
@@ -242,7 +265,8 @@ class AntiInvolution:
         return difference(v, self.image(v))
 
     def apply_vector(self, v: Sequence) -> Vector:
-        return dense(self.matrix.rows, self.image(sparse(v, self.matrix.cols)))
+        n = len(self.images)
+        return dense(n, self.image(sparse(v, n)))
 
 
 def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
@@ -358,8 +382,8 @@ def validate_involution(
     every product of generators and hence the whole algebra.  On a
     non-associative algebra a failing pair outside G can go unseen.
     """
-    if sigma.matrix.rows != algebra.dim or sigma.matrix.cols != algebra.dim:
-        return InvolutionFailure("shape", (sigma.matrix.rows, sigma.matrix.cols))
+    if len(sigma.images) != algebra.dim:
+        return InvolutionFailure("shape", (len(sigma.images),) * 2)
     images = sigma.images
     for i in range(algebra.dim):
         if sigma.image(images[i]) != {i: 1}:
@@ -376,7 +400,8 @@ def validate_involution(
 
 def skew_part(sigma: AntiInvolution, v: Sequence) -> Vector:
     """v - sigma(v)."""
-    return dense(sigma.matrix.rows, sigma.skew_terms(sparse(v, sigma.matrix.cols)))
+    n = len(sigma.images)
+    return dense(n, sigma.skew_terms(sparse(v, n)))
 
 
 def plesken_subspace(algebra: Algebra, sigma: AntiInvolution) -> Subspace:
@@ -384,7 +409,7 @@ def plesken_subspace(algebra: Algebra, sigma: AntiInvolution) -> Subspace:
 
     The skew part depends on the algebra only through its dimension.
     """
-    if sigma.matrix.rows != algebra.dim or sigma.matrix.cols != algebra.dim:
+    if len(sigma.images) != algebra.dim:
         raise ValueError("involution matrix shape does not match the algebra")
     return sigma.skew_subspace
 

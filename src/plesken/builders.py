@@ -34,18 +34,10 @@ from functools import lru_cache
 from typing import Sequence
 
 from .algebra import Algebra, AntiInvolution
-from .linalg import Matrix, unit_vector
+from .linalg import unit_vector
 from .scalars import exact
 
 DEFAULT_DIAGRAM_CAP = 6
-
-
-def signed_permutation_matrix(n: int, perm: Sequence[int], signs=None) -> Matrix:
-    """Matrix sending basis vector j to signs[j] * basis vector perm[j]."""
-    rows = [[0] * n for _ in range(n)]
-    for j in range(n):
-        rows[perm[j]][j] = 1 if signs is None else signs[j]
-    return Matrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -80,10 +72,7 @@ def quaternions() -> tuple[Algebra, AntiInvolution]:
         (i, k): ((j, neg),),
     }
     algebra = Algebra(labels, structure, (1, 0, 0, 0))
-    sigma = AntiInvolution(
-        signed_permutation_matrix(4, (0, 1, 2, 3), (1, -1, -1, -1))
-    )
-    return algebra, sigma
+    return algebra, AntiInvolution.signed_permutation((0, 1, 2, 3), (1, -1, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -102,17 +91,14 @@ def matrix_algebra(n: int, involution: str = "transpose") -> tuple[Algebra, Anti
     structure = {}
     for r in range(1, n + 1):
         for s in range(1, n + 1):
-            for u in range(1, n + 1):
-                for v in range(1, n + 1):
-                    if s == u:
-                        structure[(idx(r, s), idx(u, v))] = ((idx(r, v), 1),)
+            for v in range(1, n + 1):
+                structure[(idx(r, s), idx(s, v))] = ((idx(r, v), 1),)
     unit = [0] * (n * n)
     for r in range(1, n + 1):
         unit[idx(r, r)] = 1
     perm = [idx(s, r) for r in range(1, n + 1) for s in range(1, n + 1)]
-    sigma = AntiInvolution(
-        signed_permutation_matrix(n * n, perm),
-        conjugates_scalars=(involution == "conj_transpose"),
+    sigma = AntiInvolution.signed_permutation(
+        perm, conjugates_scalars=(involution == "conj_transpose")
     )
     return Algebra(labels, structure, unit), sigma
 
@@ -155,19 +141,13 @@ def matrix_over_algebra(
     for r in range(1, n + 1):
         for i, c in enumerate(inner.unit):
             unit[idx(r, r, i)] = c
-    columns = []
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            for i in range(d):
-                image = inner_sigma.matrix.column(i)
-                col = [0] * dim
-                for k, c in enumerate(image):
-                    col[idx(s, r, k)] = c
-                columns.append(col)
-    sigma = AntiInvolution(
-        Matrix.from_columns(columns),
-        conjugates_scalars=inner_sigma.conjugates_scalars,
+    images = tuple(
+        {idx(s, r, k): c for k, c in inner_sigma.images[i].items()}
+        for r in range(1, n + 1)
+        for s in range(1, n + 1)
+        for i in range(d)
     )
+    sigma = AntiInvolution(images, inner_sigma.conjugates_scalars)
     return Algebra(labels, structure, unit), sigma
 
 
@@ -240,7 +220,7 @@ def group_algebra(table: GroupTable) -> tuple[Algebra, AntiInvolution]:
     }
     unit = [0] * n
     unit[table.identity] = 1
-    sigma = AntiInvolution(signed_permutation_matrix(n, table.inverse))
+    sigma = AntiInvolution.signed_permutation(table.inverse)
     return Algebra(table.labels, structure, unit), sigma
 
 
@@ -332,8 +312,7 @@ def planar_rook(
     )
     full = tuple(range(1, n + 1))
     unit = unit_vector(len(diagrams), index[full, full])
-    perm = [index[bottom, top] for top, bottom in ends]
-    sigma = AntiInvolution(signed_permutation_matrix(len(diagrams), perm))
+    sigma = AntiInvolution.signed_permutation([index[bottom, top] for top, bottom in ends])
     labels = tuple(d.label() for d in diagrams)
     return Algebra(labels, structure, unit), sigma
 
@@ -491,7 +470,6 @@ def temperley_lieb(
         for m, loops in [_tl_compose(up, low)]
     )
     unit = unit_vector(len(diagrams), index[TLDiagram.identity(n).mates()])
-    perm = [index[d.flip().mates()] for d in diagrams]
-    sigma = AntiInvolution(signed_permutation_matrix(len(diagrams), perm))
+    sigma = AntiInvolution.signed_permutation([index[d.flip().mates()] for d in diagrams])
     labels = tuple(d.label() for d in diagrams)
     return Algebra(labels, structure, unit), sigma

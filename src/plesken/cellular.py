@@ -34,11 +34,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .algebra import Algebra, AntiInvolution, plesken_subspace
-from .builders import (
-    PlanarRookDiagram,
-    planar_rook_diagrams,
-    temperley_lieb_diagrams,
-)
+from .builders import planar_rook_diagrams, temperley_lieb_diagrams
 from .linalg import Matrix, combine, rank
 from .scalars import GaussianRational
 
@@ -124,18 +120,12 @@ def cell_datum_matrix(n: int, involution: AntiInvolution) -> CellDatum:
 
 def cell_datum_planar_rook(n: int, involution: AntiInvolution) -> CellDatum:
     """Cells of PR(n): label = arc count, index set = endpoint subsets."""
-    diagrams = planar_rook_diagrams(n)
-    index = {d: i for i, d in enumerate(diagrams)}
     lambdas = tuple(range(n + 1))
     less = [(a, b) for a in lambdas for b in lambdas if a < b]
     index_sets = {
         lam: tuple(itertools.combinations(range(1, n + 1), lam)) for lam in lambdas
     }
-    basis_map = {}
-    for lam in lambdas:
-        for s in index_sets[lam]:
-            for t in index_sets[lam]:
-                basis_map[(lam, s, t)] = index[PlanarRookDiagram(n, s, t)]
+    basis_map = {(len(d.top), d.top, d.bottom): i for i, d in enumerate(planar_rook_diagrams(n))}
     return CellDatum(lambdas, less, index_sets, basis_map, involution)
 
 

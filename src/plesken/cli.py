@@ -114,6 +114,8 @@ def _family_member(args):
             raw = json.loads(Path(args.table).read_text())
         except OSError as exc:
             raise DocumentInvalid(f"cannot read {args.table}: {exc}") from exc
+        except RecursionError as exc:  # nesting deeper than the JSON decoder's stack
+            raise DocumentInvalid(f"cannot parse {args.table}: {exc}") from exc
         try:
             table = GroupTable(raw["product"], labels=raw.get("labels"))
         except (KeyError, TypeError) as exc:
@@ -164,7 +166,7 @@ def _load_validated(path: str) -> AlgebraDocument:
         return load(path)
     except OSError as exc:
         raise DocumentInvalid(f"cannot read {path}: {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:
         raise DocumentInvalid(f"cannot parse {path}: {exc}") from exc
     except KeyError as exc:
         raise DocumentInvalid(f"cannot parse {path}: missing field {exc}") from exc

@@ -22,8 +22,10 @@ In memory a document is the `Algebra`, `AntiInvolution` and `CellDatum`
 it describes.  `parse` builds them directly, so their constructors' checks
 (distinct labels, structure indices that are ints in range, a strict order
 on known cells, one index set per known cell with no member twice) refuse a
-document in `parse`, with ValueError;
-`emit` writes straight from them.
+document in `parse`, with ValueError.  The involution is read into the
+sparse images sigma(e_j): from the permutation and signs, or from the
+columns of the matrix.  `emit` writes straight from them, the shorthand
+whenever sigma is a signed permutation.
 
 Scalars are exact strings, never decimals.  Cell labels may be integers,
 strings or (nested) lists of them; lists are converted to tuples on parse,
@@ -39,9 +41,8 @@ from pathlib import Path
 from typing import Optional
 
 from .algebra import Algebra, AntiInvolution
-from .builders import signed_permutation_matrix
 from .cellular import CellDatum
-from .linalg import Matrix
+from .linalg import vector
 
 FORMAT_VERSION = "1"
 FILE_SUFFIX = ".plesken.json"
@@ -154,17 +155,18 @@ def _parse_involution(payload: dict, dim: int) -> AntiInvolution:
     if not isinstance(conj, bool):
         raise ValueError("involution conjugates_scalars must be true or false")
     if "matrix" in payload:
-        matrix = Matrix(_rows(payload["matrix"], "involution matrix"))
-        if matrix.rows != dim or matrix.cols != dim:
+        rows = _rows(payload["matrix"], "involution matrix")
+        if len(rows) != dim or any(len(row) != dim for row in rows):
             raise ValueError("involution matrix has wrong shape")
-        return AntiInvolution(matrix, conj)
+        columns = zip(*map(vector, rows))
+        return AntiInvolution(tuple(dict(enumerate(column)) for column in columns), conj)
     perm = _list(payload["permutation"], "involution permutation")
     if not all(type(p) is int for p in perm) or sorted(perm) != list(range(dim)):
         raise ValueError("involution permutation is not a permutation")
     signs = payload.get("signs")
     if "signs" in payload and not (isinstance(signs, list) and len(signs) == dim):
         raise ValueError("involution signs must be a list of length dim")
-    return AntiInvolution(signed_permutation_matrix(dim, perm, signs), conj)
+    return AntiInvolution.signed_permutation(perm, signs, conj)
 
 
 def _parse_cell(raw: dict, dim: int, sigma: AntiInvolution) -> CellDatum:

@@ -8,14 +8,15 @@ themselves; the reduced row echelon form is unique, so two subspaces are
 equal exactly when their rows coincide.  Dense tuples are the edges
 (`Matrix`, the `Subspace.basis` view), converted by `sparse` and `dense`.
 `Matrix` is a container without arithmetic: constructors, row, column and
-transpose views, indexing and equality.  It holds sigma, the Gram and
-Killing matrices and the input of `rref`; `rref` and `rank` are views of a
-`Subspace` on immutable dense `Matrix` values.  `vector` reads entries by
-`scalars.exact`, and `sparse` and `Matrix` read through it, as
-`Echelon.subspace` reads the rows it hands on; `Echelon.insert`, the one
-division, divides by a `GaussianRational`.  `rank_mod_p` is the one routine
-over a finite field: the rank of sparse integer rows mod a prime, which
-bounds the rank over Q(i) from below (see `lie.fingerprint`).
+transpose views, indexing and equality.  It holds the Gram and Killing
+matrices, the `AntiInvolution.matrix` view and the input of `rref`; `rref`
+and `rank` are views of a `Subspace` on immutable dense `Matrix` values.
+`vector` reads entries by `scalars.exact`, and `sparse` and `Matrix` read
+through it, as `Echelon.subspace` reads the rows it hands on;
+`Echelon.insert`, the one division, divides by a `GaussianRational`.
+`rank_mod_p` is the one routine over a finite field: the rank of sparse
+integer rows mod a prime, which bounds the rank over Q(i) from below (see
+`lie.fingerprint`).
 """
 
 from __future__ import annotations

@@ -14,9 +14,11 @@ center and fingerprint computations built on it: the center from an
 O(n^3 t) scan of the bracket table, each series term from all brackets
 stacked into one matrix.  Differential tests compare the results, which are canonical.
 
-Products, sigma, the skew part and the Lie table work on sparse terms.  The
-dense versions they replaced are here: the dense `bilinear_product` loop,
-sigma as a dense matrix-vector product, the skew part as the kernel of
+Products, sigma, the skew part and the Lie table work on sparse terms, and
+sigma is held as its sparse images.  The dense versions they replaced are
+here: the dense `bilinear_product` loop, the signed permutation matrix the
+builders passed for sigma, sigma read from a dense matrix's columns and
+applied as a dense matrix-vector product, the skew part as the kernel of
 (sigma + id) cross-checked against the span of the e_i - sigma(e_i), the
 Lie table from dense commutators of `GaussianRational` vectors with a dense
 residual check, and its labels read off the dense basis vectors.  So are
@@ -61,7 +63,6 @@ from plesken.builders import (
     PlanarRookDiagram,
     TLDiagram,
     planar_rook_diagrams,
-    signed_permutation_matrix,
     temperley_lieb_diagrams,
 )
 from plesken.cellular import CellDatum, CellForms, CellModule, GramPropertyFailure, Label
@@ -77,6 +78,36 @@ from plesken.linalg import (
     zero_vector,
 )
 from plesken.scalars import I, ONE, ZERO, GaussianRational, scalar
+
+
+def signed_permutation_matrix(n: int, perm: Sequence[int], signs=None) -> Matrix:
+    """Matrix sending basis vector j to signs[j] * basis vector perm[j]."""
+    rows = [[0] * n for _ in range(n)]
+    for j in range(n):
+        rows[perm[j]][j] = 1 if signs is None else signs[j]
+    return Matrix(rows)
+
+
+def involution_from_matrix(m: Matrix, conjugates_scalars: bool = False) -> AntiInvolution:
+    """The involution whose images sigma(e_j) are the columns of m."""
+    images = tuple(dict(enumerate(m.column(j))) for j in range(m.cols))
+    return AntiInvolution(images, conjugates_scalars)
+
+
+def matrix_over_involution_dense(n: int, inner_sigma: AntiInvolution) -> Matrix:
+    """The matrix of E_rs (x) e_i -> E_sr (x) sigma(e_i) on M(n, A), built
+    column by column from the dense columns of the inner matrix."""
+    inner = inner_sigma.matrix
+    d = inner.cols
+    columns = []
+    for r in range(n):
+        for s in range(n):
+            for i in range(d):
+                column = [0] * (n * n * d)
+                for k, c in enumerate(inner.column(i)):
+                    column[(s * n + r) * d + k] = c
+                columns.append(column)
+    return Matrix.from_columns(columns)
 
 
 def associativity_all_triples(

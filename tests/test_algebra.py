@@ -1,7 +1,13 @@
 import random
 
 import pytest
-from oracles import commutator_dense, jacobi_failure, kernel_gauss_jordan, linear_combination
+from oracles import (
+    commutator_dense,
+    involution_from_matrix,
+    jacobi_failure,
+    kernel_gauss_jordan,
+    linear_combination,
+)
 
 from plesken.algebra import (
     AntiInvolution,
@@ -23,7 +29,7 @@ from plesken.builders import (
     temperley_lieb,
 )
 from plesken.linalg import Matrix, vector
-from plesken.scalars import I, ONE, scalar
+from plesken.scalars import I, ONE, GaussianRational, scalar
 from plesken.suite import cyclic_table, symmetric_3_table
 from plesken.builders import group_algebra
 
@@ -90,10 +96,24 @@ def test_associativity_detects_corruption():
 
 def test_identity_is_not_an_anti_involution():
     A, _ = matrix_algebra(2)
-    failure = validate_involution(A, AntiInvolution(Matrix.identity(4)))
+    failure = validate_involution(A, involution_from_matrix(Matrix.identity(4)))
     assert failure is not None
     assert failure.kind == "antihomomorphism"
     assert failure.witness == (0, 1)
+
+
+def test_involution_reads_its_images_once():
+    sigma = AntiInvolution(({1: "-1", 0: 0}, {0: GaussianRational(-1)}))
+    assert sigma.images == ({1: -1}, {0: -1})
+    assert sigma == AntiInvolution.signed_permutation((1, 0), (-1, -1))
+    assert sigma.matrix == Matrix([[0, -1], [-1, 0]])
+    with pytest.raises(TypeError):
+        hash(sigma)
+    for images in (({True: 1}, {0: 1}), ({2: 1}, {0: 1}), ({-1: 1}, {0: 1})):
+        with pytest.raises(ValueError, match="involution image index out of range"):
+            AntiInvolution(images)
+    with pytest.raises(ValueError):
+        AntiInvolution.signed_permutation((1, 0), (1,))
 
 
 def test_plesken_basis_quaternions():
@@ -155,8 +175,8 @@ def test_closure_proof_fires_when_the_skew_part_is_not_closed():
     # span(E11, E12, E21) is not closed, since [E12, E21] = E11 - E22.  The
     # exact basis-pair proof that the reports rely on must catch this.
     A, _ = matrix_algebra(2)
-    sigma = AntiInvolution(Matrix([[-1, 0, 0, 0], [0, -1, 0, 0],
-                                   [0, 0, -1, 0], [0, 0, 0, 1]]))
+    sigma = involution_from_matrix(Matrix([[-1, 0, 0, 0], [0, -1, 0, 0],
+                                           [0, 0, -1, 0], [0, 0, 0, 1]]))
     assert validate_involution(A, sigma) is not None
     with pytest.raises(
         InternalConsistencyError,
@@ -177,7 +197,7 @@ def test_skew_part_check_fires_when_sigma_squared_is_not_the_identity(matrix):
         InternalConsistencyError,
         match=r"\(-1\)-eigenspace differs from the span of the generators",
     ):
-        plesken_lie_algebra(A, AntiInvolution(Matrix(matrix)))
+        plesken_lie_algebra(A, involution_from_matrix(Matrix(matrix)))
 
 
 def test_group_bracket_identity_on_elements():

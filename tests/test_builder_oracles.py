@@ -1,35 +1,49 @@
-"""Differential tests: the diagram compositions and `Algebra`'s table against
-the code they replaced.
+"""Differential tests: the diagram compositions, `Algebra`'s table and each
+builder's involution against the code they replaced.
 
 `oracles.py` keeps the union-find TL composition, the planar rook product
 built as a validated `PlanarRookDiagram`, the TL and PR tables built from
-them, and a structure table summed over `GaussianRational`.  The tuple
-primitives must agree with them on every pair of diagrams, each builder's
-whole table, unit and involution with the oracle-built ones, and
-`Algebra`'s table, with its single-term fast path, with the summed one.
+them, a structure table summed over `GaussianRational`, the dense signed
+permutation matrix every builder passed for sigma and the dense columns
+`matrix_over_algebra` built.  The tuple primitives must agree with them on
+every pair of diagrams, each builder's whole table, unit and involution
+with the oracle-built ones, and `Algebra`'s table, with its single-term
+fast path, with the summed one.  Every builder's sigma images must be the
+columns of the signed permutation matrix read off its basis labels or
+group table.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    matrix_over_involution_dense,
     planar_rook_by_dataclass,
     pr_compose_dataclass,
+    signed_permutation_matrix,
     summed_structure,
     temperley_lieb_by_union_find,
     tl_compose_union_find,
 )
+from test_validation_oracles import FAMILIES
 
 from plesken.algebra import Algebra
 from plesken.builders import (
     _pr_compose,
     _tl_compose,
+    group_algebra,
+    matrix_algebra,
+    matrix_over_algebra,
     planar_rook,
     planar_rook_diagrams,
+    quaternions,
     temperley_lieb,
     temperley_lieb_diagrams,
 )
-from plesken.linalg import unit_vector
+from plesken.linalg import sparse, unit_vector
 from plesken.scalars import GaussianRational, exact
+from plesken.suite import cyclic_table, symmetric_3_table
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -53,11 +67,67 @@ def test_pr_compose_matches_dataclass_product(n):
             assert d1.compose(d2) == product
 
 
+def assert_images(sigma, matrix):
+    """sigma's stored images are the columns of the dense oracle matrix."""
+    assert sigma.images == tuple(sparse(matrix.column(j), matrix.rows) for j in range(matrix.cols))
+    assert sigma.matrix == matrix
+
+
 def assert_builds(built, oracle):
     (A, sigma), (structure, unit, involution) = built, oracle
     assert A.structure == structure
     assert A.unit == unit
-    assert sigma.matrix == involution
+    assert_images(sigma, involution)
+
+
+def transposed(labels) -> list[int]:
+    """The index of E{s}{r}(.x) for each label E{r}{s}(.x), n <= 9."""
+    index = {label: i for i, label in enumerate(labels)}
+    swap = lambda label: f"E{label[2]}{label[1]}{label[3:]}"
+    return [index[swap(label)] for label in labels]
+
+
+def test_quaternion_sigma_is_the_conjugation_matrix():
+    _, sigma = quaternions()
+    assert_images(sigma, signed_permutation_matrix(4, (0, 1, 2, 3), (1, -1, -1, -1)))
+    assert not sigma.conjugates_scalars
+
+
+@pytest.mark.parametrize("involution", ["transpose", "conj_transpose"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matrix_sigma_is_the_transposition_matrix(n, involution):
+    A, sigma = matrix_algebra(n, involution)
+    assert_images(sigma, signed_permutation_matrix(A.dim, transposed(A.labels)))
+    assert sigma.conjugates_scalars == (involution == "conj_transpose")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_matrix_over_quaternions_sigma_is_a_signed_permutation(n):
+    A, sigma = matrix_over_algebra(n, *quaternions())
+    signs = [1 if label.endswith(".1") else -1 for label in A.labels]
+    assert_images(sigma, signed_permutation_matrix(A.dim, transposed(A.labels), signs))
+
+
+@pytest.mark.parametrize("inner", ["H", "M(2)*", "M(2) skewed basis"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_matrix_over_sigma_matches_dense_columns(n, inner):
+    inner_algebra, inner_sigma = FAMILIES[inner]()
+    _, sigma = matrix_over_algebra(n, inner_algebra, inner_sigma)
+    assert_images(sigma, matrix_over_involution_dense(n, inner_sigma))
+    assert sigma.conjugates_scalars == inner_sigma.conjugates_scalars
+
+
+@pytest.mark.parametrize(
+    "table", [symmetric_3_table, *(partial(cyclic_table, k) for k in (2, 3, 5))]
+)
+def test_group_sigma_inverts_group_elements(table):
+    table = table()
+    inverse = [
+        next(h for h in range(table.order) if table.product[g][h] == table.identity)
+        for g in range(table.order)
+    ]
+    _, sigma = group_algebra(table)
+    assert_images(sigma, signed_permutation_matrix(table.order, inverse))
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,6 @@ from plesken.algebra import (
 from plesken.builders import (
     matrix_algebra,
     planar_rook,
-    signed_permutation_matrix,
     temperley_lieb,
 )
 from plesken.cellular import (
@@ -118,7 +117,7 @@ def _two_by_two(coefficient, unit, conjugates_scalars=False):
                 structure[(left, right)] = ((index[(s, v)], c),)
     algebra = Algebra([f"C{s}{t}" for s, t in index], structure, [scalar(c) for c in unit])
     perm = [index[(t, s)] for s, t in index]
-    sigma = AntiInvolution(signed_permutation_matrix(4, perm), conjugates_scalars)
+    sigma = AntiInvolution.signed_permutation(perm, None, conjugates_scalars)
     basis_map = {(1, s, t): k for (s, t), k in index.items()}
     return algebra, sigma, CellDatum((1,), (), {1: members}, basis_map, sigma)
 

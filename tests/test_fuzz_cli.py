@@ -7,7 +7,8 @@ replaced by another JSON value, or removed) and run through `analyze` and
 "refutation", may only come from `verify-cellular` with a valid cell datum
 whose certificate fails.  A second test replaces one JSON integer (an
 index, a sign or a cell label) with `true` or `false`, which both commands
-must refuse as invalid input.
+must refuse as invalid input.  Documents and group tables nested deeper
+than the JSON decoder's stack are refused as invalid input too.
 """
 
 import contextlib
@@ -135,4 +136,32 @@ def test_booleans_are_refused_at_every_integer_position(documents, data):
     for command in ("analyze", "verify-cellular"):
         code, out = _run([command, str(target)])
         assert code == 2, (path, command)
+        assert json.loads(out)["error"]["kind"] == "invalid-input"
+
+
+def _deep_label_document(folder, depth):
+    """M(1) whose one cell label is a list nested `depth` deep."""
+    path = folder / "m1.plesken.json"
+    assert _run(["build", "--family", "matrix", "--n", "1", "--out", str(path)])[0] == 0
+    doc = json.loads(path.read_text())
+    doc["cell"].update(lambdas=["DEEP"], index_sets=[["DEEP", [1]]], triples=[["DEEP", 1, 1, 0]])
+    return json.dumps(doc).replace('"DEEP"', "[" * (depth - 1) + "1" + "]" * (depth - 1))
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        (["analyze"], lambda folder: "[" * 100_000 + "]" * 100_000),
+        (["verify-cellular"], lambda folder: _deep_label_document(folder, 985)),
+        (["build", "--family", "group", "--table"],
+         lambda folder: '{"product": ' + "[" * 5_000 + "]" * 5_000 + "}"),
+    ],
+    ids=["document", "cell-label", "group-table"],
+)
+def test_hostile_nesting_is_invalid_input(tmp_path, command, text):
+    path = tmp_path / "nested.json"
+    path.write_text(text(tmp_path))
+    code, out = _run([*command, str(path)])
+    assert code == 2
+    if command[0] != "build":  # build writes no JSON error
         assert json.loads(out)["error"]["kind"] == "invalid-input"

@@ -2,17 +2,16 @@ import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import associativity_all_triples
+from oracles import associativity_all_triples, involution_from_matrix, signed_permutation_matrix
 
 from plesken import cli
-from plesken.algebra import Algebra, AntiInvolution, InternalConsistencyError
+from plesken.algebra import Algebra, InternalConsistencyError
 from plesken.builders import (
     group_algebra,
     matrix_algebra,
     matrix_over_algebra,
     planar_rook,
     quaternions,
-    signed_permutation_matrix,
     temperley_lieb,
 )
 from plesken.cellular import (
@@ -30,6 +29,7 @@ from plesken.interchange import (
     save,
 )
 from plesken.linalg import Matrix
+from plesken.report import validate_algebra
 from plesken.scalars import GaussianRational
 from plesken.suite import run_suite, symmetric_3_table
 
@@ -95,7 +95,7 @@ def documents(draw):
     else:
         matrix = Matrix(draw(st.lists(st.lists(coefficients, min_size=n, max_size=n),
                                       min_size=n, max_size=n)))
-    sigma = AntiInvolution(matrix, draw(st.booleans()))
+    sigma = involution_from_matrix(matrix, draw(st.booleans()))
     cell = None
     if draw(st.booleans()):
         lambdas = draw(st.lists(cell_labels, min_size=1, max_size=3, unique=True))
@@ -696,13 +696,34 @@ def test_save_and_load(tmp_path):
     assert load(path) == doc
 
 
+def test_permutation_documents_and_diagram_builds_make_no_dense_matrix(monkeypatch):
+    # sigma is held as its sparse images: reading a permutation-form
+    # document, building PR(3) with its cell datum, validating and emitting
+    # construct no n x n Matrix.
+    algebra, sigma = planar_rook(3)
+    text = emit(document_from_algebra("pr3", algebra, sigma, cell_datum_planar_rook(3, sigma)))
+
+    def refuse(self, rows):
+        raise AssertionError("a dense Matrix was constructed")
+
+    monkeypatch.setattr(Matrix, "__init__", refuse)
+    doc = parse(text)
+    built, built_sigma = planar_rook(3)
+    assert doc.algebra == built and doc.sigma == built_sigma
+    assert doc.cell == cell_datum_planar_rook(3, built_sigma)
+    validate_algebra(doc.algebra, doc.sigma)
+    assert emit(doc) == text
+    with pytest.raises(AssertionError, match="dense Matrix"):
+        doc.sigma.matrix
+
+
 def test_dense_involution_matrix_document(tmp_path, capsys):
     # Twisted transposition M -> S^-1 M^T S with S = [[1,1],[1,2]]: a genuine
     # anti-involution whose matrix is not a signed permutation, exercising
     # the full-matrix serialization and the generic apply path end to end.
     from oracles import matmul
 
-    from plesken.algebra import AntiInvolution, validate_involution
+    from plesken.algebra import validate_involution
     from plesken.linalg import Matrix
 
     algebra, _ = matrix_algebra(2)
@@ -715,7 +736,7 @@ def test_dense_involution_matrix_document(tmp_path, capsys):
                            for i in range(2)])
             image = matmul(matmul(s_inv, unit.transpose()), s)
             columns.append([image.data[i][j] for i in range(2) for j in range(2)])
-    sigma = AntiInvolution(Matrix.from_columns(columns))
+    sigma = involution_from_matrix(Matrix.from_columns(columns))
     assert sigma._signed_permutation is None
     assert validate_involution(algebra, sigma) is None
 

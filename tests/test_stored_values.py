@@ -1,11 +1,11 @@
 """The reading rule: every stored exact value is an `int` when it is a real
 integer and a `GaussianRational` otherwise.
 
-The value is read once, where it enters (`Algebra`, `LieAlgebra`, `Matrix`,
-`linalg.vector` and the `Subspace` rows), and every later stage holds what
-those give it.  So no stage may store a float, which an `int` quotient
-would give, nor a `GaussianRational` equal to an integer, which a stage
-that skipped the reading would leave.  Walked on every builder family, on
+The value is read once, where it enters (`Algebra`, `AntiInvolution`,
+`LieAlgebra`, `Matrix`, `linalg.vector` and the `Subspace` rows), and
+every later stage holds what those give it.  So no stage may store a
+float, which an `int` quotient would give, nor a `GaussianRational` equal
+to an integer, which a stage that skipped the reading would leave.  Walked on every builder family, on
 TL at non-integral delta, on M(n) under conjugate transposition and on
 M(2) in a basis with several-term and imaginary products, and on the
 documents `emit` writes for them, read back by `parse`.
@@ -33,7 +33,6 @@ from plesken.cellular import (
 )
 from plesken.interchange import AlgebraDocument, emit, parse
 from plesken.lie import LieAlgebra, killing_form
-from plesken.linalg import Matrix
 from plesken.scalars import GaussianRational, scalar
 
 CASES = {
@@ -68,7 +67,7 @@ def _terms(table):
 def _assert_algebra(algebra, sigma):
     _assert_read_once(_terms(algebra.structure), "structure")
     _assert_read_once(algebra.unit, "unit")
-    _assert_read_once([c for row in sigma.matrix.data for c in row], "sigma")
+    _assert_read_once([c for image in sigma.images for c in image.values()], "sigma")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -109,4 +108,6 @@ def test_constructors_read_integral_values_as_ints():
     A = Algebra(["a", "b"], {(0, 0): ((0, "1/2"), (0, "1/2")), (0, 1): ((1, Fraction(4, 2)),)},
                 [GaussianRational(1), "0"])
     assert A.structure == {(0, 0): ((0, 1),), (0, 1): ((1, 2),)} and A.unit == (1, 0)
-    _assert_algebra(A, AntiInvolution(Matrix([["1+0i", 0], [0, Fraction(1)]])))
+    sigma = AntiInvolution(({0: "1+0i", 1: 0}, {1: Fraction(1)}))
+    assert sigma.images == ({0: 1}, {1: 1})
+    _assert_algebra(A, sigma)

@@ -14,9 +14,14 @@ coefficients) and on the general one alike.
 import itertools
 
 import pytest
-from oracles import associativity_all_triples, involution_all_pairs, solve_gauss_jordan
+from oracles import (
+    associativity_all_triples,
+    involution_all_pairs,
+    involution_from_matrix,
+    solve_gauss_jordan,
+)
 
-from plesken.algebra import Algebra, AntiInvolution, validate_associativity, validate_involution
+from plesken.algebra import Algebra, validate_associativity, validate_involution
 from plesken.builders import (
     group_algebra,
     matrix_algebra,
@@ -46,7 +51,7 @@ def _changed_basis(algebra, sigma, columns):
     images = [coordinates(sigma.apply_vector(v)) for v in columns]
     labels = tuple(f"b{i}" for i in range(algebra.dim))
     unit = coordinates(algebra.unit)
-    return Algebra(labels, structure, unit), AntiInvolution(
+    return Algebra(labels, structure, unit), involution_from_matrix(
         Matrix.from_columns(images), sigma.conjugates_scalars
     )
 
@@ -165,7 +170,7 @@ def test_column_swapped_involutions(name):
     for a, b in itertools.combinations(range(algebra.dim), 2):
         swapped = list(columns)
         swapped[a], swapped[b] = swapped[b], swapped[a]
-        tampered = AntiInvolution(Matrix.from_columns(swapped), sigma.conjugates_scalars)
+        tampered = involution_from_matrix(Matrix.from_columns(swapped), sigma.conjugates_scalars)
         _assert_involution_agrees(algebra, tampered)
 
 

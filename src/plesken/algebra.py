@@ -27,9 +27,8 @@ spanning is itself proved; the exhaustive scans live on as test oracles.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import (
     Echelon,
@@ -75,6 +74,13 @@ class Algebra:
         def index(v) -> bool:
             return type(v) is int and 0 <= v < n
 
+        strings: dict[str, int | GaussianRational] = {}
+
+        def read(c):  # `exact`, each distinct string read once
+            if type(c) is not str:
+                return exact(c)
+            return strings[c] if c in strings else strings.setdefault(c, exact(c))
+
         items = structure.items() if isinstance(structure, Mapping) else structure
         table: dict[tuple[int, int], Terms] = {}
         shared: dict[tuple, Terms] = {}
@@ -87,10 +93,10 @@ class Algebra:
                     raise ValueError(f"structure target out of range: {k}")
             if len(terms) == 1 and (i, j) not in table:
                 ((k, c),) = terms
-                if c := exact(c):
+                if c := read(c):
                     table[(i, j)] = shared.setdefault((k, c), ((k, c),))
                 continue
-            merged = combine((k, exact(c)) for k, c in [*table.pop((i, j), ()), *terms])
+            merged = combine((k, read(c)) for k, c in [*table.pop((i, j), ()), *terms])
             if merged:  # a sum of non-integral values can be an integer
                 table[(i, j)] = tuple(sorted((k, exact(c)) for k, c in merged.items()))
         self.structure = table
@@ -182,7 +188,6 @@ def describe_vector(labels: Sequence[str], terms: Iterable[tuple[int, GaussianRa
     return "".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
 class AntiInvolution:
     """Action of sigma on coefficient vectors.
 
@@ -196,20 +201,27 @@ class AntiInvolution:
     not hashable.
     """
 
-    images: tuple[Mapping[int, GaussianRational], ...]
-    conjugates_scalars: bool = False
-
-    __hash__ = None
-
-    def __post_init__(self):
-        n = len(self.images)
-        images = []
-        for image in self.images:
+    def __init__(self, images: Sequence[Mapping[int, GaussianRational]], conjugates_scalars=False):
+        n = len(images)
+        stored = []
+        for image in images:
             for k in image:
                 if not (type(k) is int and 0 <= k < n):
                     raise ValueError(f"involution image index out of range: {k!r}")
-            images.append({k: e for k, c in sorted(image.items()) if (e := exact(c))})
-        object.__setattr__(self, "images", tuple(images))
+            stored.append({k: e for k, c in sorted(image.items()) if (e := exact(c))})
+        self.images = tuple(stored)
+        self.conjugates_scalars = conjugates_scalars
+
+    def __eq__(self, other):
+        return isinstance(other, AntiInvolution) and (
+            (self.images, self.conjugates_scalars) == (other.images, other.conjugates_scalars)
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        conj = self.conjugates_scalars
+        return f"AntiInvolution(dim={len(self.images)}, conjugates_scalars={conj})"
 
     @classmethod
     def signed_permutation(cls, perm: Sequence[int], signs=None, conjugates_scalars=False):
@@ -354,8 +366,7 @@ def validate_unit(algebra: Algebra) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class InvolutionFailure:
+class InvolutionFailure(NamedTuple):
     kind: str  # "shape", "square" or "antihomomorphism"
     witness: tuple
 
@@ -468,8 +479,7 @@ def lie_labels(ambient_labels: Sequence[str], rows: Iterable[Mapping]) -> list[s
     return labels
 
 
-@dataclass(frozen=True)
-class ClosureCounterexample:
+class ClosureCounterexample(NamedTuple):
     sample: int
     a: Vector
     b: Vector

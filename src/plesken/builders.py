@@ -29,7 +29,6 @@ C(2n, n) and the Catalan numbers; the cap is a keyword argument.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -228,8 +227,28 @@ def group_algebra(table: GroupTable) -> tuple[Algebra, AntiInvolution]:
 # Planar rook diagrams
 
 
-@dataclass(frozen=True, order=True)
-class PlanarRookDiagram:
+class _Diagram:
+    """An immutable value: equal, hashed and shown by its `_fields`, which
+    `__init__` sets once, after validating them."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class PlanarRookDiagram(_Diagram):
     """Non-crossing partial matching of n top nodes to n bottom nodes.
 
     Planarity forces the matching between the chosen endpoint sets to be
@@ -237,18 +256,17 @@ class PlanarRookDiagram:
     diagram completely.
     """
 
-    n: int
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
+    _fields = ("n", "top", "bottom")
 
-    def __post_init__(self):
-        if len(self.top) != len(self.bottom):
+    def __init__(self, n: int, top: tuple[int, ...], bottom: tuple[int, ...]):
+        if len(top) != len(bottom):
             raise ValueError("top and bottom must have equal sizes")
-        for side in (self.top, self.bottom):
+        for side in (top, bottom):
             if list(side) != sorted(set(side)):
                 raise ValueError("endpoints must be sorted and distinct")
-            if side and (side[0] < 1 or side[-1] > self.n):
+            if side and (side[0] < 1 or side[-1] > n):
                 raise ValueError("endpoint out of range")
+        vars(self).update(n=n, top=top, bottom=bottom)
 
     @property
     def arcs(self) -> int:
@@ -338,26 +356,25 @@ def _is_noncrossing(n: int, pairs) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class TLDiagram:
+class TLDiagram(_Diagram):
     """Perfect non-crossing matching of n top points (1..n) and n bottom
     points (n+1..2n, numbered left to right)."""
 
-    n: int
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("n", "pairs")
 
-    def __post_init__(self):
+    def __init__(self, n: int, pairs: tuple[tuple[int, int], ...]):
         seen = set()
-        for a, b in self.pairs:
-            if not (1 <= a < b <= 2 * self.n):
+        for a, b in pairs:
+            if not (1 <= a < b <= 2 * n):
                 raise ValueError("pair endpoints out of range or unordered")
             seen.update((a, b))
-        if len(seen) != 2 * self.n or len(self.pairs) != self.n:
+        if len(seen) != 2 * n or len(pairs) != n:
             raise ValueError("pairs must form a perfect matching")
-        if list(self.pairs) != sorted(self.pairs):
+        if list(pairs) != sorted(pairs):
             raise ValueError("pairs must be sorted")
-        if not _is_noncrossing(self.n, self.pairs):
+        if not _is_noncrossing(n, pairs):
             raise ValueError("matching has crossing arcs")
+        vars(self).update(n=n, pairs=pairs)
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> TLDiagram:

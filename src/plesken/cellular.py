@@ -30,8 +30,7 @@ comparability pairs, so non-total orders work unchanged.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, AntiInvolution, plesken_subspace
 from .builders import planar_rook_diagrams, temperley_lieb_diagrams
@@ -154,8 +153,7 @@ def cell_datum_temperley_lieb(n: int, involution: AntiInvolution) -> CellDatum:
 # Validation
 
 
-@dataclass(frozen=True)
-class CellValidationFailure:
+class CellValidationFailure(NamedTuple):
     clause: str  # "C1", "C2" or "C3"
     witness: tuple
     message: str
@@ -237,8 +235,7 @@ def _column_action(algebra: Algebra, cd: CellDatum, lam: Label, a: int, t) -> di
 # Cell modules and Gram forms
 
 
-@dataclass(frozen=True)
-class CellModule:
+class CellModule(NamedTuple):
     lam: Label
     basis: tuple
     action: Mapping[int, Entries]  # algebra basis index -> nonzero entries of its matrix
@@ -264,8 +261,7 @@ def cell_module(algebra: Algebra, cd: CellDatum, lam: Label) -> CellModule:
     return CellModule(lam, members, action)
 
 
-@dataclass(frozen=True)
-class GramForm:
+class GramForm(NamedTuple):
     lam: Label
     gram: Matrix
 
@@ -306,8 +302,7 @@ def gram_matrix(algebra: Algebra, cd: CellDatum, lam: Label) -> GramForm:
     return GramForm(lam, Matrix(rows))
 
 
-@dataclass(frozen=True)
-class CellForms:
+class CellForms(NamedTuple):
     """The cell module and the Gram form of every cell of one datum.
 
     Build it once with `build` and pass it to `check_gram_properties` and
@@ -326,8 +321,7 @@ class CellForms:
         )
 
 
-@dataclass(frozen=True)
-class SemisimplicityReport:
+class SemisimplicityReport(NamedTuple):
     semisimple: bool
     ranks: tuple[tuple[Label, int, int], ...]  # (lam, size, rank)
 
@@ -363,8 +357,7 @@ def _blocks(cd: CellDatum) -> tuple[tuple[tuple[Label, int], ...], int]:
 # The certificate
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Outcome of the orthogonal-decomposition verification.
 
     certified means all three checks passed: (a) the direct sum of cell
@@ -484,8 +477,7 @@ def verify_theorem(
     )
 
 
-@dataclass(frozen=True)
-class GramPropertyFailure:
+class GramPropertyFailure(NamedTuple):
     lam: Label
     kind: str  # "symmetry" or "adjointness"
     witness: tuple

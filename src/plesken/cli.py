@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 import time
-import traceback
 from pathlib import Path
 
 from .algebra import InternalConsistencyError
@@ -267,6 +266,7 @@ def main(argv=None) -> int:
         _report_error(args, "internal-inconsistency", str(exc))
         return EXIT_INTERNAL
     except Exception as exc:  # never let a crash read as exit 1, "refutation"
+        import traceback  # only a crash needs it
         traceback.print_exc()
         _report_error(args, "internal-error", f"{type(exc).__name__}: {exc}")
         return EXIT_INTERNAL

@@ -36,7 +36,6 @@ so parse(emit(doc)) == doc.  Emission sorts keys, and order pairs by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -81,15 +80,23 @@ def _label_key(value):
     return int(isinstance(value, str)), value
 
 
-@dataclass
 class AlgebraDocument:
     """A named algebra with its anti-involution and, optionally, cell datum."""
 
-    name: str
-    algebra: Algebra
-    sigma: AntiInvolution
-    cell: Optional[CellDatum] = None
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, name, algebra, sigma, cell=None, metadata=None):
+        self.name, self.algebra, self.sigma, self.cell = name, algebra, sigma, cell
+        self.metadata = {} if metadata is None else metadata
+
+    def __eq__(self, other):
+        return isinstance(other, AlgebraDocument) and all(
+            getattr(self, key) == getattr(other, key)
+            for key in ("name", "algebra", "sigma", "cell", "metadata")
+        )
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"AlgebraDocument(name={self.name!r}, dim={self.algebra.dim})"
 
 
 def document_from_algebra(

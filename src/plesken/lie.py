@@ -32,8 +32,7 @@ reference for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .algebra import plesken_lie_algebra
 from .builders import matrix_algebra
@@ -175,8 +174,7 @@ def _killing_rank_mod_p(L: LieAlgebra) -> Optional[int]:
     return rank_mod_p((dict(enumerate(row)) for row in _killing_entries(L, _residue)), P)
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Exact structural invariants used as a necessary isomorphism filter."""
 
     dim: int
@@ -189,23 +187,14 @@ class Fingerprint:
     nilpotent: bool
 
     def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "derived_dims": list(self.derived_dims),
-            "lower_central_dims": list(self.lower_central_dims),
-            "center_dim": self.center_dim,
-            "killing_rank": self.killing_rank,
-            "solvable": self.solvable,
-            "derived_length": self.derived_length,
-            "nilpotent": self.nilpotent,
-        }
+        return {field: _plain(value) for field, value in zip(self._fields, self)}
 
     def compare(self, expected: Fingerprint) -> FingerprintComparison:
         """Field-by-field comparison with the fingerprint of a model."""
         diffs = tuple(
-            (field, getattr(self, field), getattr(expected, field))
-            for field in Fingerprint.__dataclass_fields__
-            if getattr(self, field) != getattr(expected, field)
+            (field, actual, wanted)
+            for field, actual, wanted in zip(Fingerprint._fields, self, expected)
+            if actual != wanted
         )
         return FingerprintComparison(not diffs, diffs)
 
@@ -298,8 +287,7 @@ def orthogonal_model(sizes: Sequence[int]) -> LieAlgebra:
     return LieAlgebra(labels, table)
 
 
-@dataclass(frozen=True)
-class FingerprintComparison:
+class FingerprintComparison(NamedTuple):
     matches: bool
     diffs: tuple[tuple[str, object, object], ...]  # (field, actual, expected)
 

@@ -21,7 +21,6 @@ integer rows mod a prime, which bounds the rank over Q(i) from below (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .scalars import GaussianRational, exact, scalar
@@ -246,7 +245,6 @@ def rank_mod_p(rows: Iterable[Mapping[int, int]], p: int) -> int:
     return len(kept)
 
 
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of Q(i)^ambient in canonical form: its reduced row echelon rows.
 
@@ -257,10 +255,19 @@ class Subspace:
     `Subspace` is not hashable.
     """
 
-    ambient: int
-    rows: Mapping[int, Mapping[int, GaussianRational]]
+    def __init__(self, ambient: int, rows: Mapping[int, Mapping[int, GaussianRational]]):
+        self.ambient = ambient
+        self.rows = rows
+
+    def __eq__(self, other):
+        return isinstance(other, Subspace) and (
+            (self.ambient, self.rows) == (other.ambient, other.rows)
+        )
 
     __hash__ = None
+
+    def __repr__(self):
+        return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Sequence]) -> Subspace:

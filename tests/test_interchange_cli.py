@@ -605,9 +605,14 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
             raise error
 
         monkeypatch.setattr(cli, "analysis_report", boom)
-        code, out = run_cli(capsys, "analyze", str(q))
+        code = cli.main(["analyze", str(q)])
+        captured = capsys.readouterr()
         assert code == 3
-        assert json.loads(out)["error"]["kind"] == kind
+        assert json.loads(captured.out)["error"]["kind"] == kind
+        # A crash, and only a crash, prints its traceback before the error line.
+        crashed = kind == "internal-error"
+        assert ("Traceback (most recent call last)" in captured.err) == crashed
+        assert (f"\n{type(error).__name__}: unexpected\n" in captured.err) == crashed
 
 
 def test_cli_paper_suite_passes_and_is_reproducible(tmp_path, capsys):

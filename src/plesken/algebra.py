@@ -294,64 +294,57 @@ def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
     returned is the lexicographically first failing one whose middle index
     is in G.
 
-    Every builder family has a monomial table: each stored product e_i e_j
-    is a single term c e_k.  Such a table is read once into rows
-    {j: (k, c)} of its stored terms.  The same loop then compares one
-    (target, coefficient) pair per side, None for a zero product, so the
-    witness is the same.  A table with a product of two or more terms runs
-    the loop over `combine`d sums instead.
+    The table is read once into rows {j: terms of e_i e_j}.  For each pair
+    (i, g) both sides are rows over k of sorted nonzero terms: the left
+    side k -> (ei eg) ek is the stored row of the target of ei eg when that
+    product is one term c e_l (scaled by c), else a sum of stored rows; the
+    right side k -> ei (eg ek) reads row i at the targets of row g.  The
+    two rows are compared whole, and scanned for the first differing k only
+    when they differ.
     """
-    rows = _monomial_rows(algebra)
-    if rows is None:
-        return _associativity_by_sums(algebra)
     n = algebra.dim
+    rows: list[dict[int, Terms]] = [{} for _ in range(n)]
+    for (i, j), terms in algebra.structure.items():
+        rows[i][j] = terms
     for i in range(n):
         row_i = rows[i]
-        for j in algebra.generators:
-            ij = row_i.get(j)
-            row_j = rows[j]
-            row_l = rows[ij[0]] if ij is not None else {}
-            for k in range(n):
-                left = right = None
-                lk = row_l.get(k)
-                if lk is not None:
-                    left = (lk[0], ij[1] * lk[1])
-                jk = row_j.get(k)
-                if jk is not None:
-                    il = row_i.get(jk[0])
-                    if il is not None:
-                        right = (il[0], jk[1] * il[1])
-                if left != right:
-                    return (i, j, k)
+        for g in algebra.generators:
+            ig = row_i.get(g, ())
+            if len(ig) == 1:  # single terms are scaled inline: a call per entry costs more
+                ((l, c),) = ig
+                left = rows[l] if c == 1 else {
+                    k: ((t[0][0], c * t[0][1]),) if len(t) == 1 else _sum(((c, t),))
+                    for k, t in rows[l].items()
+                }
+            else:
+                targets = {k for l, _ in ig for k in rows[l]}
+                left = {k: s for k in targets if (s := _sum((c, rows[l].get(k, ())) for l, c in ig))}
+            right = {}
+            for k, gk in rows[g].items():
+                if len(gk) != 1:
+                    if s := _sum((c, row_i.get(l, ())) for l, c in gk):
+                        right[k] = s
+                elif (t := row_i.get(gk[0][0])) is not None:
+                    c = gk[0][1]
+                    if c == 1:
+                        right[k] = t
+                    else:
+                        right[k] = ((t[0][0], c * t[0][1]),) if len(t) == 1 else _sum(((c, t),))
+            if left != right:
+                for k in range(n):
+                    if left.get(k) != right.get(k):
+                        return (i, g, k)
     return None
 
 
-def _monomial_rows(algebra: Algebra) -> Optional[list[dict[int, tuple]]]:
-    """rows[i][j] = (k, c) with e_i e_j = c e_k; None if some product has
-    two or more terms."""
-    rows: list[dict[int, tuple]] = [{} for _ in range(algebra.dim)]
-    for (i, j), terms in algebra.structure.items():
-        if len(terms) != 1:
-            return None
-        rows[i][j] = terms[0]
-    return rows
-
-
-def _associativity_by_sums(algebra: Algebra) -> Optional[tuple[int, int, int]]:
-    get = algebra.structure.get
-    n = algebra.dim
-    generators = algebra.generators
-    for i in range(n):
-        for j in generators:
-            t_ij = get((i, j), ())
-            for k in range(n):
-                left = combine((m, c * d) for l, c in t_ij for m, d in get((l, k), ()))
-                right = combine(
-                    (m, c * d) for l, c in get((j, k), ()) for m, d in get((i, l), ())
-                )
-                if left != right:
-                    return (i, j, k)
-    return None
+def _sum(scaled: Iterable[tuple[GaussianRational, Terms]]) -> Terms:
+    """Sorted nonzero terms of the sum of c * terms over (c, terms) pairs,
+    summed in place: `combine` over a generator of products is slower here."""
+    acc: dict[int, GaussianRational] = {}
+    for c, terms in scaled:
+        for m, d in terms:
+            acc[m] = acc[m] + c * d if m in acc else c * d
+    return tuple(sorted(item for item in acc.items() if item[1]))
 
 
 def validate_unit(algebra: Algebra) -> Optional[int]:

@@ -79,10 +79,13 @@ def _out_path(out: str | None, default_name: str) -> Path | None:
 def _write_or_print(text: str, path: Path | None):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-        print(f"wrote {path}")
+    except OSError as exc:
+        raise DocumentInvalid(f"cannot write {path}: {exc}") from exc
+    print(f"wrote {path}")
 
 
 def _sanitize(text: str) -> str:

@@ -7,6 +7,8 @@ every basis triple for associativity, every basis pair for the
 anti-homomorphism law.  Restricted to the middle indices in the generating
 set, the associativity scan gives the witness the fast path must return; it
 sums every product over `GaussianRational`, whatever the table's shape.
+`changed_basis` rewrites a table in another basis, so that products have
+several terms.
 
 `plesken.linalg.Echelon` reduces sparse rows one at a time.  The dense
 Gauss-Jordan loop it replaced is here, with the subspace, kernel, solve,
@@ -50,6 +52,7 @@ or two pairs disagree.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from plesken.algebra import (
@@ -92,6 +95,38 @@ def involution_from_matrix(m: Matrix, conjugates_scalars: bool = False) -> AntiI
     """The involution whose images sigma(e_j) are the columns of m."""
     images = tuple(dict(enumerate(m.column(j))) for j in range(m.cols))
     return AntiInvolution(images, conjugates_scalars)
+
+
+def changed_basis(
+    algebra: Algebra, sigma: AntiInvolution, columns: Sequence[Sequence]
+) -> tuple[Algebra, AntiInvolution]:
+    """The same algebra and involution in the basis given by `columns`."""
+    p = Matrix.from_columns(columns)
+
+    def coordinates(v):
+        x = solve_gauss_jordan(p, v)
+        assert x is not None
+        return x
+
+    structure = {}
+    for i, j in itertools.product(range(algebra.dim), repeat=2):
+        product = algebra.multiply_vectors(columns[i], columns[j])
+        structure[(i, j)] = tuple((k, c) for k, c in enumerate(coordinates(product)) if c)
+    images = [coordinates(sigma.apply_vector(v)) for v in columns]
+    labels = tuple(f"b{i}" for i in range(algebra.dim))
+    unit = coordinates(algebra.unit)
+    return Algebra(labels, structure, unit), involution_from_matrix(
+        Matrix.from_columns(images), sigma.conjugates_scalars
+    )
+
+
+def bidiagonal_basis(algebra: Algebra, sigma: AntiInvolution) -> tuple[Algebra, AntiInvolution]:
+    """The same algebra and involution in the unitriangular basis
+    b_i = e_i + e_{i+1}, b_{n-1} = e_{n-1}.  On a builder's table, where
+    every product is one term, most products then have several terms."""
+    n = algebra.dim
+    columns = [tuple(int(k in (i, i + 1)) for k in range(n)) for i in range(n)]
+    return changed_basis(algebra, sigma, columns)
 
 
 def matrix_over_involution_dense(n: int, inner_sigma: AntiInvolution) -> Matrix:

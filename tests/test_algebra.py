@@ -316,11 +316,10 @@ def test_unit_quaternion_group_gives_a_simple_bracket():
 def test_semilinear_involution_in_a_basis_with_imaginary_entries():
     # M(2) under conjugate transposition, in a basis where some structure
     # constants are not real: sigma(c ek) = conj(c) sigma(ek) must be used.
-    from oracles import involution_all_pairs
-    from test_validation_oracles import _changed_basis
+    from oracles import changed_basis, involution_all_pairs
 
     columns = [(1, 1, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (I, 0, 0, 1)]
-    A, sigma = _changed_basis(
+    A, sigma = changed_basis(
         *matrix_algebra(2, "conj_transpose"), [tuple(map(scalar, c)) for c in columns]
     )
     assert any(scalar(c).im for terms in A.structure.values() for _, c in terms)

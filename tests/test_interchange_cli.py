@@ -2,7 +2,12 @@ import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import associativity_all_triples, involution_from_matrix, signed_permutation_matrix
+from oracles import (
+    associativity_all_triples,
+    bidiagonal_basis,
+    involution_from_matrix,
+    signed_permutation_matrix,
+)
 
 from plesken import cli
 from plesken.algebra import Algebra, InternalConsistencyError
@@ -570,9 +575,9 @@ def test_cli_rejects_corrupted_document(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_names_the_associativity_witness(tmp_path, capsys):
-    # TL_3(4) has one term per product, so validation runs on the monomial
-    # table; a changed coefficient (integral or not) or target must be
-    # refused at the triple the restricted full scan finds first.
+    # TL_3(4) has one term per product; a changed coefficient (integral or
+    # not) or target must be refused at the triple the restricted full scan
+    # finds first.
     q = tmp_path / "tl.plesken.json"
     valid = json.loads(emit(document_from_algebra("tl", *temperley_lieb(4, 3))))
     quad = [0, 7, 0, "1"]
@@ -588,6 +593,26 @@ def test_cli_names_the_associativity_witness(tmp_path, capsys):
         error = json.loads(out)["error"]
         assert error["kind"] == "invalid-input"
         assert error["message"] == f"associativity fails at basis triple {triple}"
+
+
+def test_cli_analyzes_a_multi_term_document(tmp_path, capsys):
+    # TL_3(4) in the basis b_i = e_i + e_{i+1}: most products have several
+    # terms, and sigma is not a signed permutation, so the document holds it
+    # as a matrix.  The table goes through parse, validation, the Lie table
+    # and the fingerprint, an isomorphism invariant.
+    monomial, summed = tmp_path / "tl.plesken.json", tmp_path / "tlb.plesken.json"
+    save(document_from_algebra("tl", *temperley_lieb(4, 3)), monomial)
+    algebra, sigma = bidiagonal_basis(*temperley_lieb(4, 3))
+    assert sum(len(terms) > 1 for terms in algebra.structure.values()) > algebra.dim
+    save(document_from_algebra("tlb", algebra, sigma), summed)
+    assert "matrix" in json.loads(summed.read_text())["involution"]
+    reports = []
+    for path in (monomial, summed):
+        code, out = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        reports.append(json.loads(out))
+    assert set(reports[1]["checks"].values()) == {"pass"}
+    assert reports[1]["fingerprint"] == reports[0]["fingerprint"]
 
 
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -693,6 +718,36 @@ def test_out_dir_override(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "sub" / "q.plesken.json").exists()
+
+
+def test_cli_unwritable_out_is_invalid_input(tmp_path, capsys, monkeypatch):
+    # An --out naming a directory, or a path under a file, cannot be written:
+    # the command refuses its input with exit 2 and prints no traceback.
+    q, m2 = tmp_path / "q.plesken.json", tmp_path / "m2.plesken.json"
+    run_cli(capsys, "build", "--family", "quaternions", "--out", str(q))
+    run_cli(capsys, "build", "--family", "matrix", "--n", "2", "--out", str(m2))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for argv in (
+        ["build", "--family", "quaternions", "--out", str(tmp_path)],
+        ["analyze", str(q), "--out", str(tmp_path)],
+        ["analyze", str(q), "--out", str(afile / "x.json")],
+        ["verify-cellular", str(m2), "--out", str(tmp_path)],
+        ["paper-suite", "--out", str(tmp_path)],
+    ):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.err.startswith("error: cannot write "), argv
+        assert "Traceback" not in captured.err
+        if argv[0] in ("analyze", "verify-cellular"):
+            assert json.loads(captured.out)["error"]["kind"] == "invalid-input"
+    monkeypatch.setenv("PLESKEN_OUT_DIR", str(afile))
+    code = cli.main(["analyze", str(q), "--out", "x.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: cannot write {afile / 'x.json'}: ")
+    assert json.loads(captured.out)["error"]["kind"] == "invalid-input"
 
 
 def test_save_and_load(tmp_path):

@@ -98,9 +98,10 @@ def test_equal_values_hash_equal(a):
         assert a == a.re and hash(a) == hash(a.re)
 
 
-# The monomial associativity table keeps a real integer coefficient as a
-# Python int and any other as a GaussianRational, and multiplies and compares
-# the two freely.  Mixed values must compare exactly as their scalar values.
+# `Algebra` stores a real integer coefficient as a Python int and any other
+# as a GaussianRational, and Light's test multiplies the two freely and
+# compares rows of the products whole.  Mixed values must compare exactly as
+# their scalar values.
 coefficients = st.one_of(st.integers(min_value=-3, max_value=3), scalars)
 factored = st.tuples(st.integers(min_value=0, max_value=2), coefficients, coefficients)
 

@@ -6,20 +6,24 @@ exhaustive scans they replaced.  On every builder family at n <= 4, on
 single structure-constant corruptions and on column-swapped involutions the
 two must agree on the verdict, every witness must be a genuine failure, and
 the generating set must span the algebra.  The associativity witness must
-be the one the scan finds over middle indices in the generating set, on the
-monomial-table path (one term per product, int or `GaussianRational`
-coefficients) and on the general one alike.
+be the one the scan finds over middle indices in the generating set, on
+tables of one term per product (int or `GaussianRational` coefficients),
+on builder tables rewritten in the basis b_i = e_i + e_{i+1}, where most
+products have several terms, and on arbitrary small tables alike.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import (
     associativity_all_triples,
+    bidiagonal_basis,
+    changed_basis,
     involution_all_pairs,
     involution_from_matrix,
-    solve_gauss_jordan,
 )
+from test_interchange_cli import coefficients
 
 from plesken.algebra import Algebra, validate_associativity, validate_involution
 from plesken.builders import (
@@ -35,32 +39,11 @@ from plesken.scalars import I, scalar
 from plesken.suite import cyclic_table, symmetric_3_table
 
 
-def _changed_basis(algebra, sigma, columns):
-    """The same algebra and involution in the basis given by `columns`."""
-    p = Matrix.from_columns(columns)
-
-    def coordinates(v):
-        x = solve_gauss_jordan(p, v)
-        assert x is not None
-        return x
-
-    structure = {}
-    for i, j in itertools.product(range(algebra.dim), repeat=2):
-        product = algebra.multiply_vectors(columns[i], columns[j])
-        structure[(i, j)] = tuple((k, c) for k, c in enumerate(coordinates(product)) if c)
-    images = [coordinates(sigma.apply_vector(v)) for v in columns]
-    labels = tuple(f"b{i}" for i in range(algebra.dim))
-    unit = coordinates(algebra.unit)
-    return Algebra(labels, structure, unit), involution_from_matrix(
-        Matrix.from_columns(images), sigma.conjugates_scalars
-    )
-
-
 def _skewed_m2():
     # M(2) with transposition in a basis that is not made of matrix units,
     # so that products have several terms and the echelon has work to do.
     columns = [(1, 1, 0, 0), (0, 1, 0, 0), (1, 0, 1, 0), (I, 0, 0, 1)]
-    return _changed_basis(*matrix_algebra(2), [tuple(map(scalar, c)) for c in columns])
+    return changed_basis(*matrix_algebra(2), [tuple(map(scalar, c)) for c in columns])
 
 
 FAMILIES = {
@@ -74,11 +57,13 @@ FAMILIES = {
     "QS3": lambda: group_algebra(symmetric_3_table()),
     "C3": lambda: group_algebra(cyclic_table(3)),
     "M(2) skewed basis": _skewed_m2,
+    "TL_3(3) bidiagonal basis": lambda: bidiagonal_basis(*temperley_lieb(3, 3)),
+    "PR(2) bidiagonal basis": lambda: bidiagonal_basis(*planar_rook(2)),
 }
 
 SMALL = (
     "H", "M(2)", "M(2)*", "QS3", "C3", "TL_0(3)", "TL_i(3)", "TL_1/2(3)", "PR(2)",
-    "M(2) skewed basis",
+    "M(2) skewed basis", "TL_3(3) bidiagonal basis", "PR(2) bidiagonal basis",
 )
 
 
@@ -161,6 +146,24 @@ def test_structure_constant_corruptions(name):
             corrupted = Algebra(algebra.labels, structure, algebra.unit)
             _assert_spans(corrupted)
             _assert_associativity_agrees(corrupted)
+
+
+@st.composite
+def tables(draw):
+    """Small tables, associative or not, whose (i, j) pairs recur, so that
+    many products are sums of several terms."""
+    n = draw(st.integers(1, 4))
+    index = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=2 * n, unique=True))
+    terms = st.lists(st.tuples(index, coefficients), min_size=1, max_size=3)
+    structure = draw(st.lists(st.tuples(st.sampled_from(pairs), terms), max_size=3 * n))
+    return Algebra([f"e{i}" for i in range(n)], structure, [1] + [0] * (n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_associativity_agrees_on_tables_no_builder_makes(algebra):
+    _assert_associativity_agrees(algebra)
 
 
 @pytest.mark.parametrize("name", SMALL)

@@ -246,8 +246,7 @@ class CellModule(NamedTuple):
 
     def act(self, x: Mapping[int, GaussianRational]) -> dict[tuple[int, int], GaussianRational]:
         """Nonzero entries of the matrix of the algebra element with sparse terms x."""
-        action = self.action
-        return combine((key, c * d) for a, c in x.items() for key, d in action[a].items())
+        return combine((c, self.action[a].items()) for a, c in x.items())
 
 
 def cell_module(algebra: Algebra, cd: CellDatum, lam: Label) -> CellModule:
@@ -450,7 +449,7 @@ def verify_theorem(
         for lam in cd.lambdas:
             action, g = modules[lam].act(x), grams[lam].gram
             terms = _gram_terms(action, g, transposed=True)
-            if combine(terms + _gram_terms(action, g, transposed=False)):
+            if combine(((1, terms + _gram_terms(action, g, transposed=False)),)):
                 skew_witness = (r, lam)
                 break
         if skew_witness:
@@ -510,7 +509,7 @@ def check_gram_properties(
         return GramPropertyFailure(lam, "symmetry", ())
     for a in range(algebra.dim):
         image = {key: bar(c) for key, c in module.act(sigma.images[a]).items()}
-        lhs = combine(_gram_terms(image, g, transposed=True))
-        if lhs != combine(_gram_terms(module.action[a], g, transposed=False)):
+        lhs = combine(((1, _gram_terms(image, g, transposed=True)),))
+        if lhs != combine(((1, _gram_terms(module.action[a], g, transposed=False)),)):
             return GramPropertyFailure(lam, "adjointness", (a,))
     return None

@@ -1,19 +1,22 @@
 """Exact linear algebra over Q(i): sparse vectors, echelon forms, kernels.
 
-Sparse {index: scalar} terms are the working format: `bilinear_product`
-multiplies them through a table of basis products, and `Echelon` keeps a
-span in reduced row echelon form as sparse rows, inserted one vector at a
-time.  A `Subspace` is the span those rows end in, held as the rows
-themselves; the reduced row echelon form is unique, so two subspaces are
-equal exactly when their rows coincide.  Dense tuples are the edges
-(`Matrix`, the `Subspace.basis` view), converted by `sparse` and `dense`.
-`Matrix` is a container without arithmetic: constructors, row, column and
-transpose views, indexing and equality.  It holds the Gram and Killing
-matrices, the `AntiInvolution.matrix` view and the input of `rref`; `rref`
-and `rank` are views of a `Subspace` on immutable dense `Matrix` values.
-`vector` reads entries by `scalars.exact`, and `sparse` and `Matrix` read
-through it, as `Echelon.subspace` reads the rows it hands on;
-`Echelon.insert`, the one division, divides by a `GaussianRational`.
+Sparse {index: scalar} terms are the working format, and `combine` is the
+one loop that sums them: c * terms over (c, terms) pairs.
+`bilinear_product` multiplies terms through a table of basis products, and
+`Echelon` keeps a span in reduced row echelon form as sparse rows,
+inserted one vector at a time; a product, a reduction by `reduce_by` and a
+back-substitution are each one `combine`.  A `Subspace` is the span those
+rows end in, held as the rows themselves; the reduced row echelon form is
+unique, so two subspaces are equal exactly when their rows coincide.
+Dense tuples are the edges (`Matrix`, the `Subspace.basis` view),
+converted by `sparse` and `dense`.  `Matrix` is a container without
+arithmetic: constructors, row, column and transpose views, indexing and
+equality.  It holds the Gram and Killing matrices, the
+`AntiInvolution.matrix` view and the input of `rref`; `rref` and `rank`
+are views of a `Subspace` on immutable dense `Matrix` values.  `vector`
+reads entries by `scalars.exact`, and `sparse` and `Matrix` read through
+it, as `Echelon.subspace` reads the rows it hands on; `Echelon.insert`,
+the one division, divides by a `GaussianRational`.
 `rank_mod_p` is the one routine over a finite field: the rank of sparse
 integer rows mod a prime, which bounds the rank over Q(i) from below (see
 `lie.fingerprint`).
@@ -45,12 +48,18 @@ def vec_sub(x: Vector, y: Vector) -> Vector:
     return tuple(a - b for a, b in zip(x, y))
 
 
-def combine(terms: Iterable[tuple[int, GaussianRational]]) -> dict[int, GaussianRational]:
-    """Sum sparse (index, coefficient) terms, dropping the zero totals."""
-    acc: dict[int, GaussianRational] = {}
-    for k, c in terms:
-        acc[k] = acc[k] + c if k in acc else c
-    return {k: c for k, c in acc.items() if c}
+def combine(scaled: Iterable[tuple[GaussianRational, Iterable]]) -> dict[int, GaussianRational]:
+    """The nonzero totals of c * terms over the (c, terms) pairs, terms sparse
+    (index, coefficient) items, in the order their indices first occur."""
+    acc: dict = {}
+    for c, terms in scaled:
+        if c == 1:
+            for k, d in terms:
+                acc[k] = acc[k] + d if k in acc else d
+        else:
+            for k, d in terms:
+                acc[k] = acc[k] + c * d if k in acc else c * d
+    return {k: d for k, d in acc.items() if d}
 
 
 def sparse(v: Sequence, n: int) -> dict[int, GaussianRational]:
@@ -65,13 +74,6 @@ def dense(n: int, v: Mapping[int, GaussianRational]) -> Vector:
     return tuple(v.get(k, 0) for k in range(n))
 
 
-def difference(
-    x: Mapping[int, GaussianRational], y: Mapping[int, GaussianRational]
-) -> dict[int, GaussianRational]:
-    """x - y for sparse x and y."""
-    return combine([*x.items(), *((k, -c) for k, c in y.items())])
-
-
 def bilinear_product(
     terms: Mapping[tuple[int, int], Terms],
     x: Mapping[int, GaussianRational],
@@ -83,14 +85,7 @@ def bilinear_product(
     a pair it lacks has product zero.
     """
     get = terms.get
-    acc: list[tuple[int, GaussianRational]] = []
-    for i, a in x.items():
-        for j, b in y.items():
-            expansion = get((i, j))
-            if expansion:
-                c = a * b
-                acc.extend((k, c * s) for k, s in expansion)
-    return combine(acc)
+    return combine((a * b, t) for i, a in x.items() for j, b in y.items() if (t := get((i, j))))
 
 
 class Matrix:
@@ -172,8 +167,7 @@ class Echelon:
                 row = {k: c / lead for k, c in row.items()}
             for p, other in list(self.rows.items()):
                 if pivot in other:
-                    c = other[pivot]
-                    self.rows[p] = combine([*other.items(), *((k, -c * d) for k, d in row.items())])
+                    self.rows[p] = combine(((1, other.items()), (-other[pivot], row.items())))
             self.rows[pivot] = row
         return row
 
@@ -201,8 +195,7 @@ def reduce_by(
     """v minus the combination of the echelon `rows` (of an `Echelon` or a
     `Subspace`) that clears it at every pivot: empty exactly when v is in
     their span.  A row is zero at every other pivot, so one pass suffices."""
-    cleared = [(k, -c * d) for p, c in v.items() if p in rows for k, d in rows[p].items()]
-    return combine([*v.items(), *cleared])
+    return combine([(1, v.items()), *((-c, rows[p].items()) for p, c in v.items() if p in rows)])
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

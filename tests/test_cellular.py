@@ -629,6 +629,7 @@ def test_certified_report_builds_no_table_and_no_fingerprint(monkeypatch):
 CELLULAR_FAMILIES = {
     "tl-delta-3": (lambda n: temperley_lieb(n, 3), cell_datum_temperley_lieb),
     "tl-delta-0": (lambda n: temperley_lieb(n, 0), cell_datum_temperley_lieb),
+    "tl-delta-half": (lambda n: temperley_lieb(n, "1/2"), cell_datum_temperley_lieb),
     "planar-rook": (planar_rook, cell_datum_planar_rook),
     "matrix": (matrix_algebra, cell_datum_matrix),
     "matrix-conj": (lambda n: matrix_algebra(n, "conj_transpose"), cell_datum_matrix),

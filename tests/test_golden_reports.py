@@ -1,7 +1,7 @@
 """Byte identity of CLI reports, documents and demo output.
 
-Each document is written by `plesken build` and each report is produced
-with default flags; the SHA-256 of the report bytes, of the document
+Each document is written by `plesken build`, or by `emit` for those in
+EMITTED, and each report is produced with default flags; the SHA-256 of the report bytes, of the document
 bytes listed in DOCUMENTS and of each demo's stdout must not change.  A
 change that alters a report on purpose has to say why and re-record the
 digest here.
@@ -12,8 +12,11 @@ import runpy
 from pathlib import Path
 
 import pytest
+from oracles import bidiagonal_basis
 
 from plesken import cli
+from plesken.builders import temperley_lieb
+from plesken.interchange import AlgebraDocument, emit
 
 BUILDS = {
     "h": ("--family", "quaternions"),
@@ -23,6 +26,9 @@ BUILDS = {
     "tl3": ("--family", "temperley-lieb", "--n", "4", "--delta", "3"),
     "tl35": ("--family", "temperley-lieb", "--n", "5", "--delta", "3"),
     "m5": ("--family", "matrix", "--n", "5"),
+    "m3c": ("--family", "matrix-conj", "--n", "3"),
+    # M(2, H) over the quaternion document "h" built above.
+    "m2h": ("--family", "matrix-over", "--n", "2", "--inner", "{h}"),
     # Non-integral structure constants: delta 1/2 and delta i.
     "tlhalf": ("--family", "temperley-lieb", "--n", "3", "--delta", "1/2"),
     "tli": ("--family", "temperley-lieb", "--n", "3", "--delta", "i"),
@@ -62,7 +68,22 @@ REPORTS = [
      "d1b5b5fb6d042c436c6352e06a9038114791ea82ce5963ebf8e6f76fe3af0f43"),
     ("verify-cellular", "tli", (), 0,
      "d79271eec29c83889c9de9e89d5e53cff58cb28239c552ea2ee198dd5ca76af3"),
+    ("analyze", "m2h", (), 0,
+     "ef95d4b327e02f6957409974975868ee0e78d73ad13199e5dc5905ae8cd4d89b"),
+    ("analyze", "m3c", (), 0,
+     "38942c766c7e2a93854def61d1c20822ee84bc40b18b78d0c725d2d79a87fd33"),
+    # Multi-term products and sigma in matrix form: products, images and
+    # reductions sum terms with scales other than 1.
+    ("analyze", "tl34bidiag", (), 0,
+     "bf59c19c7c32782bebaccc04341acffcb866695b6319b75852fddc1e4ed5785b"),
 ]
+
+# Documents emitted in Python, for inputs no `build` family gives.
+EMITTED = {
+    "tl34bidiag": lambda: AlgebraDocument(
+        "temperley-lieb-n4-delta3-bidiagonal", *bidiagonal_basis(*temperley_lieb(4, 3))
+    ),
+}
 
 # The bytes of `plesken build` documents.
 DOCUMENTS = {
@@ -81,7 +102,11 @@ def documents(tmp_path_factory):
     paths = {}
     for key, argv in BUILDS.items():
         paths[key] = directory / f"{key}.plesken.json"
+        argv = [a.format_map(paths) for a in argv]
         assert cli.main(["build", *argv, "--out", str(paths[key])]) == 0
+    for key, make in EMITTED.items():
+        paths[key] = directory / f"{key}.plesken.json"
+        paths[key].write_text(emit(make()))
     return paths
 
 

@@ -2,20 +2,29 @@
 the dense code they replaced.
 
 `oracles.py` keeps the dense `bilinear_product` loop, the kernel-based skew
-part with its cross-check, and the Lie table built from dense commutators
-with a dense residual check.  On every builder family at n <= 4 the sparse
-pipeline must give the same canonical skew basis, the same Lie table and
-labels, and the same products.  TL at delta = i and 1/2 mixes int and
-`GaussianRational` constants in the Lie table's sums, and M(2) in a skewed
-basis has products of several terms.
+part with its cross-check, the Lie table built from dense commutators
+with a dense residual check, and the dense image and skew part of sigma.
+On every builder family at n <= 4 the sparse pipeline must give the same
+canonical skew basis, the same Lie table and labels, and the same
+products.  TL at delta = i and 1/2 mixes int and `GaussianRational`
+constants in the Lie table's sums, and M(2) in a skewed basis has
+products of several terms.  The one summing loop, `linalg.combine`, is
+checked against a naive sum, and `reduce_by` against the dense span test.
 """
+
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    apply_dense,
+    bidiagonal_basis,
     bilinear_product_dense,
+    coordinates_dense,
     plesken_lie_algebra_dense,
+    skew_part_dense,
     skew_subspace_kernel,
+    span_gauss_jordan,
 )
 from test_validation_oracles import FAMILIES as VALIDATION_FAMILIES
 
@@ -28,7 +37,7 @@ from plesken.builders import (
     quaternions,
     temperley_lieb,
 )
-from plesken.linalg import bilinear_product, dense, unit_vector
+from plesken.linalg import bilinear_product, combine, dense, reduce_by, unit_vector
 from plesken.scalars import GaussianRational
 from plesken.suite import cyclic_table, symmetric_3_table
 
@@ -101,3 +110,75 @@ def test_bilinear_product_matches_dense_loop(table, x, y):
         N, table.get, dense(N, x), dense(N, y)
     )
 
+
+scales = st.sampled_from([1, GaussianRational(1), 0, -1]) | scalars
+
+
+@st.composite
+def scaled_terms(draw):
+    """(c, terms) pairs, some repeated with -c so that their totals cancel."""
+    coefficients = scalars | st.integers(-3, 3)
+    terms = st.lists(st.tuples(st.integers(0, N - 1), coefficients), max_size=4)
+    pairs = draw(st.lists(st.tuples(scales, terms), max_size=4))
+    echoes = draw(st.lists(st.sampled_from(pairs), max_size=2)) if pairs else []
+    return pairs + [(-c, t) for c, t in echoes]
+
+
+@settings(max_examples=200)
+@given(scaled_terms())
+def test_combine_matches_naive_sum(scaled):
+    flat = [(k, c * d) for c, terms in scaled for k, d in terms]
+    naive: dict = {}
+    for k, d in flat:
+        naive[k] = naive.get(k, GaussianRational(0)) + d
+    total = combine(scaled)
+    assert all(total.values())
+    assert total == {k: d for k, d in naive.items() if d}
+    assert list(total) == [k for k in naive if naive[k]]
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(sparse_vectors(), max_size=3),
+    st.lists(scalars, min_size=3, max_size=3),
+    sparse_vectors(),
+)
+def test_reduce_by_is_empty_exactly_on_the_span(vectors, coefficients, noise):
+    """v is a combination of the spanning vectors plus noise, often empty."""
+    sub = span_gauss_jordan(N, [dense(N, u) for u in vectors])
+    v = {
+        k: x
+        for k in range(N)
+        if (x := sum(c * u.get(k, 0) for c, u in zip(coefficients, vectors)) + noise.get(k, 0))
+    }
+    in_span = coordinates_dense(sub, dense(N, v)) is not None
+    assert (not reduce_by(sub.rows, v)) == in_span
+
+
+SIGMAS = {
+    "TL_3(3)": lambda: temperley_lieb(3, 3),
+    "M(2)*": lambda: matrix_algebra(2, "conj_transpose"),
+    "TL_3(3) bidiagonal": lambda: bidiagonal_basis(*temperley_lieb(3, 3)),
+}
+
+
+@functools.cache
+def sigma_named(name):
+    return SIGMAS[name]()[1]
+
+
+non_real = st.builds(GaussianRational, rationals, rationals.filter(bool))
+
+
+@pytest.mark.parametrize("name", SIGMAS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sigma_image_and_skew_part_match_dense_oracles(name, data):
+    """A linear, a semilinear and a non-permutation sigma."""
+    sigma = sigma_named(name)
+    n = len(sigma.images)
+    v = data.draw(st.dictionaries(st.integers(0, n - 1), non_real, max_size=n))
+    image, skew = sigma.image(v), sigma.skew_terms(v)
+    assert all(image.values()) and all(skew.values())
+    assert dense(n, image) == apply_dense(sigma, dense(n, v))
+    assert dense(n, skew) == skew_part_dense(sigma, dense(n, v))

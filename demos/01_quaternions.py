@@ -14,7 +14,7 @@ from plesken.scalars import scalar
 
 A, sigma = quaternions()
 print("basis:", A.labels)
-print("sigma(i) =", describe_vector(A.labels, enumerate(sigma.apply_vector(A.basis_vector(1)))))
+print("sigma(i) =", describe_vector(A.labels, sigma.image({1: 1}).items()))
 
 rows = plesken_subspace(A, sigma).rows
 print("\nskew part dimension:", len(rows))
@@ -29,12 +29,11 @@ for a in range(L.dim):
               describe_vector(L.labels, L.bracket_terms(a, b)))
 
 # Scaling the basis by 1/2 turns the brackets into the cross product rules.
-# Vectors here are coordinates in the skew basis (i, j, k).
+# Vectors here are sparse coordinates {index: scalar} in the skew basis (i, j, k).
 half = scalar(Fraction(1, 2))
-zero = scalar(0)
-e1, e2, e3 = (half, zero, zero), (zero, half, zero), (zero, zero, half)
-bracket = L.bracket_vectors
+e1, e2, e3 = {0: half}, {1: half}, {2: half}
+bracket = L.bracket
 print("\nwith e_n = basis/2:")
 print("  [e1, e2] == e3:", bracket(e1, e2) == e3)
-print("  [e1, e3] == -e2:", bracket(e1, e3) == tuple(-c for c in e2))
+print("  [e1, e3] == -e2:", bracket(e1, e3) == {1: -half})
 print("  [e2, e3] == e1:", bracket(e2, e3) == e1)

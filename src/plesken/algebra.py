@@ -6,11 +6,12 @@ tensor: the product of basis elements e_i * e_j is stored as a short list of
 sigma(e_j), optionally composed with entrywise scalar conjugation (needed
 for conjugate-transposition, which is semilinear rather than linear over
 Q(i)); on a cellular basis sigma permutes the basis up to sign, and
-`AntiInvolution.signed_permutation` builds it so.  Its dense `matrix` is a
-view.  Vectors are sparse {index: scalar} terms inside, summed by
-`linalg.combine`: products go through `linalg.bilinear_product`, sigma
-sums the images and the skew part v - sigma(v) is one more `combine`.
-`multiply_vectors` and `apply_vector` are dense wrappers over them.
+`AntiInvolution.signed_permutation` builds it so.  Vectors are sparse
+{index: scalar} terms, summed by `linalg.combine`: products go through
+`linalg.bilinear_product`, `sigma.image` sums the images and the skew part
+v - sigma(v), `sigma.skew_terms`, is one more `combine`.  The one dense
+wrapper, `multiply_vectors`, is kept for callers outside the package; no
+code here calls it.
 
 The central construction here is the skew part of the involution: the span
 of all a - sigma(a), which is closed under the commutator bracket and hence
@@ -33,7 +34,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import (
     Echelon,
-    Matrix,
     Subspace,
     Terms,
     Vector,
@@ -42,8 +42,6 @@ from .linalg import (
     dense,
     reduce_by,
     sparse,
-    unit_vector,
-    vec_sub,
     vector,
 )
 from .scalars import I, GaussianRational, exact
@@ -154,9 +152,6 @@ class Algebra:
             raise InternalConsistencyError("products of the generators do not span the algebra")
         return tuple(sorted(generators))
 
-    def basis_vector(self, i: int) -> Vector:
-        return unit_vector(self.dim, i)
-
     def product_terms(self, i: int, j: int) -> Terms:
         return self.structure.get((i, j), ())
 
@@ -229,12 +224,6 @@ class AntiInvolution:
         signs = (1,) * len(perm) if signs is None else signs
         return cls(tuple({p: c} for p, c in zip(perm, signs, strict=True)), conjugates_scalars)
 
-    @property
-    def matrix(self) -> Matrix:
-        """The dense matrix whose columns are the images."""
-        n = len(self.images)
-        return Matrix.from_columns([dense(n, image) for image in self.images])
-
     @cached_property
     def _signed_permutation(self):
         # (perm, signs) with image j supported at perm[j]; None if sigma is
@@ -274,10 +263,6 @@ class AntiInvolution:
     def skew_terms(self, v: Mapping[int, GaussianRational]) -> dict[int, GaussianRational]:
         """v - sigma(v) for sparse v."""
         return combine(((1, v.items()), (-1, self.image(v).items())))
-
-    def apply_vector(self, v: Sequence) -> Vector:
-        n = len(self.images)
-        return dense(n, self.image(sparse(v, n)))
 
 
 def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
@@ -396,12 +381,6 @@ def validate_involution(
     return None
 
 
-def skew_part(sigma: AntiInvolution, v: Sequence) -> Vector:
-    """v - sigma(v)."""
-    n = len(sigma.images)
-    return dense(n, sigma.skew_terms(sparse(v, n)))
-
-
 def plesken_subspace(algebra: Algebra, sigma: AntiInvolution) -> Subspace:
     """Canonical basis of the span of all a - sigma(a), computed once per sigma.
 
@@ -489,27 +468,27 @@ def bracket_closure_check(
     hat(ab) - hat(a sigma(b)) - hat(sigma(a) b) + hat(sigma(a) sigma(b)),
     and must lie in the span of the skew part.  Coefficients are drawn
     uniformly from the integers -9..9, so reruns with the same seed are
-    reproducible.
+    reproducible; a counterexample carries a and b as dense tuples.
     """
     rng = random.Random(seed)
-    sub = plesken_subspace(algebra, sigma)
-    mul = algebra.multiply_vectors
+    n = algebra.dim
+    rows = plesken_subspace(algebra, sigma).rows
+    hat = sigma.skew_terms
 
-    def hat(v):
-        return skew_part(sigma, v)
+    def mul(x, y):
+        return bilinear_product(algebra.structure, x, y)
+
     for trial in range(samples):
-        a = vector(rng.randint(-9, 9) for _ in range(algebra.dim))
-        b = vector(rng.randint(-9, 9) for _ in range(algebra.dim))
-        sa = sigma.apply_vector(a)
-        sb = sigma.apply_vector(b)
-        ha, hb = hat(a), hat(b)
-        lhs = vec_sub(mul(ha, hb), mul(hb, ha))
-        rhs = vec_sub(
-            vec_sub(hat(mul(a, b)), hat(mul(a, sb))),
-            vec_sub(hat(mul(sa, b)), hat(mul(sa, sb))),
-        )
+        a = vector(rng.randint(-9, 9) for _ in range(n))
+        b = vector(rng.randint(-9, 9) for _ in range(n))
+        x, y = sparse(a, n), sparse(b, n)
+        sx, sy = sigma.image(x), sigma.image(y)
+        hx, hy = hat(x), hat(y)
+        lhs = combine(((1, mul(hx, hy).items()), (-1, mul(hy, hx).items())))
+        rhs = combine((c, hat(mul(u, v)).items())
+                      for c, u, v in ((1, x, y), (-1, x, sy), (-1, sx, y), (1, sx, sy)))
         if lhs != rhs:
             return ClosureCounterexample(trial, a, b, "four-term identity failed")
-        if not sub.contains(lhs):
+        if reduce_by(rows, lhs):
             return ClosureCounterexample(trial, a, b, "bracket left the skew part")
     return None

@@ -113,7 +113,8 @@ def _involution_payload(sigma: AntiInvolution) -> dict:
     payload: dict = {"conjugates_scalars": sigma.conjugates_scalars}
     shorthand = sigma._signed_permutation
     if shorthand is None:
-        payload["matrix"] = [[str(v) for v in row] for row in sigma.matrix.data]
+        images = sigma.images
+        payload["matrix"] = [[str(im.get(i, 0)) for im in images] for i in range(len(images))]
     else:
         perm, signs = shorthand
         payload["permutation"] = list(perm)

@@ -2,12 +2,12 @@
 
 A `LieAlgebra` stores its bracket sparsely: `table` holds the index pairs
 i < j, and a private dict holds both halves, the other following by
-antisymmetry.  Brackets of sparse {index: scalar} vectors go through
-`linalg.bilinear_product` on that dict; `bracket_vectors` is its dense
-wrapper.  Subspaces are the canonical sparse-row `Subspace` values from
-`linalg`, so series stabilization is detected by exact subspace equality;
-each series term is the span of brackets of rows inserted one at a time into
-a `linalg.Echelon`, read only until the span is the whole algebra.
+antisymmetry.  `bracket` brackets sparse {index: scalar} vectors by
+`linalg.bilinear_product` on that dict.  Subspaces are the canonical
+sparse-row `Subspace` values from `linalg`, so series stabilization is
+detected by exact subspace equality; each series term is the span of
+brackets of rows inserted one at a time into a `linalg.Echelon`, read only
+until the span is the whole algebra.
 
 `fingerprint` collects exact invariants (derived and lower central series,
 center, Killing rank, solvability), compared field by field by
@@ -32,22 +32,11 @@ reference for it.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import plesken_lie_algebra
 from .builders import matrix_algebra
-from .linalg import (
-    Echelon,
-    Matrix,
-    Subspace,
-    Terms,
-    Vector,
-    bilinear_product,
-    dense,
-    rank,
-    rank_mod_p,
-    sparse,
-)
+from .linalg import Echelon, Matrix, Subspace, Terms, bilinear_product, rank, rank_mod_p
 from .scalars import GaussianRational, exact
 
 
@@ -72,12 +61,11 @@ class LieAlgebra:
     def bracket_terms(self, i: int, j: int) -> Terms:
         return self._terms.get((i, j), ())
 
-    def bracket_vectors(self, x: Sequence, y: Sequence) -> Vector:
-        n = self.dim
-        return dense(n, bilinear_product(self._terms, sparse(x, n), sparse(y, n)))
-
-    def full_subspace(self) -> Subspace:
-        return Subspace.full(self.dim)
+    def bracket(
+        self, x: Mapping[int, GaussianRational], y: Mapping[int, GaussianRational]
+    ) -> dict[int, GaussianRational]:
+        """[x, y] for sparse x and y."""
+        return bilinear_product(self._terms, x, y)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim})"
@@ -86,11 +74,11 @@ class LieAlgebra:
 def bracket_span(L: LieAlgebra, u: Subspace, v: Subspace) -> Subspace:
     """rref span of all [x, y] with x over a basis of u and y over a basis of v."""
     xs, ys = u.rows.values(), v.rows.values()
-    return Echelon(L.dim, (bilinear_product(L._terms, x, y) for x in xs for y in ys)).subspace()
+    return Echelon(L.dim, (L.bracket(x, y) for x in xs for y in ys)).subspace()
 
 
 def _series(L: LieAlgebra, step) -> list[Subspace]:
-    chain = [L.full_subspace()]
+    chain = [Subspace.full(L.dim)]
     while chain[-1].dim:
         nxt = step(chain[-1])
         chain.append(nxt)
@@ -106,7 +94,7 @@ def derived_series(L: LieAlgebra) -> list[Subspace]:
 
 def lower_central_series(L: LieAlgebra) -> list[Subspace]:
     """L, [L,L], [L,[L,L]], ... until zero or stable (repeat included)."""
-    full = L.full_subspace()
+    full = Subspace.full(L.dim)
     return _series(L, lambda s: bracket_span(L, full, s))
 
 

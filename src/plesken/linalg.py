@@ -1,22 +1,23 @@
 """Exact linear algebra over Q(i): sparse vectors, echelon forms, kernels.
 
-Sparse {index: scalar} terms are the working format, and `combine` is the
+Sparse {index: scalar} terms are the one vector form, and `combine` is the
 one loop that sums them: c * terms over (c, terms) pairs.
 `bilinear_product` multiplies terms through a table of basis products, and
 `Echelon` keeps a span in reduced row echelon form as sparse rows,
 inserted one vector at a time; a product, a reduction by `reduce_by` and a
 back-substitution are each one `combine`.  A `Subspace` is the span those
 rows end in, held as the rows themselves; the reduced row echelon form is
-unique, so two subspaces are equal exactly when their rows coincide.
-Dense tuples are the edges (`Matrix`, the `Subspace.basis` view),
-converted by `sparse` and `dense`.  `Matrix` is a container without
-arithmetic: constructors, row, column and transpose views, indexing and
-equality.  It holds the Gram and Killing matrices, the
-`AntiInvolution.matrix` view and the input of `rref`; `rref` and `rank`
-are views of a `Subspace` on immutable dense `Matrix` values.  `vector`
-reads entries by `scalars.exact`, and `sparse` and `Matrix` read through
-it, as `Echelon.subspace` reads the rows it hands on; `Echelon.insert`,
-the one division, divides by a `GaussianRational`.
+unique, so two subspaces are equal exactly when their rows coincide, and
+v lies in it exactly when `reduce_by(sub.rows, v)` is empty, its
+coordinates then being the entries of v at the pivots.
+Dense tuples are the edges, converted by `sparse` and `dense`: `Matrix`,
+and `rref`, which reads a `Matrix` through `Subspace.from_vectors` and
+gives it back through the `Subspace.basis` view.  `Matrix` is a container
+without arithmetic, holding the Gram and Killing matrices: indexing, a
+transpose view and equality.  `vector` reads entries by `scalars.exact`,
+and `sparse` and `Matrix` read through it, as `Echelon.subspace` reads the
+rows it hands on; `Echelon.insert`, the one division, divides by a
+`GaussianRational`.
 `rank_mod_p` is the one routine over a finite field: the rank of sparse
 integer rows mod a prime, which bounds the rank over Q(i) from below (see
 `lie.fingerprint`).
@@ -24,7 +25,7 @@ integer rows mod a prime, which bounds the rank over Q(i) from below (see
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .scalars import GaussianRational, exact, scalar
 
@@ -42,10 +43,6 @@ def unit_vector(n: int, i: int) -> Vector:
 
 def vector(values: Iterable) -> Vector:
     return tuple(map(exact, values))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
 
 
 def combine(scaled: Iterable[tuple[GaussianRational, Iterable]]) -> dict[int, GaussianRational]:
@@ -105,27 +102,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> Matrix:
-        return cls([unit_vector(n, i) for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> Matrix:
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence]) -> Matrix:
-        return cls(columns).transpose()
-
     def __getitem__(self, key):
         i, j = key
         return self.data[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.data)
 
     def transpose(self) -> Matrix:
         return Matrix(list(zip(*self.data))) if self.data else Matrix([])
@@ -268,10 +247,6 @@ class Subspace:
         return Echelon(ambient, (sparse(v, ambient) for v in vectors)).subspace()
 
     @classmethod
-    def zero(cls, ambient: int) -> Subspace:
-        return cls(ambient, {})
-
-    @classmethod
     def full(cls, ambient: int) -> Subspace:
         return cls(ambient, {i: {i: 1} for i in range(ambient)})
 
@@ -287,18 +262,3 @@ class Subspace:
     def basis(self) -> tuple[Vector, ...]:
         """The rows as dense vectors, in pivot order."""
         return tuple(dense(self.ambient, row) for row in self.rows.values())
-
-    def coordinates(self, v: Sequence) -> Optional[Vector]:
-        """Coefficients of v in the canonical basis, or None if v is outside.
-
-        Because the rows are in rref, the coefficient of row r is just the
-        entry of v at the r-th pivot; v is in the span when the rows reduce
-        it to zero.
-        """
-        v = sparse(v, self.ambient)
-        if reduce_by(self.rows, v):
-            return None
-        return tuple(v.get(p, 0) for p in self.rows)
-
-    def contains(self, v: Sequence) -> bool:
-        return self.coordinates(v) is not None

@@ -73,10 +73,10 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.re == parts[0] and self.im == parts[1]
 
     def __hash__(self):
         # A real scalar hashes as its Fraction, hence as an equal int.
@@ -86,30 +86,30 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational(self.re + parts[0], self.im + parts[1])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return GaussianRational(self.re - parts[0], self.im - parts[1])
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return GaussianRational(other.re - self.re, other.im - self.im)
+        return GaussianRational(parts[0] - self.re, parts[1] - self.im)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
+        a, b, (c, d) = self.re, self.im, parts
         if not b and not d:  # the common all-rational fast path
             return GaussianRational(a * c, _FRACTION_ZERO)
         return GaussianRational(a * c - b * d, a * d + b * c)
@@ -117,10 +117,10 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
+        a, b, (c, d) = self.re, self.im, parts
         if not c and not d:
             raise ZeroDivisionError("division by zero scalar")
         if not b and not d:
@@ -129,10 +129,10 @@ class GaussianRational:
         return GaussianRational((a * c + b * d) / norm, (b * c - a * d) / norm)
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
+        parts = _parts(other)
+        if parts is None:
             return NotImplemented
-        return other / self
+        return GaussianRational(*parts) / self
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
@@ -160,11 +160,13 @@ def _fmt_fraction(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def _coerce(value):
+def _parts(value):
+    """(re, im) of a GaussianRational, int or Fraction operand, else None;
+    no scalar is built for an int or a Fraction."""
     if type(value) is GaussianRational:
-        return value
+        return value.re, value.im
     if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+        return value, 0
     return None
 
 

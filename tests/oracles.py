@@ -1,5 +1,15 @@
 """Slow exact reference code, kept as oracles for the fast paths.
 
+An oracle never runs the code it checks.  Products, sigma, brackets and
+spans are summed here by dense loops of their own: `bilinear_product_dense`,
+`apply_dense` on the matrix `sigma_matrix` writes from `sigma.images`, and
+`rref_gauss_jordan`, whose rows `span_gauss_jordan` hands to `Subspace`
+directly.  `tests/test_oracle_independence.py` fails if this file names
+the sparse kernels (`combine`, `bilinear_product`, `reduce_by`,
+`Echelon`, `Subspace.from_vectors`, `sigma.image`, `sigma.skew_terms`,
+`L.bracket`) or the dense wrapper `multiply_vectors`.  `changed_basis`,
+which builds the multi-term test tables, computes the same way.
+
 `validate_associativity` and `validate_involution` in `plesken.algebra`
 check their laws only for middle (resp. left) factors in a proved
 generating set.  The scans here are the exhaustive versions they replaced:
@@ -14,7 +24,8 @@ several terms.
 Gauss-Jordan loop it replaced is here, with the subspace, kernel, solve,
 center and fingerprint computations built on it: the center from an
 O(n^3 t) scan of the bracket table, each series term from all brackets
-stacked into one matrix.  Differential tests compare the results, which are canonical.
+stacked into one matrix.  Differential tests compare the results, which
+are canonical.
 
 Products, sigma, the skew part and the Lie table work on sparse terms, and
 sigma is held as its sparse images.  The dense versions they replaced are
@@ -24,17 +35,21 @@ applied as a dense matrix-vector product, the skew part as the kernel of
 (sigma + id) cross-checked against the span of the e_i - sigma(e_i), the
 Lie table from dense commutators of `GaussianRational` vectors with a dense
 residual check, and its labels read off the dense basis vectors.  So are
-the Jacobi scan over all basis triples and the Killing form from an
-O(n^3 t) scan of the bracket table.
+the Jacobi scan over all basis triples, the Killing form from an O(n^3 t)
+scan of the bracket table, and `bracket_closure_dense`, the randomized
+four-term closure check on dense vectors that `bracket_closure_check`
+ran before it worked on sparse terms.
 
 `plesken.linalg.Matrix` is a container without arithmetic, and the cell
 modules act by sparse entries.  The dense matrix arithmetic the
-certificate used is here: `matmul`, `matvec`, `linear_combination`, the
-action matrices read off the C3 coefficients as dense matrices, `act` as
-a sum of scaled dense matrices, the module axioms, and the dense form
-checks (b) and adjointness, with the witnesses of `plesken.cellular`.  The
-certificate reads injectivity off the Gram ranks; `injective_dense` ranks
-the action rows instead, as the definition of check (a) says.
+certificate used is here, with the constructors `identity_matrix` and
+`zero_matrix` and the `column` view: `matmul`, `matvec`,
+`linear_combination`, the action matrices read off the C3 coefficients as
+dense matrices, `act` as a sum of scaled dense matrices, the module
+axioms, and the dense form checks (b) and adjointness, with the witnesses
+of `plesken.cellular`.  The certificate reads injectivity off the Gram
+ranks; `injective_dense` ranks the action rows instead, as the definition
+of check (a) says.
 
 The diagram builders compose on plain tuples, `_tl_compose` on mate
 tuples and `_pr_compose` on endpoint tuples, and `Algebra` stores a
@@ -53,11 +68,13 @@ or two pairs disagree.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from plesken.algebra import (
     Algebra,
     AntiInvolution,
+    ClosureCounterexample,
     InternalConsistencyError,
     InvolutionFailure,
     describe_vector,
@@ -70,17 +87,35 @@ from plesken.builders import (
 )
 from plesken.cellular import CellDatum, CellForms, CellModule, GramPropertyFailure, Label
 from plesken.lie import Fingerprint, LieAlgebra
-from plesken.linalg import (
-    Matrix,
-    Subspace,
-    Terms,
-    Vector,
-    unit_vector,
-    vec_sub,
-    vector,
-    zero_vector,
-)
-from plesken.scalars import I, ONE, ZERO, GaussianRational, scalar
+from plesken.linalg import Matrix, Subspace, Terms, Vector, unit_vector, vector, zero_vector
+from plesken.scalars import I, ONE, ZERO, GaussianRational, exact, scalar
+
+
+def identity_matrix(n: int) -> Matrix:
+    return Matrix([unit_vector(n, i) for i in range(n)])
+
+
+def zero_matrix(rows: int, cols: int) -> Matrix:
+    return Matrix([[0] * cols for _ in range(rows)])
+
+
+def column(m: Matrix, j: int) -> Vector:
+    return tuple(row[j] for row in m.data)
+
+
+def sigma_matrix(sigma: AntiInvolution) -> Matrix:
+    """The dense matrix whose column j is sigma(e_j), written entry by entry
+    from `sigma.images`."""
+    n = len(sigma.images)
+    rows = [[0] * n for _ in range(n)]
+    for j, terms in enumerate(sigma.images):
+        for i, c in terms.items():
+            rows[i][j] = c
+    return Matrix(rows)
+
+
+def vec_sub(x: Sequence, y: Sequence) -> Vector:
+    return tuple(a - b for a, b in zip(x, y))
 
 
 def signed_permutation_matrix(n: int, perm: Sequence[int], signs=None) -> Matrix:
@@ -93,15 +128,16 @@ def signed_permutation_matrix(n: int, perm: Sequence[int], signs=None) -> Matrix
 
 def involution_from_matrix(m: Matrix, conjugates_scalars: bool = False) -> AntiInvolution:
     """The involution whose images sigma(e_j) are the columns of m."""
-    images = tuple(dict(enumerate(m.column(j))) for j in range(m.cols))
-    return AntiInvolution(images, conjugates_scalars)
+    return AntiInvolution(tuple(dict(enumerate(c)) for c in zip(*m.data)), conjugates_scalars)
 
 
 def changed_basis(
     algebra: Algebra, sigma: AntiInvolution, columns: Sequence[Sequence]
 ) -> tuple[Algebra, AntiInvolution]:
-    """The same algebra and involution in the basis given by `columns`."""
-    p = Matrix.from_columns(columns)
+    """The same algebra and involution in the basis given by `columns`, every
+    product and image computed densely."""
+    n = algebra.dim
+    p = Matrix(columns).transpose()
 
     def coordinates(v):
         x = solve_gauss_jordan(p, v)
@@ -109,15 +145,13 @@ def changed_basis(
         return x
 
     structure = {}
-    for i, j in itertools.product(range(algebra.dim), repeat=2):
-        product = algebra.multiply_vectors(columns[i], columns[j])
+    for i, j in itertools.product(range(n), repeat=2):
+        product = bilinear_product_dense(n, algebra.structure.get, columns[i], columns[j])
         structure[(i, j)] = tuple((k, c) for k, c in enumerate(coordinates(product)) if c)
-    images = [coordinates(sigma.apply_vector(v)) for v in columns]
-    labels = tuple(f"b{i}" for i in range(algebra.dim))
+    images = tuple(dict(enumerate(coordinates(apply_dense(sigma, v)))) for v in columns)
+    labels = tuple(f"b{i}" for i in range(n))
     unit = coordinates(algebra.unit)
-    return Algebra(labels, structure, unit), involution_from_matrix(
-        Matrix.from_columns(images), sigma.conjugates_scalars
-    )
+    return Algebra(labels, structure, unit), AntiInvolution(images, sigma.conjugates_scalars)
 
 
 def bidiagonal_basis(algebra: Algebra, sigma: AntiInvolution) -> tuple[Algebra, AntiInvolution]:
@@ -132,17 +166,17 @@ def bidiagonal_basis(algebra: Algebra, sigma: AntiInvolution) -> tuple[Algebra, 
 def matrix_over_involution_dense(n: int, inner_sigma: AntiInvolution) -> Matrix:
     """The matrix of E_rs (x) e_i -> E_sr (x) sigma(e_i) on M(n, A), built
     column by column from the dense columns of the inner matrix."""
-    inner = inner_sigma.matrix
+    inner = sigma_matrix(inner_sigma)
     d = inner.cols
     columns = []
     for r in range(n):
         for s in range(n):
             for i in range(d):
-                column = [0] * (n * n * d)
-                for k, c in enumerate(inner.column(i)):
-                    column[(s * n + r) * d + k] = c
-                columns.append(column)
-    return Matrix.from_columns(columns)
+                entries = [0] * (n * n * d)
+                for k, c in enumerate(column(inner, i)):
+                    entries[(s * n + r) * d + k] = c
+                columns.append(entries)
+    return Matrix(columns).transpose()
 
 
 def associativity_all_triples(
@@ -175,24 +209,26 @@ def associativity_all_triples(
 def involution_all_pairs(
     algebra: Algebra, sigma: AntiInvolution
 ) -> Optional[InvolutionFailure]:
-    """Check sigma^2 = id on the basis and the anti-homomorphism law on all pairs."""
-    if sigma.matrix.rows != algebra.dim or sigma.matrix.cols != algebra.dim:
-        return InvolutionFailure("shape", (sigma.matrix.rows, sigma.matrix.cols))
-    images = [sigma.apply_vector(algebra.basis_vector(i)) for i in range(algebra.dim)]
-    for i in range(algebra.dim):
-        if sigma.apply_vector(images[i]) != algebra.basis_vector(i):
+    """Check sigma^2 = id on the basis and the anti-homomorphism law on all
+    pairs, sigma applied as a dense matrix and products summed densely."""
+    m, n = sigma_matrix(sigma), algebra.dim
+    if m.rows != n or m.cols != n:
+        return InvolutionFailure("shape", (m.rows, m.cols))
+    images = [apply_dense(sigma, unit_vector(n, i), m) for i in range(n)]
+    for i in range(n):
+        if apply_dense(sigma, images[i], m) != unit_vector(n, i):
             return InvolutionFailure("square", (i,))
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            product = zero_vector(algebra.dim)
+    for i in range(n):
+        for j in range(n):
+            product = zero_vector(n)
             terms = algebra.product_terms(i, j)
             if terms:
-                acc = [ZERO] * algebra.dim
+                acc = [ZERO] * n
                 for k, c in terms:
                     acc[k] = c
                 product = tuple(acc)
-            lhs = sigma.apply_vector(product)
-            rhs = algebra.multiply_vectors(images[j], images[i])
+            lhs = apply_dense(sigma, product, m)
+            rhs = bilinear_product_dense(n, algebra.structure.get, images[j], images[i])
             if lhs != rhs:
                 return InvolutionFailure("antihomomorphism", (i, j))
     return None
@@ -239,11 +275,15 @@ def rref_gauss_jordan(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 
 def span_gauss_jordan(ambient: int, vectors) -> Subspace:
+    """The span of the dense `vectors`, its canonical rows read off their
+    dense rref."""
     rows = list(vectors)
     if not rows:
-        return Subspace.zero(ambient)
+        return Subspace(ambient, {})
     reduced, pivots = rref_gauss_jordan(Matrix(rows))
-    return Subspace.from_vectors(ambient, reduced.data[: len(pivots)])
+    return Subspace(ambient, {
+        p: {k: exact(c) for k, c in enumerate(row) if c} for p, row in zip(pivots, reduced.data)
+    })
 
 
 def kernel_gauss_jordan(m: Matrix) -> Subspace:
@@ -333,7 +373,7 @@ def fingerprint_gauss_jordan(L: LieAlgebra) -> Fingerprint:
     """`fingerprint` with every bracket of a series term stacked and reduced."""
 
     def span(u: Subspace, v: Subspace) -> Subspace:
-        return span_gauss_jordan(L.dim, [L.bracket_vectors(x, y) for x in u.basis for y in v.basis])
+        return span_gauss_jordan(L.dim, [bracket_dense(L, x, y) for x in u.basis for y in v.basis])
 
     def series(step) -> list[int]:
         chain = [Subspace.full(L.dim)]
@@ -384,6 +424,11 @@ def bilinear_product_dense(
     return tuple(acc)
 
 
+def bracket_dense(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
+    """[x, y] for dense x and y, summed over the bracket table's terms."""
+    return bilinear_product_dense(L.dim, lambda pair: L.bracket_terms(*pair), x, y)
+
+
 def commutator_dense(algebra: Algebra, x: Vector, y: Vector) -> Vector:
     get = algebra.structure.get
     return vec_sub(
@@ -392,12 +437,13 @@ def commutator_dense(algebra: Algebra, x: Vector, y: Vector) -> Vector:
     )
 
 
-def apply_dense(sigma: AntiInvolution, v: Sequence) -> Vector:
-    """sigma(v) as a dense matrix-vector product, after conjugation if any."""
+def apply_dense(sigma: AntiInvolution, v: Sequence, matrix: Optional[Matrix] = None) -> Vector:
+    """sigma(v) as a dense matrix-vector product, after conjugation if any;
+    `matrix` is `sigma_matrix(sigma)` when the caller has built it."""
     v = vector(v)
     if sigma.conjugates_scalars:
         v = tuple(c.conjugate() for c in v)
-    return matvec(sigma.matrix, v)
+    return matvec(sigma_matrix(sigma) if matrix is None else matrix, v)
 
 
 def skew_part_dense(sigma: AntiInvolution, v: Sequence) -> Vector:
@@ -412,7 +458,7 @@ def skew_subspace_kernel(sigma: AntiInvolution) -> Subspace:
     hat map is only Q-linear, basis vectors and their multiples by the
     imaginary unit are both needed to generate the Q(i)-span.
     """
-    n = sigma.matrix.rows
+    n = len(sigma.images)
     basis = [unit_vector(n, i) for i in range(n)]
     if sigma.conjugates_scalars:
         generators = []
@@ -421,7 +467,7 @@ def skew_subspace_kernel(sigma: AntiInvolution) -> Subspace:
             generators.append(skew_part_dense(sigma, tuple(I * c for c in e)))
         return span_gauss_jordan(n, generators)
     eigen = kernel_gauss_jordan(
-        linear_combination(n, n, [(ONE, sigma.matrix), (ONE, Matrix.identity(n))])
+        linear_combination(n, n, [(ONE, sigma_matrix(sigma)), (ONE, identity_matrix(n))])
     )
     generated = span_gauss_jordan(n, [skew_part_dense(sigma, e) for e in basis])
     if eigen != generated:
@@ -467,6 +513,39 @@ def plesken_lie_algebra_dense(algebra: Algebra, sigma: AntiInvolution) -> LieAlg
     return LieAlgebra(labels, table)
 
 
+def bracket_closure_dense(
+    algebra: Algebra, sigma: AntiInvolution, samples: int, *, seed: int
+) -> Optional[ClosureCounterexample]:
+    """`bracket_closure_check` on dense vectors: the same samples, each
+    product, image and skew part summed densely, and the bracket tested
+    against the kernel-based skew basis by `coordinates_dense`."""
+    rng = random.Random(seed)
+    n = algebra.dim
+    sub = skew_subspace_kernel(sigma)
+
+    def mul(x, y):
+        return bilinear_product_dense(n, algebra.structure.get, x, y)
+
+    def hat(v):
+        return skew_part_dense(sigma, v)
+
+    for trial in range(samples):
+        a = vector(rng.randint(-9, 9) for _ in range(n))
+        b = vector(rng.randint(-9, 9) for _ in range(n))
+        sa, sb = apply_dense(sigma, a), apply_dense(sigma, b)
+        ha, hb = hat(a), hat(b)
+        lhs = vec_sub(mul(ha, hb), mul(hb, ha))
+        rhs = vec_sub(
+            vec_sub(hat(mul(a, b)), hat(mul(a, sb))),
+            vec_sub(hat(mul(sa, b)), hat(mul(sa, sb))),
+        )
+        if lhs != rhs:
+            return ClosureCounterexample(trial, a, b, "four-term identity failed")
+        if coordinates_dense(sub, lhs) is None:
+            return ClosureCounterexample(trial, a, b, "bracket left the skew part")
+    return None
+
+
 def lie_labels_dense(ambient_labels: Sequence[str], vecs: Sequence[Vector]) -> list[str]:
     """`lie_labels` on dense basis vectors: each written out in full, then
     kept when it has at most two entries, all +-1, and 24 characters."""
@@ -495,7 +574,7 @@ def matmul(x: Matrix, y: Matrix) -> Matrix:
     """The dense product x y."""
     if x.cols != y.rows:
         raise ValueError("shape mismatch")
-    columns = [y.column(j) for j in range(y.cols)]
+    columns = [column(y, j) for j in range(y.cols)]
     return Matrix([[_dot(row, col) for col in columns] for row in x.data])
 
 
@@ -565,7 +644,7 @@ def module_axiom_failure(algebra: Algebra, module: CellModule) -> Optional[tuple
     """First failure of rho(unit) = id or rho(ei ej) = rho(ei) rho(ej)."""
     d = module.dim
     matrices = dense_action(module)
-    if act(matrices, d, algebra.unit) != Matrix.identity(d):
+    if act(matrices, d, algebra.unit) != identity_matrix(d):
         return ("unit",)
     for i in range(algebra.dim):
         for j in range(algebra.dim):
@@ -591,7 +670,7 @@ def form_skewness_dense(
             g = forms.grams[lam].gram
             action = act(matrices[lam], d, x)
             both = [(ONE, matmul(action.transpose(), g)), (ONE, matmul(g, action))]
-            if linear_combination(d, d, both) != Matrix.zeros(d, d):
+            if linear_combination(d, d, both) != zero_matrix(d, d):
                 return (r, lam)
     return None
 
@@ -651,9 +730,9 @@ def gram_properties_dense(
 
     if g != bar(g).transpose():
         return GramPropertyFailure(lam, "symmetry", ())
-    matrices = dense_action(module)
+    matrices, images = dense_action(module), sigma_matrix(sigma)
     for a in range(algebra.dim):
-        lhs = matmul(bar(act(matrices, module.dim, sigma.matrix.column(a))).transpose(), g)
+        lhs = matmul(bar(act(matrices, module.dim, column(images, a))).transpose(), g)
         if lhs != matmul(g, matrices[a]):
             return GramPropertyFailure(lam, "adjointness", (a,))
     return None

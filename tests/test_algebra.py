@@ -2,11 +2,15 @@ import random
 
 import pytest
 from oracles import (
+    bracket_dense,
     commutator_dense,
+    identity_matrix,
     involution_from_matrix,
     jacobi_failure,
     kernel_gauss_jordan,
     linear_combination,
+    sigma_matrix,
+    skew_part_dense,
 )
 
 from plesken.algebra import (
@@ -16,7 +20,6 @@ from plesken.algebra import (
     bracket_closure_check,
     plesken_lie_algebra,
     plesken_subspace,
-    skew_part,
     validate_associativity,
     validate_involution,
     validate_unit,
@@ -28,7 +31,7 @@ from plesken.builders import (
     quaternions,
     temperley_lieb,
 )
-from plesken.linalg import Matrix, vector
+from plesken.linalg import Matrix, dense, sparse, unit_vector, vector
 from plesken.scalars import I, ONE, GaussianRational, scalar
 from plesken.suite import cyclic_table, symmetric_3_table
 from plesken.builders import group_algebra
@@ -36,7 +39,7 @@ from plesken.builders import group_algebra
 
 def test_quaternion_products():
     A, _ = quaternions()
-    one, i, j, k = (A.basis_vector(n) for n in range(4))
+    one, i, j, k = (unit_vector(A.dim, n) for n in range(4))
     mul = A.multiply_vectors
     assert mul(i, j) == k
     assert mul(j, i) == tuple(-c for c in k)
@@ -55,7 +58,7 @@ def test_unit_axiom_random():
 
 def test_matrix_unit_rule():
     A, _ = matrix_algebra(2)
-    e11, e12, e21, e22 = (A.basis_vector(n) for n in range(4))
+    e11, e12, e21, e22 = (unit_vector(A.dim, n) for n in range(4))
     assert A.multiply_vectors(e12, e21) == e11
     assert A.multiply_vectors(e21, e12) == e22
 
@@ -64,7 +67,7 @@ def test_multiply_dimension_mismatch():
     A, _ = quaternions()
     B, _ = matrix_algebra(3)
     with pytest.raises(ValueError):
-        A.multiply_vectors(A.basis_vector(0), B.basis_vector(0))
+        A.multiply_vectors(unit_vector(A.dim, 0), unit_vector(B.dim, 0))
 
 
 @pytest.mark.parametrize(
@@ -96,7 +99,7 @@ def test_associativity_detects_corruption():
 
 def test_identity_is_not_an_anti_involution():
     A, _ = matrix_algebra(2)
-    failure = validate_involution(A, involution_from_matrix(Matrix.identity(4)))
+    failure = validate_involution(A, involution_from_matrix(identity_matrix(4)))
     assert failure is not None
     assert failure.kind == "antihomomorphism"
     assert failure.witness == (0, 1)
@@ -106,7 +109,7 @@ def test_involution_reads_its_images_once():
     sigma = AntiInvolution(({1: "-1", 0: 0}, {0: GaussianRational(-1)}))
     assert sigma.images == ({1: -1}, {0: -1})
     assert sigma == AntiInvolution.signed_permutation((1, 0), (-1, -1))
-    assert sigma.matrix == Matrix([[0, -1], [-1, 0]])
+    assert sigma_matrix(sigma) == Matrix([[0, -1], [-1, 0]])
     with pytest.raises(TypeError):
         hash(sigma)
     for images in (({True: 1}, {0: 1}), ({2: 1}, {0: 1}), ({-1: 1}, {0: 1})):
@@ -119,7 +122,7 @@ def test_involution_reads_its_images_once():
 def test_plesken_basis_quaternions():
     A, sigma = quaternions()
     basis = plesken_subspace(A, sigma).basis
-    assert basis == tuple(A.basis_vector(n) for n in (1, 2, 3))
+    assert basis == tuple(unit_vector(A.dim, n) for n in (1, 2, 3))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -151,9 +154,9 @@ def test_plesken_lie_tl0_4_table():
     assert jacobi_failure(L) is None
     x = vector([1, 2, 3, 4])
     y = vector([0, -1, 5, 2])
-    assert L.bracket_vectors(x, y) == tuple(
-        -c for c in L.bracket_vectors(y, x)
-    )
+    xy = L.bracket(sparse(x, L.dim), sparse(y, L.dim))
+    assert xy == {k: -c for k, c in L.bracket(sparse(y, L.dim), sparse(x, L.dim)).items()}
+    assert dense(L.dim, xy) == bracket_dense(L, x, y)
 
 
 @pytest.mark.parametrize(
@@ -205,7 +208,9 @@ def test_group_bracket_identity_on_elements():
     A, sigma = group_algebra(table)
 
     def hat(g):
-        return skew_part(sigma, A.basis_vector(g))
+        v = dense(A.dim, sigma.skew_terms({g: 1}))
+        assert v == skew_part_dense(sigma, unit_vector(A.dim, g))
+        return v
 
     p = table.product
     inv = table.inverse
@@ -239,11 +244,11 @@ def test_group_bracket_identity_on_elements():
 )
 def test_eigenspace_dimensions_sum(factory):
     A, sigma = factory()
-    n, identity = A.dim, Matrix.identity(A.dim)
+    n, identity, matrix = A.dim, identity_matrix(A.dim), sigma_matrix(sigma)
 
     def kernel_dim(sign):
         return kernel_gauss_jordan(
-            linear_combination(n, n, [(ONE, sigma.matrix), (sign, identity)])
+            linear_combination(n, n, [(ONE, matrix), (sign, identity)])
         ).dim
 
     plus, minus = kernel_dim(-ONE), kernel_dim(ONE)

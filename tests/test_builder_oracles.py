@@ -18,9 +18,11 @@ from functools import partial
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
+    column,
     matrix_over_involution_dense,
     planar_rook_by_dataclass,
     pr_compose_dataclass,
+    sigma_matrix,
     signed_permutation_matrix,
     summed_structure,
     temperley_lieb_by_union_find,
@@ -69,8 +71,8 @@ def test_pr_compose_matches_dataclass_product(n):
 
 def assert_images(sigma, matrix):
     """sigma's stored images are the columns of the dense oracle matrix."""
-    assert sigma.images == tuple(sparse(matrix.column(j), matrix.rows) for j in range(matrix.cols))
-    assert sigma.matrix == matrix
+    assert sigma.images == tuple(sparse(column(matrix, j), matrix.rows) for j in range(matrix.cols))
+    assert sigma_matrix(sigma) == matrix
 
 
 def assert_builds(built, oracle):

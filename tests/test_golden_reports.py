@@ -15,7 +15,7 @@ import pytest
 from oracles import bidiagonal_basis
 
 from plesken import cli
-from plesken.builders import temperley_lieb
+from plesken.builders import matrix_algebra, temperley_lieb
 from plesken.interchange import AlgebraDocument, emit
 
 BUILDS = {
@@ -76,6 +76,9 @@ REPORTS = [
     # reductions sum terms with scales other than 1.
     ("analyze", "tl34bidiag", (), 0,
      "bf59c19c7c32782bebaccc04341acffcb866695b6319b75852fddc1e4ed5785b"),
+    # The same with a semilinear sigma in matrix form.
+    ("analyze", "m2cbidiag", (), 0,
+     "8c17e5d4a7da93d3e48bc78706aee12bd049c03fdaea9a145432561d3d4b854b"),
 ]
 
 # Documents emitted in Python, for inputs no `build` family gives.
@@ -83,10 +86,17 @@ EMITTED = {
     "tl34bidiag": lambda: AlgebraDocument(
         "temperley-lieb-n4-delta3-bidiagonal", *bidiagonal_basis(*temperley_lieb(4, 3))
     ),
+    "m2cbidiag": lambda: AlgebraDocument(
+        "matrix-n2-conj-transpose-bidiagonal",
+        *bidiagonal_basis(*matrix_algebra(2, "conj_transpose")),
+    ),
 }
 
-# The bytes of `plesken build` documents.
+# The bytes of `plesken build` documents, and of the emitted documents,
+# whose sigma is written in matrix form.
 DOCUMENTS = {
+    "tl34bidiag": "59f904355072a024bf40f11bf9dcd7daaea71d08f4cc6c8b8640386f5e3afe37",
+    "m2cbidiag": "7b63c008fc6046d19c88ba01387898996f51f8d6d448499120b80e01271e2c95",
     "tlhalf": "6436f63de3cd08eae2ece142aff5d2d2ac3bf5dcd292827e3a4b063feb81da69",
     "tl36": "13653c107741a0fbc232274335d46e626d76963e460f37a942ef905b6c3dcd1b",
     "tl05": "36136243e565cc796930adb2907e71ed51900c9766d1610692795f901fa5a35e",

@@ -33,7 +33,7 @@ from plesken.interchange import (
     parse,
     save,
 )
-from plesken.linalg import Matrix
+from plesken.linalg import Matrix, unit_vector
 from plesken.report import validate_algebra
 from plesken.scalars import GaussianRational
 from plesken.suite import run_suite, symmetric_3_table
@@ -59,7 +59,7 @@ def test_document_round_trip(name, build):
     parsed = parse(emit(doc))
     algebra2, sigma2, cell2 = parsed.algebra, parsed.sigma, parsed.cell
     assert algebra2 == algebra
-    assert sigma2.matrix == sigma.matrix
+    assert sigma2.images == sigma.images
     assert sigma2.conjugates_scalars == sigma.conjugates_scalars
     if cell is not None:
         assert cell2.basis_map == cell.basis_map
@@ -214,7 +214,7 @@ def test_cli_build_families(tmp_path, capsys):
     assert code == 0
     doc3 = load(out3)
     assert doc3.algebra.dim == 1
-    assert doc3.sigma.matrix.data[0][0] == 1
+    assert doc3.sigma.images == ({0: 1},)
 
 
 def test_cli_build_group_and_matrix_over(tmp_path, capsys):
@@ -684,7 +684,7 @@ def test_suite_validates_every_item(monkeypatch):
     def planar_rook_wrong_unit(n, **kwargs):
         algebra, sigma = planar_rook(n, **kwargs)
         if n == 4:
-            unit = algebra.basis_vector(0)
+            unit = unit_vector(algebra.dim, 0)
             algebra = Algebra(algebra.labels, algebra.structure, unit)
         return algebra, sigma
 
@@ -759,9 +759,13 @@ def test_save_and_load(tmp_path):
 def test_permutation_documents_and_diagram_builds_make_no_dense_matrix(monkeypatch):
     # sigma is held as its sparse images: reading a permutation-form
     # document, building PR(3) with its cell datum, validating and emitting
-    # construct no n x n Matrix.
+    # construct no n x n Matrix.  Nor do reading and writing sigma in matrix
+    # form: the rows are written from the images.
     algebra, sigma = planar_rook(3)
     text = emit(document_from_algebra("pr3", algebra, sigma, cell_datum_planar_rook(3, sigma)))
+    matrix_doc = AlgebraDocument("tlb", *bidiagonal_basis(*temperley_lieb(3, 3)))
+    matrix_text = emit(matrix_doc)
+    assert "matrix" in json.loads(matrix_text)["involution"]
 
     def refuse(self, rows):
         raise AssertionError("a dense Matrix was constructed")
@@ -773,8 +777,9 @@ def test_permutation_documents_and_diagram_builds_make_no_dense_matrix(monkeypat
     assert doc.cell == cell_datum_planar_rook(3, built_sigma)
     validate_algebra(doc.algebra, doc.sigma)
     assert emit(doc) == text
+    assert parse(matrix_text) == matrix_doc and emit(matrix_doc) == matrix_text
     with pytest.raises(AssertionError, match="dense Matrix"):
-        doc.sigma.matrix
+        Matrix([[1]])
 
 
 def test_dense_involution_matrix_document(tmp_path, capsys):
@@ -796,7 +801,7 @@ def test_dense_involution_matrix_document(tmp_path, capsys):
                            for i in range(2)])
             image = matmul(matmul(s_inv, unit.transpose()), s)
             columns.append([image.data[i][j] for i in range(2) for j in range(2)])
-    sigma = involution_from_matrix(Matrix.from_columns(columns))
+    sigma = involution_from_matrix(Matrix(columns).transpose())
     assert sigma._signed_permutation is None
     assert validate_involution(algebra, sigma) is None
 

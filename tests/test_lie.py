@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import jacobi_failure, killing_form_scan
+from oracles import (
+    bracket_dense,
+    coordinates_dense,
+    jacobi_failure,
+    killing_form_scan,
+    skew_part_dense,
+    zero_matrix,
+)
 
 from plesken.algebra import plesken_lie_algebra, plesken_subspace
 from plesken.builders import matrix_algebra, temperley_lieb
@@ -23,7 +30,7 @@ from plesken.lie import (
     lower_central_series,
     orthogonal_model,
 )
-from plesken.linalg import Matrix, Subspace, rank_mod_p, vector
+from plesken.linalg import Subspace, dense, rank_mod_p, reduce_by, sparse, vector
 from plesken.scalars import GaussianRational, scalar
 
 
@@ -52,8 +59,7 @@ def diagram_difference(A, sigma, pairs_list):
     index = {d: i for i, d in enumerate(diagrams)}
     v = [scalar(0)] * A.dim
     v[index[TLDiagram.from_pairs(4, pairs_list)]] = scalar(1)
-    image = sigma.apply_vector(v)
-    return tuple(a - b for a, b in zip(v, image))
+    return skew_part_dense(sigma, v)
 
 
 B1 = [(1, 2), (3, 5), (4, 8), (6, 7)]
@@ -64,7 +70,7 @@ B4 = [(1, 2), (3, 4), (5, 8), (6, 7)]
 
 def test_bracket_span_abelian_is_zero():
     L = orthogonal_model([2, 2])  # two commuting one-dimensional blocks
-    full = L.full_subspace()
+    full = Subspace.full(L.dim)
     assert bracket_span(L, full, full).dim == 0
 
 
@@ -99,7 +105,7 @@ def test_second_derived_algebra_of_tl0():
 
 def test_orthogonal_three_is_perfect():
     L = orthogonal_model([3])
-    assert bracket_span(L, L.full_subspace(), L.full_subspace()).dim == 3
+    assert bracket_span(L, Subspace.full(L.dim), Subspace.full(L.dim)).dim == 3
     assert [s.dim for s in derived_series(L)] == [3, 3]
 
 
@@ -127,9 +133,12 @@ def test_center_examples():
     assert center(orthogonal_model([3])).dim == 0
     A, sigma, L = tl0_lie()
     b4 = diagram_difference(A, sigma, B4)
-    coords = plesken_subspace(A, sigma).coordinates(b4)
-    assert coords is not None
-    assert center(L).contains(coords)
+    skew, v = plesken_subspace(A, sigma), sparse(b4, A.dim)
+    assert not reduce_by(skew.rows, v)
+    coords = {r: v[p] for r, p in enumerate(skew.rows) if p in v}
+    assert dense(L.dim, coords) == coordinates_dense(skew, b4)
+    assert not reduce_by(center(L).rows, coords)
+    assert coordinates_dense(center(L), dense(L.dim, coords)) is not None
 
 
 @pytest.mark.parametrize(
@@ -142,7 +151,7 @@ def test_center_of_models(sizes, expected):
 
 def test_killing_form_examples():
     zero = killing_form(orthogonal_model([2, 2]))
-    assert zero == Matrix.zeros(zero.rows, zero.cols)
+    assert zero == zero_matrix(zero.rows, zero.cols)
     k3 = killing_form(orthogonal_model([3]))
     from plesken.linalg import rank
 
@@ -171,13 +180,13 @@ def test_killing_form_ad_invariance():
                         acc = acc + xi * yj * K.data[i][j]
             return acc
 
-        basis = [L.full_subspace().basis[i] for i in range(L.dim)]
-        for x in basis:
-            for y in basis:
-                for z in basis:
-                    assert k(L.bracket_vectors(x, y), z) == k(
-                        x, L.bracket_vectors(y, z)
-                    )
+        basis = [Subspace.full(L.dim).basis[i] for i in range(L.dim)]
+        brackets = {}
+        for (a, x), (b, y) in itertools.product(enumerate(basis), repeat=2):
+            brackets[a, b] = dense(L.dim, L.bracket({a: 1}, {b: 1}))
+            assert brackets[a, b] == bracket_dense(L, x, y)
+        for a, b, c in itertools.product(range(L.dim), repeat=3):
+            assert k(brackets[a, b], basis[c]) == k(basis[a], brackets[b, c])
 
 
 def test_fingerprint_tl0():
@@ -231,7 +240,9 @@ def test_orthogonal_model_satisfies_jacobi(sizes):
     assert sum(d * (d - 1) // 2 for d in sizes) == L.dim <= 50
     assert jacobi_failure(L) is None
     x, y = vector([1] * L.dim), vector(range(L.dim))
-    assert L.bracket_vectors(x, y) == tuple(-c for c in L.bracket_vectors(y, x))
+    xy = L.bracket(sparse(x, L.dim), sparse(y, L.dim))
+    assert xy == {k: -c for k, c in L.bracket(sparse(y, L.dim), sparse(x, L.dim)).items()}
+    assert dense(L.dim, xy) == bracket_dense(L, x, y)
 
 
 def test_fingerprint_match_examples():

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -137,3 +138,40 @@ def test_mixed_sparse_dicts_compare_as_their_values(x, y):
     assert mixed(x) == exact(x)
     assert (mixed(x) == mixed(y)) == (exact(x) == exact(y))
     assert (mixed(x) != mixed(y)) == (exact(x) != exact(y))
+
+
+# A GaussianRational mixes with an int or a Fraction operand by reading the
+# operand's parts, without building a scalar from it.  Each operator, plain
+# and reflected, must give what the operand converted by `scalar` gives.
+OPERATORS = [
+    operator.add, operator.sub, operator.mul, operator.truediv, operator.eq, operator.ne,
+]
+plain_operands = st.one_of(
+    st.sampled_from([0, 1, -1, True, False]),
+    st.integers(min_value=-10**6, max_value=10**6),
+    rationals,
+)
+
+
+def _outcome(op, x, y):
+    try:
+        result = op(x, y)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+    return type(result), result
+
+
+@given(scalars, plain_operands, st.sampled_from(OPERATORS))
+def test_plain_operands_act_as_their_scalars(h, v, op):
+    converted = scalar(int(v) if type(v) is bool else v)
+    assert _outcome(op, h, v) == _outcome(op, h, converted)
+    assert _outcome(op, v, h) == _outcome(op, converted, h)
+
+
+def test_float_operands_are_refused():
+    h = scalar("1/2")
+    assert (h == 1.5) is False and (1.5 == h) is False
+    with pytest.raises(TypeError):
+        h + 1.5
+    with pytest.raises(TypeError):
+        1.5 * h

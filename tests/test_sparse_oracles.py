@@ -10,9 +10,12 @@ products.  TL at delta = i and 1/2 mixes int and `GaussianRational`
 constants in the Lie table's sums, and M(2) in a skewed basis has
 products of several terms.  The one summing loop, `linalg.combine`, is
 checked against a naive sum, and `reduce_by` against the dense span test.
+`bracket_closure_check` must give the same witness, exception or None as
+`bracket_closure_dense`, the dense body it had before.
 """
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,8 @@ from oracles import (
     apply_dense,
     bidiagonal_basis,
     bilinear_product_dense,
+    bracket_closure_dense,
+    bracket_dense,
     coordinates_dense,
     plesken_lie_algebra_dense,
     skew_part_dense,
@@ -28,7 +33,14 @@ from oracles import (
 )
 from test_validation_oracles import FAMILIES as VALIDATION_FAMILIES
 
-from plesken.algebra import plesken_lie_algebra, plesken_subspace
+from plesken.algebra import (
+    AntiInvolution,
+    ClosureCounterexample,
+    InternalConsistencyError,
+    bracket_closure_check,
+    plesken_lie_algebra,
+    plesken_subspace,
+)
 from plesken.builders import (
     group_algebra,
     matrix_algebra,
@@ -37,7 +49,15 @@ from plesken.builders import (
     quaternions,
     temperley_lieb,
 )
-from plesken.linalg import bilinear_product, combine, dense, reduce_by, unit_vector
+from plesken.linalg import (
+    Subspace,
+    bilinear_product,
+    combine,
+    dense,
+    reduce_by,
+    sparse,
+    unit_vector,
+)
 from plesken.scalars import GaussianRational
 from plesken.suite import cyclic_table, symmetric_3_table
 
@@ -77,12 +97,10 @@ def test_sparse_pipeline_matches_dense_oracles(name):
             assert algebra.multiply_vectors(x, y) == bilinear_product_dense(
                 n, algebra.structure.get, x, y
             )
-    rows = lie.full_subspace().basis
-    for x in probes(lie.dim, rows) if lie.dim else ():
-        for y in probes(lie.dim, rows):
-            assert lie.bracket_vectors(x, y) == bilinear_product_dense(
-                lie.dim, lie._terms.get, x, y
-            )
+    m = lie.dim
+    for x in probes(m, Subspace.full(m).basis) if m else ():
+        for y in probes(m, Subspace.full(m).basis):
+            assert dense(m, lie.bracket(sparse(x, m), sparse(y, m))) == bracket_dense(lie, x, y)
 
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -182,3 +200,71 @@ def test_sigma_image_and_skew_part_match_dense_oracles(name, data):
     assert all(image.values()) and all(skew.values())
     assert dense(n, image) == apply_dense(sigma, dense(n, v))
     assert dense(n, skew) == skew_part_dense(sigma, dense(n, v))
+
+
+# `bracket_closure_check` against the dense body it had before it worked on
+# sparse terms.  Besides builder families and two in the bidiagonal basis,
+# where products and images have several terms, M(2) and M(3) carry maps
+# sigma(E_rs) = sign(r, s) E_{pi(r) pi(s)} for each involutive permutation
+# pi, optionally followed by transposition, with every sign +1, every sign
+# -1, or -1 exactly above the diagonal.  Most are no anti-homomorphism, so
+# the identity fails, and with the mixed signs some have sigma^2 != id,
+# which the skew part refuses.
+def _involutive_permutations(n):
+    return [p for p in itertools.permutations(range(n)) if all(p[p[r]] == r for r in range(n))]
+
+
+SIGNS = {"+": lambda r, s: 1, "-": lambda r, s: -1, "upper-": lambda r, s: -1 if r < s else 1}
+
+
+def _matrix_map(n, pi, sign, transposed):
+    algebra, _ = matrix_algebra(n)
+    images = []
+    for r, s in itertools.product(range(n), repeat=2):
+        a, b = (pi[s], pi[r]) if transposed else (pi[r], pi[s])
+        images.append({a * n + b: SIGNS[sign](r, s)})
+    return algebra, AntiInvolution(images)
+
+
+CLOSURE_CASES = {
+    "H": quaternions,
+    "M(2)": lambda: matrix_algebra(2),
+    "M(2)*": lambda: matrix_algebra(2, "conj_transpose"),
+    "TL_3(4)": lambda: temperley_lieb(4, 3),
+    "PR(3)": lambda: planar_rook(3),
+    "TL_1/2(3)": lambda: temperley_lieb(3, "1/2"),
+    "TL_3(3) bidiagonal": lambda: bidiagonal_basis(*temperley_lieb(3, 3)),
+    "M(2)* bidiagonal": lambda: bidiagonal_basis(*matrix_algebra(2, "conj_transpose")),
+    **{
+        f"M({n}) pi={pi} sign {sign}{' transposed' if t else ''}":
+            functools.partial(_matrix_map, n, pi, sign, t)
+        for n in (2, 3) for pi in _involutive_permutations(n) for sign in SIGNS for t in (0, 1)
+    },
+}
+
+
+def _closure_outcome(check, algebra, sigma, seed):
+    try:
+        return check(algebra, sigma, 20, seed=seed)
+    except InternalConsistencyError as error:
+        return InternalConsistencyError, str(error)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+@pytest.mark.parametrize("name", CLOSURE_CASES)
+def test_bracket_closure_check_matches_dense_oracle(name, seed):
+    algebra, sigma = CLOSURE_CASES[name]()
+    assert _closure_outcome(bracket_closure_check, algebra, sigma, seed) == _closure_outcome(
+        bracket_closure_dense, algebra, sigma, seed
+    )
+
+
+def test_closure_cases_reach_every_outcome():
+    kinds = set()
+    for make in CLOSURE_CASES.values():
+        outcome = _closure_outcome(bracket_closure_check, *make(), 0)
+        if isinstance(outcome, ClosureCounterexample):
+            kinds.add(outcome.reason)
+        else:
+            kinds.add(outcome if outcome is None else outcome[0])
+    assert kinds == {None, "four-term identity failed", InternalConsistencyError}

@@ -134,7 +134,7 @@ def test_subspace_compares_by_ambient_and_rows():
     assert sub == Subspace(sub.ambient, dict(sub.rows))
     assert sub == Subspace.from_vectors(A.dim, sub.basis)
     assert sub != Subspace(sub.ambient + 1, sub.rows)
-    assert sub != Subspace.full(A.dim) and Subspace.zero(2) != Subspace.zero(3)
+    assert sub != Subspace.full(A.dim) and Subspace(2, {}) != Subspace(3, {})
     with pytest.raises(TypeError):
         hash(sub)
 

@@ -155,7 +155,18 @@ def matrix_over_algebra(
 
 
 class GroupTable:
-    """A finite group given by its multiplication table of element indices."""
+    """A finite group given by its multiplication table of element indices.
+
+    The table is read, not proved: `identity` is the first element whose
+    row is the identity map, a left identity, and `inverse[g]` is where that
+    identity sits in row g, a right inverse.  `validate_algebra` on the
+    group algebra proves the rest.  Light's test gives associativity, and
+    `validate_unit` gives that the left identity is two-sided (a left
+    identity that is not a right identity is refused there).  A monoid in
+    which every element has a right inverse is a group, so `inverse` is the
+    two-sided inverse, and `validate_involution` re-proves that g -> g^-1
+    is an anti-involution.  Until then the table may not be a group.
+    """
 
     def __init__(self, product: Sequence[Sequence[int]], labels=None):
         self.product = tuple(tuple(row) for row in product)
@@ -171,44 +182,13 @@ class GroupTable:
         self.labels = tuple(labels)
         if len(self.labels) != self.order:
             raise ValueError("wrong number of labels")
-        self.identity = self._find_identity()
-        self.inverse = self._find_inverses()
-        self._check_associativity()
-
-    def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(
-                self.product[e][x] == x and self.product[x][e] == x
-                for x in range(self.order)
-            ):
-                return e
-        raise ValueError("identity: table has no identity element")
-
-    def _find_inverses(self) -> tuple[int, ...]:
-        inv = []
-        for g in range(self.order):
-            candidates = [
-                h
-                for h in range(self.order)
-                if self.product[g][h] == self.identity
-                and self.product[h][g] == self.identity
-            ]
-            if not candidates:
+        if (identity_row := tuple(range(self.order))) not in self.product:
+            raise ValueError("identity: table has no identity element")
+        self.identity = e = self.product.index(identity_row)
+        for g, row in enumerate(self.product):
+            if e not in row:
                 raise ValueError(f"inverses: element {g} has no inverse")
-            inv.append(candidates[0])
-        return tuple(inv)
-
-    def _check_associativity(self):
-        p = self.product
-        n = self.order
-        for a in range(n):
-            for b in range(n):
-                ab = p[a][b]
-                for c in range(n):
-                    if p[ab][c] != p[a][p[b][c]]:
-                        raise ValueError(
-                            f"associativity: fails at triple ({a}, {b}, {c})"
-                        )
+        self.inverse = tuple(row.index(e) for row in self.product)
 
 
 def group_algebra(table: GroupTable) -> tuple[Algebra, AntiInvolution]:

@@ -42,7 +42,11 @@ Entries = Mapping[tuple[int, int], GaussianRational]  # sparse matrix: (row, col
 
 
 class CellDatum:
-    """Poset of cells, index sets, and the triple-to-basis bijection."""
+    """Poset of cells, index sets, and the triple-to-basis bijection.
+
+    The strict order `less`, pairs (a, b) with a below b, must be irreflexive
+    and transitive: for each pair, the set of cells above b lies in a's.
+    """
 
     def __init__(
         self,
@@ -53,19 +57,20 @@ class CellDatum:
         involution: AntiInvolution,
     ):
         self.lambdas = tuple(lambdas)
-        if len(set(self.lambdas)) != len(self.lambdas):
+        labels = set(self.lambdas)
+        if len(labels) != len(self.lambdas):
             raise ValueError("duplicate cell labels")
         self.less = frozenset((a, b) for a, b in less_pairs)
+        above: dict[Label, set] = {}  # above[a]: the b with (a, b) in less
         for a, b in self.less:
-            if a not in self.lambdas or b not in self.lambdas:
+            if a not in labels or b not in labels:
                 raise ValueError("order pair mentions unknown cell label")
             if a == b:
                 raise ValueError("strict order cannot be reflexive")
-        for a, b in self.less:
-            for c, d in self.less:
-                if b == c and (a, d) not in self.less:
-                    raise ValueError("order pairs are not transitively closed")
-        if not set(index_sets) <= set(self.lambdas):
+            above.setdefault(a, set()).add(b)
+        if any(not above.get(b, set()) <= above[a] for a, b in self.less):
+            raise ValueError("order pairs are not transitively closed")
+        if not set(index_sets) <= labels:
             raise ValueError("index set given for an unknown cell label")
         self.index_sets = {lam: tuple(index_sets.get(lam, ())) for lam in self.lambdas}
         if any(len(set(m)) != len(m) for m in self.index_sets.values()):

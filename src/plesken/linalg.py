@@ -142,8 +142,8 @@ class Echelon:
             pivot = min(row)
             lead = row[pivot]
             if lead != 1:
-                lead = scalar(lead)
-                row = {k: c / lead for k, c in row.items()}
+                inverse = 1 / scalar(lead)  # one division per row, not per entry
+                row = {k: c * inverse for k, c in row.items()}
             for p, other in list(self.rows.items()):
                 if pivot in other:
                     self.rows[p] = combine(((1, other.items()), (-other[pivot], row.items())))

@@ -59,6 +59,12 @@ rook product built as a validated `PlanarRookDiagram`, the whole TL and PR
 tables built from them, and a structure table summed over
 `GaussianRational` for every item.
 
+`GroupTable` reads a table's identity and right inverses and leaves the
+proof to `validate_algebra`; `group_axioms` is the brute-force group check
+it ran before: two-sided identity and inverse searches and all n^3
+triples.  `CellDatum` checks its order by one set inclusion per pair;
+`cell_order_failure` is the loop over all pairs of pairs it replaced.
+
 `plesken.cellular.gram_matrix` reads each Gram entry at one witness pair,
 which C2 and C3 make sufficient.  `gram_every_witness` reads it at every
 pair (s, v) and raises when a product leaves C[s, v] and the lower cells
@@ -203,6 +209,59 @@ def associativity_all_triples(
                     m: v for m, v in right.items() if v
                 }:
                     return (i, j, k)
+    return None
+
+
+def group_axioms(product: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
+    """(identity, inverse) of a square table with entries in range, by the
+    scans `GroupTable` ran before `validate_algebra` proved its tables: a
+    two-sided identity, two-sided inverses and all n^3 triples.  Raises
+    ValueError, with those scans' messages, when the table is no group."""
+    n = len(product)
+    identity = next(
+        (e for e in range(n) if all(product[e][x] == x and product[x][e] == x for x in range(n))),
+        None,
+    )
+    if identity is None:
+        raise ValueError("identity: table has no identity element")
+    inverse = []
+    for g in range(n):
+        candidates = [
+            h for h in range(n) if product[g][h] == identity and product[h][g] == identity
+        ]
+        if not candidates:
+            raise ValueError(f"inverses: element {g} has no inverse")
+        inverse.append(candidates[0])
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if product[product[a][b]][c] != product[a][product[b][c]]:
+            raise ValueError(f"associativity: fails at triple ({a}, {b}, {c})")
+    return identity, tuple(inverse)
+
+
+def group_axioms_failure(product: Sequence[Sequence[int]]) -> Optional[str]:
+    """The message of the first group axiom `group_axioms` finds failing, else None."""
+    try:
+        group_axioms(product)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def cell_order_failure(lambdas: Sequence[Label], less_pairs) -> Optional[str]:
+    """The message `CellDatum` refuses the strict order with, else None, by
+    the check it ran before `above` sets: every pair of pairs for
+    transitivity, label membership in a tuple."""
+    lambdas = tuple(lambdas)
+    less = frozenset((a, b) for a, b in less_pairs)
+    for a, b in less:
+        if a not in lambdas or b not in lambdas:
+            return "order pair mentions unknown cell label"
+        if a == b:
+            return "strict order cannot be reflexive"
+    for a, b in less:
+        for c, d in less:
+            if b == c and (a, d) not in less:
+                return "order pairs are not transitively closed"
     return None
 
 

@@ -1,7 +1,10 @@
+import itertools
 import math
+import re
 
 import pytest
-from oracles import apply_dense
+from hypothesis import given, settings, strategies as st
+from oracles import apply_dense, group_axioms, group_axioms_failure
 
 from plesken.algebra import validate_associativity, validate_involution
 from plesken.builders import (
@@ -18,6 +21,7 @@ from plesken.builders import (
     temperley_lieb_diagrams,
 )
 from plesken.linalg import dense, sparse, unit_vector, vector
+from plesken.report import DocumentInvalid, validate_algebra
 from plesken.scalars import I, ONE, ZERO, scalar
 from plesken.suite import cyclic_table
 
@@ -102,16 +106,80 @@ def test_matrix_over_trivial_inner_matches_matrix_algebra():
 def test_group_table_validation_messages():
     with pytest.raises(ValueError, match="identity"):
         GroupTable([[1, 0], [1, 0]])
-    with pytest.raises(ValueError, match="associativity"):
-        GroupTable(
-            [
-                [0, 1, 2],
-                [1, 1, 0],
-                [2, 0, 2],
-            ]
-        )
+    with pytest.raises(ValueError, match="inverses: element 1 has no inverse"):
+        GroupTable([[0, 1], [1, 1]])  # a monoid: row 1 lacks the identity
     with pytest.raises(ValueError, match="closure"):
         GroupTable([[0, 5], [1, 0]])
+
+
+def test_non_associative_group_table_fails_lights_test():
+    # GroupTable reads the table; Light's test in validate_algebra proves it.
+    table = GroupTable(
+        [
+            [0, 1, 2],
+            [1, 1, 0],
+            [2, 0, 2],
+        ]
+    )
+    message = "associativity fails at basis triple (1, 1, 2)"
+    with pytest.raises(DocumentInvalid, match=re.escape(message)):
+        validate_algebra(*group_algebra(table))
+
+
+def _assert_matches_group_scans(product) -> bool:
+    """GroupTable and validate_algebra on its group algebra accept exactly
+    the tables the brute-force scans find to be groups, with the scans'
+    identity and inverses; True for a group."""
+    try:
+        table = GroupTable(product)
+        validate_algebra(*group_algebra(table))
+    except ValueError:  # DocumentInvalid included
+        assert group_axioms_failure(product) is not None
+        return False
+    assert group_axioms_failure(product) is None
+    assert (table.identity, table.inverse) == group_axioms(product)
+    return True
+
+
+def test_every_table_of_order_at_most_three_matches_the_group_scans():
+    # 1 + 16 + 19,683 tables: the proof by validate_algebra refuses exactly
+    # the tables the brute-force scans refuse.
+    groups = 0
+    for n in (1, 2, 3):
+        for entries in itertools.product(range(n), repeat=n * n):
+            product = [entries[r * n : (r + 1) * n] for r in range(n)]
+            groups += _assert_matches_group_scans(product)
+    assert groups == 1 + 2 + 3  # the labelled groups of orders 1, 2 and 3
+
+
+@st.composite
+def group_tables(draw):
+    """Square tables of order <= 4: random, with an identity row or column
+    planted, or a group (C4, V4 or smaller) with its elements relabelled."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("random", "row", "column", "both", "group")))
+    if kind == "group":
+        klein = n == 4 and draw(st.booleans())
+        perm = draw(st.permutations(range(n)))
+        product = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                product[perm[a]][perm[b]] = perm[a ^ b if klein else (a + b) % n]
+        return product
+    product = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)) for _ in range(n)]
+    e = draw(st.integers(0, n - 1))
+    if kind in ("row", "both"):
+        product[e] = list(range(n))
+    if kind in ("column", "both"):
+        for x in range(n):
+            product[x][e] = x
+    return product
+
+
+@settings(max_examples=400, deadline=None)
+@given(group_tables())
+def test_group_tables_validate_exactly_when_the_scans_find_no_failure(product):
+    _assert_matches_group_scans(product)
 
 
 def test_cyclic_three_table():

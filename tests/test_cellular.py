@@ -3,9 +3,11 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import (
     act,
     action_matrices,
+    cell_order_failure,
     commutator_dense,
     entries_matrix,
     form_skewness_dense,
@@ -103,6 +105,43 @@ def test_reversed_poset_breaks_triangularity():
     assert failure.witness == (0, 1, (1,), (1,), "-/-")
     with pytest.raises(InternalConsistencyError, match="unexpected support"):
         gram_every_witness(A, reversed_cd, 1)
+
+
+@st.composite
+def cell_orders(draw):
+    """Labels 0..k-1, k <= 6, with a relation: the transitive closure of
+    pairs a < b, that closure with a pair dropped, irreflexive pairs drawn
+    freely, or pairs that may hold a == b, the unknown label k or True,
+    which equals the label 1."""
+    k = draw(st.integers(1, 6))
+    labels = list(range(k))
+    kind = draw(st.sampled_from(("closed", "dropped", "free", "hostile")))
+    label = st.sampled_from([*labels, k, True] if kind == "hostile" else labels)
+    pairs = draw(st.lists(st.tuples(label, label), max_size=12))
+    if kind == "hostile":
+        return labels, pairs
+    if kind == "free":
+        return labels, [(a, b) for a, b in pairs if a != b]
+    less = {(a, b) for a, b in pairs if a < b}
+    for b in labels:  # Warshall: close under (a, b), (b, c) -> (a, c)
+        less |= {(a, c) for a in labels for c in labels if (a, b) in less and (b, c) in less}
+    pairs = sorted(less)
+    if kind == "dropped" and pairs:
+        pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+    return labels, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_orders())
+def test_order_check_refuses_what_the_pairwise_loop_refuses(order):
+    labels, pairs = order
+    expected = cell_order_failure(labels, pairs)
+    try:
+        CellDatum(labels, pairs, {}, {}, None)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 def _two_by_two(coefficient, unit, conjugates_scalars=False):

@@ -302,6 +302,49 @@ def test_cli_build_refuses_bad_arguments_as_input(tmp_path, capsys, monkeypatch)
     assert not (tmp_path / "x.plesken.json").exists()
 
 
+@pytest.mark.parametrize(
+    "product, message",
+    [
+        # not associative
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 2]], "associativity fails at basis triple (1, 1, 2)"),
+        # row 0 is a left identity but not a right one
+        ([[0, 1], [0, 1]], "unit axiom fails at basis index 1"),
+        # every row holds the identity, so every element has a right inverse
+        ([[0, 1, 2], [1, 0, 1], [2, 0, 1]], "associativity fails at basis triple (1, 2, 1)"),
+    ],
+)
+def test_cli_build_refuses_non_group_tables_by_validation(tmp_path, monkeypatch, product, message):
+    # GroupTable reads the identity and inverses; validate_algebra names the
+    # law that fails.
+    errors = []
+    monkeypatch.setattr(cli, "_report_error", lambda args, *error: errors.append(error))
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"product": product}))
+    out = tmp_path / "x.plesken.json"
+    assert cli.main(["build", "--family", "group", "--table", str(table), "--out", str(out)]) == 2
+    assert errors == [("invalid-input", message)]
+    assert not out.exists()
+
+
+def test_cli_refuses_an_order_that_is_not_transitive(tmp_path, capsys):
+    # PR(2) has the cells 0 < 1 < 2; dropping the pair (0, 2) leaves an
+    # order that is not transitively closed.
+    algebra, sigma = planar_rook(2)
+    doc = json.loads(
+        emit(document_from_algebra("pr2", algebra, sigma, cell=cell_datum_planar_rook(2, sigma)))
+    )
+    assert doc["cell"]["order"] == [[0, 1], [0, 2], [1, 2]]
+    doc["cell"]["order"] = [[0, 1], [1, 2]]
+    path = tmp_path / "pr2.plesken.json"
+    path.write_text(json.dumps(doc))
+    for command in ("analyze", "verify-cellular"):
+        code, out = run_cli(capsys, command, str(path))
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "invalid-input"
+        assert error["message"].endswith("order pairs are not transitively closed")
+
+
 def test_cli_build_and_verify_m11(tmp_path, capsys):
     # M(11) has both E_{1,11} and E_{11,1}; PR(6)'s certificate compares
     # against o(15) and o(20), built from M(15) and M(20).

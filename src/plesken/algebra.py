@@ -398,10 +398,9 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
     place from `algebra.structure`.  A row is 1 at its pivot and 0 at the
     others, so the coordinates are the entries at the pivots; a remainder
     after taking off those rows would mean the bracket left the subspace,
-    which the closure identity rules out.  Both loops are written out here:
-    as `linalg.combine` and `reduce_by` they took the TL_3(6) table from 18
-    to 27 ms and PR(5) from 68 to 99 ms, and with `reduce_by` alone to 24
-    and 90 ms (best of 7, 2-vCPU, CPython 3.11.7).
+    which the closure identity rules out.  Both loops are written out here,
+    not as `linalg.combine` and `reduce_by`, which took about 1.5x as long
+    (README, the Lie table); `LieAlgebra` stores the half i < j it returns.
     """
     from .lie import LieAlgebra
 

@@ -22,9 +22,10 @@ rows of each cell's dense Gram matrix.  The whole package is assembled by
 cell representations is injective, and the skew part of the involution maps
 isomorphically onto the block-skew matrices (X^T G + G X = 0 per cell), the
 direct sum of the orthogonal Lie algebras of the Gram forms.  Injectivity is
-read off the Gram ranks, and the form checks multiply sparse entries by the
-Gram matrix, d terms per entry.  The poset is used only through its
-comparability pairs, so non-total orders work unchanged.
+read off the Gram ranks, full ones certified mod a prime, and the form
+checks sum sparse entries times the Gram matrix into one dict, d terms per
+entry.  The poset is used only through its comparability pairs, so
+non-total orders work unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, AntiInvolution, plesken_subspace
 from .builders import planar_rook_diagrams, temperley_lieb_diagrams
-from .linalg import Matrix, combine, rank
+from .linalg import P, Matrix, combine, rank, rank_mod_p, reducible, residue
 from .scalars import GaussianRational
 
 Label = object  # cell labels are small hashable values (ints here)
@@ -275,7 +276,13 @@ class GramForm(NamedTuple):
 
     @property
     def rank(self) -> int:
-        return rank(self.gram)
+        """The rank over Q(i): `size` if the rank mod P is, else by `Echelon`.
+        When P divides no denominator, reading mod P is a ring homomorphism,
+        so a nonzero minor mod P is one over Q(i) (see `lie.fingerprint`)."""
+        rows = self.gram.data
+        full = reducible(c for row in rows for c in row) and rank_mod_p(
+            (dict(enumerate(map(residue, row))) for row in rows), P) == self.size
+        return self.size if full else rank(self.gram)
 
     @property
     def nondegenerate(self) -> bool:
@@ -404,15 +411,20 @@ class TheoremReport(NamedTuple):
         }
 
 
-def _gram_terms(
-    x: Entries, g: Matrix, *, transposed: bool
-) -> list[tuple[tuple[int, int], GaussianRational]]:
-    """Terms of X^T G if `transposed`, else of G X, for the matrix X with the
-    sparse entries x and a dense G: at most d terms per entry of x."""
-    rows = g.data
-    if transposed:
-        return [((i, j), c * v) for (k, i), c in x.items() for j, v in enumerate(rows[k]) if v]
-    return [((i, j), row[k] * c) for (k, j), c in x.items() for i, row in enumerate(rows) if row[k]]
+def _form_defect(x: Entries, g: Matrix, y: Entries, sign: int) -> bool:
+    """Whether X^T G + sign * G Y is nonzero, X and Y given by their sparse
+    entries x and y: d terms per entry, summed into one dict."""
+    rows, acc = g.data, {}
+    for (k, i), c in x.items():
+        for j, v in enumerate(rows[k]):
+            if v:
+                acc[i, j] = acc[i, j] + c * v if (i, j) in acc else c * v
+    for (k, j), c in y.items():
+        c = sign * c
+        for i, row in enumerate(rows):
+            if v := row[k]:
+                acc[i, j] = acc[i, j] + v * c if (i, j) in acc else v * c
+    return any(acc.values())
 
 
 def verify_theorem(
@@ -438,6 +450,8 @@ def verify_theorem(
       W_lam is simple.  By adjointness ker G_lam is a submodule, 0 or W_lam,
       and G_lam = 0 would make Phi map J(<=lam) into the smaller sum of
       End(W_mu) over mu < lam.
+    * On the zero algebra a map from the zero space is injective, and 0 is
+      the empty sum of o(d), so the zero algebra is certified.
     """
     if forms is None:
         forms = CellForms.build(algebra, cd)
@@ -445,20 +459,14 @@ def verify_theorem(
     gram_ranks = tuple((lam, grams[lam].size, grams[lam].rank) for lam in cd.lambdas)
 
     # (a) injectivity of the combined cell representation, read off the ranks.
-    injective = algebra.dim > 0 and all(size == rk for _, size, rk in gram_ranks)
+    injective = all(size == rk for _, size, rk in gram_ranks)
 
     # (b) G-skewness of the action of every skew-part basis element.
     sub = plesken_subspace(algebra, sigma)
-    skew_witness = None
-    for r, x in enumerate(sub.rows.values()):
-        for lam in cd.lambdas:
-            action, g = modules[lam].act(x), grams[lam].gram
-            terms = _gram_terms(action, g, transposed=True)
-            if combine(((1, terms + _gram_terms(action, g, transposed=False)),)):
-                skew_witness = (r, lam)
-                break
-        if skew_witness:
-            break
+    actions = ((r, lam, modules[lam].act(x)) for r, x in enumerate(sub.rows.values())
+               for lam in cd.lambdas)
+    skew_witness = next(((r, lam) for r, lam, action in actions
+                         if action and _form_defect(action, grams[lam].gram, action, 1)), None)
     skew_ok = skew_witness is None
 
     # (c) dimension count.
@@ -514,7 +522,6 @@ def check_gram_properties(
         return GramPropertyFailure(lam, "symmetry", ())
     for a in range(algebra.dim):
         image = {key: bar(c) for key, c in module.act(sigma.images[a]).items()}
-        lhs = combine(((1, _gram_terms(image, g, transposed=True)),))
-        if lhs != combine(((1, _gram_terms(module.action[a], g, transposed=False)),)):
+        if _form_defect(image, g, module.action[a], -1):
             return GramPropertyFailure(lam, "adjointness", (a,))
     return None

@@ -1,13 +1,13 @@
 """Structure theory for Lie algebras given by structure constants.
 
-A `LieAlgebra` stores its bracket sparsely: `table` holds the index pairs
-i < j, and a private dict holds both halves, the other following by
-antisymmetry.  `bracket` brackets sparse {index: scalar} vectors by
-`linalg.bilinear_product` on that dict.  Subspaces are the canonical
-sparse-row `Subspace` values from `linalg`, so series stabilization is
-detected by exact subspace equality; each series term is the span of
-brackets of rows inserted one at a time into a `linalg.Echelon`, read only
-until the span is the whole algebra.
+A `LieAlgebra` stores one half of its bracket, sparsely: `table` holds the
+index pairs i < j, and every reader takes [e_j, e_i] = -[e_i, e_j] from
+it.  `bracket` brackets sparse {index: scalar} vectors in one `combine`
+over that half.  Subspaces are the canonical sparse-row `Subspace` values
+from `linalg`, so series stabilization is detected by exact subspace
+equality; each series term is the span of brackets of rows inserted one at
+a time into a `linalg.Echelon`, read only until the span is the whole
+algebra.
 
 `fingerprint` collects exact invariants (derived and lower central series,
 center, Killing rank, solvability), compared field by field by
@@ -20,9 +20,9 @@ invariance [L, L]^perp = Z(L) = 0, so L is perfect and the fingerprint is
 the semisimple closed form (Humphreys, Introduction to Lie Algebras, 5).
 Any deficit mod P, or a denominator that P divides, falls back to the exact
 series, center and Killing rank over Q(i).  One Killing loop serves both:
-it sums trace(ad a ad b) over table positions, adding for each position
-(i, k) whose transpose (k, i) is filled the outer product of the constants
-there, so only products of two nonzero constants are formed.
+it sums trace(ad a ad b) over the table positions i <= k, each product of
+two nonzero constants formed once, as K = S + S^T + D; mod P it sums an
+int constant unreduced, and `rank_mod_p` reduces once.
 
 `Fingerprint.orthogonal` gives the fingerprint of a direct sum of the
 orthogonal Lie algebras o(d) in closed form, and `orthogonal_model` builds
@@ -36,36 +36,34 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import plesken_lie_algebra
 from .builders import matrix_algebra
-from .linalg import Echelon, Matrix, Subspace, Terms, bilinear_product, rank, rank_mod_p
+from .linalg import (P, Echelon, Matrix, Subspace, Terms, combine, rank, rank_mod_p,
+                     reducible, residue)
 from .scalars import GaussianRational, exact
 
 
 class LieAlgebra:
-    """Labeled basis plus sparse bracket structure constants."""
+    """Labeled basis plus sparse bracket constants, stored once, for i < j."""
 
     def __init__(self, labels: Sequence[str], table):
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         self.table: dict[tuple[int, int], Terms] = {}
-        # Both halves of the antisymmetric table, for lookups in either order.
-        self._terms: dict[tuple[int, int], Terms] = {}
         for (i, j), terms in table.items():
             if not 0 <= i < j < self.dim:
                 raise ValueError("bracket table keys must satisfy i < j")
-            terms = [(k, exact(c)) for k, c in terms]
-            terms = tuple(sorted((k, c) for k, c in terms if c))
-            if terms:
-                self.table[(i, j)] = self._terms[(i, j)] = terms
-                self._terms[(j, i)] = tuple((k, -c) for k, c in terms)
+            if terms := tuple(sorted((k, c) for k, d in terms if (c := exact(d)))):
+                self.table[(i, j)] = terms
 
     def bracket_terms(self, i: int, j: int) -> Terms:
-        return self._terms.get((i, j), ())
+        if i < j:
+            return self.table.get((i, j), ())
+        return tuple((k, -c) for k, c in self.table.get((j, i), ()))
 
-    def bracket(
-        self, x: Mapping[int, GaussianRational], y: Mapping[int, GaussianRational]
-    ) -> dict[int, GaussianRational]:
-        """[x, y] for sparse x and y."""
-        return bilinear_product(self._terms, x, y)
+    def bracket(self, x: Mapping, y: Mapping) -> dict[int, GaussianRational]:
+        """[x, y] = B(x, y) - B(y, x) for sparse x and y, B bilinear on the half."""
+        get = self.table.get
+        return combine((a * b if i < j else -(a * b), t) for i, a in x.items()
+                       for j, b in y.items() if (t := get((i, j) if i < j else (j, i))))
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim})"
@@ -98,15 +96,22 @@ def lower_central_series(L: LieAlgebra) -> list[Subspace]:
     return _series(L, lambda s: bracket_span(L, full, s))
 
 
-def center(L: LieAlgebra) -> Subspace:
-    """{x : [x, e_j] = 0 for all j}: the kernel of the rows indexed by (j, k)
-    whose entry at i is the coefficient of e_k in [e_i, e_j], all read in one
-    pass over the bracket table."""
-    rows: dict[tuple[int, int], dict[int, GaussianRational]] = {}
-    for (i, j), terms in L._terms.items():
+def _ad_entries(L: LieAlgebra, value) -> dict[tuple[int, int], dict]:
+    """at[(i, k)] = {a: (ad a)_ki}, the coefficient of e_k in [e_a, e_i] mapped
+    by `value`, read in one pass over the stored half in both orientations."""
+    at: dict[tuple[int, int], dict] = {}
+    for (a, i), terms in L.table.items():
         for k, c in terms:
-            rows.setdefault((j, k), {})[i] = c
-    return Echelon(L.dim, rows.values()).kernel()
+            v = value(c)
+            at.setdefault((i, k), {})[a] = v
+            at.setdefault((a, k), {})[i] = -v
+    return at
+
+
+def center(L: LieAlgebra) -> Subspace:
+    """{x : [x, e_j] = 0 for all j}: the kernel of the rows at[(j, k)], whose
+    entry at i is the coefficient of e_k in [e_i, e_j]."""
+    return Echelon(L.dim, _ad_entries(L, lambda c: c).values()).kernel()
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
@@ -116,50 +121,31 @@ def killing_form(L: LieAlgebra) -> Matrix:
 
 def _killing_entries(L: LieAlgebra, value) -> list[list]:
     """The Killing matrix of L, each structure constant mapped by `value`
-    (the identity, or the residue mod P, summed unreduced).
+    (the identity, or `linalg.residue`, which leaves an int unreduced).
 
-    K(a, b) = sum over i, k of (ad a)_ki (ad b)_ik, and the table is read
-    once into at[(i, k)] = {a: (ad a)_ki}, the coefficient of e_k in
-    [e_a, e_i].  Each position adds the outer product of at[(i, k)] and
-    at[(k, i)] into K, a diagonal one (i = k) with itself.
+    K(a, b) = sum over positions (i, k) of (ad a)_ki (ad b)_ik.  Position
+    (k, i) adds the transpose of what (i, k) adds, so K = S + S^T + D, S
+    summed over the positions i < k and D over i = k.
     """
-    at: dict[tuple[int, int], dict] = {}
-    for (a, i), terms in L._terms.items():
-        for k, c in terms:
-            at.setdefault((i, k), {})[a] = value(c)
-    rows = [[0] * L.dim for _ in range(L.dim)]
+    at = _ad_entries(L, value)
+    s, d = ([[0] * L.dim for _ in range(L.dim)] for _ in range(2))
     for (i, k), u in at.items():
-        v = at.get((k, i))
-        if v:
+        if i <= k and (v := u if i == k else at.get((k, i))):
+            rows = d if i == k else s
             for a, c in u.items():
                 row = rows[a]
-                for b, d in v.items():
-                    row[b] += c * d
-    return rows
-
-
-# A prime P = 1 (mod 4), so that -1 has the square root I_MOD_P in F_P and
-# Z_(P)[i] -> F_P, i -> I_MOD_P, is a ring homomorphism.
-P = 998_244_353  # 119 * 2**23 + 1
-I_MOD_P = 911_660_635  # 3 ** ((P - 1) // 4) mod P, 3 a primitive root
-
-
-def _residue(c) -> int:
-    """c mod P, with i -> I_MOD_P; P divides neither denominator of c."""
-    if type(c) is int:
-        return c % P
-    re, im = c.re, c.im
-    return (re.numerator * pow(re.denominator, -1, P)
-            + I_MOD_P * im.numerator * pow(im.denominator, -1, P)) % P
+                for b, e in v.items():
+                    row[b] += c * e
+    return [[x + y + z for x, y, z in zip(row, column, diagonal)]
+            for row, column, diagonal in zip(s, zip(*s), d)]
 
 
 def _killing_rank_mod_p(L: LieAlgebra) -> Optional[int]:
     """The rank over F_P of the Killing matrix of the table read mod P, or
     None when P divides a denominator of the table."""
-    if any(type(c) is not int and (c.re.denominator % P == 0 or c.im.denominator % P == 0)
-           for terms in L.table.values() for _, c in terms):
+    if not reducible(c for terms in L.table.values() for _, c in terms):
         return None
-    return rank_mod_p((dict(enumerate(row)) for row in _killing_entries(L, _residue)), P)
+    return rank_mod_p((dict(enumerate(row)) for row in _killing_entries(L, residue)), P)
 
 
 class Fingerprint(NamedTuple):
@@ -217,9 +203,10 @@ def fingerprint(L: LieAlgebra) -> Fingerprint:
 
     Why a full rank mod P decides the rest:
     - Reading the table mod P, with i -> I_MOD_P, is a ring homomorphism
-      Z_(P)[i] -> F_P, and the Killing entries are polynomials in the
-      table.  So the matrix built from the reduced table is K mod P, a
-      nonzero minor mod P is a nonzero minor over Q(i), and
+      Z_(P)[i] -> F_P, and the Killing entries are integer polynomials in
+      the table.  So the matrix summed from `linalg.residue` of each
+      constant, an int left unreduced, is congruent to K mod P, a nonzero
+      minor mod P is a nonzero minor over Q(i), and
       rank_P(K mod P) <= rank K.  Full rank mod P makes K nondegenerate.
     - ad z = 0 for z in the center Z(L), so Z(L) lies in Rad K = 0.
     - By invariance K(x, [y, z]) = K([x, y], z), so x is orthogonal to

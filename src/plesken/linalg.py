@@ -13,14 +13,14 @@ coordinates then being the entries of v at the pivots.
 Dense tuples are the edges, converted by `sparse` and `dense`: `Matrix`,
 and `rref`, which reads a `Matrix` through `Subspace.from_vectors` and
 gives it back through the `Subspace.basis` view.  `Matrix` is a container
-without arithmetic, holding the Gram and Killing matrices: indexing, a
-transpose view and equality.  `vector` reads entries by `scalars.exact`,
+without arithmetic, holding the Gram and Killing matrices: indexing and
+equality.  `vector` reads entries by `scalars.exact`,
 and `sparse` and `Matrix` read through it, as `Echelon.subspace` reads the
 rows it hands on; `Echelon.insert`, the one division, divides by a
 `GaussianRational`.
 `rank_mod_p` is the one routine over a finite field: the rank of sparse
 integer rows mod a prime, which bounds the rank over Q(i) from below (see
-`lie.fingerprint`).
+`lie.fingerprint`), and `residue` reads a scalar mod the fixed prime P.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def bilinear_product(
 
 class Matrix:
     """Immutable dense matrix of exact entries, read by `vector`: a container
-    with views and equality, and no arithmetic."""
+    with indexing and equality, and no arithmetic."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -105,9 +105,6 @@ class Matrix:
     def __getitem__(self, key):
         i, j = key
         return self.data[i][j]
-
-    def transpose(self) -> Matrix:
-        return Matrix(list(zip(*self.data))) if self.data else Matrix([])
 
     def __eq__(self, other):
         return isinstance(other, Matrix) and self.data == other.data
@@ -190,6 +187,26 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
 
 def rank(m: Matrix) -> int:
     return len(rref(m)[1])
+
+
+# A prime P = 1 (mod 4), so that -1 has the square root I_MOD_P in F_P and
+# Z_(P)[i] -> F_P, i -> I_MOD_P, is a ring homomorphism.
+P = 998_244_353  # 119 * 2**23 + 1
+I_MOD_P = 911_660_635  # 3 ** ((P - 1) // 4) mod P, 3 a primitive root
+
+
+def reducible(values: Iterable) -> bool:
+    """Whether P divides no denominator of the values."""
+    return all(type(c) is int or c.re.denominator % P and c.im.denominator % P for c in values)
+
+
+def residue(c) -> int:
+    """An int congruent to c mod P, with i -> I_MOD_P, for a `reducible` c;
+    an int is left unreduced, so sums of its products stay small."""
+    if type(c) is int:
+        return c
+    return (c.re.numerator * pow(c.re.denominator, -1, P)
+            + I_MOD_P * c.im.numerator * pow(c.im.denominator, -1, P)) % P
 
 
 def rank_mod_p(rows: Iterable[Mapping[int, int]], p: int) -> int:

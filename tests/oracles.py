@@ -7,7 +7,7 @@ spans are summed here by dense loops of their own: `bilinear_product_dense`,
 directly.  `tests/test_oracle_independence.py` fails if this file names
 the sparse kernels (`combine`, `bilinear_product`, `reduce_by`,
 `Echelon`, `Subspace.from_vectors`, `sigma.image`, `sigma.skew_terms`,
-`L.bracket`) or the dense wrapper `multiply_vectors`.  `changed_basis`,
+`L.bracket`, `L.bracket_terms`) or the dense wrapper `multiply_vectors`.  `changed_basis`,
 which builds the multi-term test tables, computes the same way.
 
 `validate_associativity` and `validate_involution` in `plesken.algebra`
@@ -40,10 +40,15 @@ scan of the bracket table, and `bracket_closure_dense`, the randomized
 four-term closure check on dense vectors that `bracket_closure_check`
 ran before it worked on sparse terms.
 
+A `LieAlgebra` stores one half of its bracket table, and `bracket_terms`
+negates it for the other.  The oracles that read brackets (`bracket_dense`,
+`center_scan`, `jacobi_failure`, `killing_form_scan`) go through
+`both_halves`, which writes both orientations from `L.table` itself.
+
 `plesken.linalg.Matrix` is a container without arithmetic, and the cell
 modules act by sparse entries.  The dense matrix arithmetic the
 certificate used is here, with the constructors `identity_matrix` and
-`zero_matrix` and the `column` view: `matmul`, `matvec`,
+`zero_matrix` and the `column` and `transpose` views: `matmul`, `matvec`,
 `linear_combination`, the action matrices read off the C3 coefficients as
 dense matrices, `act` as a sum of scaled dense matrices, the module
 axioms, and the dense form checks (b) and adjointness, with the witnesses
@@ -109,6 +114,10 @@ def column(m: Matrix, j: int) -> Vector:
     return tuple(row[j] for row in m.data)
 
 
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(list(zip(*m.data)))
+
+
 def sigma_matrix(sigma: AntiInvolution) -> Matrix:
     """The dense matrix whose column j is sigma(e_j), written entry by entry
     from `sigma.images`."""
@@ -143,7 +152,7 @@ def changed_basis(
     """The same algebra and involution in the basis given by `columns`, every
     product and image computed densely."""
     n = algebra.dim
-    p = Matrix(columns).transpose()
+    p = transpose(Matrix(columns))
 
     def coordinates(v):
         x = solve_gauss_jordan(p, v)
@@ -182,7 +191,7 @@ def matrix_over_involution_dense(n: int, inner_sigma: AntiInvolution) -> Matrix:
                 for k, c in enumerate(column(inner, i)):
                     entries[(s * n + r) * d + k] = c
                 columns.append(entries)
-    return Matrix(columns).transpose()
+    return transpose(Matrix(columns))
 
 
 def associativity_all_triples(
@@ -374,11 +383,21 @@ def solve_gauss_jordan(m: Matrix, rhs: Sequence) -> Optional[Vector]:
     return vector(x)
 
 
+def both_halves(L: LieAlgebra) -> Callable[[int, int], Terms]:
+    """The terms of [e_i, e_j] for every ordered pair, each pair i > j
+    written here from the stored [e_j, e_i] with its signs flipped."""
+    table = dict(L.table)
+    for (i, j), terms in L.table.items():
+        table[j, i] = tuple((k, -c) for k, c in terms)
+    return lambda i, j: table.get((i, j), ())
+
+
 def center_scan(L: LieAlgebra) -> Subspace:
     """{x : [x, e_j] = 0 for all j}, via the kernel of the stacked adjoints."""
+    bt = both_halves(L)
     rows = []
     for j in range(L.dim):
-        columns = [L.bracket_terms(i, j) for i in range(L.dim)]
+        columns = [bt(i, j) for i in range(L.dim)]
         for k in range(L.dim):
             row = [ZERO] * L.dim
             nonzero = False
@@ -396,7 +415,7 @@ def center_scan(L: LieAlgebra) -> Subspace:
 
 def jacobi_failure(L: LieAlgebra) -> Optional[tuple[int, int, int]]:
     """First basis triple violating the Jacobi identity, else None."""
-    bt = L.bracket_terms
+    bt = both_halves(L)
     for i in range(L.dim):
         for j in range(L.dim):
             for k in range(L.dim):
@@ -413,7 +432,7 @@ def jacobi_failure(L: LieAlgebra) -> Optional[tuple[int, int, int]]:
 def killing_form_scan(L: LieAlgebra) -> Matrix:
     """K(x, y) = trace(ad x . ad y), summed over every basis index i."""
     n = L.dim
-    bt = L.bracket_terms
+    bt = both_halves(L)
     rows = [[ZERO] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
@@ -485,7 +504,8 @@ def bilinear_product_dense(
 
 def bracket_dense(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
     """[x, y] for dense x and y, summed over the bracket table's terms."""
-    return bilinear_product_dense(L.dim, lambda pair: L.bracket_terms(*pair), x, y)
+    bt = both_halves(L)
+    return bilinear_product_dense(L.dim, lambda pair: bt(*pair), x, y)
 
 
 def commutator_dense(algebra: Algebra, x: Vector, y: Vector) -> Vector:
@@ -728,7 +748,7 @@ def form_skewness_dense(
                 continue
             g = forms.grams[lam].gram
             action = act(matrices[lam], d, x)
-            both = [(ONE, matmul(action.transpose(), g)), (ONE, matmul(g, action))]
+            both = [(ONE, matmul(transpose(action), g)), (ONE, matmul(g, action))]
             if linear_combination(d, d, both) != zero_matrix(d, d):
                 return (r, lam)
     return None
@@ -745,7 +765,7 @@ def injective_dense(algebra: Algebra, cd: CellDatum, forms: CellForms) -> bool:
         for r in range(module.dim):
             for c in range(module.dim):
                 rows.append([matrices[a][r, c] for a in range(algebra.dim)])
-    return bool(rows) and len(rref_gauss_jordan(Matrix(rows))[1]) == algebra.dim
+    return len(rref_gauss_jordan(Matrix(rows))[1]) == algebra.dim
 
 
 def gram_every_witness(algebra: Algebra, cd: CellDatum, lam: Label) -> Matrix:
@@ -787,11 +807,11 @@ def gram_properties_dense(
             return m
         return Matrix([[v.conjugate() for v in row] for row in m.data])
 
-    if g != bar(g).transpose():
+    if g != transpose(bar(g)):
         return GramPropertyFailure(lam, "symmetry", ())
     matrices, images = dense_action(module), sigma_matrix(sigma)
     for a in range(algebra.dim):
-        lhs = matmul(bar(act(matrices, module.dim, column(images, a))).transpose(), g)
+        lhs = matmul(transpose(bar(act(matrices, module.dim, column(images, a)))), g)
         if lhs != matmul(g, matrices[a]):
             return GramPropertyFailure(lam, "adjointness", (a,))
     return None

@@ -57,6 +57,7 @@ from oracles import (
     jacobi_failure,
     skew_part_dense,
     solve_gauss_jordan,
+    transpose,
 )
 
 
@@ -182,7 +183,7 @@ def test_criterion_6_tl0_counterexample():
         assert L.dim == 4
         b = tl0_basis_elements(A, sigma)
         assert Subspace.from_vectors(A.dim, b) == plesken_subspace(A, sigma)
-        basis_matrix = Matrix(b).transpose()
+        basis_matrix = transpose(Matrix(b))
         expected = {
             (0, 1): [-1, -1, 0, 0],
             (0, 2): [0, 0, 1, -1],

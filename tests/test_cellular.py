@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from functools import partial
@@ -48,9 +49,9 @@ from plesken.cellular import (
     verify_theorem,
 )
 from plesken.lie import Fingerprint, fingerprint
-from plesken.linalg import Matrix, sparse
+from plesken.linalg import Matrix, rank, sparse
 from plesken.report import analysis_report, cellular_report, validate_algebra
-from plesken.scalars import I, ONE, scalar
+from plesken.scalars import I, ONE, GaussianRational, scalar
 
 
 # -- data construction -------------------------------------------------------
@@ -576,6 +577,91 @@ def test_injectivity_is_gram_nondegeneracy(name, factory, n, datum_factory):
     assert nondegenerate == (name not in DEGENERATE)
     injective = verify_theorem(A, sigma, cd, forms=forms).injective
     assert injective == injective_dense(A, cd, forms) == nondegenerate
+
+
+def test_the_zero_algebra_is_certified():
+    # A map from the zero space is injective, and 0 is the empty sum of o(d).
+    A, sigma = Algebra([], {}, []), AntiInvolution(())
+    cd = CellDatum((), (), {}, {}, sigma)
+    assert validate_cell_datum(A, sigma, cd) is None
+    forms = CellForms.build(A, cd)
+    outcome = verify_theorem(A, sigma, cd, forms=forms)
+    assert outcome.injective is True and injective_dense(A, cd, forms) is True
+    assert outcome.certified and outcome.failed_check is None
+    assert (outcome.lie_dim, outcome.predicted_lie_dim, outcome.gram_ranks) == (0, 0, ())
+
+
+P = 998_244_353
+gram_entries = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([P, -P, 2 * P, P + 1]),
+    st.builds(GaussianRational, st.fractions(-2, 2, max_denominator=3),
+              st.fractions(-2, 2, max_denominator=3)),
+    st.just(GaussianRational(Fraction(1, P))),
+)
+
+
+@st.composite
+def gram_matrices(draw):
+    """Square matrices up to 4 by 4; some repeat a row scaled, so are singular."""
+    d = draw(st.integers(1, 4))
+    rows = [draw(st.lists(gram_entries, min_size=d, max_size=d)) for _ in range(d)]
+    if d > 1 and draw(st.booleans()):
+        c = draw(st.integers(-2, 2))
+        rows[-1] = [c * v for v in rows[0]]
+    return Matrix(rows)
+
+
+def _determinant(rows):
+    """The Leibniz sum over all permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(rows[i][j] for i, j in enumerate(perm))
+    return total
+
+
+def _rank_and_exact_calls(gram):
+    import plesken.cellular as cellular
+
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cellular, "rank", lambda m: calls.append(m) or rank(m))
+        return GramForm(0, gram).rank, len(calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_matrices())
+def test_gram_rank_matches_dense_elimination(gram):
+    from oracles import rref_gauss_jordan
+
+    rk, exact_calls = _rank_and_exact_calls(gram)
+    assert rk == len(rref_gauss_jordan(gram)[1])
+    # The exact elimination is skipped exactly when P divides no denominator
+    # and the determinant is nonzero mod P, i -> 3^((P-1)/4).
+    entries = [scalar(c) for row in gram.data for c in row]
+    if all(c.re.denominator % P and c.im.denominator % P for c in entries):
+        root = pow(3, (P - 1) // 4, P)
+        residues = [[(c.re.numerator * pow(c.re.denominator, -1, P)
+                      + root * c.im.numerator * pow(c.im.denominator, -1, P)) % P
+                     for c in map(scalar, row)] for row in gram.data]
+        assert exact_calls == (0 if _determinant(residues) % P else 1)
+    else:
+        assert exact_calls == 1
+
+
+@pytest.mark.parametrize("rows, rank_, exact_calls", [
+    ([[2, 1], [1, 3]], 2, 0),
+    ([[2, "i"], ["i", "1/2"]], 2, 0),
+    ([[1, 2], [2, 4]], 1, 1),
+    ([[P, 0], [0, 1]], 2, 1),            # full rank, but one short mod P
+    ([[P, 2 * P], [1, 2]], 1, 1),
+    ([[Fraction(1, P), 0], [0, 1]], 2, 1),  # P divides a denominator
+    ([[Fraction(1, P)]], 1, 1),
+    ([[0]], 0, 1),
+])
+def test_gram_rank_takes_the_exact_path_unless_full_mod_p(rows, rank_, exact_calls):
+    assert _rank_and_exact_calls(Matrix(rows)) == (rank_, exact_calls)
 
 
 @pytest.mark.parametrize(

@@ -436,6 +436,27 @@ def test_cli_verify_cellular_exit_codes(tmp_path, capsys):
     assert report["fingerprint_comparison"]["matches"] is False
 
 
+def test_cli_certifies_the_zero_dimensional_algebra(tmp_path, capsys):
+    # A map from the zero space is injective and 0 is the empty sum of o(d),
+    # so both commands succeed on an empty basis with an empty cell datum.
+    zero = tmp_path / "zero.plesken.json"
+    zero.write_text(json.dumps({
+        "format_version": "1", "name": "zero", "basis": [], "structure": [], "unit": [],
+        "involution": {"permutation": [], "signs": []},
+        "cell": {"lambdas": [], "order": [], "index_sets": [], "triples": []},
+    }))
+    code, out = run_cli(capsys, "analyze", str(zero))
+    assert code == 0
+    assert json.loads(out)["fingerprint"]["dim"] == 0
+    code, out = run_cli(capsys, "verify-cellular", str(zero))
+    assert code == 0
+    theorem = json.loads(out)["theorem"]
+    assert theorem["certified"] is True and theorem["failed_check"] is None
+    assert theorem["checks"] == dict.fromkeys(
+        ("dimension_match", "form_skewness", "representation_injective"), True)
+    assert (theorem["lie_dim"], theorem["blocks"], theorem["gram_ranks"]) == (0, [], [])
+
+
 def test_cli_verify_needs_cell_section(tmp_path, capsys):
     q = tmp_path / "q.plesken.json"
     run_cli(capsys, "build", "--family", "quaternions", "--out", str(q))
@@ -829,7 +850,7 @@ def test_dense_involution_matrix_document(tmp_path, capsys):
     # Twisted transposition M -> S^-1 M^T S with S = [[1,1],[1,2]]: a genuine
     # anti-involution whose matrix is not a signed permutation, exercising
     # the full-matrix serialization and the generic apply path end to end.
-    from oracles import matmul
+    from oracles import matmul, transpose
 
     from plesken.algebra import validate_involution
     from plesken.linalg import Matrix
@@ -842,9 +863,9 @@ def test_dense_involution_matrix_document(tmp_path, capsys):
         for c in range(2):
             unit = Matrix([[1 if (i, j) == (r, c) else 0 for j in range(2)]
                            for i in range(2)])
-            image = matmul(matmul(s_inv, unit.transpose()), s)
+            image = matmul(matmul(s_inv, transpose(unit)), s)
             columns.append([image.data[i][j] for i in range(2) for j in range(2)])
-    sigma = involution_from_matrix(Matrix(columns).transpose())
+    sigma = involution_from_matrix(transpose(Matrix(columns)))
     assert sigma._signed_permutation is None
     assert validate_involution(algebra, sigma) is None
 

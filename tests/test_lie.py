@@ -9,6 +9,7 @@ from oracles import (
     jacobi_failure,
     killing_form_scan,
     skew_part_dense,
+    transpose,
     zero_matrix,
 )
 
@@ -16,12 +17,10 @@ from plesken.algebra import plesken_lie_algebra, plesken_subspace
 from plesken.builders import matrix_algebra, temperley_lieb
 from plesken.builders import planar_rook
 from plesken.lie import (
-    I_MOD_P,
-    P,
     Fingerprint,
     LieAlgebra,
+    _killing_entries,
     _killing_rank_mod_p,
-    _residue,
     bracket_span,
     center,
     derived_series,
@@ -30,7 +29,18 @@ from plesken.lie import (
     lower_central_series,
     orthogonal_model,
 )
-from plesken.linalg import Subspace, dense, rank_mod_p, reduce_by, sparse, vector
+from plesken.linalg import (
+    I_MOD_P,
+    P,
+    Subspace,
+    dense,
+    rank_mod_p,
+    reduce_by,
+    residue,
+    sparse,
+    unit_vector,
+    vector,
+)
 from plesken.scalars import GaussianRational, scalar
 
 
@@ -273,7 +283,7 @@ def test_closed_form_fingerprint_of_up_to_three_blocks():
 
 def test_killing_form_is_symmetric():
     K = killing_form(tl0_lie()[2])
-    assert K == K.transpose()
+    assert K == transpose(K)
 
 
 def test_quaternionic_matrices_give_a_perfect_algebra():
@@ -389,22 +399,55 @@ gaussians = st.builds(GaussianRational, rationals, rationals)
 
 
 @st.composite
-def antisymmetric_tables(draw):
+def antisymmetric_tables(draw, coefficients=gaussians):
     """A bracket table on at most five basis vectors, Jacobi not required."""
     n = draw(st.integers(0, 5))
     table = {
-        (i, j): tuple(draw(st.dictionaries(st.integers(0, n - 1), gaussians, max_size=3)).items())
+        (i, j): tuple(
+            draw(st.dictionaries(st.integers(0, n - 1), coefficients, max_size=3)).items()
+        )
         for i in range(n) for j in range(i + 1, n)
     }
     return LieAlgebra([f"e{i}" for i in range(n)], table)
 
 
+# Integer tables, whose Killing sums mod P stay unreduced ints, and
+# non-integral Q(i) tables.
+int_or_gaussian_tables = st.one_of(
+    antisymmetric_tables(st.integers(-3, 3)), antisymmetric_tables()
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(antisymmetric_tables())
+@given(int_or_gaussian_tables, st.data())
+def test_half_table_brackets_match_the_dense_oracle(L, data):
+    # The oracle writes [e_j, e_i] = -[e_i, e_j] from `L.table` itself.
+    n = L.dim
+    units = [unit_vector(n, i) for i in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        terms = L.bracket_terms(i, j)
+        assert [k for k, _ in terms] == sorted({k for k, _ in terms})
+        assert all(c for _, c in terms)
+        assert dense(n, dict(terms)) == bracket_dense(L, units[i], units[j])
+    vectors = st.lists(st.one_of(st.integers(-2, 2), gaussians), min_size=n, max_size=n)
+    x, y = data.draw(vectors), data.draw(vectors)
+    assert dense(n, L.bracket(sparse(x, n), sparse(y, n))) == bracket_dense(L, x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_or_gaussian_tables)
 def test_killing_form_by_positions_matches_the_scan(L):
     # The position sum pairs (i, k) with (k, i); the scan sums over every index.
     K = killing_form(L)
     assert K == killing_form_scan(L)
     # P divides no denominator here (all are 1, 2, 3 or their products).
-    residues = ({k: _residue(c) for k, c in enumerate(row)} for row in K.data)
+    residues = ({k: residue(c) for k, c in enumerate(row)} for row in K.data)
     assert _killing_rank_mod_p(L) == rank_mod_p(residues, P)
+    # The same loop on residues: congruent entry by entry, and equal ints on
+    # an integer table, whose sums are left unreduced.
+    modular = _killing_entries(L, residue)
+    for row, exact_row in zip(modular, K.data):
+        for value, c in zip(row, exact_row):
+            assert type(value) is int and (value - residue(c)) % P == 0
+    if all(type(c) is int for terms in L.table.values() for _, c in terms):
+        assert modular == [list(row) for row in K.data]

@@ -26,6 +26,7 @@ from oracles import (
     rref_gauss_jordan,
     solve_gauss_jordan,
     span_gauss_jordan,
+    transpose,
     zero_matrix,
 )
 
@@ -210,7 +211,7 @@ def test_coordinates_reject_a_vector_outside_the_span():
 
 def test_matrix_operations():
     a = Matrix([[1, 2], [3, 4]])
-    assert a.transpose().transpose() == a
+    assert transpose(transpose(a)) == a
     with pytest.raises(ValueError):
         Matrix([[1], [2, 3]])
 

@@ -12,12 +12,14 @@ from pathlib import Path
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 # The code the oracles check: the sparse product, sum, reduction and span,
-# sigma's image and skew part, the Lie bracket and the dense product wrapper.
+# sigma's image and skew part, the Lie bracket, the bracket of two basis
+# vectors read off the stored half, and the dense product wrapper.
 FORBIDDEN = {
     "multiply_vectors",
     "image",
     "skew_terms",
     "bracket",
+    "bracket_terms",
     "bilinear_product",
     "combine",
     "reduce_by",
@@ -54,4 +56,5 @@ L.bracket_terms(0, 1)
 """
     assert _named(ast.parse(source)) == [
         (2, "combine"), (3, "multiply_vectors"), (4, "image"), (5, "bracket"),
+        (8, "bracket_terms"),
     ]

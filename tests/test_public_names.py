@@ -23,3 +23,20 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(plesken.__all__) == PUBLIC_NAMES
+
+
+# The public members of the two containers, pinned the same way: `Matrix`
+# has no arithmetic and no views (its transpose is `transpose(m)` in
+# tests/oracles.py), and a `LieAlgebra` holds its bracket table once.
+MATRIX_MEMBERS = ["cols", "data", "rows"]
+LIE_ALGEBRA_MEMBERS = ["bracket", "bracket_terms"]
+LIE_ALGEBRA_FIELDS = ["dim", "labels", "table"]
+
+
+def test_container_members_are_pinned():
+    def public(names):
+        return sorted(name for name in names if not name.startswith("_"))
+
+    assert public(dir(plesken.Matrix)) == MATRIX_MEMBERS
+    assert public(dir(plesken.LieAlgebra)) == LIE_ALGEBRA_MEMBERS
+    assert sorted(vars(plesken.orthogonal_model([3]))) == LIE_ALGEBRA_FIELDS

@@ -22,7 +22,7 @@ when sigma^2 = id; then (Q(i) having characteristic zero) the span is the
 whole (-1)-eigenspace.  It is held as its sparse echelon rows, `Subspace.rows`.
 
 The validators prove associativity and the anti-homomorphism law exactly,
-but only for factors in `Algebra.generators`, a generating set whose
+but only for factors in `TableIndex.generators`, a generating set whose
 spanning is itself proved; the exhaustive scans live on as test oracles.
 """
 
@@ -112,52 +112,81 @@ class Algebra:
     def __repr__(self):
         return f"Algebra(dim={self.dim})"
 
-    @cached_property
-    def generators(self) -> tuple[int, ...]:
-        """Sorted basis indices G whose products span the algebra, proved.
-
-        Indices are taken greedily, those with the most distinct targets of
-        ei ej and ej ei over all j first, ties by index; one already in the
-        span found so far is skipped.  After each is taken, the span is
-        closed under right multiplication by every index taken, in an exact
-        `Echelon` over Q(i).  Every vector of the span is then a
-        combination of products of generators, so a subspace that contains
-        G and is closed under products contains the whole algebra once the
-        span has dimension n.  No unit and no associativity are assumed.
-        """
-        n = self.dim
-        targets: list[set[int]] = [set() for _ in range(n)]
-        for (i, j), terms in self.structure.items():
-            for k, _ in terms:
-                targets[i].add(k)
-                targets[j].add(k)
-        span = Echelon(n)
-
-        def times(v: dict[int, GaussianRational], g: int) -> dict[int, GaussianRational]:
-            return bilinear_product(self.structure, v, {g: 1})
-
-        generators: list[int] = []
-        for b in sorted(range(n), key=lambda b: (-len(targets[b]), b)):
-            if len(span.rows) == n:
-                break
-            if not reduce_by(span.rows, {b: 1}):
-                continue
-            generators.append(b)
-            pending = [{b: 1}] + [times(v, b) for v in span.rows.values()]
-            while pending:
-                row = span.insert(pending.pop())
-                if row:
-                    pending.extend(times(row, g) for g in generators)
-        if len(span.rows) != n:
-            raise InternalConsistencyError("products of the generators do not span the algebra")
-        return tuple(sorted(generators))
-
     def product_terms(self, i: int, j: int) -> Terms:
         return self.structure.get((i, j), ())
 
     def multiply_vectors(self, x: Sequence, y: Sequence) -> Vector:
         n = self.dim
         return dense(n, bilinear_product(self.structure, sparse(x, n), sparse(y, n)))
+
+
+class TableIndex:
+    """Stored products by row, `rows[i] = {j: terms of e_i e_j}`, by column,
+    `cols[j]` = the i with e_i e_j stored (listed in a loop of their own, so
+    that a later `emit` of PR(6) peaks lowest), and `single[b]`, the number of
+    e_i e_j = c e_b with i != b != j; `validate_algebra` builds one per call."""
+
+    def __init__(self, algebra: Algebra):
+        self.cols: list[list[int]] = [[] for _ in range(algebra.dim)]
+        for i, j in algebra.structure:
+            self.cols[j].append(i)
+        self.rows: list[dict[int, Terms]] = [{} for _ in range(algebra.dim)]
+        self.single = [0] * algebra.dim
+        for (i, j), terms in algebra.structure.items():
+            self.rows[i][j] = terms
+            if len(terms) == 1 and i != (b := terms[0][0]) != j:
+                self.single[b] += 1
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Sorted basis indices G whose products span the algebra, proved.
+
+        Candidates b come least `single[b]` first, then with the most distinct
+        targets of e_b e_j and e_j e_b, then by index; one in the span so far
+        is skipped.  Each one taken closes the span under right multiplication
+        by all taken, in an exact `Echelon`, through stored products only; a
+        span of dimension n proves G generating, with no unit or associativity
+        assumed.  The order only picks which G: each proof holds for any spanning G."""
+        rows, cols, n = self.rows, self.cols, len(self.rows)
+
+        def key(b: int) -> tuple[int, int, int]:
+            targets = {k for t in rows[b].values() for k, _ in t}
+            if len(targets) < n:  # else column b adds none
+                targets.update(k for i in cols[b] for k, _ in rows[i][b])
+            return self.single[b], -len(targets), b
+        span, generators = Echelon(n), []
+        rows_at, gens_at = [[] for _ in range(n)], [[] for _ in range(n)]
+        for b in sorted(range(n), key=key):
+            if len(span.rows) == n or not reduce_by(span.rows, {b: 1}):
+                continue
+            generators.append(b)
+            for i in cols[b]:
+                gens_at[i].append(b)  # gens_at[k]: the g taken with e_k e_g stored
+            old = {id(r): r for i in cols[b] for r in rows_at[i]}  # the r with r e_b != 0
+            pending = [{b: 1}, *(self.times(r, b) for r in old.values())]
+            while pending:
+                v = pending.pop()
+                if len(v) == 1 and len(span.rows.get(next(iter(v)), ())) == 1:
+                    continue  # c e_k with e_k a row already
+                if r := span.insert(v):
+                    for k in r:
+                        rows_at[k].append(r)  # rows_at[k]: the rows found with k, unchanged
+                    pending.extend(self.times(r, g) for g in {g for k in r for g in gens_at[k]})
+        if len(span.rows) != n:
+            raise InternalConsistencyError("products of the generators do not span the algebra")
+        return tuple(sorted(generators))
+
+    def times(self, v: Mapping[int, GaussianRational], g: int) -> dict[int, GaussianRational]:
+        """v e_g, read at v or at the stored e_i e_g, whichever are fewer."""
+        rows, col = self.rows, self.cols[g]
+        if len(v) == 1:  # a single term is read inline
+            ((i, c),) = v.items()
+            t = rows[i].get(g, ())
+            return {t[0][0]: c * t[0][1]} if len(t) == 1 else combine(((c, t),))
+        if len(col) < len(v):
+            return combine((v[i], rows[i][g]) for i in col if i in v)
+        return combine((c, t) for i, c in v.items() if (t := rows[i].get(g)))
+
 
 def describe_vector(labels: Sequence[str], terms: Iterable[tuple[int, GaussianRational]]) -> str:
     """Human-readable linear combination of (index, coefficient) terms, e.g.
@@ -265,60 +294,51 @@ class AntiInvolution:
         return combine(((1, v.items()), (-1, self.image(v).items())))
 
 
-def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
+def validate_associativity(
+    algebra: Algebra, index: Optional[TableIndex] = None
+) -> Optional[tuple[int, int, int]]:
     """A basis triple (i, g, k) with (ei eg) ek != ei (eg ek), else None.
 
     Light's associativity test (Clifford & Preston, The Algebraic Theory of
-    Semigroups I, section 1.2): only middle indices g in the proved
-    generating set `algebra.generators` are checked, n^2 |G| triples instead
-    of n^3.  The elements a with (x a) y = x (a y) for all x, y form a
-    subspace S, closed under products: for a, b in S,
-    (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y).  So S contains
-    every product of generators and hence the whole algebra.  The triple
-    returned is the lexicographically first failing one whose middle index
-    is in G.
+    Semigroups I, section 1.2), on middle indices g in the proved generating
+    set `index.generators` only.  The a with (x a) y = x (a y) for all x, y
+    form a subspace S, closed under products: for a, b in S, (x(ab))y =
+    ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so S is the whole algebra.
+    The triple returned is the least of the first failures for each g in G.
 
-    The table is read once into rows {j: terms of e_i e_j}.  For each pair
-    (i, g) both sides are rows over k of sorted nonzero terms: the left
-    side k -> (ei eg) ek is the stored row of the target of ei eg when that
-    product is one term c e_l (scaled by c), else a sum of stored rows; the
-    right side k -> ei (eg ek) reads row i at the targets of row g.  The
-    two rows are compared whole, and scanned for the first differing k only
-    when they differ.
+    For each g only the i with ei eg, or ei el for a target l of row g,
+    stored are visited; each side is a row over k, the rows compared whole.
     """
-    n = algebra.dim
-    rows: list[dict[int, Terms]] = [{} for _ in range(n)]
-    for (i, j), terms in algebra.structure.items():
-        rows[i][j] = terms
-    for i in range(n):
-        row_i = rows[i]
-        for g in algebra.generators:
+    index = TableIndex(algebra) if index is None else index
+    n, rows, cols = algebra.dim, index.rows, index.cols
+    live, failures = sum(1 for row in rows if row), []
+    for g in index.generators:
+        reach = set(cols[g])
+        for l in {l for t in rows[g].values() for l, _ in t}:
+            if len(reach) == live:
+                break
+            reach.update(cols[l])
+        singles = [(k, *t[0]) for k, t in rows[g].items() if len(t) == 1]  # eg ek = c el
+        several = [(k, t) for k, t in rows[g].items() if len(t) != 1]
+        for i in sorted(reach):
+            row_i = rows[i]
             ig = row_i.get(g, ())
-            if len(ig) == 1:  # single terms are scaled inline: a call per entry costs more
+            if len(ig) == 1:
                 ((l, c),) = ig
-                left = rows[l] if c == 1 else {
-                    k: ((t[0][0], c * t[0][1]),) if len(t) == 1 else _sum(((c, t),))
-                    for k, t in rows[l].items()
-                }
+                left = rows[l] if c == 1 else {k: ((t[0][0], c * t[0][1]),) if len(t) == 1
+                                               else _sum(((c, t),)) for k, t in rows[l].items()}
             else:
                 targets = {k for l, _ in ig for k in rows[l]}
                 left = {k: s for k in targets if (s := _sum((c, rows[l].get(k, ())) for l, c in ig))}
-            right = {}
-            for k, gk in rows[g].items():
-                if len(gk) != 1:
-                    if s := _sum((c, row_i.get(l, ())) for l, c in gk):
-                        right[k] = s
-                elif (t := row_i.get(gk[0][0])) is not None:
-                    c = gk[0][1]
-                    if c == 1:
-                        right[k] = t
-                    else:
-                        right[k] = ((t[0][0], c * t[0][1]),) if len(t) == 1 else _sum(((c, t),))
+            right = {k: t if c == 1 else ((t[0][0], c * t[0][1]),) if len(t) == 1
+                     else _sum(((c, t),)) for k, l, c in singles if (t := row_i.get(l))}
+            for k, gk in several:
+                if s := _sum((c, row_i.get(l, ())) for l, c in gk):
+                    right[k] = s
             if left != right:
-                for k in range(n):
-                    if left.get(k) != right.get(k):
-                        return (i, g, k)
-    return None
+                failures.append((i, g, next(k for k in range(n) if left.get(k) != right.get(k))))
+                break
+    return min(failures, default=None)
 
 
 def _sum(scaled: Iterable[tuple[GaussianRational, Terms]]) -> Terms:
@@ -326,14 +346,17 @@ def _sum(scaled: Iterable[tuple[GaussianRational, Terms]]) -> Terms:
     return tuple(sorted(combine(scaled).items()))
 
 
-def validate_unit(algebra: Algebra) -> Optional[int]:
-    """First basis index where unit * e_i != e_i or e_i * unit != e_i, else None."""
+def validate_unit(algebra: Algebra, index: Optional[TableIndex] = None) -> Optional[int]:
+    """First basis index i where unit * e_i != e_i or e_i * unit != e_i, else
+    None, each read at the unit or at column or row i, whichever is shorter."""
+    index = TableIndex(algebra) if index is None else index
     unit = sparse(algebra.unit, algebra.dim)
-    for i in range(algebra.dim):
-        e = {i: 1}
-        if bilinear_product(algebra.structure, unit, e) != e:
-            return i
-        if bilinear_product(algebra.structure, e, unit) != e:
+    for i, row in enumerate(index.rows):
+        if len(row) < len(unit):
+            right = combine((unit[j], t) for j, t in row.items() if j in unit)
+        else:
+            right = combine((c, t) for j, c in unit.items() if (t := row.get(j)))
+        if index.times(unit, i) != {i: 1} or right != {i: 1}:
             return i
     return None
 
@@ -351,10 +374,10 @@ class InvolutionFailure(NamedTuple):
 
 
 def validate_involution(
-    algebra: Algebra, sigma: AntiInvolution
+    algebra: Algebra, sigma: AntiInvolution, index: Optional[TableIndex] = None
 ) -> Optional[InvolutionFailure]:
     """Check sigma^2 = id on the basis and sigma(eg ej) = sigma(ej) sigma(eg)
-    for g in the proved generating set `algebra.generators` and every j.
+    for g in the proved generating set `index.generators` and every j.
 
     Precondition: the algebra is associative, as `validate_associativity`
     proves; `validate_algebra` runs it first.  Then the elements a with
@@ -362,22 +385,37 @@ def validate_involution(
     for semilinear sigma), closed under products: for a, b in T,
     sigma((ab)y) = sigma(a(by)) = sigma(by) sigma(a) = sigma(y) sigma(b) sigma(a),
     and sigma(b) sigma(a) = sigma(ab) because a is in T.  So T contains
-    every product of generators and hence the whole algebra.  On a
-    non-associative algebra a failing pair outside G can go unseen.
-    """
-    if len(sigma.images) != algebra.dim:
-        return InvolutionFailure("shape", (len(sigma.images),) * 2)
-    images = sigma.images
-    for i in range(algebra.dim):
+    every product of generators and hence the whole algebra; on a
+    non-associative one a failing pair outside G can go unseen.  Only the j
+    with eg ej, or some ea eb with a in sigma(ej), b in sigma(eg), stored are
+    visited."""
+    n, images = algebra.dim, sigma.images
+    if len(images) != n:
+        return InvolutionFailure("shape", (len(images),) * 2)
+    for i in range(n):
         if sigma.image(images[i]) != {i: 1}:
             return InvolutionFailure("square", (i,))
-    get = algebra.structure.get
-    for i in algebra.generators:
-        for j in range(algebra.dim):
-            lhs = sigma.image(dict(get((i, j), ())))
-            rhs = bilinear_product(algebra.structure, images[j], images[i])
+    index = TableIndex(algebra) if index is None else index
+    rows, cols = index.rows, index.cols
+    preimages: list[list[int]] = [[] for _ in range(n)]  # a -> the j with a in sigma(ej)
+    for j, image in enumerate(images):
+        for a in image:
+            preimages[a].append(j)
+    for g in index.generators:
+        row_g, image_g = rows[g], images[g]
+        for j in sorted({*row_g, *(j for b in image_g for a in cols[b] for j in preimages[a])}):
+            if len(t := row_g.get(j, ())) == 1:
+                c = t[0][1].conjugate() if sigma.conjugates_scalars else t[0][1]
+                lhs = {a: c * d for a, d in images[t[0][0]].items()}
+            else:
+                lhs = sigma.image(dict(t))
+            if len(image_g) == 1:
+                ((b, d),) = image_g.items()
+                rhs = index.times({a: c * d for a, c in images[j].items()}, b)
+            else:
+                rhs = bilinear_product(algebra.structure, images[j], image_g)
             if lhs != rhs:
-                return InvolutionFailure("antihomomorphism", (i, j))
+                return InvolutionFailure("antihomomorphism", (g, j))
     return None
 
 

@@ -141,9 +141,9 @@ class Echelon:
             if lead != 1:
                 inverse = 1 / scalar(lead)  # one division per row, not per entry
                 row = {k: c * inverse for k, c in row.items()}
-            for p, other in list(self.rows.items()):
-                if pivot in other:
-                    self.rows[p] = combine(((1, other.items()), (-other[pivot], row.items())))
+            for p in [p for p, other in self.rows.items() if pivot in other]:
+                other = self.rows[p]
+                self.rows[p] = combine(((1, other.items()), (-other[pivot], row.items())))
             self.rows[pivot] = row
         return row
 

@@ -31,6 +31,7 @@ import json
 from .algebra import (
     Algebra,
     AntiInvolution,
+    TableIndex,
     describe_vector,
     lie_labels,
     plesken_lie_algebra,
@@ -62,13 +63,14 @@ class DocumentInvalid(ValueError):
 
 def validate_algebra(algebra: Algebra, sigma: AntiInvolution) -> dict:
     """Run the structural checks, raising DocumentInvalid on failure."""
-    triple = validate_associativity(algebra)
+    index = TableIndex(algebra)  # shared by the three, dropped on return
+    triple = validate_associativity(algebra, index)
     if triple is not None:
         raise DocumentInvalid(f"associativity fails at basis triple {triple}")
-    bad_unit = validate_unit(algebra)
+    bad_unit = validate_unit(algebra, index)
     if bad_unit is not None:
         raise DocumentInvalid(f"unit axiom fails at basis index {bad_unit}")
-    failure = validate_involution(algebra, sigma)
+    failure = validate_involution(algebra, sigma, index)
     if failure is not None:
         raise DocumentInvalid(f"involution invalid: {failure}")
     return {"associativity": "pass", "unit": "pass", "involution": "pass"}

@@ -18,7 +18,13 @@ anti-homomorphism law.  Restricted to the middle indices in the generating
 set, the associativity scan gives the witness the fast path must return; it
 sums every product over `GaussianRational`, whatever the table's shape.
 `changed_basis` rewrites a table in another basis, so that products have
-several terms.
+several terms.  `involution_all_pairs` takes the left indices to scan, so
+that it gives the witness the fast path must return for the same set, and
+`unit_every_index` multiplies the unit by every basis vector densely.
+`generators_most_targets_first` finds the generating set in the candidate
+order used before least-decomposable-first, with a dense elimination of
+its own.  `direct_sum` and `idempotents` build tables whose products are
+mostly zero: a block sum, and C^n.
 
 `plesken.linalg.Echelon` reduces sparse rows one at a time.  The dense
 Gauss-Jordan loop it replaced is here, with the subspace, kernel, solve,
@@ -221,6 +227,88 @@ def associativity_all_triples(
     return None
 
 
+def unit_every_index(algebra: Algebra) -> Optional[int]:
+    """First basis index i where unit * e_i != e_i or e_i * unit != e_i, else
+    None, both products summed densely by `bilinear_product_dense`."""
+    n, get = algebra.dim, algebra.structure.get
+    for i in range(n):
+        e = unit_vector(n, i)
+        if bilinear_product_dense(n, get, algebra.unit, e) != e:
+            return i
+        if bilinear_product_dense(n, get, e, algebra.unit) != e:
+            return i
+    return None
+
+
+def generators_most_targets_first(algebra: Algebra) -> tuple[int, ...]:
+    """The generating set `TableIndex.generators` found while its candidates
+    came most distinct targets first: by the most distinct targets of
+    e_b e_j and e_j e_b over all j, ties by index; one in the span found so
+    far is skipped.  Each taken index closes the span under right
+    multiplication by every index taken, by dense products, each reduced
+    against the dense rows found so far in the order they were found (each
+    row is 1 at its pivot and 0 at the pivots of the rows before it)."""
+    n, get = algebra.dim, algebra.structure.get
+    targets: list[set[int]] = [set() for _ in range(n)]
+    for (i, j), terms in algebra.structure.items():
+        for k, _ in terms:
+            targets[i].add(k)
+            targets[j].add(k)
+    rows: list[tuple[int, list]] = []
+
+    def residual(v: Sequence) -> list:
+        v = list(v)
+        for p, row in rows:
+            if v[p]:
+                c = v[p]
+                v = [a - c * b for a, b in zip(v, row)]
+        return v
+
+    generators: list[int] = []
+    for b in sorted(range(n), key=lambda b: (-len(targets[b]), b)):
+        if len(rows) == n:
+            break
+        if not any(residual(unit_vector(n, b))):
+            continue
+        generators.append(b)
+        pending = [unit_vector(n, b)] + [
+            bilinear_product_dense(n, get, row, unit_vector(n, b)) for _, row in rows
+        ]
+        while pending:
+            v = residual(pending.pop())
+            if any(v):
+                pivot = next(k for k, c in enumerate(v) if c)
+                lead = scalar(v[pivot])
+                rows.append((pivot, [c / lead for c in v]))
+                pending.extend(bilinear_product_dense(n, get, v, unit_vector(n, g)) for g in generators)
+    assert len(rows) == n, "products of the generators do not span the algebra"
+    return tuple(sorted(generators))
+
+
+def direct_sum(*parts: tuple[Algebra, AntiInvolution]) -> tuple[Algebra, AntiInvolution]:
+    """The block-diagonal sum of the algebras, labels suffixed by block, with
+    sigma acting on each block and every product across blocks zero."""
+    assert len({sigma.conjugates_scalars for _, sigma in parts}) == 1
+    labels, structure, unit, images = [], {}, [], []
+    for block, (algebra, sigma) in enumerate(parts):
+        offset = len(labels)
+        labels += [f"{label}_{block}" for label in algebra.labels]
+        for (i, j), terms in algebra.structure.items():
+            structure[(i + offset, j + offset)] = tuple((k + offset, c) for k, c in terms)
+        unit += algebra.unit
+        images += [{k + offset: c for k, c in values.items()} for values in sigma.images]
+    return Algebra(labels, structure, unit), AntiInvolution(images, parts[0][1].conjugates_scalars)
+
+
+def idempotents(n: int) -> tuple[Algebra, AntiInvolution]:
+    """C^n: e_i e_i = e_i and every other product zero, unit the sum of the
+    e_i, sigma the identity."""
+    structure = {(i, i): ((i, 1),) for i in range(n)}
+    return Algebra([f"e_{i}" for i in range(n)], structure, [1] * n), AntiInvolution(
+        tuple({i: 1} for i in range(n))
+    )
+
+
 def group_axioms(product: Sequence[Sequence[int]]) -> tuple[int, tuple[int, ...]]:
     """(identity, inverse) of a square table with entries in range, by the
     scans `GroupTable` ran before `validate_algebra` proved its tables: a
@@ -275,10 +363,11 @@ def cell_order_failure(lambdas: Sequence[Label], less_pairs) -> Optional[str]:
 
 
 def involution_all_pairs(
-    algebra: Algebra, sigma: AntiInvolution
+    algebra: Algebra, sigma: AntiInvolution, lefts: Optional[Iterable[int]] = None
 ) -> Optional[InvolutionFailure]:
     """Check sigma^2 = id on the basis and the anti-homomorphism law on all
-    pairs, sigma applied as a dense matrix and products summed densely."""
+    pairs, sigma applied as a dense matrix and products summed densely; with
+    `lefts`, the law only on pairs whose left index is in it."""
     m, n = sigma_matrix(sigma), algebra.dim
     if m.rows != n or m.cols != n:
         return InvolutionFailure("shape", (m.rows, m.cols))
@@ -286,7 +375,7 @@ def involution_all_pairs(
     for i in range(n):
         if apply_dense(sigma, images[i], m) != unit_vector(n, i):
             return InvolutionFailure("square", (i,))
-    for i in range(n):
+    for i in range(n) if lefts is None else sorted(set(lefts)):
         for j in range(n):
             product = zero_vector(n)
             terms = algebra.product_terms(i, j)

@@ -2,6 +2,8 @@ import random
 
 import pytest
 from oracles import (
+    apply_dense,
+    bilinear_product_dense,
     bracket_dense,
     commutator_dense,
     identity_matrix,
@@ -94,15 +96,28 @@ def test_associativity_detects_corruption():
     structure = dict(A.structure)
     structure[(0, 0)] = ((0, scalar(2)),)
     corrupted = Algebra(A.labels, structure, A.unit)
-    assert validate_associativity(corrupted) == (0, 0, 1)
+    assert validate_associativity(corrupted) == (0, 1, 1)  # (0, 0, 1) while G was (0, 1, 2)
+    x, y, z = (unit_vector(4, t) for t in (0, 1, 1))
+
+    def mul(u, v):
+        return bilinear_product_dense(4, corrupted.structure.get, u, v)
+
+    assert mul(mul(x, y), z) != mul(x, mul(y, z))
 
 
 def test_identity_is_not_an_anti_involution():
     A, _ = matrix_algebra(2)
-    failure = validate_involution(A, involution_from_matrix(identity_matrix(4)))
+    sigma = involution_from_matrix(identity_matrix(4))
+    failure = validate_involution(A, sigma)
     assert failure is not None
     assert failure.kind == "antihomomorphism"
-    assert failure.witness == (0, 1)
+    assert failure.witness == (1, 0)  # (0, 1) while G held 0
+    x, y = unit_vector(4, 1), unit_vector(4, 0)
+
+    def mul(u, v):
+        return bilinear_product_dense(4, A.structure.get, u, v)
+
+    assert apply_dense(sigma, mul(x, y)) != mul(apply_dense(sigma, y), apply_dense(sigma, x))
 
 
 def test_involution_reads_its_images_once():

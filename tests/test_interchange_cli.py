@@ -10,7 +10,7 @@ from oracles import (
 )
 
 from plesken import cli
-from plesken.algebra import Algebra, InternalConsistencyError
+from plesken.algebra import Algebra, InternalConsistencyError, TableIndex
 from plesken.builders import (
     group_algebra,
     matrix_algebra,
@@ -650,7 +650,7 @@ def test_cli_names_the_associativity_witness(tmp_path, capsys):
         structure = [corrupted if entry == quad else entry for entry in valid["structure"]]
         q.write_text(json.dumps({**valid, "structure": structure}))
         algebra = load(q).algebra
-        triple = associativity_all_triples(algebra, algebra.generators)
+        triple = associativity_all_triples(algebra, TableIndex(algebra).generators)
         assert triple is not None
         code, out = run_cli(capsys, "analyze", str(q))
         assert code == 2

@@ -1,7 +1,7 @@
 """Differential tests: the generator-based validators against the full scans.
 
 `validate_associativity` and `validate_involution` check their laws only on
-the proved generating set `Algebra.generators`; `oracles.py` keeps the
+the proved generating set `TableIndex.generators`; `oracles.py` keeps the
 exhaustive scans they replaced.  On every builder family at n <= 4, on
 single structure-constant corruptions and on column-swapped involutions the
 two must agree on the verdict, every witness must be a genuine failure, and
@@ -10,6 +10,15 @@ be the one the scan finds over middle indices in the generating set, on
 tables of one term per product (int or `GaussianRational` coefficients),
 on builder tables rewritten in the basis b_i = e_i + e_{i+1}, where most
 products have several terms, and on arbitrary small tables alike.
+
+The validators visit only the pairs where a stored product can make a side
+nonzero.  On every family above, on C^n (n <= 8), on the block sum
+M(2) + H + C, whose blocks multiply to zero, on TL_0(4), whose loops make
+products zero, and on their corruptions, the three results must equal the
+dense scans restricted to the generating set: `associativity_all_triples`,
+`involution_all_pairs` and `unit_every_index`.  The generating set, taken
+least decomposable first, is never larger than the one taken most targets
+first, `generators_most_targets_first`.
 """
 
 import itertools
@@ -23,12 +32,23 @@ from oracles import (
     bilinear_product_dense,
     changed_basis,
     coordinates_dense,
+    direct_sum,
+    generators_most_targets_first,
+    idempotents,
     involution_all_pairs,
     span_gauss_jordan,
+    unit_every_index,
 )
 from test_interchange_cli import coefficients
 
-from plesken.algebra import Algebra, AntiInvolution, validate_associativity, validate_involution
+from plesken.algebra import (
+    Algebra,
+    AntiInvolution,
+    TableIndex,
+    validate_associativity,
+    validate_involution,
+    validate_unit,
+)
 from plesken.builders import (
     group_algebra,
     matrix_algebra,
@@ -64,10 +84,21 @@ FAMILIES = {
     "PR(2) bidiagonal basis": lambda: bidiagonal_basis(*planar_rook(2)),
 }
 
+# Tables whose stored products leave many pairs with both sides zero.
+SPARSE = {
+    **{f"C^{n}": (lambda n=n: idempotents(n)) for n in range(1, 9)},
+    "M(2)+H+C": lambda: direct_sum(matrix_algebra(2), quaternions(), matrix_algebra(1)),
+    "TL_0(4)": lambda: temperley_lieb(4, 0),
+}
+
 SMALL = (
     "H", "M(2)", "M(2)*", "QS3", "C3", "TL_0(3)", "TL_i(3)", "TL_1/2(3)", "PR(2)",
     "M(2) skewed basis", "TL_3(3) bidiagonal basis", "PR(2) bidiagonal basis",
 )
+
+
+def _generators(algebra):
+    return TableIndex(algebra).generators
 
 
 def _mul(algebra, x, y):
@@ -76,7 +107,7 @@ def _mul(algebra, x, y):
 
 def _assert_spans(algebra):
     """Products of the generators span the algebra (dense recomputation)."""
-    n, generators = algebra.dim, algebra.generators
+    n, generators = algebra.dim, _generators(algebra)
     assert list(generators) == sorted(set(generators))
     assert all(0 <= g < n for g in generators)
     words = [unit_vector(n, g) for g in generators]
@@ -92,17 +123,18 @@ def _assert_spans(algebra):
 
 def _assert_associativity_agrees(algebra):
     fast = validate_associativity(algebra)
-    assert fast == associativity_all_triples(algebra, algebra.generators)
+    assert fast == associativity_all_triples(algebra, _generators(algebra))
     assert (fast is None) == (associativity_all_triples(algebra) is None)
     if fast is not None:
         i, g, k = fast
-        assert g in algebra.generators
+        assert g in _generators(algebra)
         x, y, z = (unit_vector(algebra.dim, t) for t in fast)
         assert _mul(algebra, _mul(algebra, x, y), z) != _mul(algebra, x, _mul(algebra, y, z))
 
 
 def _assert_involution_agrees(algebra, sigma):
     fast = validate_involution(algebra, sigma)
+    assert fast == involution_all_pairs(algebra, sigma, _generators(algebra))
     oracle = involution_all_pairs(algebra, sigma)
     assert (fast is None) == (oracle is None)
     if fast is None:
@@ -116,7 +148,7 @@ def _assert_involution_agrees(algebra, sigma):
     else:
         assert fast.kind == "antihomomorphism"
         i, j = fast.witness
-        assert i in algebra.generators
+        assert i in _generators(algebra)
         x, y = unit_vector(algebra.dim, i), unit_vector(algebra.dim, j)
         lhs = apply_dense(sigma, _mul(algebra, x, y))
         rhs = _mul(algebra, apply_dense(sigma, y), apply_dense(sigma, x))
@@ -133,9 +165,9 @@ def test_fast_validators_agree_with_full_scans(name):
     assert involution_all_pairs(algebra, sigma) is None
 
 
-@pytest.mark.parametrize("name", SMALL)
-def test_structure_constant_corruptions(name):
-    algebra, _ = FAMILIES[name]()
+def _corruptions(algebra):
+    """The table with one product changed: one more term, a doubled, halved,
+    imaginary or moved coefficient, or one term dropped."""
     n = algebra.dim
     for i, j in itertools.product(range(n), repeat=2):
         terms = algebra.product_terms(i, j)
@@ -150,9 +182,50 @@ def test_structure_constant_corruptions(name):
         for variant in variants:
             structure = dict(algebra.structure)
             structure[(i, j)] = variant
-            corrupted = Algebra(algebra.labels, structure, algebra.unit)
-            _assert_spans(corrupted)
-            _assert_associativity_agrees(corrupted)
+            yield Algebra(algebra.labels, structure, algebra.unit)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_structure_constant_corruptions(name):
+    algebra, _ = FAMILIES[name]()
+    for corrupted in _corruptions(algebra):
+        _assert_spans(corrupted)
+        _assert_associativity_agrees(corrupted)
+
+
+def _assert_validators_match_restricted_scans(algebra, sigma):
+    generators = _generators(algebra)
+    assert validate_associativity(algebra) == associativity_all_triples(algebra, generators)
+    assert validate_unit(algebra) == unit_every_index(algebra)
+    assert validate_involution(algebra, sigma) == involution_all_pairs(algebra, sigma, generators)
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, *SPARSE])
+def test_validators_match_the_scans_restricted_to_the_generators(name):
+    algebra, sigma = {**FAMILIES, **SPARSE}[name]()
+    _assert_spans(algebra)
+    _assert_validators_match_restricted_scans(algebra, sigma)
+    assert len(_generators(algebra)) <= len(generators_most_targets_first(algebra))
+
+
+@pytest.mark.parametrize("name", SPARSE)
+def test_corruptions_of_sparse_tables(name):
+    algebra, sigma = SPARSE[name]()
+    for corrupted in _corruptions(algebra):
+        _assert_spans(corrupted)
+        _assert_validators_match_restricted_scans(corrupted, sigma)
+        if validate_associativity(corrupted) is None:
+            _assert_involution_agrees(corrupted, sigma)
+
+
+def test_unit_witnesses_are_the_first_failing_index():
+    for name in ("M(2)", "TL_3(3)", "PR(2)", "M(2) skewed basis", "C^4", "M(2)+H+C"):
+        algebra, _ = {**FAMILIES, **SPARSE}[name]()
+        n = algebra.dim
+        for i in range(n):
+            for unit in (algebra.unit[:i] + (0,) + algebra.unit[i + 1:], (1,) * n):
+                moved = Algebra(algebra.labels, algebra.structure, unit)
+                assert validate_unit(moved) == unit_every_index(moved)
 
 
 @st.composite
@@ -183,15 +256,25 @@ def test_column_swapped_involutions(name):
 
 
 @pytest.mark.parametrize(
-    "factory, size",
+    "factory, size, most_targets_first",
     [
-        (lambda: temperley_lieb(5, 3), 11),
-        (lambda: planar_rook(4), 8),
-        (lambda: group_algebra(symmetric_3_table()), 3),
+        (lambda: temperley_lieb(5, 3), 8, 11),
+        (lambda: temperley_lieb(5, 0), 7, 11),
+        (lambda: temperley_lieb(6, 3), 9, 16),
+        (lambda: planar_rook(4), 7, 8),
+        (lambda: planar_rook(5), 9, 10),
+        (lambda: matrix_algebra(5), 8, 9),
+        (quaternions, 2, 3),
+        (lambda: group_algebra(symmetric_3_table()), 2, 3),
+        (lambda: group_algebra(cyclic_table(5)), 1, 2),
+        (_skewed_m2, 2, 2),
+        (lambda: bidiagonal_basis(*planar_rook(2)), 4, 4),
     ],
 )
-def test_generating_set_sizes(factory, size):
-    # Candidates with the most distinct product targets come first; in plain
-    # index order TL_3(5) would need 20 generators instead of 11.
+def test_generating_set_sizes(factory, size, most_targets_first):
+    # Candidates with the fewest single-term products e_i e_j = c e_b
+    # (i != b != j) come first, then those with the most distinct product
+    # targets; in plain index order TL_3(5) would need 20 generators.
     algebra, _ = factory()
-    assert len(algebra.generators) == size
+    assert len(_generators(algebra)) == size
+    assert len(generators_most_targets_first(algebra)) == most_targets_first

@@ -7,11 +7,13 @@ fields and cannot be changed after `__init__` has validated them.
 """
 
 import pytest
+from oracles import involution_all_pairs
 
 from plesken.algebra import (
     AntiInvolution,
     ClosureCounterexample,
     InvolutionFailure,
+    TableIndex,
     plesken_lie_algebra,
     plesken_subspace,
     validate_involution,
@@ -96,9 +98,12 @@ def test_records_hash_when_their_fields_do():
 
 def test_the_involution_failure_is_the_one_pinned():
     m2, _ = matrix_algebra(2)
-    failure = validate_involution(m2, AntiInvolution.signed_permutation(range(4)))
-    assert failure == InvolutionFailure("antihomomorphism", (0, 1))
-    assert failure != InvolutionFailure("square", (0, 1))
+    sigma = AntiInvolution.signed_permutation(range(4))
+    failure = validate_involution(m2, sigma)
+    assert failure == InvolutionFailure("antihomomorphism", (1, 0))  # (0, 1) while G held 0
+    assert failure != InvolutionFailure("square", (1, 0))
+    assert involution_all_pairs(m2, sigma, TableIndex(m2).generators) == failure
+    assert involution_all_pairs(m2, sigma, [1]) == failure  # the dense check fails there
 
 
 def test_fingerprint_compare_lists_diffs_in_field_order():

@@ -83,17 +83,21 @@ class Algebra:
         table: dict[tuple[int, int], Terms] = {}
         shared: dict[tuple, Terms] = {}
         for (i, j), terms in items:
-            if not (index(i) and index(j)):
+            if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
                 raise ValueError(f"structure index out of range: {(i, j)}")
             terms = tuple(terms)
+            if len(terms) == 1 and (i, j) not in table:  # checked and read inline
+                ((k, c),) = terms
+                if not (type(k) is int and 0 <= k < n):
+                    raise ValueError(f"structure target out of range: {k}")
+                if type(c) is not int:
+                    c = read(c)
+                if c:
+                    table[(i, j)] = shared.get((k, c)) or shared.setdefault((k, c), ((k, c),))
+                continue
             for k, _ in terms:
                 if not index(k):
                     raise ValueError(f"structure target out of range: {k}")
-            if len(terms) == 1 and (i, j) not in table:
-                ((k, c),) = terms
-                if c := read(c):
-                    table[(i, j)] = shared.setdefault((k, c), ((k, c),))
-                continue
             merged = combine(((1, table.pop((i, j), ())), (1, [(k, read(c)) for k, c in terms])))
             if merged:  # a sum of non-integral values can be an integer
                 table[(i, j)] = tuple(sorted((k, exact(c)) for k, c in merged.items()))

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .algebra import Algebra, AntiInvolution, plesken_subspace
+from .algebra import Algebra, AntiInvolution, TableIndex, plesken_subspace
 from .builders import planar_rook_diagrams, temperley_lieb_diagrams
 from .linalg import P, Matrix, combine, rank, rank_mod_p, reducible, residue
 from .scalars import GaussianRational
@@ -169,9 +169,20 @@ class CellValidationFailure(NamedTuple):
 
 
 def validate_cell_datum(
-    algebra: Algebra, sigma: AntiInvolution, cd: CellDatum
+    algebra: Algebra, sigma: AntiInvolution, cd: CellDatum,
+    generators: Optional[Sequence[int]] = None,
 ) -> Optional[CellValidationFailure]:
-    """Check C1-C3; returns the first failure report, or None."""
+    """Check C1-C3; returns the first failure report, or None.
+
+    C1 and C2 read every triple; C3 reads e_a C only for a in the proved
+    generating set G, `TableIndex(algebra).generators` unless given.  With
+    the algebra associative, as `validate_algebra` proves first, and the
+    order transitive, as `CellDatum` checks, the a that satisfy C3 form a
+    subspace, closed under products: (ab)C = a(bC), and a J(<lam) lies in
+    J(<lam) by C3 at each lower cell mu, whose J(<mu) lies in J(<lam) by
+    transitivity.  It holds G, whose products span the algebra, so it is
+    the whole algebra: a C3 failure anywhere fails at some generator, and
+    the witness is the first one for G."""
     # C1: the triple map covers M(lam) x M(lam) for every lam and hits each
     # basis index exactly once.
     expected = {
@@ -204,7 +215,7 @@ def validate_cell_datum(
                 "C2", (lam, s, t), "involution does not send C[s,t] to C[t,s]"
             )
     # C3: triangular action with t-independent coefficients.
-    for a in range(algebra.dim):
+    for a in TableIndex(algebra).generators if generators is None else generators:
         for lam in cd.lambdas:
             members = cd.members(lam)
             for t in members:

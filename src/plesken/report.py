@@ -61,9 +61,11 @@ class DocumentInvalid(ValueError):
     """An input document failed structural validation."""
 
 
-def validate_algebra(algebra: Algebra, sigma: AntiInvolution) -> dict:
+def validate_algebra(
+    algebra: Algebra, sigma: AntiInvolution, index: TableIndex | None = None
+) -> dict:
     """Run the structural checks, raising DocumentInvalid on failure."""
-    index = TableIndex(algebra)  # shared by the three, dropped on return
+    index = TableIndex(algebra) if index is None else index  # shared by the three
     triple = validate_associativity(algebra, index)
     if triple is not None:
         raise DocumentInvalid(f"associativity fails at basis triple {triple}")
@@ -138,8 +140,11 @@ def cellular_report(
     seed: int = 0,
 ) -> dict:
     """Full cellularity verification on top of the analysis report."""
-    checks = validate_algebra(algebra, sigma)
-    failure = validate_cell_datum(algebra, sigma, datum)
+    index = TableIndex(algebra)
+    checks = validate_algebra(algebra, sigma, index)
+    generators = index.generators  # C3 is proved over the same G; the index is dropped
+    del index
+    failure = validate_cell_datum(algebra, sigma, datum, generators)
     if failure is not None:
         report = _analysis(name, algebra, sigma, checks, None, bracket_cap, seed)[0]
         report["cellularity"] = {"valid": False, "failure": str(failure)}

@@ -75,6 +75,10 @@ proof to `validate_algebra`; `group_axioms` is the brute-force group check
 it ran before: two-sided identity and inverse searches and all n^3
 triples.  `CellDatum` checks its order by one set inclusion per pair;
 `cell_order_failure` is the loop over all pairs of pairs it replaced.
+`validate_cell_datum` checks C3 for the left factors in the proved
+generating set; `c3_every_element` is the scan over every basis element it
+replaced, with the order read from its pairs, and takes the left indices
+to scan, so that it gives the witness the fast path must return.
 
 `plesken.cellular.gram_matrix` reads each Gram entry at one witness pair,
 which C2 and C3 make sufficient.  `gram_every_witness` reads it at every
@@ -102,7 +106,14 @@ from plesken.builders import (
     planar_rook_diagrams,
     temperley_lieb_diagrams,
 )
-from plesken.cellular import CellDatum, CellForms, CellModule, GramPropertyFailure, Label
+from plesken.cellular import (
+    CellDatum,
+    CellForms,
+    CellModule,
+    CellValidationFailure,
+    GramPropertyFailure,
+    Label,
+)
 from plesken.lie import Fingerprint, LieAlgebra
 from plesken.linalg import Matrix, Subspace, Terms, Vector, unit_vector, vector, zero_vector
 from plesken.scalars import I, ONE, ZERO, GaussianRational, exact, scalar
@@ -359,6 +370,37 @@ def cell_order_failure(lambdas: Sequence[Label], less_pairs) -> Optional[str]:
         for c, d in less:
             if b == c and (a, d) not in less:
                 return "order pairs are not transitively closed"
+    return None
+
+
+def c3_every_element(
+    algebra: Algebra, cd: CellDatum, lefts: Optional[Iterable[int]] = None
+) -> Optional[CellValidationFailure]:
+    """The first C3 failure of e_a C[lam, s, t] over a (in `lefts`, if given),
+    lam, t and s in that order, as `validate_cell_datum` reports it, else None;
+    a term counts as lower when its cell is below lam in `cd.less`."""
+    triple_at = {idx: triple for triple, idx in cd.basis_map.items()}
+    for a in range(algebra.dim) if lefts is None else sorted(set(lefts)):
+        for lam in cd.lambdas:
+            members = cd.index_sets[lam]
+            first = None
+            for t in members:
+                block = {}
+                for s in members:
+                    for k, c in algebra.structure.get((a, cd.basis_map[(lam, s, t)]), ()):
+                        mu, row, column = triple_at[k]
+                        if (mu, lam) in cd.less:
+                            continue
+                        if mu != lam or column != t:
+                            witness = (a, lam, s, t, algebra.labels[k])
+                            message = "product has support outside column t and the lower cells"
+                            return CellValidationFailure("C3", witness, message)
+                        block[(row, s)] = c
+                if first is None:
+                    first = block
+                elif block != first:
+                    message = "action coefficients depend on t"
+                    return CellValidationFailure("C3", (a, lam, members[0], t), message)
     return None
 
 

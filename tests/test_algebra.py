@@ -73,6 +73,41 @@ def test_multiply_dimension_mismatch():
 
 
 @pytest.mark.parametrize(
+    "structure, error, message",
+    [
+        ({(True, 0): ((0, 1),)}, ValueError, "structure index out of range: (True, 0)"),
+        ({(0, True): ((0, 1),)}, ValueError, "structure index out of range: (0, True)"),
+        ({(0, 0): ((True, 1),)}, ValueError, "structure target out of range: True"),
+        ({(0, 0): ((0, 1), (True, 1))}, ValueError, "structure target out of range: True"),
+        ({(0, 0): ((0, True),)}, TypeError, "cannot interpret True as a scalar"),
+        ({(0, 0): ((0, "x"),)}, ValueError, "not a scalar: 'x'"),
+        # Every target of a multi-term entry is checked before a coefficient is read.
+        ({(0, 0): ((0, "x"), (2, 1))}, ValueError, "structure target out of range: 2"),
+        ([((0, 0), ((0, 1),)), ((0, 0), ((0, "x"), (2, 1)))], ValueError,
+         "structure target out of range: 2"),
+    ],
+)
+def test_constructor_refusals_are_pinned(structure, error, message):
+    with pytest.raises(error) as info:
+        Algebra(["a", "b"], structure, [1, 0])
+    assert str(info.value) == message
+
+
+def test_constructor_stores_no_zero_product():
+    # A zero single term, a recurring pair summing to zero (as ints, as
+    # strings, or multi-term) and a zero multi-term sum are not stored.
+    items = [
+        ((0, 0), ((0, 0),)),
+        ((0, 1), ((1, 1),)), ((0, 1), ((1, -1),)),
+        ((1, 0), ((1, "1/2"),)), ((1, 0), ((1, "-1/2"),)),
+        ((1, 1), ((0, 1), (1, 2))), ((1, 1), ((1, -2), (0, -1))),
+        ((0, 0), ((0, "0"),)),
+    ]
+    assert Algebra(["a", "b"], items, [1, 0]).structure == {}
+    assert Algebra(["a", "b"], {(0, 0): ((0, 2), (0, -2)), (1, 1): ((1, "0"),)}, [1, 0]).structure == {}
+
+
+@pytest.mark.parametrize(
     "factory",
     [
         lambda: planar_rook(3),

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     act,
     action_matrices,
+    c3_every_element,
     cell_order_failure,
     commutator_dense,
+    direct_sum,
     entries_matrix,
     form_skewness_dense,
     gram_every_witness,
@@ -25,6 +27,7 @@ from plesken.algebra import (
     Algebra,
     AntiInvolution,
     InternalConsistencyError,
+    TableIndex,
     plesken_lie_algebra,
     plesken_subspace,
 )
@@ -103,7 +106,8 @@ def test_reversed_poset_breaks_triangularity():
     failure = validate_cell_datum(A, sigma, reversed_cd)
     assert failure is not None and failure.clause == "C3"
     assert failure.message == "product has support outside column t and the lower cells"
-    assert failure.witness == (0, 1, (1,), (1,), "-/-")
+    assert failure.witness == (2, 1, (1,), (1,), "-/-")  # the first for G = (2, 3, 4)
+    assert c3_every_element(A, reversed_cd) == failure._replace(witness=(0, 1, (1,), (1,), "-/-"))
     with pytest.raises(InternalConsistencyError, match="unexpected support"):
         gram_every_witness(A, reversed_cd, 1)
 
@@ -178,6 +182,109 @@ def test_t_dependent_coefficients_break_c3():
     assert str(failure) == "C3 fails: action coefficients depend on t (witness (1, 1, 1, 2))"
     with pytest.raises(InternalConsistencyError, match="witness pair"):
         gram_every_witness(A, cd, 1)
+
+
+def _builder_data() -> dict:
+    """name -> (algebra, sigma, datum) for TL_delta(n), n <= 5, delta in
+    {3, 0, 1/2, i}, PR(n), n <= 4, and M(n), n <= 4."""
+    data = {}
+    for delta in ("3", "0", "1/2", "i"):
+        for n in range(1, 6):
+            A, sigma = temperley_lieb(n, scalar(delta))
+            data[f"TL_{delta}({n})"] = A, sigma, cell_datum_temperley_lieb(n, sigma)
+    for n in range(1, 5):
+        A, sigma = planar_rook(n)
+        data[f"PR({n})"] = A, sigma, cell_datum_planar_rook(n, sigma)
+        A, sigma = matrix_algebra(n, "transpose")
+        data[f"M({n})"] = A, sigma, cell_datum_matrix(n, sigma)
+    return data
+
+
+BUILT = _builder_data()
+
+
+def _corrupted_orders(cd):
+    """The data with cd's order reversed, with each single pair dropped, and
+    empty, where `CellDatum` accepts the order; C1 and C2 still hold."""
+    for order in ([(b, a) for a, b in cd.less], *(cd.less - {p} for p in sorted(cd.less)), []):
+        try:
+            yield CellDatum(cd.lambdas, order, cd.index_sets, cd.basis_map, cd.involution)
+        except ValueError:  # a dropped pair can leave the order not transitive
+            pass
+
+
+def _assert_c3_agrees(A, sigma, cd):
+    """validate_cell_datum fails exactly when the scan over every element does,
+    in the same clause, with the scan's first failure for G, one that the
+    scan also finds at the witness's own left factor; given one generator g,
+    it reports what the scan finds at g."""
+    failure, expected = validate_cell_datum(A, sigma, cd), c3_every_element(A, cd)
+    assert (failure is None) == (expected is None)
+    generators = TableIndex(A).generators
+    for g in generators:
+        assert validate_cell_datum(A, sigma, cd, (g,)) == c3_every_element(A, cd, [g])
+    if failure is not None:
+        assert failure.clause == expected.clause == "C3" and failure.message == expected.message
+        assert failure == c3_every_element(A, cd, generators)
+        assert c3_every_element(A, cd, [failure.witness[0]]) == failure
+    return failure
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_c3_over_the_generators_matches_the_scan_over_every_element(name):
+    A, sigma, cd = BUILT[name]
+    assert validate_algebra(A, sigma)
+    assert _assert_c3_agrees(A, sigma, cd) is None
+    failures = [_assert_c3_agrees(A, sigma, broken) for broken in _corrupted_orders(cd)]
+    if len(cd.lambdas) > 1:  # the order is total: reversed, n - 1 dropped pairs, empty
+        assert len(failures) == len(cd.lambdas) + 1 and all(failures)
+    else:  # reversed and empty are the same, and C3 holds
+        assert failures == [None, None]
+
+
+def _block_sum(*data):
+    """The datum of the direct sum of (algebra, sigma, datum) triples: cell
+    (block, lam) for each block's lam, ordered within its block only."""
+    A, sigma = direct_sum(*((algebra, s) for algebra, s, _ in data))
+    lambdas, less, index_sets, basis_map, offset = [], [], {}, {}, 0
+    for block, (algebra, _, cd) in enumerate(data):
+        lambdas += [(block, lam) for lam in cd.lambdas]
+        less += [((block, a), (block, b)) for a, b in cd.less]
+        index_sets.update({(block, lam): m for lam, m in cd.index_sets.items()})
+        basis_map.update({((block, lam), s, t): k + offset for (lam, s, t), k in cd.basis_map.items()})
+        offset += algebra.dim
+    return A, sigma, CellDatum(lambdas, less, index_sets, basis_map, sigma)
+
+
+@pytest.mark.parametrize("first", ["M(2)", "TL_3(3)", "PR(2)"])
+@pytest.mark.parametrize("second", ["PR(2)", "TL_0(4)", "PR(3)"])
+def test_c3_over_the_generators_sees_a_failure_in_a_later_block(first, second):
+    # In the block sum with the second block's order reversed, the first
+    # generators lie in the first block and pass C3; the failure is found later.
+    algebra, second_sigma, second_cd = BUILT[second]
+    reversed_cd = next(_corrupted_orders(second_cd))
+    A, sigma, cd = _block_sum(BUILT[first], (algebra, second_sigma, reversed_cd))
+    assert validate_algebra(A, sigma)
+    generators = TableIndex(A).generators
+    failure = _assert_c3_agrees(A, sigma, cd)
+    assert failure is not None and failure.witness[0] >= BUILT[first][0].dim > generators[0]
+    assert c3_every_element(A, cd, generators[:1]) is None
+
+
+@pytest.mark.parametrize("q", [1, 2, Fraction(1, 2), I])
+@pytest.mark.parametrize("r", [1, 2, 4, -1])
+def test_c3_over_the_generators_matches_the_scan_when_coefficients_depend_on_t(q, r):
+    # C[s, t] = c_st E_st in M(2) with c = [[1, q], [q, r]]: C2 holds since c
+    # is symmetric, and C3 exactly when det c = 0, the action then independent of t.
+    c = [[1, q], [q, r]]
+
+    def coefficient(s, t, u, v):
+        return scalar(c[s - 1][t - 1]) * c[u - 1][v - 1] / c[s - 1][v - 1] if t == u else 0
+
+    A, sigma, cd = _two_by_two(coefficient, [1, 0, 0, 1 / scalar(r)])
+    assert validate_algebra(A, sigma)
+    failure = _assert_c3_agrees(A, sigma, cd)
+    assert (failure is None) == (scalar(q) * q == r)
 
 
 def test_c2_failure_detected():

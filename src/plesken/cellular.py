@@ -22,10 +22,12 @@ rows of each cell's dense Gram matrix.  The whole package is assembled by
 cell representations is injective, and the skew part of the involution maps
 isomorphically onto the block-skew matrices (X^T G + G X = 0 per cell), the
 direct sum of the orthogonal Lie algebras of the Gram forms.  Injectivity is
-read off the Gram ranks, full ones certified mod a prime, and the form
-checks sum sparse entries times the Gram matrix into one dict, d terms per
-entry.  The poset is used only through its comparability pairs, so
-non-total orders work unchanged.
+read off the Gram ranks, full ones certified mod a prime.  Skewness follows
+from the axioms for a linear sigma, as `verify_theorem` proves, so only a
+semilinear one builds the cell modules, and its form check sums sparse
+entries times the Gram matrix into one dict, d terms per entry.  The poset
+is used only through its comparability pairs, so non-total orders work
+unchanged.
 """
 
 from __future__ import annotations
@@ -329,7 +331,9 @@ class CellForms(NamedTuple):
 
     Build it once with `build` and pass it to `check_gram_properties` and
     `verify_theorem`, so that neither builds the modules and forms again.
-    Like `cell_module`, it requires a validated datum.
+    No command builds it: a linear sigma needs only the Gram forms, and for
+    a semilinear one `verify_theorem` builds it.  Like `cell_module`, it
+    requires a validated datum.
     """
 
     modules: Mapping[Label, CellModule]
@@ -387,9 +391,10 @@ class TheoremReport(NamedTuple):
     being nondegenerate, (b) every skew-part basis element acts G-skewly on
     every cell (X^T G + G X = 0), and (c) the skew part has dimension
     sum(d(d-1)/2).  A refutation records the first failed check; with a
-    linear sigma (b) holds for every valid datum, so refutations come from
-    (a) on non-semisimple input.  A semilinear sigma can fail (b): under
-    conjugate transposition M(n) has i E_11 in its skew part, not G-skew.
+    linear sigma (b) is proved for every valid datum (`verify_theorem`), so
+    refutations come from (a) on non-semisimple input.  A semilinear sigma
+    can fail (b): under conjugate transposition M(n) has i E_11 in its skew
+    part, not G-skew.
     """
 
     certified: bool
@@ -449,8 +454,9 @@ def verify_theorem(
     orthogonal Lie algebras of the cell Gram forms.
 
     Requires a datum that passed `validate_cell_datum`; `forms`, if given,
-    must be `CellForms.build(algebra, cd)`.  Then check (a), injectivity of
-    Phi = (+) rho_lam, holds iff every Gram form G_lam is nondegenerate:
+    must be `CellForms.build(algebra, cd)`, whose modules are read only for a
+    semilinear sigma.  Check (a), injectivity of Phi = (+) rho_lam, holds
+    iff every Gram form G_lam is nondegenerate:
 
     * C3 makes J(<=lam) = span{C[mu,s,t] : mu <= lam} a left ideal, and C2
       with sigma(xy) = sigma(y) sigma(x) a right one, also for semilinear
@@ -463,19 +469,29 @@ def verify_theorem(
       End(W_mu) over mu < lam.
     * On the zero algebra a map from the zero space is injective, and 0 is
       the empty sum of o(d), so the zero algebra is certified.
+
+    Check (b) runs only for a semilinear sigma; for a linear one it is
+    proved.  Let J = J(<lam), the sum of the ideals J(<=mu), mu < lam, and
+    compute C[s,t] a C[u,v] mod J both ways, by associativity (proved by
+    `validate_algebra`).  By C2 and C3, C[s,t] a = sigma(sigma(a) C[t,s]) =
+    sum_t' r(t',t) C[s,t'] mod J, r the entries of rho(sigma(a)), so the
+    product is (rho(sigma(a))^T G)[t,u] C[s,v]; by C3 it is (G rho(a))[t,u]
+    C[s,v].  This adjointness and sigma(x) = -x on every skew row x, which
+    `skew_subspace` checks, give X^T G + G X = 0.  A semilinear sigma
+    conjugates r: i*1 is skew, and X^T G + G X = 2iG.
     """
-    if forms is None:
+    if forms is None and sigma.conjugates_scalars:
         forms = CellForms.build(algebra, cd)
-    modules, grams = forms.modules, forms.grams
+    grams = forms.grams if forms else {lam: gram_matrix(algebra, cd, lam) for lam in cd.lambdas}
     gram_ranks = tuple((lam, grams[lam].size, grams[lam].rank) for lam in cd.lambdas)
 
     # (a) injectivity of the combined cell representation, read off the ranks.
     injective = all(size == rk for _, size, rk in gram_ranks)
 
-    # (b) G-skewness of the action of every skew-part basis element.
+    # (b) G-skewness of every skew-part basis element, proved above for a linear sigma.
     sub = plesken_subspace(algebra, sigma)
-    actions = ((r, lam, modules[lam].act(x)) for r, x in enumerate(sub.rows.values())
-               for lam in cd.lambdas)
+    actions = ((r, lam, forms.modules[lam].act(x)) for r, x in enumerate(sub.rows.values())
+               for lam in cd.lambdas) if sigma.conjugates_scalars else ()
     skew_witness = next(((r, lam) for r, lam, action in actions
                          if action and _form_defect(action, grams[lam].gram, action, 1)), None)
     skew_ok = skew_witness is None
@@ -522,7 +538,8 @@ def check_gram_properties(
     sigma and Hermitian for a semilinear one.
 
     These hold for every datum that passed `validate_cell_datum`, semisimple
-    or not.  `forms`, if given, must be `CellForms.build(algebra, cd)`.
+    or not, as the `report` module and `verify_theorem` prove, so no command
+    runs this check.  `forms`, if given, must be `CellForms.build(algebra, cd)`.
     """
     if forms is None:
         module, g = cell_module(algebra, cd, lam), gram_matrix(algebra, cd, lam).gram

@@ -461,8 +461,8 @@ def test_refutation_tl_delta_zero():
 
 
 def test_cellular_report_builds_each_cell_form_once(monkeypatch):
-    # The report checks the Gram properties and the certificate on one
-    # shared CellForms; both give what they give on their own.
+    # A shared CellForms gives what the checks give on their own.  The
+    # report, on a linear sigma, builds each Gram form once and no module.
     import plesken.cellular as cellular
 
     A, sigma = temperley_lieb(4, 0)
@@ -481,7 +481,7 @@ def test_cellular_report_builds_each_cell_form_once(monkeypatch):
         monkeypatch.setattr(cellular, name, counted)
     report = cellular_report("tl04", A, sigma, cd)
     assert report["theorem"]["failed_check"] == "representation_injective"
-    assert calls == {"cell_module": len(cd.lambdas), "gram_matrix": len(cd.lambdas)}
+    assert calls == {"cell_module": 0, "gram_matrix": len(cd.lambdas)}
 
 
 @pytest.mark.parametrize(
@@ -577,6 +577,7 @@ def test_hermitian_cell_form_under_semilinear_sigma():
     assert forms.grams[1].gram == Matrix(phi) == gram_every_witness(A, cd, 1)
     assert check_gram_properties(A, sigma, cd, 1, forms=forms) is None
     assert gram_properties_dense(A, sigma, 1, forms) is None
+    _skewness_against_oracles(A, sigma, cd)
     report = cellular_report("hermitian", A, sigma, cd)
     assert report["gram_properties"] == {"pass": True, "failures": []}
     assert report["theorem"]["failed_check"] == "form_skewness"
@@ -626,8 +627,10 @@ def test_changed_action_entry_fails_adjointness(factory, n, datum_factory):
     failure = check_gram_properties(A, sigma, cd, lam, forms=corrupted)
     assert (failure.kind, failure.witness) == ("adjointness", (min(a, b),))
     assert failure == gram_properties_dense(A, sigma, lam, corrupted)
-    outcome = verify_theorem(A, sigma, cd, forms=corrupted)
-    assert outcome.skew_witness == form_skewness_dense(A, sigma, cd, corrupted)
+    # The corrupted modules break the `forms` contract; a linear sigma reads
+    # no module, so the certificate is the one of the true forms.
+    assert form_skewness_dense(A, sigma, cd, corrupted) is not None
+    assert verify_theorem(A, sigma, cd, forms=corrupted) == verify_theorem(A, sigma, cd)
 
 
 @pytest.mark.parametrize("factory, n, datum_factory", CORRUPTIBLE)
@@ -653,7 +656,7 @@ def test_degenerate_gram_form_refutes_injectivity(factory, n, datum_factory):
         (mu, d, d - 1) if mu == lam else (mu, form.size, form.rank)
         for mu, form in forms.grams.items()
     )
-    assert outcome.skew_witness == form_skewness_dense(A, sigma, cd, corrupted)
+    assert outcome.skew_ok is True
 
 
 def _gram_sweep():
@@ -684,6 +687,34 @@ def test_injectivity_is_gram_nondegeneracy(name, factory, n, datum_factory):
     assert nondegenerate == (name not in DEGENERATE)
     injective = verify_theorem(A, sigma, cd, forms=forms).injective
     assert injective == injective_dense(A, cd, forms) == nondegenerate
+
+
+def _skewness_against_oracles(A, sigma, cd):
+    """The Gram properties hold on every cell, by the dense oracles, and
+    check (b) fails exactly for a semilinear sigma, where it runs."""
+    forms = CellForms.build(A, cd)
+    assert all(gram_properties_dense(A, sigma, lam, forms) is None for lam in cd.lambdas)
+    witness = form_skewness_dense(A, sigma, cd, forms)
+    assert (witness is None) == (not sigma.conjugates_scalars)
+    assert verify_theorem(A, sigma, cd).skew_witness == witness
+    assert verify_theorem(A, sigma, cd, forms=forms).skew_witness == witness
+
+
+SKEWNESS_SWEEP = [
+    *GRAM_SWEEP,
+    ("tl-3-6", partial(temperley_lieb, 6, "3"), 6, cell_datum_temperley_lieb),
+    ("pr-5", partial(planar_rook, 5), 5, cell_datum_planar_rook),
+]
+
+
+@pytest.mark.parametrize(
+    "name, factory, n, datum_factory", SKEWNESS_SWEEP, ids=[case[0] for case in SKEWNESS_SWEEP]
+)
+def test_skewness_is_proved_for_a_linear_sigma(name, factory, n, datum_factory):
+    A, sigma = factory()
+    cd = datum_factory(n, sigma)
+    assert validate_cell_datum(A, sigma, cd) is None
+    _skewness_against_oracles(A, sigma, cd)
 
 
 def test_the_zero_algebra_is_certified():

@@ -1,11 +1,12 @@
 """Finite-dimensional associative algebras with anti-involution.
 
 An `Algebra` is a labeled basis together with a sparse structure-constant
-tensor: the product of basis elements e_i * e_j is stored as a short list of
-(k, coefficient) terms.  An `AntiInvolution` is held as the sparse images
-sigma(e_j), optionally composed with entrywise scalar conjugation (needed
-for conjugate-transposition, which is semilinear rather than linear over
-Q(i)); on a cellular basis sigma permutes the basis up to sign, and
+tensor, stored once and by row: the product e_i * e_j is `rows[i][j]`, a
+short tuple of (k, coefficient) terms, and a j missing from `rows[i]` has
+product zero.  An `AntiInvolution` is held as the sparse images sigma(e_j),
+optionally composed with entrywise scalar conjugation (needed for
+conjugate-transposition, which is semilinear rather than linear over Q(i));
+on a cellular basis sigma permutes the basis up to sign, and
 `AntiInvolution.signed_permutation` builds it so.  Vectors are sparse
 {index: scalar} terms, summed by `linalg.combine`: products go through
 `linalg.bilinear_product`, `sigma.image` sums the images and the skew part
@@ -22,13 +23,16 @@ when sigma^2 = id; then (Q(i) having characteristic zero) the span is the
 whole (-1)-eigenspace.  It is held as its sparse echelon rows, `Subspace.rows`.
 
 The validators prove associativity and the anti-homomorphism law exactly,
-but only for factors in `TableIndex.generators`, a generating set whose
+but only for factors in `Algebra.generators`, a generating set whose
 spanning is itself proved; the exhaustive scans live on as test oracles.
+They, axiom C3 and the Lie table read the table by row; `generators` and
+the columns `cols` are computed on first use and kept on the algebra.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -60,7 +64,8 @@ class Algebra:
         may recur, its terms then summed.  Every index must be an int (not a
         bool) in range; coefficients are read by `exact`.  A single term on
         a new pair is stored as read, one tuple per distinct term, or not at
-        all if zero; only a recurring pair or several terms are summed."""
+        all if zero; only a recurring pair or several terms are summed, and
+        the terms of e_i e_j go to `rows[i][j]`."""
         self.labels = tuple(labels)
         n = self.dim = len(self.labels)
         if len(set(self.labels)) != n:
@@ -68,9 +73,6 @@ class Algebra:
         self.unit = vector(unit)
         if len(self.unit) != n:
             raise ValueError("unit vector has wrong length")
-
-        def index(v) -> bool:
-            return type(v) is int and 0 <= v < n
 
         strings: dict[str, int | GaussianRational] = {}
 
@@ -80,35 +82,35 @@ class Algebra:
             return strings[c] if c in strings else strings.setdefault(c, exact(c))
 
         items = structure.items() if isinstance(structure, Mapping) else structure
-        table: dict[tuple[int, int], Terms] = {}
+        rows: list[dict[int, Terms]] = [{} for _ in range(n)]
         shared: dict[tuple, Terms] = {}
         for (i, j), terms in items:
             if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
                 raise ValueError(f"structure index out of range: {(i, j)}")
-            terms = tuple(terms)
-            if len(terms) == 1 and (i, j) not in table:  # checked and read inline
+            row, terms = rows[i], tuple(terms)
+            if len(terms) == 1 and j not in row:  # checked and read inline
                 ((k, c),) = terms
                 if not (type(k) is int and 0 <= k < n):
                     raise ValueError(f"structure target out of range: {k}")
                 if type(c) is not int:
                     c = read(c)
                 if c:
-                    table[(i, j)] = shared.get((k, c)) or shared.setdefault((k, c), ((k, c),))
+                    row[j] = shared.get((k, c)) or shared.setdefault((k, c), ((k, c),))
                 continue
             for k, _ in terms:
-                if not index(k):
+                if not (type(k) is int and 0 <= k < n):
                     raise ValueError(f"structure target out of range: {k}")
-            merged = combine(((1, table.pop((i, j), ())), (1, [(k, read(c)) for k, c in terms])))
+            merged = combine(((1, row.pop(j, ())), (1, [(k, read(c)) for k, c in terms])))
             if merged:  # a sum of non-integral values can be an integer
-                table[(i, j)] = tuple(sorted((k, exact(c)) for k, c in merged.items()))
-        self.structure = table
+                row[j] = tuple(sorted((k, exact(c)) for k, c in merged.items()))
+        self.rows = rows
 
     def __eq__(self, other):
         return (
             isinstance(other, Algebra)
             and self.labels == other.labels
             and self.unit == other.unit
-            and self.structure == other.structure
+            and self.rows == other.rows
         )
 
     __hash__ = None
@@ -117,47 +119,41 @@ class Algebra:
         return f"Algebra(dim={self.dim})"
 
     def product_terms(self, i: int, j: int) -> Terms:
-        return self.structure.get((i, j), ())
+        return self.rows[i].get(j, ())
 
     def multiply_vectors(self, x: Sequence, y: Sequence) -> Vector:
         n = self.dim
-        return dense(n, bilinear_product(self.structure, sparse(x, n), sparse(y, n)))
+        return dense(n, bilinear_product(self.rows, sparse(x, n), sparse(y, n)))
 
-
-class TableIndex:
-    """Stored products by row, `rows[i] = {j: terms of e_i e_j}`, by column,
-    `cols[j]` = the i with e_i e_j stored (listed in a loop of their own, so
-    that a later `emit` of PR(6) peaks lowest), and `single[b]`, the number of
-    e_i e_j = c e_b with i != b != j; `validate_algebra` builds one per call."""
-
-    def __init__(self, algebra: Algebra):
-        self.cols: list[list[int]] = [[] for _ in range(algebra.dim)]
-        for i, j in algebra.structure:
-            self.cols[j].append(i)
-        self.rows: list[dict[int, Terms]] = [{} for _ in range(algebra.dim)]
-        self.single = [0] * algebra.dim
-        for (i, j), terms in algebra.structure.items():
-            self.rows[i][j] = terms
-            if len(terms) == 1 and i != (b := terms[0][0]) != j:
-                self.single[b] += 1
+    @cached_property
+    def cols(self) -> list[list[int]]:
+        """`cols[j]`: the i with e_i e_j stored, ascending."""
+        cols: list[list[int]] = [[] for _ in range(self.dim)]
+        for i, row in enumerate(self.rows):
+            for j in row:
+                cols[j].append(i)
+        return cols
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """Sorted basis indices G whose products span the algebra, proved.
 
-        Candidates b come least `single[b]` first, then with the most distinct
-        targets of e_b e_j and e_j e_b, then by index; one in the span so far
-        is skipped.  Each one taken closes the span under right multiplication
-        by all taken, in an exact `Echelon`, through stored products only; a
-        span of dimension n proves G generating, with no unit or associativity
-        assumed.  The order only picks which G: each proof holds for any spanning G."""
-        rows, cols, n = self.rows, self.cols, len(self.rows)
+        Candidates b come least `single[b]` first, the number of e_i e_j =
+        c e_b with i != b != j, then with the most distinct targets of e_b e_j
+        and e_j e_b, then by index; one in the span so far is skipped.  Each
+        one taken closes the span under right multiplication by all taken, in
+        an exact `Echelon`, through stored products only; a span of dimension
+        n proves G generating, with no unit or associativity assumed.  The
+        order only picks which G: each proof holds for any spanning G."""
+        rows, cols, n = self.rows, self.cols, self.dim
+        single = Counter(t[0][0] for i, row in enumerate(rows) for j, t in row.items()
+                         if len(t) == 1 and i != t[0][0] != j)
 
         def key(b: int) -> tuple[int, int, int]:
             targets = {k for t in rows[b].values() for k, _ in t}
             if len(targets) < n:  # else column b adds none
                 targets.update(k for i in cols[b] for k, _ in rows[i][b])
-            return self.single[b], -len(targets), b
+            return single[b], -len(targets), b
         span, generators = Echelon(n), []
         rows_at, gens_at = [[] for _ in range(n)], [[] for _ in range(n)]
         for b in sorted(range(n), key=key):
@@ -298,14 +294,12 @@ class AntiInvolution:
         return combine(((1, v.items()), (-1, self.image(v).items())))
 
 
-def validate_associativity(
-    algebra: Algebra, index: Optional[TableIndex] = None
-) -> Optional[tuple[int, int, int]]:
+def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
     """A basis triple (i, g, k) with (ei eg) ek != ei (eg ek), else None.
 
     Light's associativity test (Clifford & Preston, The Algebraic Theory of
     Semigroups I, section 1.2), on middle indices g in the proved generating
-    set `index.generators` only.  The a with (x a) y = x (a y) for all x, y
+    set `algebra.generators` only.  The a with (x a) y = x (a y) for all x, y
     form a subspace S, closed under products: for a, b in S, (x(ab))y =
     ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y), so S is the whole algebra.
     The triple returned is the least of the first failures for each g in G.
@@ -313,10 +307,9 @@ def validate_associativity(
     For each g only the i with ei eg, or ei el for a target l of row g,
     stored are visited; each side is a row over k, the rows compared whole.
     """
-    index = TableIndex(algebra) if index is None else index
-    n, rows, cols = algebra.dim, index.rows, index.cols
+    n, rows, cols = algebra.dim, algebra.rows, algebra.cols
     live, failures = sum(1 for row in rows if row), []
-    for g in index.generators:
+    for g in algebra.generators:
         reach = set(cols[g])
         for l in {l for t in rows[g].values() for l, _ in t}:
             if len(reach) == live:
@@ -350,17 +343,16 @@ def _sum(scaled: Iterable[tuple[GaussianRational, Terms]]) -> Terms:
     return tuple(sorted(combine(scaled).items()))
 
 
-def validate_unit(algebra: Algebra, index: Optional[TableIndex] = None) -> Optional[int]:
+def validate_unit(algebra: Algebra) -> Optional[int]:
     """First basis index i where unit * e_i != e_i or e_i * unit != e_i, else
     None, each read at the unit or at column or row i, whichever is shorter."""
-    index = TableIndex(algebra) if index is None else index
     unit = sparse(algebra.unit, algebra.dim)
-    for i, row in enumerate(index.rows):
+    for i, row in enumerate(algebra.rows):
         if len(row) < len(unit):
             right = combine((unit[j], t) for j, t in row.items() if j in unit)
         else:
             right = combine((c, t) for j, c in unit.items() if (t := row.get(j)))
-        if index.times(unit, i) != {i: 1} or right != {i: 1}:
+        if algebra.times(unit, i) != {i: 1} or right != {i: 1}:
             return i
     return None
 
@@ -377,11 +369,9 @@ class InvolutionFailure(NamedTuple):
         return f"sigma(ei ej) != sigma(ej) sigma(ei) at basis pair {self.witness}"
 
 
-def validate_involution(
-    algebra: Algebra, sigma: AntiInvolution, index: Optional[TableIndex] = None
-) -> Optional[InvolutionFailure]:
+def validate_involution(algebra: Algebra, sigma: AntiInvolution) -> Optional[InvolutionFailure]:
     """Check sigma^2 = id on the basis and sigma(eg ej) = sigma(ej) sigma(eg)
-    for g in the proved generating set `index.generators` and every j.
+    for g in the proved generating set `algebra.generators` and every j.
 
     Precondition: the algebra is associative, as `validate_associativity`
     proves; `validate_algebra` runs it first.  Then the elements a with
@@ -399,13 +389,12 @@ def validate_involution(
     for i in range(n):
         if sigma.image(images[i]) != {i: 1}:
             return InvolutionFailure("square", (i,))
-    index = TableIndex(algebra) if index is None else index
-    rows, cols = index.rows, index.cols
+    rows, cols = algebra.rows, algebra.cols
     preimages: list[list[int]] = [[] for _ in range(n)]  # a -> the j with a in sigma(ej)
     for j, image in enumerate(images):
         for a in image:
             preimages[a].append(j)
-    for g in index.generators:
+    for g in algebra.generators:
         row_g, image_g = rows[g], images[g]
         for j in sorted({*row_g, *(j for b in image_g for a in cols[b] for j in preimages[a])}):
             if len(t := row_g.get(j, ())) == 1:
@@ -415,9 +404,9 @@ def validate_involution(
                 lhs = sigma.image(dict(t))
             if len(image_g) == 1:
                 ((b, d),) = image_g.items()
-                rhs = index.times({a: c * d for a, c in images[j].items()}, b)
+                rhs = algebra.times({a: c * d for a, c in images[j].items()}, b)
             else:
-                rhs = bilinear_product(algebra.structure, images[j], image_g)
+                rhs = bilinear_product(rows, images[j], image_g)
             if lhs != rhs:
                 return InvolutionFailure("antihomomorphism", (g, j))
     return None
@@ -437,30 +426,32 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
     """The Lie algebra on the skew part, with brackets expressed in its basis.
 
     Each bracket xy - yx of skew basis rows sums the product terms read in
-    place from `algebra.structure`.  A row is 1 at its pivot and 0 at the
-    others, so the coordinates are the entries at the pivots; a remainder
-    after taking off those rows would mean the bracket left the subspace,
-    which the closure identity rules out.  Both loops are written out here,
-    not as `linalg.combine` and `reduce_by`, which took about 1.5x as long
-    (README, the Lie table); `LieAlgebra` stores the half i < j it returns.
+    place from `algebra.rows`, the row of each index of x looked up once.  A
+    row is 1 at its pivot and 0 at the others, so the coordinates are the
+    entries at the pivots; a remainder after taking off those rows would
+    mean the bracket left the subspace, which the closure identity rules
+    out.  Both loops are written out here, not as `linalg.combine` and
+    `reduce_by`, which took about 1.5x as long (README, the Lie table);
+    `LieAlgebra` stores the half i < j it returns.
     """
     from .lie import LieAlgebra
 
-    get = algebra.structure.get
+    table = algebra.rows
     sub = plesken_subspace(algebra, sigma)
     rows = list(sub.rows.values())
     position = {p: r for r, p in enumerate(sub.rows)}
-    table: dict[tuple[int, int], list] = {}
+    brackets: dict[tuple[int, int], list] = {}
     for a, x in enumerate(rows):
         for b in range(a + 1, len(rows)):
             y = rows[b]
             z: dict = {}
             for i, c in x.items():
+                row = table[i]
                 for j, d in y.items():
                     cd = c * d
-                    for k, e in get((i, j), ()):
+                    for k, e in row.get(j, ()):
                         z[k] = z.get(k, 0) + cd * e
-                    for k, e in get((j, i), ()):
+                    for k, e in table[j].get(i, ()):
                         z[k] = z.get(k, 0) - cd * e
             terms = sorted((position[p], c) for p, c in z.items() if c and p in position)
             for r, c in terms:
@@ -471,8 +462,8 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
                     f"bracket of basis pair ({a}, {b}) left the skew part"
                 )
             if terms:
-                table[(a, b)] = terms
-    return LieAlgebra(lie_labels(algebra.labels, rows), table)
+                brackets[(a, b)] = terms
+    return LieAlgebra(lie_labels(algebra.labels, rows), brackets)
 
 
 def lie_labels(ambient_labels: Sequence[str], rows: Iterable[Mapping]) -> list[str]:
@@ -517,7 +508,7 @@ def bracket_closure_check(
     hat = sigma.skew_terms
 
     def mul(x, y):
-        return bilinear_product(algebra.structure, x, y)
+        return bilinear_product(algebra.rows, x, y)
 
     for trial in range(samples):
         a = vector(rng.randint(-9, 9) for _ in range(n))

@@ -14,20 +14,21 @@ The axioms checked by `validate_cell_datum` are:
 
 Because the cellular basis *is* the algebra basis here, C3 is a support
 check on structure constants plus a coefficient comparison across t; no
-linear algebra is needed.  One reader gives the C3 blocks: C3 compares
-them across t, those of the first column are the cell module actions as
-sparse {(row, col): scalar} entries, and those of the C[s0, t] hold the
-rows of each cell's dense Gram matrix.  The whole package is assembled by
-`verify_theorem`: when every Gram form is non-degenerate, the direct sum of
-cell representations is injective, and the skew part of the involution maps
-isomorphically onto the block-skew matrices (X^T G + G X = 0 per cell), the
-direct sum of the orthogonal Lie algebras of the Gram forms.  Injectivity is
-read off the Gram ranks, full ones certified mod a prime.  Skewness follows
-from the axioms for a linear sigma, as `verify_theorem` proves, so only a
-semilinear one builds the cell modules, and its form check sums sparse
-entries times the Gram matrix into one dict, d terms per entry.  The poset
-is used only through its comparability pairs, so non-total orders work
-unchanged.
+linear algebra is needed.  It reads the stored rows `algebra.rows[a]` of
+the proved generators a only, on the cells each row reaches.  One reader
+gives the C3 blocks: C3 compares them across t, those of the first column
+are the cell module actions as sparse {(row, col): scalar} entries, and
+those of the C[s0, t] hold the rows of each cell's dense Gram matrix.  The
+whole package is assembled by `verify_theorem`: when every Gram form is
+non-degenerate, the direct sum of cell representations is injective, and
+the skew part of the involution maps isomorphically onto the block-skew
+matrices (X^T G + G X = 0 per cell), the direct sum of the orthogonal Lie
+algebras of the Gram forms.  Injectivity is read off the Gram ranks, full
+ones certified mod a prime.  Skewness follows from the axioms for a linear
+sigma, as `verify_theorem` proves, so only a semilinear one builds the cell
+modules, and its form check sums sparse entries times the Gram matrix into
+one dict, d terms per entry.  The poset is used only through its
+comparability pairs, so non-total orders work unchanged.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import itertools
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .algebra import Algebra, AntiInvolution, TableIndex, plesken_subspace
+from .algebra import Algebra, AntiInvolution, plesken_subspace
 from .builders import planar_rook_diagrams, temperley_lieb_diagrams
 from .linalg import P, Matrix, combine, rank, rank_mod_p, reducible, residue
 from .scalars import GaussianRational
@@ -64,14 +65,15 @@ class CellDatum:
         if len(labels) != len(self.lambdas):
             raise ValueError("duplicate cell labels")
         self.less = frozenset((a, b) for a, b in less_pairs)
-        above: dict[Label, set] = {}  # above[a]: the b with (a, b) in less
+        bit = {lam: 1 << r for r, lam in enumerate(self.lambdas)}
+        above = dict.fromkeys(self.lambdas, 0)  # above[a]: the bit of each b with (a, b) in less
         for a, b in self.less:
             if a not in labels or b not in labels:
                 raise ValueError("order pair mentions unknown cell label")
             if a == b:
                 raise ValueError("strict order cannot be reflexive")
-            above.setdefault(a, set()).add(b)
-        if any(not above.get(b, set()) <= above[a] for a, b in self.less):
+            above[a] |= bit[b]
+        if any(above[b] & ~above[a] for a, b in self.less):
             raise ValueError("order pairs are not transitively closed")
         if not set(index_sets) <= labels:
             raise ValueError("index set given for an unknown cell label")
@@ -171,13 +173,13 @@ class CellValidationFailure(NamedTuple):
 
 
 def validate_cell_datum(
-    algebra: Algebra, sigma: AntiInvolution, cd: CellDatum,
-    generators: Optional[Sequence[int]] = None,
+    algebra: Algebra, sigma: AntiInvolution, cd: CellDatum
 ) -> Optional[CellValidationFailure]:
     """Check C1-C3; returns the first failure report, or None.
 
     C1 and C2 read every triple; C3 reads e_a C only for a in the proved
-    generating set G, `TableIndex(algebra).generators` unless given.  With
+    generating set G, `algebra.generators`, and only on the cells that the
+    stored row of e_a reaches: on any other cell every block is empty.  With
     the algebra associative, as `validate_algebra` proves first, and the
     order transitive, as `CellDatum` checks, the a that satisfy C3 form a
     subspace, closed under products: (ab)C = a(bC), and a J(<lam) lies in
@@ -217,8 +219,9 @@ def validate_cell_datum(
                 "C2", (lam, s, t), "involution does not send C[s,t] to C[t,s]"
             )
     # C3: triangular action with t-independent coefficients.
-    for a in TableIndex(algebra).generators if generators is None else generators:
-        for lam in cd.lambdas:
+    for a in algebra.generators:
+        reached = {cd.triples_of[b][0][0] for b in algebra.rows[a]}
+        for lam in (lam for lam in cd.lambdas if lam in reached):
             members = cd.members(lam)
             for t in members:
                 block = _column_action(algebra, cd, lam, a, t)

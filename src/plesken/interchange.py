@@ -128,12 +128,13 @@ def document_to_jsonable(doc: AlgebraDocument) -> dict:
         "format_version": FORMAT_VERSION,
         "name": doc.name,
         "basis": list(algebra.labels),
-        # Keys are unique and each term tuple is sorted by target, so this
-        # is the (i, j, k) order.
+        # Rows in order, each by j, and each term tuple sorted by target:
+        # the (i, j, k) order.
         "structure": [
             [i, j, k, str(c)]
-            for (i, j), terms in sorted(algebra.structure.items())
-            for k, c in terms
+            for i, row in enumerate(algebra.rows)
+            for j in sorted(row)
+            for k, c in row[j]
         ],
         "unit": [str(c) for c in algebra.unit],
         "involution": _involution_payload(doc.sigma),

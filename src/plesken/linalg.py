@@ -2,10 +2,10 @@
 
 Sparse {index: scalar} terms are the one vector form, and `combine` is the
 one loop that sums them: c * terms over (c, terms) pairs.
-`bilinear_product` multiplies terms through a table of basis products, and
-`Echelon` keeps a span in reduced row echelon form as sparse rows,
-inserted one vector at a time; a product, a reduction by `reduce_by` and a
-back-substitution are each one `combine`.  A `Subspace` is the span those
+`bilinear_product` multiplies terms through the rows of a table of basis
+products, and `Echelon` keeps a span in reduced row echelon form as sparse
+rows, inserted one vector at a time; a product, a reduction by `reduce_by`
+and a back-substitution are each one `combine`.  A `Subspace` is the span those
 rows end in, held as the rows themselves; the reduced row echelon form is
 unique, so two subspaces are equal exactly when their rows coincide, and
 v lies in it exactly when `reduce_by(sub.rows, v)` is empty, its
@@ -72,17 +72,17 @@ def dense(n: int, v: Mapping[int, GaussianRational]) -> Vector:
 
 
 def bilinear_product(
-    terms: Mapping[tuple[int, int], Terms],
+    rows: Sequence[Mapping[int, Terms]],
     x: Mapping[int, GaussianRational],
     y: Mapping[int, GaussianRational],
 ) -> dict[int, GaussianRational]:
-    """Bilinear extension of basis products: sum of x_i y_j * terms[(i, j)].
+    """Bilinear extension of basis products: sum of x_i y_j * rows[i][j].
 
-    `terms` maps a basis index pair to the sparse expansion of its product;
-    a pair it lacks has product zero.
+    `rows[i]` maps j to the sparse expansion of e_i e_j; a j it lacks has
+    product zero.
     """
-    get = terms.get
-    return combine((a * b, t) for i, a in x.items() for j, b in y.items() if (t := get((i, j))))
+    return combine((a * b, t) for i, a in x.items() if (row := rows[i])
+                   for j, b in y.items() if (t := row.get(j)))
 
 
 class Matrix:

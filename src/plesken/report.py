@@ -1,7 +1,9 @@
 """Verification reports: deterministic JSON, optional Markdown rendering.
 
 Every verdict in a report is computed in the invocation that emits it,
-each artifact once; nothing is cached between runs.  Reports are rendered
+each artifact once; nothing is cached between runs.  `validate_algebra` and
+then `validate_cell_datum` prove their checks over the same generating set,
+`algebra.generators`, kept on the algebra with the columns `algebra.cols`.  Reports are rendered
 byte-identically for identical inputs, flags and seed; wall-clock timing is
 therefore only included when explicitly requested.
 
@@ -37,7 +39,6 @@ import json
 from .algebra import (
     Algebra,
     AntiInvolution,
-    TableIndex,
     describe_vector,
     lie_labels,
     plesken_lie_algebra,
@@ -65,18 +66,15 @@ class DocumentInvalid(ValueError):
     """An input document failed structural validation."""
 
 
-def validate_algebra(
-    algebra: Algebra, sigma: AntiInvolution, index: TableIndex | None = None
-) -> dict:
+def validate_algebra(algebra: Algebra, sigma: AntiInvolution) -> dict:
     """Run the structural checks, raising DocumentInvalid on failure."""
-    index = TableIndex(algebra) if index is None else index  # shared by the three
-    triple = validate_associativity(algebra, index)
+    triple = validate_associativity(algebra)
     if triple is not None:
         raise DocumentInvalid(f"associativity fails at basis triple {triple}")
-    bad_unit = validate_unit(algebra, index)
+    bad_unit = validate_unit(algebra)
     if bad_unit is not None:
         raise DocumentInvalid(f"unit axiom fails at basis index {bad_unit}")
-    failure = validate_involution(algebra, sigma, index)
+    failure = validate_involution(algebra, sigma)
     if failure is not None:
         raise DocumentInvalid(f"involution invalid: {failure}")
     return {"associativity": "pass", "unit": "pass", "involution": "pass"}
@@ -144,11 +142,8 @@ def cellular_report(
     seed: int = 0,
 ) -> dict:
     """Full cellularity verification on top of the analysis report."""
-    index = TableIndex(algebra)
-    checks = validate_algebra(algebra, sigma, index)
-    generators = index.generators  # C3 is proved over the same G; the index is dropped
-    del index
-    failure = validate_cell_datum(algebra, sigma, datum, generators)
+    checks = validate_algebra(algebra, sigma)
+    failure = validate_cell_datum(algebra, sigma, datum)
     if failure is not None:
         report = _analysis(name, algebra, sigma, checks, None, bracket_cap, seed)[0]
         report["cellularity"] = {"valid": False, "failure": str(failure)}

@@ -131,7 +131,7 @@ def _item_matrix_over(n: int) -> dict:
     validate_algebra(algebra, sigma)
     if n == 1:
         _check(
-            algebra.structure == inner.structure,
+            algebra.rows == inner.rows,
             "M(1, A) should reproduce A's structure constants",
         )
     return {"dim": algebra.dim}

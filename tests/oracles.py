@@ -8,7 +8,9 @@ directly.  `tests/test_oracle_independence.py` fails if this file names
 the sparse kernels (`combine`, `bilinear_product`, `reduce_by`,
 `Echelon`, `Subspace.from_vectors`, `sigma.image`, `sigma.skew_terms`,
 `L.bracket`, `L.bracket_terms`) or the dense wrapper `multiply_vectors`.  `changed_basis`,
-which builds the multi-term test tables, computes the same way.
+which builds the multi-term test tables, computes the same way.  The
+oracles read products through `pairs(algebra)`, the pair-keyed view of the
+stored rows `Algebra.rows`.
 
 `validate_associativity` and `validate_involution` in `plesken.algebra`
 check their laws only for middle (resp. left) factors in a proved
@@ -73,7 +75,7 @@ tables built from them, and a structure table summed over
 `GroupTable` reads a table's identity and right inverses and leaves the
 proof to `validate_algebra`; `group_axioms` is the brute-force group check
 it ran before: two-sided identity and inverse searches and all n^3
-triples.  `CellDatum` checks its order by one set inclusion per pair;
+triples.  `CellDatum` checks its order by one bitmask inclusion per pair;
 `cell_order_failure` is the loop over all pairs of pairs it replaced.
 `validate_cell_datum` checks C3 for the left factors in the proved
 generating set; `c3_every_element` is the scan over every basis element it
@@ -117,6 +119,12 @@ from plesken.cellular import (
 from plesken.lie import Fingerprint, LieAlgebra
 from plesken.linalg import Matrix, Subspace, Terms, Vector, unit_vector, vector, zero_vector
 from plesken.scalars import I, ONE, ZERO, GaussianRational, exact, scalar
+
+
+def pairs(algebra: Algebra) -> dict[tuple[int, int], Terms]:
+    """The stored products keyed by pair, {(i, j): terms of e_i e_j}: the
+    table `algebra.rows` holds by row."""
+    return {(i, j): terms for i, row in enumerate(algebra.rows) for j, terms in row.items()}
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -176,9 +184,9 @@ def changed_basis(
         assert x is not None
         return x
 
-    structure = {}
+    structure, get = {}, pairs(algebra).get
     for i, j in itertools.product(range(n), repeat=2):
-        product = bilinear_product_dense(n, algebra.structure.get, columns[i], columns[j])
+        product = bilinear_product_dense(n, get, columns[i], columns[j])
         structure[(i, j)] = tuple((k, c) for k, c in enumerate(coordinates(product)) if c)
     images = tuple(dict(enumerate(coordinates(apply_dense(sigma, v)))) for v in columns)
     labels = tuple(f"b{i}" for i in range(n))
@@ -216,7 +224,7 @@ def associativity_all_triples(
 ) -> Optional[tuple[int, int, int]]:
     """First basis triple (lexicographic) where (ei ej) ek != ei (ej ek), else
     None; with `middles`, only triples whose middle index j is in it."""
-    get = algebra.structure.get
+    get = pairs(algebra).get
     n = algebra.dim
     middles = range(n) if middles is None else sorted(set(middles))
     for i in range(n):
@@ -241,7 +249,7 @@ def associativity_all_triples(
 def unit_every_index(algebra: Algebra) -> Optional[int]:
     """First basis index i where unit * e_i != e_i or e_i * unit != e_i, else
     None, both products summed densely by `bilinear_product_dense`."""
-    n, get = algebra.dim, algebra.structure.get
+    n, get = algebra.dim, pairs(algebra).get
     for i in range(n):
         e = unit_vector(n, i)
         if bilinear_product_dense(n, get, algebra.unit, e) != e:
@@ -252,16 +260,17 @@ def unit_every_index(algebra: Algebra) -> Optional[int]:
 
 
 def generators_most_targets_first(algebra: Algebra) -> tuple[int, ...]:
-    """The generating set `TableIndex.generators` found while its candidates
+    """The generating set `Algebra.generators` found while its candidates
     came most distinct targets first: by the most distinct targets of
     e_b e_j and e_j e_b over all j, ties by index; one in the span found so
     far is skipped.  Each taken index closes the span under right
     multiplication by every index taken, by dense products, each reduced
     against the dense rows found so far in the order they were found (each
     row is 1 at its pivot and 0 at the pivots of the rows before it)."""
-    n, get = algebra.dim, algebra.structure.get
+    table = pairs(algebra)
+    n, get = algebra.dim, table.get
     targets: list[set[int]] = [set() for _ in range(n)]
-    for (i, j), terms in algebra.structure.items():
+    for (i, j), terms in table.items():
         for k, _ in terms:
             targets[i].add(k)
             targets[j].add(k)
@@ -304,7 +313,7 @@ def direct_sum(*parts: tuple[Algebra, AntiInvolution]) -> tuple[Algebra, AntiInv
     for block, (algebra, sigma) in enumerate(parts):
         offset = len(labels)
         labels += [f"{label}_{block}" for label in algebra.labels]
-        for (i, j), terms in algebra.structure.items():
+        for (i, j), terms in pairs(algebra).items():
             structure[(i + offset, j + offset)] = tuple((k + offset, c) for k, c in terms)
         unit += algebra.unit
         images += [{k + offset: c for k, c in values.items()} for values in sigma.images]
@@ -380,6 +389,7 @@ def c3_every_element(
     lam, t and s in that order, as `validate_cell_datum` reports it, else None;
     a term counts as lower when its cell is below lam in `cd.less`."""
     triple_at = {idx: triple for triple, idx in cd.basis_map.items()}
+    get = pairs(algebra).get
     for a in range(algebra.dim) if lefts is None else sorted(set(lefts)):
         for lam in cd.lambdas:
             members = cd.index_sets[lam]
@@ -387,7 +397,7 @@ def c3_every_element(
             for t in members:
                 block = {}
                 for s in members:
-                    for k, c in algebra.structure.get((a, cd.basis_map[(lam, s, t)]), ()):
+                    for k, c in get((a, cd.basis_map[(lam, s, t)]), ()):
                         mu, row, column = triple_at[k]
                         if (mu, lam) in cd.less:
                             continue
@@ -417,6 +427,7 @@ def involution_all_pairs(
     for i in range(n):
         if apply_dense(sigma, images[i], m) != unit_vector(n, i):
             return InvolutionFailure("square", (i,))
+    get = pairs(algebra).get
     for i in range(n) if lefts is None else sorted(set(lefts)):
         for j in range(n):
             product = zero_vector(n)
@@ -427,7 +438,7 @@ def involution_all_pairs(
                     acc[k] = c
                 product = tuple(acc)
             lhs = apply_dense(sigma, product, m)
-            rhs = bilinear_product_dense(n, algebra.structure.get, images[j], images[i])
+            rhs = bilinear_product_dense(n, get, images[j], images[i])
             if lhs != rhs:
                 return InvolutionFailure("antihomomorphism", (i, j))
     return None
@@ -640,7 +651,7 @@ def bracket_dense(L: LieAlgebra, x: Sequence, y: Sequence) -> Vector:
 
 
 def commutator_dense(algebra: Algebra, x: Vector, y: Vector) -> Vector:
-    get = algebra.structure.get
+    get = pairs(algebra).get
     return vec_sub(
         bilinear_product_dense(algebra.dim, get, x, y),
         bilinear_product_dense(algebra.dim, get, y, x),
@@ -732,9 +743,10 @@ def bracket_closure_dense(
     rng = random.Random(seed)
     n = algebra.dim
     sub = skew_subspace_kernel(sigma)
+    get = pairs(algebra).get
 
     def mul(x, y):
-        return bilinear_product_dense(n, algebra.structure.get, x, y)
+        return bilinear_product_dense(n, get, x, y)
 
     def hat(v):
         return skew_part_dense(sigma, v)

@@ -11,6 +11,7 @@ from oracles import (
     jacobi_failure,
     kernel_gauss_jordan,
     linear_combination,
+    pairs,
     sigma_matrix,
     skew_part_dense,
 )
@@ -103,8 +104,8 @@ def test_constructor_stores_no_zero_product():
         ((1, 1), ((0, 1), (1, 2))), ((1, 1), ((1, -2), (0, -1))),
         ((0, 0), ((0, "0"),)),
     ]
-    assert Algebra(["a", "b"], items, [1, 0]).structure == {}
-    assert Algebra(["a", "b"], {(0, 0): ((0, 2), (0, -2)), (1, 1): ((1, "0"),)}, [1, 0]).structure == {}
+    assert Algebra(["a", "b"], items, [1, 0]).rows == [{}, {}]
+    assert Algebra(["a", "b"], {(0, 0): ((0, 2), (0, -2)), (1, 1): ((1, "0"),)}, [1, 0]).rows == [{}, {}]
 
 
 @pytest.mark.parametrize(
@@ -128,14 +129,14 @@ def test_builders_validate(factory):
 
 def test_associativity_detects_corruption():
     A, _ = quaternions()
-    structure = dict(A.structure)
+    structure = pairs(A)
     structure[(0, 0)] = ((0, scalar(2)),)
     corrupted = Algebra(A.labels, structure, A.unit)
     assert validate_associativity(corrupted) == (0, 1, 1)  # (0, 0, 1) while G was (0, 1, 2)
     x, y, z = (unit_vector(4, t) for t in (0, 1, 1))
 
     def mul(u, v):
-        return bilinear_product_dense(4, corrupted.structure.get, u, v)
+        return bilinear_product_dense(4, pairs(corrupted).get, u, v)
 
     assert mul(mul(x, y), z) != mul(x, mul(y, z))
 
@@ -150,7 +151,7 @@ def test_identity_is_not_an_anti_involution():
     x, y = unit_vector(4, 1), unit_vector(4, 0)
 
     def mul(u, v):
-        return bilinear_product_dense(4, A.structure.get, u, v)
+        return bilinear_product_dense(4, pairs(A).get, u, v)
 
     assert apply_dense(sigma, mul(x, y)) != mul(apply_dense(sigma, y), apply_dense(sigma, x))
 
@@ -377,6 +378,6 @@ def test_semilinear_involution_in_a_basis_with_imaginary_entries():
     A, sigma = changed_basis(
         *matrix_algebra(2, "conj_transpose"), [tuple(map(scalar, c)) for c in columns]
     )
-    assert any(scalar(c).im for terms in A.structure.values() for _, c in terms)
+    assert any(scalar(c).im for terms in pairs(A).values() for _, c in terms)
     assert validate_involution(A, sigma) is None
     assert involution_all_pairs(A, sigma) is None

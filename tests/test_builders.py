@@ -82,7 +82,7 @@ def test_conjugate_transposition_conjugates():
 def test_matrix_over_one_is_the_inner_algebra():
     inner, inner_sigma = quaternions()
     A, sigma = matrix_over_algebra(1, inner, inner_sigma)
-    assert A.structure == inner.structure
+    assert A.rows == inner.rows
     assert sigma.images == inner_sigma.images
 
 
@@ -95,7 +95,7 @@ def test_matrix_over_quaternions_involution():
 def test_matrix_over_trivial_inner_matches_matrix_algebra():
     A, sigma = matrix_over_algebra(2, *matrix_algebra(1))
     B, tau = matrix_algebra(2)
-    assert A.structure == B.structure
+    assert A.rows == B.rows
     assert A.unit == B.unit
     assert sigma.images == tau.images
 

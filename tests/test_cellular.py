@@ -1,7 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,7 @@ from oracles import (
     form_skewness_dense,
     gram_every_witness,
     gram_properties_dense,
+    idempotents,
     identity_matrix,
     injective_dense,
     linear_combination,
@@ -27,7 +28,6 @@ from plesken.algebra import (
     Algebra,
     AntiInvolution,
     InternalConsistencyError,
-    TableIndex,
     plesken_lie_algebra,
     plesken_subspace,
 )
@@ -149,6 +149,16 @@ def test_order_check_refuses_what_the_pairwise_loop_refuses(order):
         assert expected is None
 
 
+def test_a_non_transitive_order_on_70_cells_is_refused():
+    # 70 cells cross a 64-bit word: each cell's set of cells above is an int.
+    cells = range(70)
+    total = [(a, b) for a in cells for b in cells if a < b]
+    assert CellDatum(cells, total, {}, {}, None).is_less(0, 69)
+    for dropped in ((0, 69), (1, 65), (62, 64), (63, 69)):
+        with pytest.raises(ValueError, match="^order pairs are not transitively closed$"):
+            CellDatum(cells, [p for p in total if p != dropped], {}, {}, None)
+
+
 def _two_by_two(coefficient, unit, conjugates_scalars=False):
     """An algebra on C[s, t], s, t in (1, 2), with C[s, t] * C[u, v] =
     coefficient(s, t, u, v) * C[s, v], sigma sending C[s, t] to C[t, s],
@@ -216,16 +226,12 @@ def _corrupted_orders(cd):
 def _assert_c3_agrees(A, sigma, cd):
     """validate_cell_datum fails exactly when the scan over every element does,
     in the same clause, with the scan's first failure for G, one that the
-    scan also finds at the witness's own left factor; given one generator g,
-    it reports what the scan finds at g."""
+    scan also finds at the witness's own left factor."""
     failure, expected = validate_cell_datum(A, sigma, cd), c3_every_element(A, cd)
     assert (failure is None) == (expected is None)
-    generators = TableIndex(A).generators
-    for g in generators:
-        assert validate_cell_datum(A, sigma, cd, (g,)) == c3_every_element(A, cd, [g])
     if failure is not None:
         assert failure.clause == expected.clause == "C3" and failure.message == expected.message
-        assert failure == c3_every_element(A, cd, generators)
+        assert failure == c3_every_element(A, cd, A.generators)
         assert c3_every_element(A, cd, [failure.witness[0]]) == failure
     return failure
 
@@ -265,10 +271,24 @@ def test_c3_over_the_generators_sees_a_failure_in_a_later_block(first, second):
     reversed_cd = next(_corrupted_orders(second_cd))
     A, sigma, cd = _block_sum(BUILT[first], (algebra, second_sigma, reversed_cd))
     assert validate_algebra(A, sigma)
-    generators = TableIndex(A).generators
+    generators = A.generators
     failure = _assert_c3_agrees(A, sigma, cd)
     assert failure is not None and failure.witness[0] >= BUILT[first][0].dim > generators[0]
     assert c3_every_element(A, cd, generators[:1]) is None
+
+
+def test_c3_over_the_generators_matches_the_scan_on_idempotents():
+    # C^4 with one cell per idempotent: the row of e_a reaches cell a only,
+    # and C3 holds for the total order, its reverse, each pair whose drop
+    # leaves it transitive and the empty order.
+    A, sigma = idempotents(4)
+    cells = range(4)
+    less = [(a, b) for a in cells for b in cells if a < b]
+    cd = CellDatum(cells, less, {lam: (1,) for lam in cells}, {(lam, 1, 1): lam for lam in cells}, sigma)
+    assert validate_algebra(A, sigma)
+    data = [cd, *_corrupted_orders(cd)]
+    assert data[1].less == {(b, a) for a, b in less} and len(data) == 6
+    assert [_assert_c3_agrees(A, sigma, d) for d in data] == [None] * 6
 
 
 @pytest.mark.parametrize("q", [1, 2, Fraction(1, 2), I])
@@ -482,6 +502,26 @@ def test_cellular_report_builds_each_cell_form_once(monkeypatch):
     report = cellular_report("tl04", A, sigma, cd)
     assert report["theorem"]["failed_check"] == "representation_injective"
     assert calls == {"cell_module": 0, "gram_matrix": len(cd.lambdas)}
+
+
+def test_cellular_report_computes_the_columns_and_generators_once(monkeypatch):
+    # validate_algebra and validate_cell_datum share the `cols` and
+    # `generators` kept on the algebra, and the kept values leave it equal
+    # to a fresh one.
+    calls = {"cols": 0, "generators": 0}
+    for name in calls:
+        def counted(self, name=name, original=vars(Algebra)[name].func):
+            calls[name] += 1
+            return original(self)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Algebra, name)
+        monkeypatch.setattr(Algebra, name, prop)
+    A, sigma = planar_rook(3)
+    report = cellular_report("pr3", A, sigma, cell_datum_planar_rook(3, sigma))
+    assert report["cellularity"] == {"valid": True}
+    assert calls == {"cols": 1, "generators": 1} and {"cols", "generators"} <= set(vars(A))
+    assert A == planar_rook(3)[0]
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,12 @@ from oracles import (
     associativity_all_triples,
     bidiagonal_basis,
     involution_from_matrix,
+    pairs,
     signed_permutation_matrix,
 )
 
 from plesken import cli
-from plesken.algebra import Algebra, InternalConsistencyError, TableIndex
+from plesken.algebra import Algebra, InternalConsistencyError
 from plesken.builders import (
     group_algebra,
     matrix_algebra,
@@ -176,7 +177,7 @@ def test_algebra_checks_every_structure_index():
     # A pair may recur among ((i, j), terms) items; its terms are summed.
     items = [((0, 0), ((0, "1/2"),)), ((0, 1), ((1, 1),)), ((0, 0), ((0, "1/2"), (1, 1))),
              ((0, 1), ((1, -1),))]
-    assert Algebra(["a", "b"], items, [1, 0]).structure == {(0, 0): ((0, 1), (1, 1))}
+    assert Algebra(["a", "b"], items, [1, 0]).rows == [{0: ((0, 1), (1, 1))}, {}]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -650,7 +651,7 @@ def test_cli_names_the_associativity_witness(tmp_path, capsys):
         structure = [corrupted if entry == quad else entry for entry in valid["structure"]]
         q.write_text(json.dumps({**valid, "structure": structure}))
         algebra = load(q).algebra
-        triple = associativity_all_triples(algebra, TableIndex(algebra).generators)
+        triple = associativity_all_triples(algebra, algebra.generators)
         assert triple is not None
         code, out = run_cli(capsys, "analyze", str(q))
         assert code == 2
@@ -667,7 +668,7 @@ def test_cli_analyzes_a_multi_term_document(tmp_path, capsys):
     monomial, summed = tmp_path / "tl.plesken.json", tmp_path / "tlb.plesken.json"
     save(document_from_algebra("tl", *temperley_lieb(4, 3)), monomial)
     algebra, sigma = bidiagonal_basis(*temperley_lieb(4, 3))
-    assert sum(len(terms) > 1 for terms in algebra.structure.values()) > algebra.dim
+    assert sum(len(terms) > 1 for terms in pairs(algebra).values()) > algebra.dim
     save(document_from_algebra("tlb", algebra, sigma), summed)
     assert "matrix" in json.loads(summed.read_text())["involution"]
     reports = []
@@ -749,7 +750,7 @@ def test_suite_validates_every_item(monkeypatch):
         algebra, sigma = planar_rook(n, **kwargs)
         if n == 4:
             unit = unit_vector(algebra.dim, 0)
-            algebra = Algebra(algebra.labels, algebra.structure, unit)
+            algebra = Algebra(algebra.labels, pairs(algebra), unit)
         return algebra, sigma
 
     monkeypatch.setattr(suite_module, "planar_rook", planar_rook_wrong_unit)

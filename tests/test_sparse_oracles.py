@@ -26,6 +26,7 @@ from oracles import (
     bracket_closure_dense,
     bracket_dense,
     coordinates_dense,
+    pairs,
     plesken_lie_algebra_dense,
     skew_part_dense,
     skew_subspace_kernel,
@@ -91,12 +92,10 @@ def test_sparse_pipeline_matches_dense_oracles(name):
     assert lie.labels == oracle.labels
     assert lie.table == oracle.table
 
-    n = algebra.dim
+    n, get = algebra.dim, pairs(algebra).get
     for x in probes(n, sub.basis):
         for y in probes(n, sub.basis):
-            assert algebra.multiply_vectors(x, y) == bilinear_product_dense(
-                n, algebra.structure.get, x, y
-            )
+            assert algebra.multiply_vectors(x, y) == bilinear_product_dense(n, get, x, y)
     m = lie.dim
     for x in probes(m, Subspace.full(m).basis) if m else ():
         for y in probes(m, Subspace.full(m).basis):
@@ -122,7 +121,8 @@ tables = st.dictionaries(
 @settings(max_examples=100)
 @given(tables, sparse_vectors(), sparse_vectors())
 def test_bilinear_product_matches_dense_loop(table, x, y):
-    product = bilinear_product(table, x, y)
+    rows = [{j: t for (i, j), t in table.items() if i == r} for r in range(N)]
+    product = bilinear_product(rows, x, y)
     assert all(product.values())
     assert dense(N, product) == bilinear_product_dense(
         N, table.get, dense(N, x), dense(N, y)

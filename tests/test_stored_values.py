@@ -14,6 +14,7 @@ documents `emit` writes for them, read back by `parse`.
 from fractions import Fraction
 
 import pytest
+from oracles import pairs
 from test_validation_oracles import FAMILIES
 
 from plesken.algebra import (
@@ -71,7 +72,7 @@ def _both_orders(L):
 
 
 def _assert_algebra(algebra, sigma):
-    _assert_read_once(_terms(algebra.structure), "structure")
+    _assert_read_once(_terms(pairs(algebra)), "structure")
     _assert_read_once(algebra.unit, "unit")
     _assert_read_once([c for image in sigma.images for c in image.values()], "sigma")
 
@@ -114,7 +115,7 @@ def test_constructors_read_integral_values_as_ints():
     _assert_read_once(_terms(_both_orders(L)), "Lie table")
     A = Algebra(["a", "b"], {(0, 0): ((0, "1/2"), (0, "1/2")), (0, 1): ((1, Fraction(4, 2)),)},
                 [GaussianRational(1), "0"])
-    assert A.structure == {(0, 0): ((0, 1),), (0, 1): ((1, 2),)} and A.unit == (1, 0)
+    assert A.rows == [{0: ((0, 1),), 1: ((1, 2),)}, {}] and A.unit == (1, 0)
     sigma = AntiInvolution(({0: "1+0i", 1: 0}, {1: Fraction(1)}))
     assert sigma.images == ({0: 1}, {1: 1})
     _assert_algebra(A, sigma)

@@ -1,7 +1,7 @@
 """Differential tests: the generator-based validators against the full scans.
 
 `validate_associativity` and `validate_involution` check their laws only on
-the proved generating set `TableIndex.generators`; `oracles.py` keeps the
+the proved generating set `Algebra.generators`; `oracles.py` keeps the
 exhaustive scans they replaced.  On every builder family at n <= 4, on
 single structure-constant corruptions and on column-swapped involutions the
 two must agree on the verdict, every witness must be a genuine failure, and
@@ -36,6 +36,7 @@ from oracles import (
     generators_most_targets_first,
     idempotents,
     involution_all_pairs,
+    pairs,
     span_gauss_jordan,
     unit_every_index,
 )
@@ -44,7 +45,6 @@ from test_interchange_cli import coefficients
 from plesken.algebra import (
     Algebra,
     AntiInvolution,
-    TableIndex,
     validate_associativity,
     validate_involution,
     validate_unit,
@@ -97,17 +97,13 @@ SMALL = (
 )
 
 
-def _generators(algebra):
-    return TableIndex(algebra).generators
-
-
 def _mul(algebra, x, y):
-    return bilinear_product_dense(algebra.dim, algebra.structure.get, x, y)
+    return bilinear_product_dense(algebra.dim, pairs(algebra).get, x, y)
 
 
 def _assert_spans(algebra):
     """Products of the generators span the algebra (dense recomputation)."""
-    n, generators = algebra.dim, _generators(algebra)
+    n, generators = algebra.dim, algebra.generators
     assert list(generators) == sorted(set(generators))
     assert all(0 <= g < n for g in generators)
     words = [unit_vector(n, g) for g in generators]
@@ -123,18 +119,18 @@ def _assert_spans(algebra):
 
 def _assert_associativity_agrees(algebra):
     fast = validate_associativity(algebra)
-    assert fast == associativity_all_triples(algebra, _generators(algebra))
+    assert fast == associativity_all_triples(algebra, algebra.generators)
     assert (fast is None) == (associativity_all_triples(algebra) is None)
     if fast is not None:
         i, g, k = fast
-        assert g in _generators(algebra)
+        assert g in algebra.generators
         x, y, z = (unit_vector(algebra.dim, t) for t in fast)
         assert _mul(algebra, _mul(algebra, x, y), z) != _mul(algebra, x, _mul(algebra, y, z))
 
 
 def _assert_involution_agrees(algebra, sigma):
     fast = validate_involution(algebra, sigma)
-    assert fast == involution_all_pairs(algebra, sigma, _generators(algebra))
+    assert fast == involution_all_pairs(algebra, sigma, algebra.generators)
     oracle = involution_all_pairs(algebra, sigma)
     assert (fast is None) == (oracle is None)
     if fast is None:
@@ -148,7 +144,7 @@ def _assert_involution_agrees(algebra, sigma):
     else:
         assert fast.kind == "antihomomorphism"
         i, j = fast.witness
-        assert i in _generators(algebra)
+        assert i in algebra.generators
         x, y = unit_vector(algebra.dim, i), unit_vector(algebra.dim, j)
         lhs = apply_dense(sigma, _mul(algebra, x, y))
         rhs = _mul(algebra, apply_dense(sigma, y), apply_dense(sigma, x))
@@ -180,7 +176,7 @@ def _corruptions(algebra):
             variants.append((((k + 1) % n, c),) + terms[1:])
             variants.append(terms[1:])  # one term dropped
         for variant in variants:
-            structure = dict(algebra.structure)
+            structure = pairs(algebra)
             structure[(i, j)] = variant
             yield Algebra(algebra.labels, structure, algebra.unit)
 
@@ -194,7 +190,7 @@ def test_structure_constant_corruptions(name):
 
 
 def _assert_validators_match_restricted_scans(algebra, sigma):
-    generators = _generators(algebra)
+    generators = algebra.generators
     assert validate_associativity(algebra) == associativity_all_triples(algebra, generators)
     assert validate_unit(algebra) == unit_every_index(algebra)
     assert validate_involution(algebra, sigma) == involution_all_pairs(algebra, sigma, generators)
@@ -205,7 +201,7 @@ def test_validators_match_the_scans_restricted_to_the_generators(name):
     algebra, sigma = {**FAMILIES, **SPARSE}[name]()
     _assert_spans(algebra)
     _assert_validators_match_restricted_scans(algebra, sigma)
-    assert len(_generators(algebra)) <= len(generators_most_targets_first(algebra))
+    assert len(algebra.generators) <= len(generators_most_targets_first(algebra))
 
 
 @pytest.mark.parametrize("name", SPARSE)
@@ -224,7 +220,7 @@ def test_unit_witnesses_are_the_first_failing_index():
         n = algebra.dim
         for i in range(n):
             for unit in (algebra.unit[:i] + (0,) + algebra.unit[i + 1:], (1,) * n):
-                moved = Algebra(algebra.labels, algebra.structure, unit)
+                moved = Algebra(algebra.labels, pairs(algebra), unit)
                 assert validate_unit(moved) == unit_every_index(moved)
 
 
@@ -276,5 +272,5 @@ def test_generating_set_sizes(factory, size, most_targets_first):
     # (i != b != j) come first, then those with the most distinct product
     # targets; in plain index order TL_3(5) would need 20 generators.
     algebra, _ = factory()
-    assert len(_generators(algebra)) == size
+    assert len(algebra.generators) == size
     assert len(generators_most_targets_first(algebra)) == most_targets_first

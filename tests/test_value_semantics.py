@@ -13,7 +13,6 @@ from plesken.algebra import (
     AntiInvolution,
     ClosureCounterexample,
     InvolutionFailure,
-    TableIndex,
     plesken_lie_algebra,
     plesken_subspace,
     validate_involution,
@@ -102,7 +101,7 @@ def test_the_involution_failure_is_the_one_pinned():
     failure = validate_involution(m2, sigma)
     assert failure == InvolutionFailure("antihomomorphism", (1, 0))  # (0, 1) while G held 0
     assert failure != InvolutionFailure("square", (1, 0))
-    assert involution_all_pairs(m2, sigma, TableIndex(m2).generators) == failure
+    assert involution_all_pairs(m2, sigma, m2.generators) == failure
     assert involution_all_pairs(m2, sigma, [1]) == failure  # the dense check fails there
 
 

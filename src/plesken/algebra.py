@@ -25,8 +25,9 @@ whole (-1)-eigenspace.  It is held as its sparse echelon rows, `Subspace.rows`.
 The validators prove associativity and the anti-homomorphism law exactly,
 but only for factors in `Algebra.generators`, a generating set whose
 spanning is itself proved; the exhaustive scans live on as test oracles.
-They, axiom C3 and the Lie table read the table by row; `generators` and
-the columns `cols` are computed on first use and kept on the algebra.
+They, axiom C3 and the Lie table read the table by row; on a dense table of
+one-term products, `generators` and Light's test read the lists of the view
+`monomial`.  The view, `generators` and `cols` are computed once, on first use.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .linalg import (
@@ -135,6 +138,29 @@ class Algebra:
         return cols
 
     @cached_property
+    def monomial(self) -> Optional[tuple[list[list[int]], Optional[list[list]]]]:
+        """(targets, coefficients), e_i e_j = coefficients[i][j] e_targets[i][j].
+
+        One list of length n + 1 per row and a zero row n, index n standing
+        for the zero product (coefficient 0); `coefficients` is None when
+        every stored one is 1.  None unless every stored product is one term
+        and at least n^2 / 4 are stored: a sparse table (C^n) stays on rows."""
+        rows, n = self.rows, self.dim
+        stored = sum(map(len, rows))
+        if 4 * stored < n * n:
+            return None
+        targets = [[n] * (n + 1) for _ in range(n + 1)]
+        coefficients = [[0] * (n + 1) for _ in range(n + 1)]
+        try:
+            for row, t, c in zip(rows, targets, coefficients):
+                for j, ((k, x),) in row.items():
+                    t[j], c[j] = k, x
+        except ValueError:  # a product of several terms
+            return None
+        ones = sum(c.count(1) for c in coefficients) == stored
+        return targets, None if ones else coefficients
+
+    @cached_property
     def generators(self) -> tuple[int, ...]:
         """Sorted basis indices G whose products span the algebra, proved.
 
@@ -142,9 +168,12 @@ class Algebra:
         c e_b with i != b != j, then with the most distinct targets of e_b e_j
         and e_j e_b, then by index; one in the span so far is skipped.  Each
         one taken closes the span under right multiplication by all taken, in
-        an exact `Echelon`, through stored products only; a span of dimension
-        n proves G generating, with no unit or associativity assumed.  The
-        order only picks which G: each proof holds for any spanning G."""
+        an exact `Echelon` or, on the `monomial` view, as the indices reached,
+        through stored products only; a span of dimension n proves G
+        generating, with no unit or associativity assumed.  The order only
+        picks which G: each proof holds for any spanning G."""
+        if self.monomial:
+            return self._reachable_generators(self.monomial[0])
         rows, cols, n = self.rows, self.cols, self.dim
         single = Counter(t[0][0] for i, row in enumerate(rows) for j, t in row.items()
                          if len(t) == 1 and i != t[0][0] != j)
@@ -173,6 +202,33 @@ class Algebra:
                         rows_at[k].append(r)  # rows_at[k]: the rows found with k, unchanged
                     pending.extend(self.times(r, g) for g in {g for k in r for g in gens_at[k]})
         if len(span.rows) != n:
+            raise InternalConsistencyError("products of the generators do not span the algebra")
+        return tuple(sorted(generators))
+
+    def _reachable_generators(self, targets: list[list[int]]) -> tuple[int, ...]:
+        """`generators` on the `monomial` view: e_k e_g is c e_l with c != 0, or
+        zero, so the span of the products is that of the indices reached."""
+        n, span = self.dim, range(self.dim)
+        count, columns = Counter(chain.from_iterable(targets)), list(zip(*targets))
+
+        def key(b: int) -> tuple[int, int, int]:
+            row, col = targets[b], columns[b]
+            found = set(row)  # n, the zero product, among them
+            if len(found) <= n:  # else column b adds none
+                found.update(col)
+            single = count[b] - row.count(b) - col.count(b) + (row[b] == b)  # less i = b or j = b
+            return single, 1 - len(found), b
+        reached, generators = {n}, []
+        for b in sorted(span, key=key):
+            if len(reached) > n or b in reached:
+                continue
+            generators.append(b)
+            pending = [b, *(targets[k][b] for k in reached)]
+            while pending:
+                if (k := pending.pop()) not in reached:
+                    reached.add(k)
+                    pending.extend(map(targets[k].__getitem__, generators))
+        if len(reached) <= n:
             raise InternalConsistencyError("products of the generators do not span the algebra")
         return tuple(sorted(generators))
 
@@ -305,9 +361,10 @@ def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
     The triple returned is the least of the first failures for each g in G.
 
     For each g only the i with ei eg, or ei el for a target l of row g,
-    stored are visited; each side is a row over k, the rows compared whole.
+    stored are visited; each side is a row over k, the rows compared whole,
+    on the `monomial` view as lists (`_view_failure`).
     """
-    n, rows, cols = algebra.dim, algebra.rows, algebra.cols
+    n, rows, cols, view = algebra.dim, algebra.rows, algebra.cols, algebra.monomial
     live, failures = sum(1 for row in rows if row), []
     for g in algebra.generators:
         reach = set(cols[g])
@@ -315,6 +372,10 @@ def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
             if len(reach) == live:
                 break
             reach.update(cols[l])
+        if view:
+            if failure := _view_failure(*view, g, sorted(reach)):
+                failures.append(failure)
+            continue
         singles = [(k, *t[0]) for k, t in rows[g].items() if len(t) == 1]  # eg ek = c el
         several = [(k, t) for k, t in rows[g].items() if len(t) != 1]
         for i in sorted(reach):
@@ -336,6 +397,24 @@ def validate_associativity(algebra: Algebra) -> Optional[tuple[int, int, int]]:
                 failures.append((i, g, next(k for k in range(n) if left.get(k) != right.get(k))))
                 break
     return min(failures, default=None)
+
+
+def _view_failure(T: list[list[int]], C: Optional[list[list]], g: int, visited) -> Optional[tuple]:
+    """The first (i, g, k), i in `visited`, failing Light's test on the view:
+    T[T[i][g]] against T[i] read at T[g], then C likewise, scaled where needed."""
+    scaled = [(k, x) for k, x in enumerate(C[g]) if x not in (0, 1)] if C else ()
+    at_g = itemgetter(*T[g])  # a row read at T[g]
+    for i in visited:
+        l = T[i][g]
+        left, right = T[l], list(at_g(T[i]))
+        if C:
+            left_c = C[l] if C[i][g] == 1 else [C[i][g] * x for x in C[l]]
+            right_c = list(at_g(C[i]))
+            for k, x in scaled:  # C[g][k] is neither 0 nor 1
+                right_c[k] *= x
+        if left != right or C and left_c != right_c:
+            return i, g, next(k for k in range(len(left)) if left[k] != right[k]
+                              or C and left_c[k] != right_c[k])
 
 
 def _sum(scaled: Iterable[tuple[GaussianRational, Terms]]) -> Terms:

@@ -67,12 +67,14 @@ class CellDatum:
         self.less = frozenset((a, b) for a, b in less_pairs)
         bit = {lam: 1 << r for r, lam in enumerate(self.lambdas)}
         above = dict.fromkeys(self.lambdas, 0)  # above[a]: the bit of each b with (a, b) in less
+        self._below: dict[Label, list[Label]] = {lam: [] for lam in self.lambdas}
         for a, b in self.less:
             if a not in labels or b not in labels:
                 raise ValueError("order pair mentions unknown cell label")
             if a == b:
                 raise ValueError("strict order cannot be reflexive")
             above[a] |= bit[b]
+            self._below[b].append(a)
         if any(above[b] & ~above[a] for a, b in self.less):
             raise ValueError("order pairs are not transitively closed")
         if not set(index_sets) <= labels:
@@ -83,8 +85,10 @@ class CellDatum:
         self.basis_map = dict(basis_map)
         self.involution = involution
         self.triples_of: dict[int, list[tuple]] = {}
+        self._in_cell: dict[Label, list[int]] = {}  # the basis indices of each cell
         for triple, idx in self.basis_map.items():
             self.triples_of.setdefault(idx, []).append(triple)
+            self._in_cell.setdefault(triple[0], []).append(idx)
         self._lower_cache: dict[Label, frozenset[int]] = {}
 
     def __eq__(self, other):
@@ -106,11 +110,10 @@ class CellDatum:
         return self.index_sets[lam]
 
     def lower_indices(self, lam: Label) -> frozenset[int]:
-        """Basis indices of all cells strictly below lam."""
+        """Basis indices of all cells strictly below lam, cell by cell."""
         if lam not in self._lower_cache:
-            self._lower_cache[lam] = frozenset(
-                idx for (mu, _, _), idx in self.basis_map.items() if self.is_less(mu, lam)
-            )
+            self._lower_cache[lam] = frozenset(itertools.chain.from_iterable(
+                self._in_cell.get(mu, ()) for mu in self._below.get(lam, ())))
         return self._lower_cache[lam]
 
 
@@ -189,35 +192,23 @@ def validate_cell_datum(
     the witness is the first one for G."""
     # C1: the triple map covers M(lam) x M(lam) for every lam and hits each
     # basis index exactly once.
-    expected = {
-        (lam, s, t)
-        for lam in cd.lambdas
-        for s in cd.members(lam)
-        for t in cd.members(lam)
-    }
+    expected = {(lam, s, t) for lam, members in cd.index_sets.items()
+                for s in members for t in members}
     actual = set(cd.basis_map)
     if actual != expected:
         missing = sorted(map(repr, expected - actual))
         extra = sorted(map(repr, actual - expected))
-        return CellValidationFailure(
-            "C1",
-            (tuple(missing[:1]), tuple(extra[:1])),
-            "triple map domain is not the union of M(lam) x M(lam)",
-        )
-    values = sorted(cd.basis_map.values())
-    if values != list(range(algebra.dim)):
+        message = "triple map domain is not the union of M(lam) x M(lam)"
+        return CellValidationFailure("C1", (tuple(missing[:1]), tuple(extra[:1])), message)
+    if sorted(cd.basis_map.values()) != list(range(algebra.dim)):
         dupes = [idx for idx, reps in cd.triples_of.items() if len(reps) > 1]
-        return CellValidationFailure(
-            "C1",
-            (tuple(dupes[:1]),),
-            "triple map is not a bijection onto the basis",
-        )
+        message = "triple map is not a bijection onto the basis"
+        return CellValidationFailure("C1", (tuple(dupes[:1]),), message)
     # C2: sigma swaps the two index positions.
     for (lam, s, t), idx in cd.basis_map.items():
         if sigma.images[idx] != {cd.basis_map[(lam, t, s)]: 1}:
-            return CellValidationFailure(
-                "C2", (lam, s, t), "involution does not send C[s,t] to C[t,s]"
-            )
+            message = "involution does not send C[s,t] to C[t,s]"
+            return CellValidationFailure("C2", (lam, s, t), message)
     # C3: triangular action with t-independent coefficients.
     for a in algebra.generators:
         reached = {cd.triples_of[b][0][0] for b in algebra.rows[a]}

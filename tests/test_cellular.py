@@ -159,6 +159,37 @@ def test_a_non_transitive_order_on_70_cells_is_refused():
             CellDatum(cells, [p for p in total if p != dropped], {}, {}, None)
 
 
+def _lower_indices_by_scan(cd, lam):
+    return frozenset(idx for (mu, _, _), idx in cd.basis_map.items() if cd.is_less(mu, lam))
+
+
+def _seventy_cells(order):
+    cells = range(1, 71)
+    pairs = [(a, b) for a in cells for b in cells if a != b and order(a, b)]
+    basis_map = {(lam, s, t): 4 * (lam - 1) + 2 * s + t for lam in cells for s in (0, 1) for t in (0, 1)}
+    return CellDatum(cells, pairs, {lam: (0, 1) for lam in cells}, basis_map, None)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("make", [cell_datum_matrix, cell_datum_planar_rook, cell_datum_temperley_lieb])
+def test_lower_indices_match_the_scan_on_builder_data(make, n):
+    cd = make(n, None)
+    for lam in cd.lambdas:
+        assert cd.lower_indices(lam) == _lower_indices_by_scan(cd, lam)
+
+
+@pytest.mark.parametrize(
+    "order, below_70",
+    [(lambda a, b: a < b, 69), (lambda a, b: b % a == 0, 7)],
+    ids=["total", "divides"],
+)
+def test_lower_indices_match_the_scan_on_70_cells(order, below_70):
+    cd = _seventy_cells(order)
+    for lam in cd.lambdas:
+        assert cd.lower_indices(lam) == _lower_indices_by_scan(cd, lam)
+    assert len(cd.lower_indices(70)) == 4 * below_70
+
+
 def _two_by_two(coefficient, unit, conjugates_scalars=False):
     """An algebra on C[s, t], s, t in (1, 2), with C[s, t] * C[u, v] =
     coefficient(s, t, u, v) * C[s, v], sigma sending C[s, t] to C[t, s],

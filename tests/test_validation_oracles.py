@@ -19,6 +19,11 @@ dense scans restricted to the generating set: `associativity_all_triples`,
 `involution_all_pairs` and `unit_every_index`.  The generating set, taken
 least decomposable first, is never larger than the one taken most targets
 first, `generators_most_targets_first`.
+
+Dense single-term tables are proved on the `Algebra.monomial` view, the
+others on the rows.  On every family above, on the tables drawn by
+hypothesis and on every corruption, `generators` and the associativity
+witness must be the same on a copy forced onto the rows.
 """
 
 import itertools
@@ -181,12 +186,71 @@ def _corruptions(algebra):
             yield Algebra(algebra.labels, structure, algebra.unit)
 
 
+def _assert_paths_agree(algebra):
+    """`generators` and the Light witness are the same with and without the
+    `monomial` view; the copy is forced onto the rows before first use."""
+    on_rows = Algebra(algebra.labels, pairs(algebra), algebra.unit)
+    on_rows.__dict__["monomial"] = None
+    assert algebra.generators == on_rows.generators
+    assert validate_associativity(algebra) == validate_associativity(on_rows)
+
+
 @pytest.mark.parametrize("name", SMALL)
 def test_structure_constant_corruptions(name):
     algebra, _ = FAMILIES[name]()
     for corrupted in _corruptions(algebra):
         _assert_spans(corrupted)
         _assert_associativity_agrees(corrupted)
+        _assert_paths_agree(corrupted)
+
+
+def _two_term_tl():
+    algebra, sigma = temperley_lieb(4, 3)
+    structure = pairs(algebra)
+    structure[(1, 2)] += ((0, 1),) if structure[(1, 2)][0][0] else ((1, 1),)
+    return Algebra(algebra.labels, structure, algebra.unit), sigma
+
+
+@pytest.mark.parametrize(
+    "make, monomial",
+    [
+        (lambda: planar_rook(3), True),
+        (lambda: temperley_lieb(4, 0), True),
+        (lambda: temperley_lieb(5, 3), True),
+        (lambda: group_algebra(symmetric_3_table()), True),
+        (lambda: matrix_algebra(4), True),
+        (lambda: matrix_algebra(5), False),  # 125 products stored, fewer than 25^2 / 4
+        (lambda: idempotents(8), False),
+        (_skewed_m2, False),
+        (_two_term_tl, False),
+        # 30 products stored of 100: the view, but most rows reach nothing
+        (lambda: direct_sum(group_algebra(cyclic_table(5)), idempotents(5)), True),
+    ],
+    ids=["PR(3)", "TL_0(4)", "TL_3(5)", "QS3", "M(4)", "M(5)", "C^8", "M(2) skewed", "TL two-term",
+         "C5+C^5"],
+)
+def test_which_tables_get_the_monomial_view(make, monomial):
+    algebra, _ = make()
+    _assert_paths_agree(algebra)
+    view = algebra.monomial
+    assert (view is not None) == monomial
+    if view is None:
+        return
+    targets, coefficients = view
+    n = algebra.dim
+    assert len(targets) == n + 1 and all(len(t) == n + 1 for t in targets)
+    assert targets[n] == [n] * (n + 1) and all(t[n] == n for t in targets)
+    for i, j in itertools.product(range(n), repeat=2):
+        c = 1 if coefficients is None else coefficients[i][j]
+        expected = ((targets[i][j], c),) if targets[i][j] < n else ()
+        assert algebra.product_terms(i, j) == expected
+    assert (coefficients is None) == all(c == 1 for ((_, c),) in pairs(algebra).values())
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_the_monomial_view_and_the_rows_agree(name):
+    algebra, _ = FAMILIES[name]()
+    _assert_paths_agree(algebra)
 
 
 def _assert_validators_match_restricted_scans(algebra, sigma):
@@ -210,6 +274,7 @@ def test_corruptions_of_sparse_tables(name):
     for corrupted in _corruptions(algebra):
         _assert_spans(corrupted)
         _assert_validators_match_restricted_scans(corrupted, sigma)
+        _assert_paths_agree(corrupted)
         if validate_associativity(corrupted) is None:
             _assert_involution_agrees(corrupted, sigma)
 
@@ -240,6 +305,7 @@ def tables(draw):
 @given(tables())
 def test_associativity_agrees_on_tables_no_builder_makes(algebra):
     _assert_associativity_agrees(algebra)
+    _assert_paths_agree(algebra)
 
 
 @pytest.mark.parametrize("name", SMALL)

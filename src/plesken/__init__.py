@@ -39,7 +39,6 @@ from .builders import (
 )
 from .cellular import (
     CellDatum,
-    CellForms,
     CellModule,
     GramForm,
     cell_datum_matrix,

@@ -18,16 +18,16 @@ linear algebra is needed.  It reads the stored rows `algebra.rows[a]` of
 the proved generators a only, on the cells each row reaches.  One reader
 gives the C3 blocks: C3 compares them across t, those of the first column
 are the cell module actions as sparse {(row, col): scalar} entries, and
-those of the C[s0, t] hold the rows of each cell's dense Gram matrix.  The
-whole package is assembled by `verify_theorem`: when every Gram form is
+those of the C[s0, t] hold the rows of each cell's dense Gram matrix.
+`verify_theorem` builds what it reads: when every Gram form is
 non-degenerate, the direct sum of cell representations is injective, and
 the skew part of the involution maps isomorphically onto the block-skew
 matrices (X^T G + G X = 0 per cell), the direct sum of the orthogonal Lie
 algebras of the Gram forms.  Injectivity is read off the Gram ranks, full
 ones certified mod a prime.  Skewness follows from the axioms for a linear
-sigma, as `verify_theorem` proves, so only a semilinear one builds the cell
-modules, and its form check sums sparse entries times the Gram matrix into
-one dict, d terms per entry.  The poset is used only through its
+sigma, as `verify_theorem` proves, so it builds the cell modules only for a
+semilinear one, whose form check sums sparse entries times the Gram matrix
+into one dict, d terms per entry.  The poset is used only through its
 comparability pairs, so non-total orders work unchanged.
 """
 
@@ -98,13 +98,6 @@ class CellDatum:
         )
 
     __hash__ = None
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_map)
-
-    def is_less(self, a: Label, b: Label) -> bool:
-        return (a, b) in self.less
 
     def members(self, lam: Label) -> tuple:
         return self.index_sets[lam]
@@ -291,10 +284,6 @@ class GramForm(NamedTuple):
             (dict(enumerate(map(residue, row))) for row in rows), P) == self.size
         return self.size if full else rank(self.gram)
 
-    @property
-    def nondegenerate(self) -> bool:
-        return self.rank == self.size
-
 
 def gram_matrix(algebra: Algebra, cd: CellDatum, lam: Label) -> GramForm:
     """Gram matrix of the cell bilinear form, for a datum that passed
@@ -318,27 +307,6 @@ def gram_matrix(algebra: Algebra, cd: CellDatum, lam: Label) -> GramForm:
         block = _column_action(algebra, cd, lam, cd.basis_map[(lam, s0, t)], s0)
         rows.append([block.get((s0, u), 0) for u in members])
     return GramForm(lam, Matrix(rows))
-
-
-class CellForms(NamedTuple):
-    """The cell module and the Gram form of every cell of one datum.
-
-    Build it once with `build` and pass it to `check_gram_properties` and
-    `verify_theorem`, so that neither builds the modules and forms again.
-    No command builds it: a linear sigma needs only the Gram forms, and for
-    a semilinear one `verify_theorem` builds it.  Like `cell_module`, it
-    requires a validated datum.
-    """
-
-    modules: Mapping[Label, CellModule]
-    grams: Mapping[Label, GramForm]
-
-    @classmethod
-    def build(cls, algebra: Algebra, cd: CellDatum) -> CellForms:
-        return cls(
-            {lam: cell_module(algebra, cd, lam) for lam in cd.lambdas},
-            {lam: gram_matrix(algebra, cd, lam) for lam in cd.lambdas},
-        )
 
 
 class SemisimplicityReport(NamedTuple):
@@ -437,20 +405,14 @@ def _form_defect(x: Entries, g: Matrix, y: Entries, sign: int) -> bool:
     return any(acc.values())
 
 
-def verify_theorem(
-    algebra: Algebra,
-    sigma: AntiInvolution,
-    cd: CellDatum,
-    *,
-    forms: Optional[CellForms] = None,
-) -> TheoremReport:
+def verify_theorem(algebra: Algebra, sigma: AntiInvolution, cd: CellDatum) -> TheoremReport:
     """Certify (or refute) that the skew part is the direct sum of the
     orthogonal Lie algebras of the cell Gram forms.
 
-    Requires a datum that passed `validate_cell_datum`; `forms`, if given,
-    must be `CellForms.build(algebra, cd)`, whose modules are read only for a
-    semilinear sigma.  Check (a), injectivity of Phi = (+) rho_lam, holds
-    iff every Gram form G_lam is nondegenerate:
+    Requires a datum that passed `validate_cell_datum`.  It builds the Gram
+    form of every cell, and the cell modules only for a semilinear sigma.
+    Check (a), injectivity of Phi = (+) rho_lam, holds iff every Gram form
+    G_lam is nondegenerate:
 
     * C3 makes J(<=lam) = span{C[mu,s,t] : mu <= lam} a left ideal, and C2
       with sigma(xy) = sigma(y) sigma(x) a right one, also for semilinear
@@ -474,18 +436,18 @@ def verify_theorem(
     `skew_subspace` checks, give X^T G + G X = 0.  A semilinear sigma
     conjugates r: i*1 is skew, and X^T G + G X = 2iG.
     """
-    if forms is None and sigma.conjugates_scalars:
-        forms = CellForms.build(algebra, cd)
-    grams = forms.grams if forms else {lam: gram_matrix(algebra, cd, lam) for lam in cd.lambdas}
-    gram_ranks = tuple((lam, grams[lam].size, grams[lam].rank) for lam in cd.lambdas)
+    grams = {lam: gram_matrix(algebra, cd, lam) for lam in cd.lambdas}
+    gram_ranks = tuple((lam, form.size, form.rank) for lam, form in grams.items())
 
     # (a) injectivity of the combined cell representation, read off the ranks.
     injective = all(size == rk for _, size, rk in gram_ranks)
 
     # (b) G-skewness of every skew-part basis element, proved above for a linear sigma.
     sub = plesken_subspace(algebra, sigma)
-    actions = ((r, lam, forms.modules[lam].act(x)) for r, x in enumerate(sub.rows.values())
-               for lam in cd.lambdas) if sigma.conjugates_scalars else ()
+    modules = {lam: cell_module(algebra, cd, lam)
+               for lam in (cd.lambdas if sigma.conjugates_scalars else ())}
+    actions = ((r, lam, modules[lam].act(x))
+               for r, x in enumerate(sub.rows.values()) for lam in modules)
     skew_witness = next(((r, lam) for r, lam, action in actions
                          if action and _form_defect(action, grams[lam].gram, action, 1)), None)
     skew_ok = skew_witness is None
@@ -520,12 +482,7 @@ class GramPropertyFailure(NamedTuple):
 
 
 def check_gram_properties(
-    algebra: Algebra,
-    sigma: AntiInvolution,
-    cd: CellDatum,
-    lam: Label,
-    *,
-    forms: Optional[CellForms] = None,
+    algebra: Algebra, sigma: AntiInvolution, cd: CellDatum, lam: Label
 ) -> Optional[GramPropertyFailure]:
     """Check G = bar(G)^T and bar(rho(sigma(a)))^T G = G rho(a) for all basis
     a, bar conjugating scalars when sigma does: G is symmetric for a linear
@@ -533,12 +490,9 @@ def check_gram_properties(
 
     These hold for every datum that passed `validate_cell_datum`, semisimple
     or not, as the `report` module and `verify_theorem` prove, so no command
-    runs this check.  `forms`, if given, must be `CellForms.build(algebra, cd)`.
+    runs this check.  It builds the module and the form of cell lam.
     """
-    if forms is None:
-        module, g = cell_module(algebra, cd, lam), gram_matrix(algebra, cd, lam).gram
-    else:
-        module, g = forms.modules[lam], forms.grams[lam].gram
+    module, g = cell_module(algebra, cd, lam), gram_matrix(algebra, cd, lam).gram
     bar = (lambda c: c.conjugate()) if sigma.conjugates_scalars else (lambda c: c)
     if g != Matrix([[bar(v) for v in column] for column in zip(*g.data)]):
         return GramPropertyFailure(lam, "symmetry", ())

@@ -22,10 +22,11 @@ In memory a document is the `Algebra`, `AntiInvolution` and `CellDatum`
 it describes.  `parse` builds them directly, so their constructors' checks
 (distinct labels, structure indices that are ints in range, a strict order
 on known cells, one index set per known cell with no member twice) refuse a
-document in `parse`, with ValueError.  The involution is read into the
-sparse images sigma(e_j): from the permutation and signs, or from the
-columns of the matrix.  `emit` writes straight from them, the shorthand
-whenever sigma is a signed permutation.
+document in `parse`, with ValueError, as `parse` itself refuses a cell
+given two index sets or a cell triple listed twice.  The involution is
+read into the sparse images sigma(e_j): from the permutation and signs, or
+from the columns of the matrix.  `emit` writes straight from them, the
+shorthand whenever sigma is a signed permutation.
 
 Scalars are exact strings, never decimals.  Cell labels may be integers,
 strings or (nested) lists of them; lists are converted to tuples on parse,
@@ -191,7 +192,10 @@ def _parse_cell(raw: dict, dim: int, sigma: AntiInvolution) -> CellDatum:
     for lam, s, t, idx in _rows(raw["triples"], "cell triples"):
         if type(idx) is not int or not 0 <= idx < dim:
             raise ValueError(f"cell triple index out of range: {idx}")
-        basis_map[(_freeze_label(lam), _freeze_label(s), _freeze_label(t))] = idx
+        triple = (_freeze_label(lam), _freeze_label(s), _freeze_label(t))
+        if triple in basis_map:
+            raise ValueError(f"cell triple {triple!r} is listed twice")
+        basis_map[triple] = idx
     return CellDatum(lambdas, order, index_sets, basis_map, sigma)
 
 

@@ -183,6 +183,7 @@ def render_markdown(report: dict) -> str:
         f"- algebra dimension: {report['input']['dim']}",
         f"- skew-part dimension: {plesken['dim']}",
         *(f"- {check}: {verdict}" for check, verdict in sorted(report["checks"].items())),
+        *([f"- timing_ms: {report['timing_ms']}"] if "timing_ms" in report else []),
         "",
     ]
     if plesken["bracket_table"]:

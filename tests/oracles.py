@@ -62,7 +62,9 @@ dense matrices, `act` as a sum of scaled dense matrices, the module
 axioms, and the dense form checks (b) and adjointness, with the witnesses
 of `plesken.cellular`.  The certificate reads injectivity off the Gram
 ranks; `injective_dense` ranks the action rows instead, as the definition
-of check (a) says.
+of check (a) says.  The form checks take dense action matrices and Gram
+matrices as arguments, and `dense_cells` reads them for every cell with
+`action_matrices` and `gram_every_witness`, not with the kernel's readers.
 
 The diagram builders compose on plain tuples, `_tl_compose` on mate
 tuples and `_pr_compose` on endpoint tuples, and `Algebra` stores a
@@ -110,7 +112,6 @@ from plesken.builders import (
 )
 from plesken.cellular import (
     CellDatum,
-    CellForms,
     CellModule,
     CellValidationFailure,
     GramPropertyFailure,
@@ -878,35 +879,48 @@ def module_axiom_failure(algebra: Algebra, module: CellModule) -> Optional[tuple
     return None
 
 
+def dense_cells(
+    algebra: Algebra, cd: CellDatum
+) -> tuple[dict[Label, dict[int, Matrix]], dict[Label, Matrix]]:
+    """The dense action matrices and the Gram matrix of every cell, for a
+    validated datum: `action_matrices` and `gram_every_witness` by cell."""
+    actions = {lam: action_matrices(algebra, cd, lam) for lam in cd.lambdas}
+    return actions, {lam: gram_every_witness(algebra, cd, lam) for lam in cd.lambdas}
+
+
 def form_skewness_dense(
-    algebra: Algebra, sigma: AntiInvolution, cd: CellDatum, forms: CellForms
+    sigma: AntiInvolution,
+    cd: CellDatum,
+    actions: Mapping[Label, Mapping[int, Matrix]],
+    grams: Mapping[Label, Matrix],
 ) -> Optional[tuple]:
-    """Check (b) of `verify_theorem` by dense products: the first (r, lam)
-    where X^T G + G X != 0 for the r-th skew-part basis vector, else None."""
-    matrices = {lam: dense_action(forms.modules[lam]) for lam in cd.lambdas}
+    """Check (b) of `verify_theorem` by dense products, on the action
+    matrices and Gram matrix of each cell: the first (r, lam) where
+    X^T G + G X != 0 for the r-th skew-part basis vector, else None."""
     for r, x in enumerate(skew_subspace_kernel(sigma).basis):
         for lam in cd.lambdas:
-            d = forms.modules[lam].dim
+            d = len(cd.members(lam))
             if d == 0:
                 continue
-            g = forms.grams[lam].gram
-            action = act(matrices[lam], d, x)
+            g = grams[lam]
+            action = act(actions[lam], d, x)
             both = [(ONE, matmul(transpose(action), g)), (ONE, matmul(g, action))]
             if linear_combination(d, d, both) != zero_matrix(d, d):
                 return (r, lam)
     return None
 
 
-def injective_dense(algebra: Algebra, cd: CellDatum, forms: CellForms) -> bool:
+def injective_dense(
+    algebra: Algebra, cd: CellDatum, actions: Mapping[Label, Mapping[int, Matrix]]
+) -> bool:
     """Injectivity of the direct sum of the cell actions, check (a) of
     `verify_theorem` by its definition: the rank of the dense matrix with one
     row per (cell, row, col) and one column per basis index."""
     rows = []
     for lam in cd.lambdas:
-        module = forms.modules[lam]
-        matrices = dense_action(module)
-        for r in range(module.dim):
-            for c in range(module.dim):
+        matrices, d = actions[lam], len(cd.members(lam))
+        for r in range(d):
+            for c in range(d):
                 rows.append([matrices[a][r, c] for a in range(algebra.dim)])
     return len(rref_gauss_jordan(Matrix(rows))[1]) == algebra.dim
 
@@ -940,10 +954,11 @@ def gram_every_witness(algebra: Algebra, cd: CellDatum, lam: Label) -> Matrix:
 
 
 def gram_properties_dense(
-    algebra: Algebra, sigma: AntiInvolution, lam: Label, forms: CellForms
+    algebra: Algebra, sigma: AntiInvolution, lam: Label,
+    matrices: Mapping[int, Matrix], g: Matrix,
 ) -> Optional[GramPropertyFailure]:
-    """`check_gram_properties` by dense products."""
-    module, g = forms.modules[lam], forms.grams[lam].gram
+    """`check_gram_properties` by dense products, on the action matrices
+    and the Gram matrix g of cell lam."""
 
     def bar(m: Matrix) -> Matrix:
         if not sigma.conjugates_scalars:
@@ -952,9 +967,9 @@ def gram_properties_dense(
 
     if g != transpose(bar(g)):
         return GramPropertyFailure(lam, "symmetry", ())
-    matrices, images = dense_action(module), sigma_matrix(sigma)
+    images = sigma_matrix(sigma)
     for a in range(algebra.dim):
-        lhs = matmul(transpose(bar(act(matrices, module.dim, column(images, a)))), g)
+        lhs = matmul(transpose(bar(act(matrices, g.rows, column(images, a)))), g)
         if lhs != matmul(g, matrices[a]):
             return GramPropertyFailure(lam, "adjointness", (a,))
     return None

@@ -11,6 +11,7 @@ from oracles import (
     c3_every_element,
     cell_order_failure,
     commutator_dense,
+    dense_cells,
     direct_sum,
     entries_matrix,
     form_skewness_dense,
@@ -24,6 +25,7 @@ from oracles import (
     module_axiom_failure,
 )
 
+import plesken.cellular as cellular
 from plesken.algebra import (
     Algebra,
     AntiInvolution,
@@ -38,8 +40,6 @@ from plesken.builders import (
 )
 from plesken.cellular import (
     CellDatum,
-    CellForms,
-    CellModule,
     GramForm,
     cell_datum_matrix,
     cell_datum_planar_rook,
@@ -153,14 +153,14 @@ def test_a_non_transitive_order_on_70_cells_is_refused():
     # 70 cells cross a 64-bit word: each cell's set of cells above is an int.
     cells = range(70)
     total = [(a, b) for a in cells for b in cells if a < b]
-    assert CellDatum(cells, total, {}, {}, None).is_less(0, 69)
+    assert (0, 69) in CellDatum(cells, total, {}, {}, None).less
     for dropped in ((0, 69), (1, 65), (62, 64), (63, 69)):
         with pytest.raises(ValueError, match="^order pairs are not transitively closed$"):
             CellDatum(cells, [p for p in total if p != dropped], {}, {}, None)
 
 
 def _lower_indices_by_scan(cd, lam):
-    return frozenset(idx for (mu, _, _), idx in cd.basis_map.items() if cd.is_less(mu, lam))
+    return frozenset(idx for (mu, _, _), idx in cd.basis_map.items() if (mu, lam) in cd.less)
 
 
 def _seventy_cells(order):
@@ -512,17 +512,10 @@ def test_refutation_tl_delta_zero():
 
 
 def test_cellular_report_builds_each_cell_form_once(monkeypatch):
-    # A shared CellForms gives what the checks give on their own.  The
-    # report, on a linear sigma, builds each Gram form once and no module.
-    import plesken.cellular as cellular
-
-    A, sigma = temperley_lieb(4, 0)
-    cd = cell_datum_temperley_lieb(4, sigma)
-    forms = CellForms.build(A, cd)
-    assert verify_theorem(A, sigma, cd, forms=forms) == verify_theorem(A, sigma, cd)
-    for lam in cd.lambdas:
-        assert check_gram_properties(A, sigma, cd, lam, forms=forms) is None
-
+    # Each check builds what it reads, once: check_gram_properties the module
+    # and the form of its cell, verify_theorem every Gram form and, for a
+    # semilinear sigma only, every module.  The report, on a linear sigma,
+    # builds each Gram form once and no module.
     calls = {"cell_module": 0, "gram_matrix": 0}
     for name in calls:
         def counted(*args, name=name, original=getattr(cellular, name)):
@@ -530,6 +523,17 @@ def test_cellular_report_builds_each_cell_form_once(monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(cellular, name, counted)
+    A, sigma = temperley_lieb(4, 0)
+    cd = cell_datum_temperley_lieb(4, sigma)
+    for lam in cd.lambdas:
+        assert check_gram_properties(A, sigma, cd, lam) is None
+    assert calls == {"cell_module": len(cd.lambdas), "gram_matrix": len(cd.lambdas)}
+    M, conj = matrix_algebra(2, "conj_transpose")
+    calls.update(cell_module=0, gram_matrix=0)
+    assert verify_theorem(M, conj, cell_datum_matrix(2, conj)).failed_check == "form_skewness"
+    assert calls == {"cell_module": 1, "gram_matrix": 1}
+
+    calls.update(cell_module=0, gram_matrix=0)
     report = cellular_report("tl04", A, sigma, cd)
     assert report["theorem"]["failed_check"] == "representation_injective"
     assert calls == {"cell_module": 0, "gram_matrix": len(cd.lambdas)}
@@ -626,13 +630,12 @@ def test_semilinear_involution_refutes_form_skewness(n):
     A, sigma = matrix_algebra(n, "conj_transpose")
     cd = cell_datum_matrix(n, sigma)
     assert validate_cell_datum(A, sigma, cd) is None
-    forms = CellForms.build(A, cd)
-    outcome = verify_theorem(A, sigma, cd, forms=forms)
+    outcome = verify_theorem(A, sigma, cd)
     assert outcome.injective is True
     assert outcome.skew_ok is False
-    assert outcome.skew_witness == (0, 1) == form_skewness_dense(A, sigma, cd, forms)
+    assert outcome.skew_witness == (0, 1) == form_skewness_dense(sigma, cd, *dense_cells(A, cd))
     assert outcome.failed_check == "form_skewness" and not outcome.certified
-    assert check_gram_properties(A, sigma, cd, 1, forms=forms) is None
+    assert check_gram_properties(A, sigma, cd, 1) is None
 
 
 def test_hermitian_cell_form_under_semilinear_sigma():
@@ -644,10 +647,9 @@ def test_hermitian_cell_form_under_semilinear_sigma():
     A, sigma, cd = _two_by_two(lambda s, t, u, v: phi[t - 1][u - 1], psi, True)
     assert validate_algebra(A, sigma)
     assert validate_cell_datum(A, sigma, cd) is None
-    forms = CellForms.build(A, cd)
-    assert forms.grams[1].gram == Matrix(phi) == gram_every_witness(A, cd, 1)
-    assert check_gram_properties(A, sigma, cd, 1, forms=forms) is None
-    assert gram_properties_dense(A, sigma, 1, forms) is None
+    assert gram_matrix(A, cd, 1).gram == Matrix(phi) == gram_every_witness(A, cd, 1)
+    assert check_gram_properties(A, sigma, cd, 1) is None
+    assert gram_properties_dense(A, sigma, 1, action_matrices(A, cd, 1), Matrix(phi)) is None
     _skewness_against_oracles(A, sigma, cd)
     report = cellular_report("hermitian", A, sigma, cd)
     assert report["gram_properties"] == {"pass": True, "failures": []}
@@ -665,67 +667,98 @@ def _largest_cell(cd):
     return max(cd.lambdas, key=lambda lam: len(cd.members(lam)))
 
 
+def _corrupt_cell(monkeypatch, name, lam, change):
+    """Make `plesken.cellular.<name>`, `gram_matrix` or `cell_module`, pass
+    its value for cell lam through `change`, as a corrupted kernel would."""
+    def corrupted(algebra, cd, mu, original=getattr(cellular, name)):
+        value = original(algebra, cd, mu)
+        return change(value) if mu == lam else value
+
+    monkeypatch.setattr(cellular, name, corrupted)
+
+
+def _changed(m, edit):
+    """The dense matrix m with `edit` applied to a copy of its rows."""
+    rows = [list(row) for row in m.data]
+    edit(rows)
+    return Matrix(rows)
+
+
 @pytest.mark.parametrize("factory, n, datum_factory", CORRUPTIBLE)
-def test_changed_gram_entry_fails_symmetry(factory, n, datum_factory):
+def test_changed_gram_entry_fails_symmetry(factory, n, datum_factory, monkeypatch):
     A, sigma = factory()
     cd = datum_factory(n, sigma)
-    forms = CellForms.build(A, cd)
     lam = _largest_cell(cd)
-    rows = [list(row) for row in forms.grams[lam].gram.data]
-    rows[0][1] = rows[0][1] + 1
-    corrupted = CellForms(forms.modules, {**forms.grams, lam: GramForm(lam, Matrix(rows))})
-    failure = check_gram_properties(A, sigma, cd, lam, forms=corrupted)
+
+    def edit(rows):
+        rows[0][1] = rows[0][1] + 1
+
+    _corrupt_cell(monkeypatch, "gram_matrix", lam,
+                  lambda form: form._replace(gram=_changed(form.gram, edit)))
+    failure = check_gram_properties(A, sigma, cd, lam)
     assert (failure.kind, failure.witness) == ("symmetry", ())
-    assert failure == gram_properties_dense(A, sigma, lam, corrupted)
+    g = _changed(gram_every_witness(A, cd, lam), edit)
+    assert failure == gram_properties_dense(A, sigma, lam, action_matrices(A, cd, lam), g)
 
 
 @pytest.mark.parametrize("factory, n, datum_factory", CORRUPTIBLE)
-def test_changed_action_entry_fails_adjointness(factory, n, datum_factory):
+def test_changed_action_entry_fails_adjointness(factory, n, datum_factory, monkeypatch):
     # sigma(e_a) = e_b with b != a, and G is nondegenerate: the change moves
     # G rho(e_a) but not rho(e_b)^T G, so the first of a, b fails.
     A, sigma = factory()
     cd = datum_factory(n, sigma)
-    forms = CellForms.build(A, cd)
-    assert all(form.nondegenerate for form in forms.grams.values())
+    assert all(form.rank == form.size for form in (gram_matrix(A, cd, mu) for mu in cd.lambdas))
+    true_outcome = verify_theorem(A, sigma, cd)
     lam = _largest_cell(cd)
     a = next(a for a, image in enumerate(sigma.images) if image != {a: ONE})
     (b,) = sigma.images[a]
-    module = forms.modules[lam]
-    entries = dict(module.action[a])
-    entries[(0, 0)] = entries.get((0, 0), 0) + ONE
-    changed = CellModule(lam, module.basis, {**module.action, a: entries})
-    corrupted = CellForms({**forms.modules, lam: changed}, forms.grams)
-    failure = check_gram_properties(A, sigma, cd, lam, forms=corrupted)
+
+    def change(module):
+        entries = dict(module.action[a])
+        entries[(0, 0)] = entries.get((0, 0), 0) + ONE
+        return module._replace(action={**module.action, a: entries})
+
+    def edit(rows):
+        rows[0][0] = rows[0][0] + ONE
+
+    _corrupt_cell(monkeypatch, "cell_module", lam, change)
+    failure = check_gram_properties(A, sigma, cd, lam)
     assert (failure.kind, failure.witness) == ("adjointness", (min(a, b),))
-    assert failure == gram_properties_dense(A, sigma, lam, corrupted)
-    # The corrupted modules break the `forms` contract; a linear sigma reads
-    # no module, so the certificate is the one of the true forms.
-    assert form_skewness_dense(A, sigma, cd, corrupted) is not None
-    assert verify_theorem(A, sigma, cd, forms=corrupted) == verify_theorem(A, sigma, cd)
+    actions, grams = dense_cells(A, cd)
+    actions[lam][a] = _changed(actions[lam][a], edit)
+    assert failure == gram_properties_dense(A, sigma, lam, actions[lam], grams[lam])
+    # The corrupted module breaks the dense check (b); a linear sigma reads
+    # no module, so the certificate is the one of the true modules.
+    assert form_skewness_dense(sigma, cd, actions, grams) is not None
+    assert verify_theorem(A, sigma, cd) == true_outcome
 
 
 @pytest.mark.parametrize("factory, n, datum_factory", CORRUPTIBLE)
-def test_degenerate_gram_form_refutes_injectivity(factory, n, datum_factory):
+def test_degenerate_gram_form_refutes_injectivity(factory, n, datum_factory, monkeypatch):
     # Injectivity is read off the Gram ranks: a zeroed row makes one form
     # degenerate, one short of full rank, and check (a) fails although the
     # cell actions are untouched.
     A, sigma = factory()
     cd = datum_factory(n, sigma)
-    forms = CellForms.build(A, cd)
-    assert verify_theorem(A, sigma, cd, forms=forms).injective is True
-    assert injective_dense(A, cd, forms) is True
+    actions = dense_cells(A, cd)[0]
+    grams = {mu: gram_matrix(A, cd, mu) for mu in cd.lambdas}
+    assert verify_theorem(A, sigma, cd).injective is True
+    assert injective_dense(A, cd, actions) is True
     lam = _largest_cell(cd)
-    rows = [list(row) for row in forms.grams[lam].gram.data]
-    rows[0] = [scalar(0)] * len(rows[0])
-    corrupted = CellForms(forms.modules, {**forms.grams, lam: GramForm(lam, Matrix(rows))})
-    outcome = verify_theorem(A, sigma, cd, forms=corrupted)
+
+    def edit(rows):
+        rows[0] = [scalar(0)] * len(rows[0])
+
+    _corrupt_cell(monkeypatch, "gram_matrix", lam,
+                  lambda form: form._replace(gram=_changed(form.gram, edit)))
+    outcome = verify_theorem(A, sigma, cd)
     assert outcome.injective is False
-    assert injective_dense(A, cd, corrupted) is True
+    assert injective_dense(A, cd, actions) is True
     assert outcome.failed_check == "representation_injective" and not outcome.certified
     d = len(cd.members(lam))
     assert outcome.gram_ranks == tuple(
         (mu, d, d - 1) if mu == lam else (mu, form.size, form.rank)
-        for mu, form in forms.grams.items()
+        for mu, form in grams.items()
     )
     assert outcome.skew_ok is True
 
@@ -753,22 +786,23 @@ def test_injectivity_is_gram_nondegeneracy(name, factory, n, datum_factory):
     A, sigma = factory()
     cd = datum_factory(n, sigma)
     assert validate_cell_datum(A, sigma, cd) is None
-    forms = CellForms.build(A, cd)
-    nondegenerate = all(form.nondegenerate for form in forms.grams.values())
+    forms = [gram_matrix(A, cd, lam) for lam in cd.lambdas]
+    nondegenerate = all(form.rank == form.size for form in forms)
     assert nondegenerate == (name not in DEGENERATE)
-    injective = verify_theorem(A, sigma, cd, forms=forms).injective
-    assert injective == injective_dense(A, cd, forms) == nondegenerate
+    injective = verify_theorem(A, sigma, cd).injective
+    assert injective == injective_dense(A, cd, dense_cells(A, cd)[0]) == nondegenerate
 
 
 def _skewness_against_oracles(A, sigma, cd):
     """The Gram properties hold on every cell, by the dense oracles, and
     check (b) fails exactly for a semilinear sigma, where it runs."""
-    forms = CellForms.build(A, cd)
-    assert all(gram_properties_dense(A, sigma, lam, forms) is None for lam in cd.lambdas)
-    witness = form_skewness_dense(A, sigma, cd, forms)
+    actions, grams = dense_cells(A, cd)
+    assert all(gram_properties_dense(A, sigma, lam, actions[lam], grams[lam]) is None
+               for lam in cd.lambdas)
+    witness = form_skewness_dense(sigma, cd, actions, grams)
     assert (witness is None) == (not sigma.conjugates_scalars)
     assert verify_theorem(A, sigma, cd).skew_witness == witness
-    assert verify_theorem(A, sigma, cd, forms=forms).skew_witness == witness
+    assert {lam: gram_matrix(A, cd, lam).gram for lam in cd.lambdas} == grams
 
 
 SKEWNESS_SWEEP = [
@@ -793,9 +827,8 @@ def test_the_zero_algebra_is_certified():
     A, sigma = Algebra([], {}, []), AntiInvolution(())
     cd = CellDatum((), (), {}, {}, sigma)
     assert validate_cell_datum(A, sigma, cd) is None
-    forms = CellForms.build(A, cd)
-    outcome = verify_theorem(A, sigma, cd, forms=forms)
-    assert outcome.injective is True and injective_dense(A, cd, forms) is True
+    outcome = verify_theorem(A, sigma, cd)
+    assert outcome.injective is True and injective_dense(A, cd, dense_cells(A, cd)[0]) is True
     assert outcome.certified and outcome.failed_check is None
     assert (outcome.lie_dim, outcome.predicted_lie_dim, outcome.gram_ranks) == (0, 0, ())
 
@@ -831,8 +864,6 @@ def _determinant(rows):
 
 
 def _rank_and_exact_calls(gram):
-    import plesken.cellular as cellular
-
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cellular, "rank", lambda m: calls.append(m) or rank(m))
@@ -978,17 +1009,17 @@ def test_sparse_cell_actions_match_dense_oracles(family, n):
     A, sigma = factory(n)
     cd = datum_factory(n, sigma)
     assert validate_cell_datum(A, sigma, cd) is None
-    forms = CellForms.build(A, cd)
+    actions, grams = dense_cells(A, cd)
     generic = [scalar(k + 1) + I * (k % 3) for k in range(A.dim)]
     elements = [A.unit, generic, *plesken_subspace(A, sigma).basis]
     for lam in cd.lambdas:
-        module, d = forms.modules[lam], forms.modules[lam].dim
-        matrices = action_matrices(A, cd, lam)
+        module = cell_module(A, cd, lam)
+        matrices, d = actions[lam], module.dim
         assert {a: entries_matrix(d, e) for a, e in module.action.items()} == matrices
         for x in elements:
             assert entries_matrix(d, module.act(sparse(x, A.dim))) == act(matrices, d, x)
-        expected = gram_properties_dense(A, sigma, lam, forms)
-        assert check_gram_properties(A, sigma, cd, lam, forms=forms) == expected
-    outcome = verify_theorem(A, sigma, cd, forms=forms)
-    assert outcome.injective == injective_dense(A, cd, forms)
-    assert outcome.skew_witness == form_skewness_dense(A, sigma, cd, forms)
+        expected = gram_properties_dense(A, sigma, lam, matrices, grams[lam])
+        assert check_gram_properties(A, sigma, cd, lam) == expected
+    outcome = verify_theorem(A, sigma, cd)
+    assert outcome.injective == injective_dense(A, cd, actions)
+    assert outcome.skew_witness == form_skewness_dense(sigma, cd, actions, grams)

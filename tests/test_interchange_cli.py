@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -346,6 +347,27 @@ def test_cli_refuses_an_order_that_is_not_transitive(tmp_path, capsys):
         assert error["message"].endswith("order pairs are not transitively closed")
 
 
+def test_cli_refuses_a_cell_triple_listed_twice(tmp_path, capsys):
+    # A repeated triple was read once: with its own index the document
+    # certified, and with another index it overwrote the first, so that C1
+    # named the index instead of the triple.
+    path = tmp_path / "m2.plesken.json"
+    run_cli(capsys, "build", "--family", "matrix", "--n", "2", "--out", str(path))
+    valid = path.read_text()
+    for extra in ([1, 1, 1, 0], [1, 1, 1, 3]):
+        doc = json.loads(valid)
+        doc["cell"]["triples"].append(extra)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^cell triple \(1, 1, 1\) is listed twice$"):
+            parse(path.read_text())
+        for command in ("analyze", "verify-cellular"):
+            code, out = run_cli(capsys, command, str(path))
+            assert code == 2
+            error = json.loads(out)["error"]
+            assert error["kind"] == "invalid-input"
+            assert error["message"].endswith("cell triple (1, 1, 1) is listed twice")
+
+
 def test_cli_build_and_verify_m11(tmp_path, capsys):
     # M(11) has both E_{1,11} and E_{11,1}; PR(6)'s certificate compares
     # against o(15) and o(20), built from M(15) and M(20).
@@ -409,6 +431,34 @@ def test_cli_analyze_is_deterministic(tmp_path, capsys):
     _, out1 = run_cli(capsys, "analyze", str(doc_path), "--seed", "5")
     _, out2 = run_cli(capsys, "analyze", str(doc_path), "--seed", "5")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{doc}"),
+    ("analyze", "{doc}", "--format", "md"),
+    ("verify-cellular", "{doc}"),
+    ("verify-cellular", "{doc}", "--format", "md"),
+    ("paper-suite", "--cap", "3", "--allow-skips"),
+])
+def test_timing_adds_one_field_and_nothing_else(tmp_path, capsys, argv):
+    # Without --timing no report names it; with it the JSON gains the int key
+    # timing_ms, and the Markdown the one line "- timing_ms: N".
+    doc = tmp_path / "pr2.plesken.json"
+    run_cli(capsys, "build", "--family", "planar-rook", "--n", "2", "--out", str(doc))
+    argv = [arg.format(doc=doc) for arg in argv]
+    code, plain = run_cli(capsys, *argv)
+    assert code == 0 and "timing_ms" not in plain
+    assert run_cli(capsys, *argv) == (code, plain)
+    timed_code, timed = run_cli(capsys, *argv, "--timing")
+    assert timed_code == code
+    if "md" in argv:
+        (line,) = [line for line in timed.splitlines(keepends=True) if "timing_ms" in line]
+        assert re.fullmatch(r"- timing_ms: \d+\n", line)
+        assert timed.replace(line, "", 1) == plain
+    else:
+        report = json.loads(timed)
+        assert type(report.pop("timing_ms")) is int
+        assert json.dumps(report, indent=2, sort_keys=True) + "\n" == plain
 
 
 def test_cli_verify_cellular_exit_codes(tmp_path, capsys):

@@ -27,11 +27,12 @@ from plesken.builders import (
     temperley_lieb_diagrams,
 )
 from plesken.cellular import (
-    CellForms,
     CellValidationFailure,
     GramPropertyFailure,
     cell_datum_planar_rook,
     cell_datum_temperley_lieb,
+    cell_module,
+    gram_matrix,
     is_semisimple,
     verify_theorem,
 )
@@ -54,7 +55,6 @@ def _records():
     for _ in range(2):
         A, sigma = temperley_lieb(4, 0)
         cd = cell_datum_temperley_lieb(4, sigma)
-        forms = CellForms.build(A, cd)
         lam = cd.lambdas[0]
         m2, _ = matrix_algebra(2)
         L = plesken_lie_algebra(A, sigma)
@@ -63,11 +63,10 @@ def _records():
             ClosureCounterexample(3, (1, 0), (0, 1), "four-term identity failed"),
             CellValidationFailure("C2", (lam, 1, 2), "involution does not send C[s,t] to C[t,s]"),
             GramPropertyFailure(lam, "symmetry", ()),
-            forms.modules[lam],
-            forms.grams[lam],
-            forms,
+            cell_module(A, cd, lam),
+            gram_matrix(A, cd, lam),
             is_semisimple(A, cd),
-            verify_theorem(A, sigma, cd, forms=forms),
+            verify_theorem(A, sigma, cd),
             fingerprint(L),
             fingerprint(L).compare(Fingerprint.orthogonal([1, 3, 2])),
         ]
@@ -91,8 +90,8 @@ def test_records_hash_when_their_fields_do():
             assert hash(a) == hash(b)
         except TypeError:
             unhashable.add(type(a).__name__)
-    # A cell module holds its action as dicts, and the forms hold modules.
-    assert unhashable == {"CellModule", "CellForms"}
+    # A cell module holds its action as dicts.
+    assert unhashable == {"CellModule"}
 
 
 def test_the_involution_failure_is_the_one_pinned():

@@ -17,10 +17,10 @@ constants and golden values):
 * Temperley-Lieb diagrams: a perfect non-crossing matching of 2n points,
   top row numbered 1..n left to right, bottom row n+1..2n left to right.
   Encoded as the sorted tuple of sorted pairs; basis order is
-  lexicographic.  Products compose mate tuples (mate[p] is the point
-  joined to p, 0-based): with the left factor on top, each outer point is
-  traced through the middle row to an outer point, and each cycle of
-  middle points never passed is a closed loop, one factor of delta.
+  lexicographic.  `_tl_compose` stacks mate tuples (mate[p] is the point
+  joined to p, 0-based) and counts closed loops, one factor of delta each.
+  It composes each diagram with each generator e_a only; the rest of the
+  table is walked from those columns by `_right_cayley_table`.
 
 Diagram families are capped (default n <= 6) because dimensions grow like
 C(2n, n) and the Catalan numbers; the cap is a keyword argument.
@@ -32,7 +32,7 @@ import itertools
 from functools import lru_cache
 from typing import Sequence
 
-from .algebra import Algebra, AntiInvolution
+from .algebra import Algebra, AntiInvolution, InternalConsistencyError
 from .linalg import unit_vector
 from .scalars import exact
 
@@ -303,16 +303,43 @@ def planar_rook(
     diagrams = planar_rook_diagrams(n)
     ends = [(d.top, d.bottom) for d in diagrams]
     index = {e: i for i, e in enumerate(ends)}
-    structure = (
-        ((i, j), ((index[_pr_compose(top_of, top, bottom)], 1),))
-        for i, top_of in enumerate(dict(zip(bottom, top)) for top, bottom in ends)
-        for j, (top, bottom) in enumerate(ends)
-    )
-    full = tuple(range(1, n + 1))
-    unit = unit_vector(len(diagrams), index[full, full])
+    dim, unit = len(ends), index[(tuple(range(1, n + 1)),) * 2]
+    top_of = [dict(zip(bottom, top)) for top, bottom in ends]
+    # The diagrams with n - 1 arcs generate PR(n) with the identity.
+    right = [[index[_pr_compose(t, *g)] for t in top_of] for g in ends if len(g[0]) == n - 1]
+    structure = _right_cayley_table(dim, unit, right, [((k, 1),) for k in range(dim)])
     sigma = AntiInvolution.signed_permutation([index[bottom, top] for top, bottom in ends])
     labels = tuple(d.label() for d in diagrams)
-    return Algebra(labels, structure, unit), sigma
+    return Algebra(labels, structure, unit_vector(dim, unit)), sigma
+
+
+def _right_cayley_table(dim: int, unit: int, right, terms):
+    """The product table of a diagram monoid, walked along its right Cayley
+    graph (Froidure and Pin, "Algorithms for computing finite semigroups",
+    1997), as `Algebra` items by row: e_i e_j is `terms[s]`, s the state of
+    d_i d_j.  State k < dim is d_k, and l * dim + k is delta^l d_k (l closed
+    loops).  `right[g][s]` is the state of (state s) g for generator g.
+    Proof: column `unit` is d_i 1 = d_i.  Column j is filled once, from a
+    filled column j' along an edge d_j' g = d_j closing no loop (right[g][j']
+    = j < dim); concatenation is associative and adds loops, so
+    d_i d_j = (d_i d_j') g and column j is right[g] read at column j'.  That
+    the generators reach every diagram so is checked here: a column left
+    unfilled raises InternalConsistencyError.  |G| dim compositions and one
+    lookup per product, not dim^2 compositions: in-process (2-vCPU Xeon,
+    CPython 3.11.7), TL_3(6) 39 -> 9 ms, PR(6) 0.97 -> 0.41 s (README).
+    """
+    columns: list = [None] * dim
+    columns[unit] = list(range(dim))
+    reached = [unit]
+    for source in reached:  # grows as the walk reaches new columns
+        for edges in right:
+            j = edges[source]
+            if j < dim and columns[j] is None:
+                columns[j] = list(map(edges.__getitem__, columns[source]))
+                reached.append(j)
+    if len(reached) < dim:
+        raise InternalConsistencyError(f"the generators reach {len(reached)} of {dim} diagrams")
+    return (((i, j), terms[s]) for i, row in enumerate(zip(*columns)) for j, s in enumerate(row))
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +487,16 @@ def temperley_lieb(
     diagrams = temperley_lieb_diagrams(n)
     mates = [d.mates() for d in diagrams]
     index = {m: i for i, m in enumerate(mates)}
-    structure = (
-        ((i, j), ((index[m], powers[loops]),))
-        for i, up in enumerate(mates)
-        for j, low in enumerate(mates)
-        for m, loops in [_tl_compose(up, low)]
-    )
-    unit = unit_vector(len(diagrams), index[TLDiagram.identity(n).mates()])
-    sigma = AntiInvolution.signed_permutation([index[d.flip().mates()] for d in diagrams])
+    identity, dim, right = TLDiagram.identity(n).mates(), len(mates), []
+    for a in range(1, n):  # e_a: cups at a, a + 1 on both rows, other strands straight
+        straight = [(p, n + p) for p in range(1, n + 1) if p not in (a, a + 1)]
+        e_a = TLDiagram.from_pairs(n, [(a, a + 1), (n + a, n + a + 1), *straight]).mates()
+        column = [loops * dim + index[p] for p, loops in (_tl_compose(d, e_a) for d in mates)]
+        right.append([loops * dim + s for loops in range(len(powers)) for s in column])
+    terms = [((k, power),) for power in powers for k in range(dim)]
+    structure = _right_cayley_table(dim, index[identity], right, terms)
+    unit = unit_vector(dim, index[identity])
+    flipped = lambda m: tuple((q + n) % (2 * n) for q in m[n:] + m[:n])  # p <-> p + n mod 2n
+    sigma = AntiInvolution.signed_permutation([index[flipped(m)] for m in mates])
     labels = tuple(d.label() for d in diagrams)
     return Algebra(labels, structure, unit), sigma

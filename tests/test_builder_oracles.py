@@ -135,7 +135,8 @@ def test_group_sigma_inverts_group_elements(table):
 
 @pytest.mark.parametrize(
     "n, delta",
-    [(n, delta) for n in (1, 2, 3, 4, 5) for delta in (0, 1, 3, "1/2", "i")] + [(6, 3)],
+    [(n, delta) for n in (1, 2, 3, 4, 5) for delta in (0, 1, 3, "1/2", "i")]
+    + [(6, 3), (6, 0), (6, "1/2")],
 )
 def test_temperley_lieb_table_matches_union_find(n, delta):
     assert_builds(temperley_lieb(n, delta), temperley_lieb_by_union_find(n, delta))

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import apply_dense, group_axioms, group_axioms_failure
 
-from plesken.algebra import validate_associativity, validate_involution
+from plesken.algebra import InternalConsistencyError, validate_associativity, validate_involution
 from plesken.builders import (
     GroupTable,
     PlanarRookDiagram,
     TLDiagram,
+    _pr_compose,
+    _right_cayley_table,
     group_algebra,
     matrix_algebra,
     matrix_over_algebra,
@@ -238,6 +240,17 @@ def test_planar_rook_arc_count_balance():
             absorbed = d1.arcs + d2.arcs - 2 * product.arcs
             assert absorbed >= 0
             assert d1.arcs + d2.arcs == product.arcs + (product.arcs + absorbed)
+
+
+def test_right_cayley_table_refuses_generators_that_miss_diagrams():
+    # The identity minus one strand: idempotents whose products keep top == bottom,
+    # so the walk reaches the 8 such diagrams of PR(3) and misses the other 12.
+    ends = [(d.top, d.bottom) for d in planar_rook_diagrams(3)]
+    index = {e: i for i, e in enumerate(ends)}
+    strands = [tuple(p for p in (1, 2, 3) if p != q) for q in (1, 2, 3)]
+    right = [[index[_pr_compose(dict(zip(b, t)), s, s)] for t, b in ends] for s in strands]
+    with pytest.raises(InternalConsistencyError, match="reach 8 of 20 diagrams"):
+        _right_cayley_table(len(ends), index[(1, 2, 3), (1, 2, 3)], right, [])
 
 
 # -- Temperley-Lieb diagrams -------------------------------------------------

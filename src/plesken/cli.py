@@ -66,23 +66,31 @@ FAMILIES = (
 )
 
 
-def _out_path(out: str | None, default_name: str) -> Path | None:
-    if out is None and default_name is None:
-        return None
-    target = Path(out) if out is not None else Path(default_name)
+def _out_path(out: str | None, name: str | None) -> Path | None:
+    """`out`, else the default file for document `name`, else None (stdout)."""
+    if out is None:
+        if name is None:
+            return None
+        if "\0" in name:
+            raise DocumentInvalid("document name holds a NUL character")
+        # The name is file content: it makes one file in the output directory.
+        out = name.replace("/", "_").replace("\\", "_") + FILE_SUFFIX
+    target = Path(out)
     base = os.environ.get("PLESKEN_OUT_DIR")
     if base and not target.is_absolute():
         target = Path(base) / target
     return target
 
 
-def _write_or_print(text: str, path: Path | None):
+def _write_or_print(write, path: Path | None):
+    """Call `write` on stdout, or on `path` opened for text."""
     if path is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
         return
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as file:
+            write(file)
     except OSError as exc:
         raise DocumentInvalid(f"cannot write {path}: {exc}") from exc
     print(f"wrote {path}")
@@ -158,8 +166,8 @@ def _build(args) -> int:
         raise DocumentInvalid(str(exc)) from exc
     validate_algebra(algebra, sigma)  # refuse to emit invalid documents
     doc = document_from_algebra(args.name or name, algebra, sigma, cell=cell)
-    path = _out_path(args.out, (args.name or name) + FILE_SUFFIX)
-    _write_or_print(emit(doc), path)
+    path = _out_path(args.out, doc.name)
+    _write_or_print(lambda file: emit(doc, file), path)
     return EXIT_OK
 
 
@@ -178,7 +186,7 @@ def _emit_report(report: dict, args) -> None:
     if args.timing:
         report["timing_ms"] = int((time.monotonic() - args.started) * 1000)
     text = render_markdown(report) if getattr(args, "format", None) == "md" else dumps(report)
-    _write_or_print(text, _out_path(args.out, None))
+    _write_or_print(lambda file: file.write(text), _out_path(args.out, None))
 
 
 def _analyze(args) -> int:

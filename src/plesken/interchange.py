@@ -31,14 +31,19 @@ shorthand whenever sigma is a signed permutation.
 Scalars are exact strings, never decimals.  Cell labels may be integers,
 strings or (nested) lists of them; lists are converted to tuples on parse,
 so parse(emit(doc)) == doc.  Emission sorts keys, and order pairs by
-`_label_key`, and uses a fixed layout, making output byte-deterministic.
+`_label_key`, and uses a fixed layout, making output byte-deterministic:
+that of json.dumps(..., indent=2, sort_keys=True).  The keys sorting
+before "structure", and "unit" after it, go through json.dumps; the
+structure quads are written row by row from `Algebra.rows`, so no JSON
+object per quad and, with an open `file`, no whole-document string is held.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TextIO
 
 from .algebra import Algebra, AntiInvolution
 from .cellular import CellDatum
@@ -123,26 +128,20 @@ def _involution_payload(sigma: AntiInvolution) -> dict:
     return payload
 
 
-def document_to_jsonable(doc: AlgebraDocument) -> dict:
+def emit(doc: AlgebraDocument, file: Optional[TextIO] = None) -> Optional[str]:
+    """The document's text; with an open text `file`, None once it is written there."""
+    out = io.StringIO() if file is None else file
     algebra, cell = doc.algebra, doc.cell
-    payload: dict = {
-        "format_version": FORMAT_VERSION,
-        "name": doc.name,
+    # The top-level keys that sort before "structure", and the one after it.
+    before = {
         "basis": list(algebra.labels),
-        # Rows in order, each by j, and each term tuple sorted by target:
-        # the (i, j, k) order.
-        "structure": [
-            [i, j, k, str(c)]
-            for i, row in enumerate(algebra.rows)
-            for j in sorted(row)
-            for k, c in row[j]
-        ],
-        "unit": [str(c) for c in algebra.unit],
+        "format_version": FORMAT_VERSION,
         "involution": _involution_payload(doc.sigma),
         "metadata": doc.metadata,
+        "name": doc.name,
     }
     if cell is not None:
-        payload["cell"] = {
+        before["cell"] = {
             "lambdas": [_thaw_label(lam) for lam in cell.lambdas],
             "order": [_thaw_label(pair) for pair in sorted(cell.less, key=_label_key)],
             "index_sets": [_thaw_label((lam, cell.index_sets[lam])) for lam in cell.lambdas],
@@ -151,11 +150,25 @@ def document_to_jsonable(doc: AlgebraDocument) -> dict:
                 for triple, idx in sorted(cell.basis_map.items(), key=lambda item: item[1])
             ],
         }
-    return payload
-
-
-def emit(doc: AlgebraDocument) -> str:
-    return json.dumps(document_to_jsonable(doc), indent=2, sort_keys=True) + "\n"
+    head = json.dumps(before, indent=2, sort_keys=True)
+    tail = json.dumps({"unit": [str(c) for c in algebra.unit]}, indent=2)
+    out.write(head[: -len("\n}")] + ',\n  "structure": [')
+    # Rows in order, each by j, and each term tuple sorted by target: the
+    # (i, j, k) order, one row at a time, each coefficient encoded once.
+    codes: dict = {}
+    sep = ""
+    for i, row in enumerate(algebra.rows):
+        quads = ",".join(
+            f"\n    [\n      {i},\n      {j},\n      {k},\n      "
+            f"{codes.get(c) or codes.setdefault(c, json.dumps(str(c)))}\n    ]"
+            for j in sorted(row)
+            for k, c in row[j]
+        )
+        if quads:
+            out.write(sep + quads)
+            sep = ","
+    out.write(("\n  ]," if sep else "],") + tail[len("{"):] + "\n")
+    return out.getvalue() if file is None else None
 
 
 def _parse_involution(payload: dict, dim: int) -> AntiInvolution:
@@ -225,7 +238,8 @@ def parse(text: str) -> AlgebraDocument:
 
 def save(doc: AlgebraDocument, path) -> Path:
     path = Path(path)
-    path.write_text(emit(doc))
+    with path.open("w") as file:
+        emit(doc, file)
     return path
 
 

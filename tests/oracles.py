@@ -88,11 +88,17 @@ to scan, so that it gives the witness the fast path must return.
 which C2 and C3 make sufficient.  `gram_every_witness` reads it at every
 pair (s, v) and raises when a product leaves C[s, v] and the lower cells
 or two pairs disagree.
+
+`plesken.interchange.emit` writes a document's `structure` quads row by row
+in the fixed layout of `json.dumps(..., indent=2)`.  `document_to_jsonable`
+is the whole document as JSON objects, which `emit` once passed to
+`json.dumps`; `emit_dumps` is that text, the byte reference for `emit`.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -117,6 +123,7 @@ from plesken.cellular import (
     GramPropertyFailure,
     Label,
 )
+from plesken.interchange import FORMAT_VERSION, AlgebraDocument
 from plesken.lie import Fingerprint, LieAlgebra
 from plesken.linalg import Matrix, Subspace, Terms, Vector, unit_vector, vector, zero_vector
 from plesken.scalars import I, ONE, ZERO, GaussianRational, exact, scalar
@@ -1075,3 +1082,55 @@ def planar_rook_by_dataclass(n: int) -> tuple[dict, Vector, Matrix]:
     unit = unit_vector(len(diagrams), index[PlanarRookDiagram(n, full, full)])
     perm = [index[d.flip()] for d in diagrams]
     return structure, unit, signed_permutation_matrix(len(diagrams), perm)
+
+
+def _thaw_label(value):
+    return [_thaw_label(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _label_key(value):
+    if isinstance(value, tuple):
+        return 2, tuple(map(_label_key, value))
+    return int(isinstance(value, str)), value
+
+
+def document_to_jsonable(doc: AlgebraDocument) -> dict:
+    """The document as JSON objects: one list per structure constant."""
+    algebra, sigma, cell = doc.algebra, doc.sigma, doc.cell
+    involution: dict = {"conjugates_scalars": sigma.conjugates_scalars}
+    if sigma._signed_permutation is None:
+        images = sigma.images
+        involution["matrix"] = [[str(im.get(i, 0)) for im in images] for i in range(len(images))]
+    else:
+        perm, signs = sigma._signed_permutation
+        involution["permutation"], involution["signs"] = list(perm), list(signs)
+    payload: dict = {
+        "format_version": FORMAT_VERSION,
+        "name": doc.name,
+        "basis": list(algebra.labels),
+        "structure": [
+            [i, j, k, str(c)]
+            for i, row in enumerate(algebra.rows)
+            for j in sorted(row)
+            for k, c in row[j]
+        ],
+        "unit": [str(c) for c in algebra.unit],
+        "involution": involution,
+        "metadata": doc.metadata,
+    }
+    if cell is not None:
+        payload["cell"] = {
+            "lambdas": [_thaw_label(lam) for lam in cell.lambdas],
+            "order": [_thaw_label(pair) for pair in sorted(cell.less, key=_label_key)],
+            "index_sets": [_thaw_label((lam, cell.index_sets[lam])) for lam in cell.lambdas],
+            "triples": [
+                [*_thaw_label(triple), idx]
+                for triple, idx in sorted(cell.basis_map.items(), key=lambda item: item[1])
+            ],
+        }
+    return payload
+
+
+def emit_dumps(doc: AlgebraDocument) -> str:
+    """The document's text from `json.dumps` of the whole document."""
+    return json.dumps(document_to_jsonable(doc), indent=2, sort_keys=True) + "\n"

@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -6,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     associativity_all_triples,
     bidiagonal_basis,
+    emit_dumps,
     involution_from_matrix,
     pairs,
     signed_permutation_matrix,
 )
 
 from plesken import cli
-from plesken.algebra import Algebra, InternalConsistencyError
+from plesken.algebra import Algebra, AntiInvolution, InternalConsistencyError
 from plesken.builders import (
     group_algebra,
     matrix_algebra,
@@ -129,8 +131,38 @@ def documents(draw):
 @given(documents())
 def test_document_round_trip_on_tables_no_builder_makes(doc):
     text = emit(doc)
+    assert text == emit_dumps(doc)
     assert parse(text) == doc
     assert emit(parse(text)) == text
+
+
+def _cell_documents():
+    """Cell sections, labels of every kind, odd metadata and the zero algebra."""
+    algebra, sigma = temperley_lieb(3, "1/2")
+    yield document_from_algebra("tl3half", algebra, sigma, cell_datum_temperley_lieb(3, sigma))
+    algebra, sigma = planar_rook(2)
+    yield document_from_algebra("pr2", algebra, sigma, cell_datum_planar_rook(2, sigma))
+    algebra, sigma = matrix_algebra(2)
+    yield document_from_algebra("m2", algebra, sigma, cell_datum_matrix(2, sigma),
+                                {"note": "a\u0000b", "\u00e9": ["\u221e", {"z": 1, "a": None}]})
+    algebra = Algebra(["\u00e9", "\u221e"], {(0, 0): ((0, 1),), (1, 1): ((1, 1),)}, [1, 1])
+    sigma = AntiInvolution.signed_permutation([0, 1])
+    nested = CellDatum([(1, ("a", (2,))), "b"], [((1, ("a", (2,))), "b")],
+                       {(1, ("a", (2,))): [((0, "x"),)], "b": [1]},
+                       {((1, ("a", (2,))), ((0, "x"),), ((0, "x"),)): 0, ("b", 1, 1): 1}, sigma)
+    yield AlgebraDocument("\u00e9\u0000/..", algebra, sigma, nested, {"\u0000": "\u221e"})
+    yield AlgebraDocument("zero", Algebra([], {}, []), AntiInvolution(()))
+
+
+def test_emit_matches_json_dumps_on_cells_labels_and_metadata(tmp_path):
+    docs = list(_cell_documents())
+    assert '"structure": [],' in emit(docs[-1])  # the zero algebra
+    for doc in docs:
+        text = emit_dumps(doc)
+        assert emit(doc) == text and parse(text) == doc
+        file = io.StringIO()
+        assert emit(doc, file) is None and file.getvalue() == text
+        assert save(doc, tmp_path / "doc.plesken.json").read_bytes() == text.encode()
 
 
 def _with_cell(pair, datum_factory, n):
@@ -834,6 +866,51 @@ def test_out_dir_override(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert (tmp_path / "sub" / "q.plesken.json").exists()
+
+
+def _build_from_table(capsys, tmp_path, name):
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"name": name, "product": [[0, 1], [1, 0]]}))
+    return run_cli(capsys, "build", "--family", "group", "--table", str(table))
+
+
+@pytest.mark.parametrize("out_dir", [False, True])
+def test_default_output_stays_in_the_output_directory(tmp_path, capsys, monkeypatch, out_dir):
+    # The default file is named after the document, whose name is file
+    # content: its separators become "_", so it is one file in the output
+    # directory, whatever the name.  The document keeps its name.
+    work = tmp_path / "a" / "b"
+    work.mkdir(parents=True)
+    monkeypatch.chdir(work)
+    target = tmp_path / "out" if out_dir else work
+    if out_dir:
+        monkeypatch.setenv("PLESKEN_OUT_DIR", str(target))
+    absolute = str(tmp_path / "abs")
+    for name in ("../../x", absolute, "..\\y"):
+        assert _build_from_table(capsys, tmp_path, name)[0] == 0
+        written = target / (name.replace("/", "_").replace("\\", "_") + ".plesken.json")
+        assert load(written).name == name
+    inner = tmp_path / "inner.plesken.json"
+    save(document_from_algebra("../../q", *quaternions()), inner)
+    code, _ = run_cli(capsys, "build", "--family", "matrix-over", "--n", "1", "--inner", str(inner))
+    assert code == 0
+    assert load(target / "matrix-over-.._.._q-n1.plesken.json").name == "matrix-over-../../q-n1"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["a", "inner.plesken.json", "table.json", *(["out"] if out_dir else [])]
+    )
+    assert len(list(target.iterdir())) == 4
+
+
+def test_default_output_refuses_a_nul_in_the_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"name": "x\u0000y", "product": [[0]]}))
+    assert cli.main(["build", "--family", "group", "--table", str(table)]) == 2
+    assert capsys.readouterr().err == "error: document name holds a NUL character\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.json"]
+    # With --out the name is only content, written escaped.
+    code, _ = run_cli(capsys, "build", "--family", "group", "--table", str(table), "--out", "g.json")
+    assert code == 0 and load(tmp_path / "g.json").name == "x\u0000y"
 
 
 def test_cli_unwritable_out_is_invalid_input(tmp_path, capsys, monkeypatch):

@@ -54,6 +54,7 @@ OPTIONAL_PARAMETERS = {
     "GroupTable": ["labels"],
     "bracket_closure_check": ["seed"],
     "document_from_algebra": ["cell", "metadata"],
+    "emit": ["file"],
     "matrix_algebra": ["involution"],
     "planar_rook": ["cap"],
     "temperley_lieb": ["cap"],

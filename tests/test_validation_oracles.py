@@ -24,6 +24,9 @@ Dense single-term tables are proved on the `Algebra.monomial` view, the
 others on the rows.  On every family above, on the tables drawn by
 hypothesis and on every corruption, `generators` and the associativity
 witness must be the same on a copy forced onto the rows.
+
+The same families, written by `emit` row by row, must be byte for byte the
+text `json.dumps` gives for the whole document (`oracles.emit_dumps`).
 """
 
 import itertools
@@ -38,6 +41,7 @@ from oracles import (
     changed_basis,
     coordinates_dense,
     direct_sum,
+    emit_dumps,
     generators_most_targets_first,
     idempotents,
     involution_all_pairs,
@@ -62,6 +66,7 @@ from plesken.builders import (
     quaternions,
     temperley_lieb,
 )
+from plesken.interchange import document_from_algebra, emit
 from plesken.linalg import unit_vector
 from plesken.scalars import I, scalar
 from plesken.suite import cyclic_table, symmetric_3_table
@@ -258,6 +263,12 @@ def _assert_validators_match_restricted_scans(algebra, sigma):
     assert validate_associativity(algebra) == associativity_all_triples(algebra, generators)
     assert validate_unit(algebra) == unit_every_index(algebra)
     assert validate_involution(algebra, sigma) == involution_all_pairs(algebra, sigma, generators)
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, *SPARSE])
+def test_emit_matches_json_dumps(name):
+    doc = document_from_algebra(name, *{**FAMILIES, **SPARSE}[name](), metadata={"of": name})
+    assert emit(doc) == emit_dumps(doc)
 
 
 @pytest.mark.parametrize("name", [*FAMILIES, *SPARSE])

@@ -511,7 +511,7 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
     mean the bracket left the subspace, which the closure identity rules
     out.  Both loops are written out here, not as `linalg.combine` and
     `reduce_by`, which took about 1.5x as long (README, the Lie table);
-    `LieAlgebra` stores the half i < j it returns.
+    `LieAlgebra` stores the half i < j it returns, each bracket's terms sorted.
     """
     from .lie import LieAlgebra
 
@@ -532,7 +532,7 @@ def plesken_lie_algebra(algebra: Algebra, sigma: AntiInvolution) -> "LieAlgebra"
                         z[k] = z.get(k, 0) + cd * e
                     for k, e in table[j].get(i, ()):
                         z[k] = z.get(k, 0) - cd * e
-            terms = sorted((position[p], c) for p, c in z.items() if c and p in position)
+            terms = [(position[p], c) for p, c in z.items() if c and p in position]
             for r, c in terms:
                 for k, d in rows[r].items():
                     z[k] = z.get(k, 0) - c * d

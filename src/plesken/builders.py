@@ -22,6 +22,10 @@ constants and golden values):
   It composes each diagram with each generator e_a only; the rest of the
   table is walked from those columns by `_right_cayley_table`.
 
+Each table reaches `Algebra` as a stream of ((i, j), terms) items and is
+shaped once, by `Algebra.__init__` storing it by row; only the
+quaternions' 16-entry literal, the table's definition, is a dict.
+
 Diagram families are capped (default n <= 6) because dimensions grow like
 C(2n, n) and the Catalan numbers; the cap is a keyword argument.
 """
@@ -84,20 +88,15 @@ def matrix_algebra(n: int, involution: str = "transpose") -> tuple[Algebra, Anti
         raise ValueError("n must be at least 1")
     if involution not in ("transpose", "conj_transpose"):
         raise ValueError(f"unknown involution {involution!r}")
-    sep = "," if n >= 10 else ""
-    labels = tuple(f"E{r}{sep}{s}" for r in range(1, n + 1) for s in range(1, n + 1))
+    sep, span = "," if n >= 10 else "", range(1, n + 1)
+    labels = tuple(f"E{r}{sep}{s}" for r in span for s in span)
     idx = lambda r, s: (r - 1) * n + (s - 1)
-    structure = {}
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            for v in range(1, n + 1):
-                structure[(idx(r, s), idx(s, v))] = ((idx(r, v), 1),)
+    structure = (((idx(r, s), idx(s, v)), ((idx(r, v), 1),)) for r in span for s in span for v in span)
     unit = [0] * (n * n)
-    for r in range(1, n + 1):
+    for r in span:
         unit[idx(r, r)] = 1
-    perm = [idx(s, r) for r in range(1, n + 1) for s in range(1, n + 1)]
     sigma = AntiInvolution.signed_permutation(
-        perm, conjugates_scalars=(involution == "conj_transpose")
+        [idx(s, r) for r in span for s in span], conjugates_scalars=(involution == "conj_transpose")
     )
     return Algebra(labels, structure, unit), sigma
 
@@ -108,43 +107,31 @@ def matrix_over_algebra(
     """M(n, A) for an algebra A with anti-involution.
 
     Basis is E_rs tensor e_i (outer index row-major, inner index fastest);
-    the involution sends E_rs tensor e_i to E_sr tensor sigma(e_i).
+    the involution sends E_rs tensor e_i to E_sr tensor sigma(e_i).  The
+    products are read off the stored rows of A, each by ascending j.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     d = inner.dim
-    dim = n * n * d
-    sep = "," if n >= 10 else ""
+    sep, span = "," if n >= 10 else "", range(1, n + 1)
 
     def idx(r, s, i):
         return ((r - 1) * n + (s - 1)) * d + i
 
-    labels = tuple(
-        f"E{r}{sep}{s}.{inner.labels[i]}"
-        for r in range(1, n + 1)
-        for s in range(1, n + 1)
-        for i in range(d)
+    labels = tuple(f"E{r}{sep}{s}.{inner.labels[i]}" for r in span for s in span for i in range(d))
+    inner_rows = [sorted(row.items()) for row in inner.rows]
+    structure = (
+        ((idx(r, s, i), idx(s, v, j)), [(idx(r, v, k), c) for k, c in terms])
+        for r in span for s in span for v in span
+        for i, row in enumerate(inner_rows) for j, terms in row
     )
-    structure = {}
-    for r in range(1, n + 1):
-        for s in range(1, n + 1):
-            for v in range(1, n + 1):
-                for i in range(d):
-                    for j in range(d):
-                        terms = inner.product_terms(i, j)
-                        if terms:
-                            structure[(idx(r, s, i), idx(s, v, j))] = tuple(
-                                (idx(r, v, k), c) for k, c in terms
-                            )
-    unit = [0] * dim
-    for r in range(1, n + 1):
+    unit = [0] * (n * n * d)
+    for r in span:
         for i, c in enumerate(inner.unit):
             unit[idx(r, r, i)] = c
     images = tuple(
         {idx(s, r, k): c for k, c in inner_sigma.images[i].items()}
-        for r in range(1, n + 1)
-        for s in range(1, n + 1)
-        for i in range(d)
+        for r in span for s in span for i in range(d)
     )
     sigma = AntiInvolution(images, inner_sigma.conjugates_scalars)
     return Algebra(labels, structure, unit), sigma
@@ -193,14 +180,10 @@ class GroupTable:
 
 def group_algebra(table: GroupTable) -> tuple[Algebra, AntiInvolution]:
     """Group algebra with the involution that inverts group elements."""
-    n = table.order
-    structure = {
-        (i, j): ((table.product[i][j], 1),) for i in range(n) for j in range(n)
-    }
-    unit = [0] * n
-    unit[table.identity] = 1
+    n, terms = table.order, [((k, 1),) for k in range(table.order)]
+    structure = (((i, j), terms[k]) for i, row in enumerate(table.product) for j, k in enumerate(row))
     sigma = AntiInvolution.signed_permutation(table.inverse)
-    return Algebra(table.labels, structure, unit), sigma
+    return Algebra(table.labels, structure, unit_vector(n, table.identity)), sigma
 
 
 # ---------------------------------------------------------------------------

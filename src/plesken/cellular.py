@@ -26,8 +26,8 @@ matrices (X^T G + G X = 0 per cell), the direct sum of the orthogonal Lie
 algebras of the Gram forms.  Injectivity is read off the Gram ranks, full
 ones certified mod a prime.  Skewness follows from the axioms for a linear
 sigma, as `verify_theorem` proves, so it builds the cell modules only for a
-semilinear one, whose form check sums sparse entries times the Gram matrix
-into one dict, d terms per entry.  The poset is used only through its
+semilinear one, whose form check is one `linalg.combine` of Gram rows and
+columns, d terms per sparse entry.  The poset is used only through its
 comparability pairs, so non-total orders work unchanged.
 """
 
@@ -391,18 +391,13 @@ class TheoremReport(NamedTuple):
 
 def _form_defect(x: Entries, g: Matrix, y: Entries, sign: int) -> bool:
     """Whether X^T G + sign * G Y is nonzero, X and Y given by their sparse
-    entries x and y: d terms per entry, summed into one dict."""
-    rows, acc = g.data, {}
-    for (k, i), c in x.items():
-        for j, v in enumerate(rows[k]):
-            if v:
-                acc[i, j] = acc[i, j] + c * v if (i, j) in acc else c * v
-    for (k, j), c in y.items():
-        c = sign * c
-        for i, row in enumerate(rows):
-            if v := row[k]:
-                acc[i, j] = acc[i, j] + v * c if (i, j) in acc else v * c
-    return any(acc.values())
+    entries x and y: one `combine` of row k of G per entry (k, i) of x and
+    of column k per entry (k, j) of y, d terms each."""
+    rows = g.data
+    left = ((c, [((i, j), v) for j, v in enumerate(rows[k]) if v]) for (k, i), c in x.items())
+    right = ((sign * c, [((i, j), row[k]) for i, row in enumerate(rows) if row[k]])
+             for (k, j), c in y.items())
+    return bool(combine(itertools.chain(left, right)))
 
 
 def verify_theorem(algebra: Algebra, sigma: AntiInvolution, cd: CellDatum) -> TheoremReport:

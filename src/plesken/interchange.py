@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
 from pathlib import Path
 from typing import Optional, TextIO
 
 from .algebra import Algebra, AntiInvolution
 from .cellular import CellDatum
-from .linalg import vector
 
 FORMAT_VERSION = "1"
 FILE_SUFFIX = ".plesken.json"
@@ -181,8 +181,7 @@ def _parse_involution(payload: dict, dim: int) -> AntiInvolution:
         rows = _rows(payload["matrix"], "involution matrix")
         if len(rows) != dim or any(len(row) != dim for row in rows):
             raise ValueError("involution matrix has wrong shape")
-        columns = zip(*map(vector, rows))
-        return AntiInvolution(tuple(dict(enumerate(column)) for column in columns), conj)
+        return AntiInvolution(tuple(dict(enumerate(column)) for column in zip(*rows)), conj)
     perm = _list(payload["permutation"], "involution permutation")
     if not all(type(p) is int for p in perm) or sorted(perm) != list(range(dim)):
         raise ValueError("involution permutation is not a permutation")
@@ -237,9 +236,17 @@ def parse(text: str) -> AlgebraDocument:
 
 
 def save(doc: AlgebraDocument, path) -> Path:
+    """Write the document to a temporary file beside `path`, then put it in
+    place: a failed write leaves an existing file as it was."""
     path = Path(path)
-    with path.open("w") as file:
-        emit(doc, file)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temporary.open("w") as file:
+            emit(doc, file)
+        temporary.replace(path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -1,7 +1,8 @@
 """Exact linear algebra over Q(i): sparse vectors, echelon forms, kernels.
 
 Sparse {index: scalar} terms are the one vector form, and `combine` is the
-one loop that sums them: c * terms over (c, terms) pairs.
+one loop that sums them: c * terms over (c, terms) pairs.  An index is any
+hashable key; the form check in `cellular` sums (row, col) matrix entries.
 `bilinear_product` multiplies terms through the rows of a table of basis
 products, and `Echelon` keeps a span in reduced row echelon form as sparse
 rows, inserted one vector at a time; a product, a reduction by `reduce_by`

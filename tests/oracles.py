@@ -72,7 +72,11 @@ single-term product on a new pair as read.  The code they replaced is here:
 the union-find over the 3n stacked points of two TL diagrams, the planar
 rook product built as a validated `PlanarRookDiagram`, the whole TL and PR
 tables built from them, and a structure table summed over
-`GaussianRational` for every item.
+`GaussianRational` for every item.  The group and matrix builders stream
+their products into `Algebra`; `group_algebra_by_pairs`,
+`matrix_algebra_by_pairs` and `matrix_over_algebra_by_pairs` build the
+dict of the whole table keyed by (i, j) that they passed before, the last
+probing every inner pair with `product_terms`.
 
 `GroupTable` reads a table's identity and right inverses and leaves the
 proof to `validate_algebra`; `group_axioms` is the brute-force group check
@@ -996,6 +1000,77 @@ def summed_structure(items) -> dict[tuple[int, int], Terms]:
         if terms:
             table[pair] = terms
     return table
+
+
+def group_algebra_by_pairs(table) -> tuple[Algebra, AntiInvolution]:
+    """The group algebra of a `GroupTable` from a dict of all n^2 products."""
+    n = table.order
+    structure = {(i, j): ((table.product[i][j], 1),) for i in range(n) for j in range(n)}
+    unit = [0] * n
+    unit[table.identity] = 1
+    return Algebra(table.labels, structure, unit), AntiInvolution.signed_permutation(table.inverse)
+
+
+def matrix_algebra_by_pairs(n: int, involution: str) -> tuple[Algebra, AntiInvolution]:
+    """M(n) from a dict of its n^3 nonzero products E_rs E_sv = E_rv."""
+    sep = "," if n >= 10 else ""
+    labels = tuple(f"E{r}{sep}{s}" for r in range(1, n + 1) for s in range(1, n + 1))
+    idx = lambda r, s: (r - 1) * n + (s - 1)
+    structure = {}
+    for r in range(1, n + 1):
+        for s in range(1, n + 1):
+            for v in range(1, n + 1):
+                structure[(idx(r, s), idx(s, v))] = ((idx(r, v), 1),)
+    unit = [0] * (n * n)
+    for r in range(1, n + 1):
+        unit[idx(r, r)] = 1
+    perm = [idx(s, r) for r in range(1, n + 1) for s in range(1, n + 1)]
+    sigma = AntiInvolution.signed_permutation(
+        perm, conjugates_scalars=(involution == "conj_transpose")
+    )
+    return Algebra(labels, structure, unit), sigma
+
+
+def matrix_over_algebra_by_pairs(
+    n: int, inner: Algebra, inner_sigma: AntiInvolution
+) -> tuple[Algebra, AntiInvolution]:
+    """M(n, A) from a dict of its products, every inner pair (i, j) probed
+    with `product_terms` for each (r, s, v)."""
+    d = inner.dim
+    sep = "," if n >= 10 else ""
+
+    def idx(r, s, i):
+        return ((r - 1) * n + (s - 1)) * d + i
+
+    labels = tuple(
+        f"E{r}{sep}{s}.{inner.labels[i]}"
+        for r in range(1, n + 1)
+        for s in range(1, n + 1)
+        for i in range(d)
+    )
+    structure = {}
+    for r in range(1, n + 1):
+        for s in range(1, n + 1):
+            for v in range(1, n + 1):
+                for i in range(d):
+                    for j in range(d):
+                        terms = inner.product_terms(i, j)
+                        if terms:
+                            structure[(idx(r, s, i), idx(s, v, j))] = tuple(
+                                (idx(r, v, k), c) for k, c in terms
+                            )
+    unit = [0] * (n * n * d)
+    for r in range(1, n + 1):
+        for i, c in enumerate(inner.unit):
+            unit[idx(r, r, i)] = c
+    images = tuple(
+        {idx(s, r, k): c for k, c in inner_sigma.images[i].items()}
+        for r in range(1, n + 1)
+        for s in range(1, n + 1)
+        for i in range(d)
+    )
+    sigma = AntiInvolution(images, inner_sigma.conjugates_scalars)
+    return Algebra(labels, structure, unit), sigma
 
 
 def tl_compose_union_find(up: TLDiagram, low: TLDiagram) -> tuple[TLDiagram, int]:

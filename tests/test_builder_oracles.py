@@ -10,7 +10,9 @@ every pair of diagrams, each builder's whole table, unit and involution
 with the oracle-built ones, and `Algebra`'s table, with its single-term
 fast path, with the summed one.  Every builder's sigma images must be the
 columns of the signed permutation matrix read off its basis labels or
-group table.
+group table.  The group and matrix builders, which stream their products,
+must store the rows, each row's key order included, the unit, the labels
+and sigma of the same algebra built from a dict keyed by (i, j).
 """
 
 from functools import partial
@@ -19,6 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import (
     column,
+    group_algebra_by_pairs,
+    matrix_algebra_by_pairs,
+    matrix_over_algebra_by_pairs,
     matrix_over_involution_dense,
     pairs,
     planar_rook_by_dataclass,
@@ -33,6 +38,7 @@ from test_validation_oracles import FAMILIES
 
 from plesken.algebra import Algebra
 from plesken.builders import (
+    GroupTable,
     _pr_compose,
     _tl_compose,
     group_algebra,
@@ -131,6 +137,43 @@ def test_group_sigma_inverts_group_elements(table):
     ]
     _, sigma = group_algebra(table)
     assert_images(sigma, signed_permutation_matrix(table.order, inverse))
+
+
+def assert_same_algebra(built, oracle):
+    """Equal rows, read in the same key order, unit, labels and sigma."""
+    (A, sigma), (B, tau) = built, oracle
+    assert A.rows == B.rows
+    assert [list(row) for row in A.rows] == [list(row) for row in B.rows]
+    assert (A.unit, A.labels) == (B.unit, B.labels)
+    assert sigma == tau
+
+
+def dihedral_table(m: int) -> GroupTable:
+    """D_2m: r^k at index k, r^k s at m + k."""
+    elements = [(k, s) for s in (0, 1) for k in range(m)]
+    return GroupTable([[(a - b if s else a + b) % m + m * (s ^ t) for b, t in elements]
+                       for a, s in elements])
+
+
+@pytest.mark.parametrize("involution", ["transpose", "conj_transpose"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_matrix_table_matches_the_pair_keyed_dict(n, involution):
+    assert_same_algebra(matrix_algebra(n, involution), matrix_algebra_by_pairs(n, involution))
+
+
+@pytest.mark.parametrize("inner", ["H", "M(2)*", "M(2) skewed basis", "TL_3(3) bidiagonal basis"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matrix_over_table_matches_the_pair_keyed_dict(n, inner):
+    inner = FAMILIES[inner]()
+    assert_same_algebra(matrix_over_algebra(n, *inner), matrix_over_algebra_by_pairs(n, *inner))
+
+
+@pytest.mark.parametrize(
+    "table", [symmetric_3_table, partial(cyclic_table, 5), partial(dihedral_table, 5)]
+)
+def test_group_table_matches_the_pair_keyed_dict(table):
+    table = table()
+    assert_same_algebra(group_algebra(table), group_algebra_by_pairs(table))
 
 
 @pytest.mark.parametrize(

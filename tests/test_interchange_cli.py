@@ -949,6 +949,22 @@ def test_save_and_load(tmp_path):
     assert load(path) == doc
 
 
+def test_failed_save_leaves_the_file_as_it_was(tmp_path):
+    # `emit` refuses the metadata only after it has begun to write, so the
+    # document goes to a temporary file first.
+    path = save(document_from_algebra("q", *quaternions()), tmp_path / "q.plesken.json")
+    old = path.read_bytes()
+    bad = document_from_algebra("q", *quaternions(), metadata={"when": object()})
+    for target in (path, tmp_path / "new.plesken.json"):
+        with pytest.raises(TypeError):
+            save(bad, target)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+    doc = document_from_algebra("m2", *matrix_algebra(2))
+    assert save(doc, path).read_bytes() == emit(doc).encode()
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_permutation_documents_and_diagram_builds_make_no_dense_matrix(monkeypatch):
     # sigma is held as its sparse images: reading a permutation-form
     # document, building PR(3) with its cell datum, validating and emitting

@@ -61,14 +61,14 @@ class InternalConsistencyError(RuntimeError):
 class Algebra:
     """Associative algebra given by labeled basis, structure tensor and unit."""
 
-    def __init__(self, labels: Sequence[str], structure, unit: Sequence):
-        """`structure` maps basis index pairs (i, j) to the (k, c) terms of
-        e_i e_j, or is an iterable of ((i, j), terms) items in which a pair
-        may recur, its terms then summed.  Every index must be an int (not a
-        bool) in range; coefficients are read by `exact`.  A single term on
-        a new pair is stored as read, one tuple per distinct term, or not at
-        all if zero; only a recurring pair or several terms are summed, and
-        the terms of e_i e_j go to `rows[i][j]`."""
+    def __init__(self, labels: Sequence[str], structure: Iterable[Sequence], unit: Sequence):
+        """`structure` is an iterable of (i, j, k, c) quads, the document's
+        own form: e_i e_j has the term c e_k, and a pair (i, j) may recur,
+        its terms then summed.  Every index must be an int (not a bool) in
+        range, the target checked before `exact` reads c, each distinct
+        string once.  A term on a new pair is stored as read, one tuple per
+        distinct term, or not at all if zero; only a recurring pair is
+        summed, and the terms of e_i e_j go to `rows[i][j]`."""
         self.labels = tuple(labels)
         n = self.dim = len(self.labels)
         if len(set(self.labels)) != n:
@@ -78,32 +78,23 @@ class Algebra:
             raise ValueError("unit vector has wrong length")
 
         strings: dict[str, int | GaussianRational] = {}
-
-        def read(c):  # `exact`, each distinct string read once
-            if type(c) is not str:
-                return exact(c)
-            return strings[c] if c in strings else strings.setdefault(c, exact(c))
-
-        items = structure.items() if isinstance(structure, Mapping) else structure
         rows: list[dict[int, Terms]] = [{} for _ in range(n)]
         shared: dict[tuple, Terms] = {}
-        for (i, j), terms in items:
+        for i, j, k, c in structure:
             if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
                 raise ValueError(f"structure index out of range: {(i, j)}")
-            row, terms = rows[i], tuple(terms)
-            if len(terms) == 1 and j not in row:  # checked and read inline
-                ((k, c),) = terms
-                if not (type(k) is int and 0 <= k < n):
-                    raise ValueError(f"structure target out of range: {k}")
-                if type(c) is not int:
-                    c = read(c)
+            if not (type(k) is int and 0 <= k < n):
+                raise ValueError(f"structure target out of range: {k}")
+            if type(c) is str:
+                c = strings[c] if c in strings else strings.setdefault(c, exact(c))
+            elif type(c) is not int:
+                c = exact(c)
+            row = rows[i]
+            if j not in row:
                 if c:
                     row[j] = shared.get((k, c)) or shared.setdefault((k, c), ((k, c),))
                 continue
-            for k, _ in terms:
-                if not (type(k) is int and 0 <= k < n):
-                    raise ValueError(f"structure target out of range: {k}")
-            merged = combine(((1, row.pop(j, ())), (1, [(k, read(c)) for k, c in terms])))
+            merged = combine(((1, row.pop(j)), (1, ((k, c),))))
             if merged:  # a sum of non-integral values can be an integer
                 row[j] = tuple(sorted((k, exact(c)) for k, c in merged.items()))
         self.rows = rows
@@ -149,16 +140,15 @@ class Algebra:
         stored = sum(map(len, rows))
         if 4 * stored < n * n:
             return None
-        targets = [[n] * (n + 1) for _ in range(n + 1)]
-        coefficients = [[0] * (n + 1) for _ in range(n + 1)]
+        targets, ones = [[n] * (n + 1) for _ in range(n + 1)], True
         try:
-            for row, t, c in zip(rows, targets, coefficients):
+            for row, t in zip(rows, targets):
                 for j, ((k, x),) in row.items():
-                    t[j], c[j] = k, x
+                    t[j], ones = k, ones and x == 1
         except ValueError:  # a product of several terms
             return None
-        ones = sum(c.count(1) for c in coefficients) == stored
-        return targets, None if ones else coefficients
+        return targets, None if ones else [
+            [row[j][0][1] if j in row else 0 for j in range(n + 1)] for row in (*rows, {})]
 
     @cached_property
     def generators(self) -> tuple[int, ...]:

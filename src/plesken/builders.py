@@ -22,9 +22,9 @@ constants and golden values):
   It composes each diagram with each generator e_a only; the rest of the
   table is walked from those columns by `_right_cayley_table`.
 
-Each table reaches `Algebra` as a stream of ((i, j), terms) items and is
-shaped once, by `Algebra.__init__` storing it by row; only the
-quaternions' 16-entry literal, the table's definition, is a dict.
+Each table reaches `Algebra` as a stream of (i, j, k, c) quads, the
+document's own form, and is shaped once, by `Algebra.__init__` storing it
+by row.
 
 Diagram families are capped (default n <= 6) because dimensions grow like
 C(2n, n) and the Catalan numbers; the cap is a keyword argument.
@@ -55,25 +55,12 @@ def quaternions() -> tuple[Algebra, AntiInvolution]:
     """
     labels = ("1", "i", "j", "k")
     one, i, j, k = range(4)
-    neg = -1
-    structure = {
-        (one, one): ((one, 1),),
-        (one, i): ((i, 1),),
-        (one, j): ((j, 1),),
-        (one, k): ((k, 1),),
-        (i, one): ((i, 1),),
-        (j, one): ((j, 1),),
-        (k, one): ((k, 1),),
-        (i, i): ((one, neg),),
-        (j, j): ((one, neg),),
-        (k, k): ((one, neg),),
-        (i, j): ((k, 1),),
-        (j, i): ((k, neg),),
-        (j, k): ((i, 1),),
-        (k, j): ((i, neg),),
-        (k, i): ((j, 1),),
-        (i, k): ((j, neg),),
-    }
+    structure = (
+        (one, one, one, 1), (one, i, i, 1), (one, j, j, 1), (one, k, k, 1),
+        (i, one, i, 1), (j, one, j, 1), (k, one, k, 1),
+        (i, i, one, -1), (j, j, one, -1), (k, k, one, -1),
+        (i, j, k, 1), (j, i, k, -1), (j, k, i, 1), (k, j, i, -1), (k, i, j, 1), (i, k, j, -1),
+    )
     algebra = Algebra(labels, structure, (1, 0, 0, 0))
     return algebra, AntiInvolution.signed_permutation((0, 1, 2, 3), (1, -1, -1, -1))
 
@@ -91,7 +78,7 @@ def matrix_algebra(n: int, involution: str = "transpose") -> tuple[Algebra, Anti
     sep, span = "," if n >= 10 else "", range(1, n + 1)
     labels = tuple(f"E{r}{sep}{s}" for r in span for s in span)
     idx = lambda r, s: (r - 1) * n + (s - 1)
-    structure = (((idx(r, s), idx(s, v)), ((idx(r, v), 1),)) for r in span for s in span for v in span)
+    structure = ((idx(r, s), idx(s, v), idx(r, v), 1) for r in span for s in span for v in span)
     unit = [0] * (n * n)
     for r in span:
         unit[idx(r, r)] = 1
@@ -121,9 +108,9 @@ def matrix_over_algebra(
     labels = tuple(f"E{r}{sep}{s}.{inner.labels[i]}" for r in span for s in span for i in range(d))
     inner_rows = [sorted(row.items()) for row in inner.rows]
     structure = (
-        ((idx(r, s, i), idx(s, v, j)), [(idx(r, v, k), c) for k, c in terms])
+        (idx(r, s, i), idx(s, v, j), idx(r, v, k), c)
         for r in span for s in span for v in span
-        for i, row in enumerate(inner_rows) for j, terms in row
+        for i, row in enumerate(inner_rows) for j, terms in row for k, c in terms
     )
     unit = [0] * (n * n * d)
     for r in span:
@@ -180,10 +167,9 @@ class GroupTable:
 
 def group_algebra(table: GroupTable) -> tuple[Algebra, AntiInvolution]:
     """Group algebra with the involution that inverts group elements."""
-    n, terms = table.order, [((k, 1),) for k in range(table.order)]
-    structure = (((i, j), terms[k]) for i, row in enumerate(table.product) for j, k in enumerate(row))
+    structure = ((i, j, k, 1) for i, row in enumerate(table.product) for j, k in enumerate(row))
     sigma = AntiInvolution.signed_permutation(table.inverse)
-    return Algebra(table.labels, structure, unit_vector(n, table.identity)), sigma
+    return Algebra(table.labels, structure, unit_vector(table.order, table.identity)), sigma
 
 
 # ---------------------------------------------------------------------------
@@ -290,18 +276,19 @@ def planar_rook(
     top_of = [dict(zip(bottom, top)) for top, bottom in ends]
     # The diagrams with n - 1 arcs generate PR(n) with the identity.
     right = [[index[_pr_compose(t, *g)] for t in top_of] for g in ends if len(g[0]) == n - 1]
-    structure = _right_cayley_table(dim, unit, right, [((k, 1),) for k in range(dim)])
+    structure = _right_cayley_table(dim, unit, right, [*range(dim)], [1] * dim)
     sigma = AntiInvolution.signed_permutation([index[bottom, top] for top, bottom in ends])
     labels = tuple(d.label() for d in diagrams)
     return Algebra(labels, structure, unit_vector(dim, unit)), sigma
 
 
-def _right_cayley_table(dim: int, unit: int, right, terms):
+def _right_cayley_table(dim: int, unit: int, right, targets, coefficients):
     """The product table of a diagram monoid, walked along its right Cayley
     graph (Froidure and Pin, "Algorithms for computing finite semigroups",
-    1997), as `Algebra` items by row: e_i e_j is `terms[s]`, s the state of
-    d_i d_j.  State k < dim is d_k, and l * dim + k is delta^l d_k (l closed
-    loops).  `right[g][s]` is the state of (state s) g for generator g.
+    1997), as `Algebra` quads by row: e_i e_j is c e_k with k, c =
+    `targets[s]`, `coefficients[s]`, s the state of d_i d_j.  State k < dim
+    is d_k, and l * dim + k is delta^l d_k (l closed loops).  `right[g][s]`
+    is the state of (state s) g for generator g.
     Proof: column `unit` is d_i 1 = d_i.  Column j is filled once, from a
     filled column j' along an edge d_j' g = d_j closing no loop (right[g][j']
     = j < dim); concatenation is associative and adds loops, so
@@ -322,7 +309,10 @@ def _right_cayley_table(dim: int, unit: int, right, terms):
                 reached.append(j)
     if len(reached) < dim:
         raise InternalConsistencyError(f"the generators reach {len(reached)} of {dim} diagrams")
-    return (((i, j), terms[s]) for i, row in enumerate(zip(*columns)) for j, s in enumerate(row))
+    return itertools.chain.from_iterable(
+        zip(itertools.repeat(i), range(dim), map(targets.__getitem__, row),
+            map(coefficients.__getitem__, row))
+        for i, row in enumerate(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +466,8 @@ def temperley_lieb(
         e_a = TLDiagram.from_pairs(n, [(a, a + 1), (n + a, n + a + 1), *straight]).mates()
         column = [loops * dim + index[p] for p, loops in (_tl_compose(d, e_a) for d in mates)]
         right.append([loops * dim + s for loops in range(len(powers)) for s in column])
-    terms = [((k, power),) for power in powers for k in range(dim)]
-    structure = _right_cayley_table(dim, index[identity], right, terms)
+    targets, coefficients = [*range(dim)] * len(powers), [p for p in powers for _ in range(dim)]
+    structure = _right_cayley_table(dim, index[identity], right, targets, coefficients)
     unit = unit_vector(dim, index[identity])
     flipped = lambda m: tuple((q + n) % (2 * n) for q in m[n:] + m[:n])  # p <-> p + n mod 2n
     sigma = AntiInvolution.signed_permutation([index[flipped(m)] for m in mates])

@@ -19,11 +19,12 @@ Document layout (format_version "1", the only one):
     }
 
 In memory a document is the `Algebra`, `AntiInvolution` and `CellDatum`
-it describes.  `parse` builds them directly, so their constructors' checks
-(distinct labels, structure indices that are ints in range, a strict order
-on known cells, one index set per known cell with no member twice) refuse a
-document in `parse`, with ValueError, as `parse` itself refuses a cell
-given two index sets or a cell triple listed twice.  The involution is
+it describes.  `parse` builds them directly, the structure quads going to
+`Algebra` as read, so their constructors' checks (distinct labels,
+structure indices that are ints in range, a strict order on known cells,
+one index set per known cell with no member twice) refuse a document in
+`parse`, with ValueError, as `parse` itself refuses a cell given two index
+sets or a cell triple listed twice.  The involution is
 read into the sparse images sigma(e_j): from the permutation and signs, or
 from the columns of the matrix.  `emit` writes straight from them, the
 shorthand whenever sigma is a signed permutation.
@@ -69,8 +70,10 @@ def _list(value, what: str) -> list:
 
 
 def _rows(value, what: str) -> list[list]:
-    """`value` if it is a JSON list of JSON lists."""
-    return [_list(row, f"each entry of {what}") for row in _list(value, what)]
+    """`value` if it is a JSON list of JSON lists, checked in one pass."""
+    if not set(map(type, _list(value, what))) <= {list}:
+        raise ValueError(f"each entry of {what} must be a JSON list")
+    return value
 
 
 def _thaw_label(value):
@@ -222,9 +225,7 @@ def parse(text: str) -> AlgebraDocument:
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise ValueError("basis must be a list of strings")
     dim = len(basis)
-    quads = _rows(payload["structure"], "structure")
-    structure = (((i, j), ((k, c),)) for i, j, k, c in quads)
-    algebra = Algebra(basis, structure, _list(payload["unit"], "unit"))
+    algebra = Algebra(basis, _rows(payload["structure"], "structure"), _list(payload["unit"], "unit"))
     sigma = _parse_involution(payload["involution"], dim)
     cell = _parse_cell(payload["cell"], dim, sigma) if "cell" in payload else None
     if not isinstance(payload["name"], str):

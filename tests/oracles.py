@@ -139,6 +139,12 @@ def pairs(algebra: Algebra) -> dict[tuple[int, int], Terms]:
     return {(i, j): terms for i, row in enumerate(algebra.rows) for j, terms in row.items()}
 
 
+def quads(table: dict[tuple[int, int], Terms]) -> list[tuple]:
+    """The (i, j, k, c) quads `Algebra` reads, one per term of a table keyed
+    by pair, {(i, j): terms of e_i e_j}: the inverse of `pairs`."""
+    return [(i, j, k, c) for (i, j), terms in table.items() for k, c in terms]
+
+
 def identity_matrix(n: int) -> Matrix:
     return Matrix([unit_vector(n, i) for i in range(n)])
 
@@ -203,7 +209,7 @@ def changed_basis(
     images = tuple(dict(enumerate(coordinates(apply_dense(sigma, v)))) for v in columns)
     labels = tuple(f"b{i}" for i in range(n))
     unit = coordinates(algebra.unit)
-    return Algebra(labels, structure, unit), AntiInvolution(images, sigma.conjugates_scalars)
+    return Algebra(labels, quads(structure), unit), AntiInvolution(images, sigma.conjugates_scalars)
 
 
 def bidiagonal_basis(algebra: Algebra, sigma: AntiInvolution) -> tuple[Algebra, AntiInvolution]:
@@ -329,13 +335,13 @@ def direct_sum(*parts: tuple[Algebra, AntiInvolution]) -> tuple[Algebra, AntiInv
             structure[(i + offset, j + offset)] = tuple((k + offset, c) for k, c in terms)
         unit += algebra.unit
         images += [{k + offset: c for k, c in values.items()} for values in sigma.images]
-    return Algebra(labels, structure, unit), AntiInvolution(images, parts[0][1].conjugates_scalars)
+    return Algebra(labels, quads(structure), unit), AntiInvolution(images, parts[0][1].conjugates_scalars)
 
 
 def idempotents(n: int) -> tuple[Algebra, AntiInvolution]:
     """C^n: e_i e_i = e_i and every other product zero, unit the sum of the
     e_i, sigma the identity."""
-    structure = {(i, i): ((i, 1),) for i in range(n)}
+    structure = [(i, i, i, 1) for i in range(n)]
     return Algebra([f"e_{i}" for i in range(n)], structure, [1] * n), AntiInvolution(
         tuple({i: 1} for i in range(n))
     )
@@ -986,14 +992,13 @@ def gram_properties_dense(
     return None
 
 
-def summed_structure(items) -> dict[tuple[int, int], Terms]:
-    """The table of ((i, j), terms) items: every pair's terms summed over
+def summed_structure(structure) -> dict[tuple[int, int], Terms]:
+    """The table of (i, j, k, c) quads: every pair's terms summed over
     `GaussianRational`, zero totals dropped, terms sorted by target."""
     sums: dict[tuple[int, int], dict[int, GaussianRational]] = {}
-    for pair, terms in items:
-        row = sums.setdefault(pair, {})
-        for k, c in terms:
-            row[k] = row.get(k, ZERO) + scalar(c)
+    for i, j, k, c in structure:
+        row = sums.setdefault((i, j), {})
+        row[k] = row.get(k, ZERO) + scalar(c)
     table = {}
     for pair, row in sums.items():
         terms = tuple(sorted((k, c) for k, c in row.items() if c))
@@ -1008,7 +1013,7 @@ def group_algebra_by_pairs(table) -> tuple[Algebra, AntiInvolution]:
     structure = {(i, j): ((table.product[i][j], 1),) for i in range(n) for j in range(n)}
     unit = [0] * n
     unit[table.identity] = 1
-    return Algebra(table.labels, structure, unit), AntiInvolution.signed_permutation(table.inverse)
+    return Algebra(table.labels, quads(structure), unit), AntiInvolution.signed_permutation(table.inverse)
 
 
 def matrix_algebra_by_pairs(n: int, involution: str) -> tuple[Algebra, AntiInvolution]:
@@ -1028,7 +1033,7 @@ def matrix_algebra_by_pairs(n: int, involution: str) -> tuple[Algebra, AntiInvol
     sigma = AntiInvolution.signed_permutation(
         perm, conjugates_scalars=(involution == "conj_transpose")
     )
-    return Algebra(labels, structure, unit), sigma
+    return Algebra(labels, quads(structure), unit), sigma
 
 
 def matrix_over_algebra_by_pairs(
@@ -1070,7 +1075,7 @@ def matrix_over_algebra_by_pairs(
         for i in range(d)
     )
     sigma = AntiInvolution(images, inner_sigma.conjugates_scalars)
-    return Algebra(labels, structure, unit), sigma
+    return Algebra(labels, quads(structure), unit), sigma
 
 
 def tl_compose_union_find(up: TLDiagram, low: TLDiagram) -> tuple[TLDiagram, int]:

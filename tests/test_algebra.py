@@ -12,6 +12,7 @@ from oracles import (
     kernel_gauss_jordan,
     linear_combination,
     pairs,
+    quads,
     sigma_matrix,
     skew_part_dense,
 )
@@ -76,16 +77,14 @@ def test_multiply_dimension_mismatch():
 @pytest.mark.parametrize(
     "structure, error, message",
     [
-        ({(True, 0): ((0, 1),)}, ValueError, "structure index out of range: (True, 0)"),
-        ({(0, True): ((0, 1),)}, ValueError, "structure index out of range: (0, True)"),
-        ({(0, 0): ((True, 1),)}, ValueError, "structure target out of range: True"),
-        ({(0, 0): ((0, 1), (True, 1))}, ValueError, "structure target out of range: True"),
-        ({(0, 0): ((0, True),)}, TypeError, "cannot interpret True as a scalar"),
-        ({(0, 0): ((0, "x"),)}, ValueError, "not a scalar: 'x'"),
-        # Every target of a multi-term entry is checked before a coefficient is read.
-        ({(0, 0): ((0, "x"), (2, 1))}, ValueError, "structure target out of range: 2"),
-        ([((0, 0), ((0, 1),)), ((0, 0), ((0, "x"), (2, 1)))], ValueError,
-         "structure target out of range: 2"),
+        ([(True, 0, 0, 1)], ValueError, "structure index out of range: (True, 0)"),
+        ([(0, True, 0, 1)], ValueError, "structure index out of range: (0, True)"),
+        ([(0, 0, True, 1)], ValueError, "structure target out of range: True"),
+        ([(0, 0, 0, 1), (0, 0, True, 1)], ValueError, "structure target out of range: True"),
+        ([(0, 0, 0, True)], TypeError, "cannot interpret True as a scalar"),
+        ([(0, 0, 0, "x")], ValueError, "not a scalar: 'x'"),
+        # The target is checked before the coefficient is read.
+        ([(0, 0, 2, "x")], ValueError, "structure target out of range: 2"),
     ],
 )
 def test_constructor_refusals_are_pinned(structure, error, message):
@@ -96,16 +95,18 @@ def test_constructor_refusals_are_pinned(structure, error, message):
 
 def test_constructor_stores_no_zero_product():
     # A zero single term, a recurring pair summing to zero (as ints, as
-    # strings, or multi-term) and a zero multi-term sum are not stored.
-    items = [
-        ((0, 0), ((0, 0),)),
-        ((0, 1), ((1, 1),)), ((0, 1), ((1, -1),)),
-        ((1, 0), ((1, "1/2"),)), ((1, 0), ((1, "-1/2"),)),
-        ((1, 1), ((0, 1), (1, 2))), ((1, 1), ((1, -2), (0, -1))),
-        ((0, 0), ((0, "0"),)),
+    # strings, or over several targets) and a zero sum on one target are
+    # not stored.
+    structure = [
+        (0, 0, 0, 0),
+        (0, 1, 1, 1), (0, 1, 1, -1),
+        (1, 0, 1, "1/2"), (1, 0, 1, "-1/2"),
+        (1, 1, 0, 1), (1, 1, 1, 2), (1, 1, 1, -2), (1, 1, 0, -1),
+        (0, 0, 0, "0"),
     ]
-    assert Algebra(["a", "b"], items, [1, 0]).rows == [{}, {}]
-    assert Algebra(["a", "b"], {(0, 0): ((0, 2), (0, -2)), (1, 1): ((1, "0"),)}, [1, 0]).rows == [{}, {}]
+    assert Algebra(["a", "b"], structure, [1, 0]).rows == [{}, {}]
+    structure = [(0, 0, 0, 2), (0, 0, 0, -2), (1, 1, 1, "0")]
+    assert Algebra(["a", "b"], structure, [1, 0]).rows == [{}, {}]
 
 
 @pytest.mark.parametrize(
@@ -131,7 +132,7 @@ def test_associativity_detects_corruption():
     A, _ = quaternions()
     structure = pairs(A)
     structure[(0, 0)] = ((0, scalar(2)),)
-    corrupted = Algebra(A.labels, structure, A.unit)
+    corrupted = Algebra(A.labels, quads(structure), A.unit)
     assert validate_associativity(corrupted) == (0, 1, 1)  # (0, 0, 1) while G was (0, 1, 2)
     x, y, z = (unit_vector(4, t) for t in (0, 1, 1))
 
@@ -246,7 +247,7 @@ def test_skew_part_check_fires_when_sigma_squared_is_not_the_identity(matrix):
     # e_j - sigma(e_j) is not the (-1)-eigenspace (span(e0) against 0 for
     # the unipotent block, everything against span(e0) for diag(-1, 2)).
     # Only the check sigma(r) = -r on the rows of the span sees it.
-    A = Algebra(("a", "b"), {(0, 0): ((0, 1),), (1, 1): ((1, 1),)}, (1, 1))
+    A = Algebra(("a", "b"), [(0, 0, 0, 1), (1, 1, 1, 1)], (1, 1))
     with pytest.raises(
         InternalConsistencyError,
         match=r"\(-1\)-eigenspace differs from the span of the generators",

@@ -202,20 +202,19 @@ coefficients = st.one_of(
 
 
 @st.composite
-def structure_items(draw):
-    """(dim, items): few pairs, so pairs recur; zero coefficients; products
+def structure_quads(draw):
+    """(dim, quads): few pairs, so pairs recur; zero coefficients; products
     of zero, one and several terms, a target possibly repeated."""
     n = draw(st.integers(1, 3))
     index = st.integers(0, n - 1)
-    terms = st.lists(st.tuples(index, coefficients), max_size=3).map(tuple)
-    return n, draw(st.lists(st.tuples(st.tuples(index, index), terms), max_size=12))
+    return n, draw(st.lists(st.tuples(index, index, index, coefficients), max_size=24))
 
 
 @settings(max_examples=300, deadline=None)
-@given(structure_items())
+@given(structure_quads())
 def test_algebra_table_is_the_summed_items(case):
-    n, items = case
-    A = Algebra([f"e{b}" for b in range(n)], items, unit_vector(n, 0))
-    assert pairs(A) == summed_structure(items)
+    n, structure = case
+    A = Algebra([f"e{b}" for b in range(n)], structure, unit_vector(n, 0))
+    assert pairs(A) == summed_structure(structure)
     # Each coefficient is held in its stored form: an int when integral.
     assert all(exact(c) is c for terms in pairs(A).values() for _, c in terms)

@@ -250,7 +250,7 @@ def test_right_cayley_table_refuses_generators_that_miss_diagrams():
     strands = [tuple(p for p in (1, 2, 3) if p != q) for q in (1, 2, 3)]
     right = [[index[_pr_compose(dict(zip(b, t)), s, s)] for t, b in ends] for s in strands]
     with pytest.raises(InternalConsistencyError, match="reach 8 of 20 diagrams"):
-        _right_cayley_table(len(ends), index[(1, 2, 3), (1, 2, 3)], right, [])
+        _right_cayley_table(len(ends), index[(1, 2, 3), (1, 2, 3)], right, [], [])
 
 
 # -- Temperley-Lieb diagrams -------------------------------------------------

@@ -196,11 +196,11 @@ def _two_by_two(coefficient, unit, conjugates_scalars=False):
     and its one-cell datum."""
     members = (1, 2)
     index = {(s, t): 2 * (s - 1) + (t - 1) for s in members for t in members}
-    structure = {}
+    structure = []
     for (s, t), left in index.items():
         for (u, v), right in index.items():
             if c := scalar(coefficient(s, t, u, v)):
-                structure[(left, right)] = ((index[(s, v)], c),)
+                structure.append((left, right, index[(s, v)], c))
     algebra = Algebra([f"C{s}{t}" for s, t in index], structure, [scalar(c) for c in unit])
     perm = [index[(t, s)] for s, t in index]
     sigma = AntiInvolution.signed_permutation(perm, None, conjugates_scalars)
@@ -824,7 +824,7 @@ def test_skewness_is_proved_for_a_linear_sigma(name, factory, n, datum_factory):
 
 def test_the_zero_algebra_is_certified():
     # A map from the zero space is injective, and 0 is the empty sum of o(d).
-    A, sigma = Algebra([], {}, []), AntiInvolution(())
+    A, sigma = Algebra([], [], []), AntiInvolution(())
     cd = CellDatum((), (), {}, {}, sigma)
     assert validate_cell_datum(A, sigma, cd) is None
     outcome = verify_theorem(A, sigma, cd)

@@ -10,6 +10,7 @@ from oracles import (
     emit_dumps,
     involution_from_matrix,
     pairs,
+    quads,
     signed_permutation_matrix,
 )
 
@@ -94,8 +95,7 @@ def documents(draw):
     labels = draw(st.lists(st.text("xyz", min_size=1, max_size=3), min_size=n, max_size=n,
                            unique=True))
     index = st.integers(0, n - 1)
-    quads = draw(st.lists(st.tuples(index, index, index, coefficients), max_size=12))
-    structure = [((i, j), ((k, c),)) for i, j, k, c in quads]
+    structure = draw(st.lists(st.tuples(index, index, index, coefficients), max_size=12))
     algebra = Algebra(labels, structure, draw(st.lists(coefficients, min_size=n, max_size=n)))
     if draw(st.booleans()):
         perm = draw(st.permutations(range(n)))
@@ -145,13 +145,13 @@ def _cell_documents():
     algebra, sigma = matrix_algebra(2)
     yield document_from_algebra("m2", algebra, sigma, cell_datum_matrix(2, sigma),
                                 {"note": "a\u0000b", "\u00e9": ["\u221e", {"z": 1, "a": None}]})
-    algebra = Algebra(["\u00e9", "\u221e"], {(0, 0): ((0, 1),), (1, 1): ((1, 1),)}, [1, 1])
+    algebra = Algebra(["\u00e9", "\u221e"], [(0, 0, 0, 1), (1, 1, 1, 1)], [1, 1])
     sigma = AntiInvolution.signed_permutation([0, 1])
     nested = CellDatum([(1, ("a", (2,))), "b"], [((1, ("a", (2,))), "b")],
                        {(1, ("a", (2,))): [((0, "x"),)], "b": [1]},
                        {((1, ("a", (2,))), ((0, "x"),), ((0, "x"),)): 0, ("b", 1, 1): 1}, sigma)
     yield AlgebraDocument("\u00e9\u0000/..", algebra, sigma, nested, {"\u0000": "\u221e"})
-    yield AlgebraDocument("zero", Algebra([], {}, []), AntiInvolution(()))
+    yield AlgebraDocument("zero", Algebra([], [], []), AntiInvolution(()))
 
 
 def test_emit_matches_json_dumps_on_cells_labels_and_metadata(tmp_path):
@@ -198,7 +198,7 @@ def test_parse_rejects_bad_documents():
 
 def test_algebra_checks_every_structure_index():
     # bool is a subclass of int, so True must be refused as an index too.
-    for structure in ({(True, 0): ((0, 1),)}, {(0, 0): ((True, 1),)}, {(0, 2): ((0, 1),)}):
+    for structure in ([(True, 0, 0, 1)], [(0, 0, True, 1)], [(0, 2, 0, 1)]):
         with pytest.raises(ValueError, match="out of range"):
             Algebra(["a", "b"], structure, [1, 0])
     # In a document, `true` is refused also where it equals an earlier pair:
@@ -207,10 +207,9 @@ def test_algebra_checks_every_structure_index():
     payload["structure"].append([True, 0, 1, "1"])
     with pytest.raises(ValueError, match="out of range"):
         parse(json.dumps(payload))
-    # A pair may recur among ((i, j), terms) items; its terms are summed.
-    items = [((0, 0), ((0, "1/2"),)), ((0, 1), ((1, 1),)), ((0, 0), ((0, "1/2"), (1, 1))),
-             ((0, 1), ((1, -1),))]
-    assert Algebra(["a", "b"], items, [1, 0]).rows == [{0: ((0, 1), (1, 1))}, {}]
+    # A pair may recur among the quads; its terms are summed.
+    structure = [(0, 0, 0, "1/2"), (0, 1, 1, 1), (0, 0, 0, "1/2"), (0, 0, 1, 1), (0, 1, 1, -1)]
+    assert Algebra(["a", "b"], structure, [1, 0]).rows == [{0: ((0, 1), (1, 1))}, {}]
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -220,6 +219,44 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def _unpacking_message(entry) -> str:
+    """The interpreter's own refusal to unpack `entry` into four names."""
+    try:
+        i, j, k, c = entry
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{entry!r} unpacks into four names")
+
+
+@pytest.mark.parametrize(
+    "entry, error, message",
+    [
+        ("5", ValueError, "each entry of structure must be a JSON list"),
+        ("null", ValueError, "each entry of structure must be a JSON list"),
+        ('"0011"', ValueError, "each entry of structure must be a JSON list"),
+        ('{"a": 1}', ValueError, "each entry of structure must be a JSON list"),
+        ("[0, 0, 0]", ValueError, _unpacking_message([0, 0, 0])),
+        ('[0, 0, 0, "1", 0]', ValueError, _unpacking_message([0, 0, 0, "1", 0])),
+        ('[true, 0, 0, "1"]', ValueError, "structure index out of range: (True, 0)"),
+        ('[0, 0, 9, "1"]', ValueError, "structure target out of range: 9"),
+        ("[0, 0, 0, 1.5]", TypeError, "cannot interpret 1.5 as a scalar"),
+    ],
+)
+def test_malformed_structure_entries_are_refused(entry, error, message, tmp_path, capsys):
+    # One malformed entry after the quaternions' quads: `parse` refuses it
+    # with this exception and message, the CLI as invalid input, exit 2.
+    payload = json.loads(emit(document_from_algebra("q", *quaternions())))
+    payload["structure"].append(json.loads(entry))
+    path = tmp_path / "q.plesken.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(error) as info:
+        parse(path.read_text())
+    assert str(info.value) == message
+    code, out = run_cli(capsys, "verify-cellular", str(path))
+    assert code == 2
+    assert json.loads(out)["error"]["kind"] == "invalid-input"
 
 
 def test_cli_build_families(tmp_path, capsys):
@@ -832,7 +869,7 @@ def test_suite_validates_every_item(monkeypatch):
         algebra, sigma = planar_rook(n, **kwargs)
         if n == 4:
             unit = unit_vector(algebra.dim, 0)
-            algebra = Algebra(algebra.labels, pairs(algebra), unit)
+            algebra = Algebra(algebra.labels, quads(pairs(algebra)), unit)
         return algebra, sigma
 
     monkeypatch.setattr(suite_module, "planar_rook", planar_rook_wrong_unit)

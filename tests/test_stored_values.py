@@ -113,7 +113,7 @@ def test_constructors_read_integral_values_as_ints():
     assert _both_orders(L) == {(0, 1): ((2, 2),), (1, 0): ((2, -2),),
                                (1, 2): ((0, scalar("1/2")),), (2, 1): ((0, scalar("-1/2")),)}
     _assert_read_once(_terms(_both_orders(L)), "Lie table")
-    A = Algebra(["a", "b"], {(0, 0): ((0, "1/2"), (0, "1/2")), (0, 1): ((1, Fraction(4, 2)),)},
+    A = Algebra(["a", "b"], [(0, 0, 0, "1/2"), (0, 0, 0, "1/2"), (0, 1, 1, Fraction(4, 2))],
                 [GaussianRational(1), "0"])
     assert A.rows == [{0: ((0, 1),), 1: ((1, 2),)}, {}] and A.unit == (1, 0)
     sigma = AntiInvolution(({0: "1+0i", 1: 0}, {1: Fraction(1)}))

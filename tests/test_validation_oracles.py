@@ -46,6 +46,7 @@ from oracles import (
     idempotents,
     involution_all_pairs,
     pairs,
+    quads,
     span_gauss_jordan,
     unit_every_index,
 )
@@ -188,13 +189,13 @@ def _corruptions(algebra):
         for variant in variants:
             structure = pairs(algebra)
             structure[(i, j)] = variant
-            yield Algebra(algebra.labels, structure, algebra.unit)
+            yield Algebra(algebra.labels, quads(structure), algebra.unit)
 
 
 def _assert_paths_agree(algebra):
     """`generators` and the Light witness are the same with and without the
     `monomial` view; the copy is forced onto the rows before first use."""
-    on_rows = Algebra(algebra.labels, pairs(algebra), algebra.unit)
+    on_rows = Algebra(algebra.labels, quads(pairs(algebra)), algebra.unit)
     on_rows.__dict__["monomial"] = None
     assert algebra.generators == on_rows.generators
     assert validate_associativity(algebra) == validate_associativity(on_rows)
@@ -213,7 +214,7 @@ def _two_term_tl():
     algebra, sigma = temperley_lieb(4, 3)
     structure = pairs(algebra)
     structure[(1, 2)] += ((0, 1),) if structure[(1, 2)][0][0] else ((1, 1),)
-    return Algebra(algebra.labels, structure, algebra.unit), sigma
+    return Algebra(algebra.labels, quads(structure), algebra.unit), sigma
 
 
 @pytest.mark.parametrize(
@@ -296,7 +297,7 @@ def test_unit_witnesses_are_the_first_failing_index():
         n = algebra.dim
         for i in range(n):
             for unit in (algebra.unit[:i] + (0,) + algebra.unit[i + 1:], (1,) * n):
-                moved = Algebra(algebra.labels, pairs(algebra), unit)
+                moved = Algebra(algebra.labels, quads(pairs(algebra)), unit)
                 assert validate_unit(moved) == unit_every_index(moved)
 
 
@@ -308,7 +309,8 @@ def tables(draw):
     index = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=2 * n, unique=True))
     terms = st.lists(st.tuples(index, coefficients), min_size=1, max_size=3)
-    structure = draw(st.lists(st.tuples(st.sampled_from(pairs), terms), max_size=3 * n))
+    items = draw(st.lists(st.tuples(st.sampled_from(pairs), terms), max_size=3 * n))
+    structure = [(i, j, k, c) for (i, j), row in items for k, c in row]
     return Algebra([f"e{i}" for i in range(n)], structure, [1] + [0] * (n - 1))
 
 

@@ -11,12 +11,14 @@ Exit codes: 0 success or certificate, 1 refutation or failed battery item
 (a mathematically meaningful negative outcome), 2 input or validation
 error, 3 internal inconsistency or any other unexpected failure.  The only
 environment variable honored is PLESKEN_OUT_DIR, an output-directory
-override for relative --out paths.
+override for relative --out paths.  The --seed is only echoed into the
+report or payload, by `_emit_report`; no verdict is randomized.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import time
@@ -55,15 +57,16 @@ EXIT_REFUTED = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
-FAMILIES = (
-    "quaternions",
-    "matrix",
-    "matrix-conj",
-    "group",
-    "matrix-over",
-    "planar-rook",
-    "temperley-lieb",
-)
+# The build flags each family needs: the one place that says so.
+FAMILIES = {
+    "quaternions": (),
+    "matrix": ("n",),
+    "matrix-conj": ("n",),
+    "group": ("table",),
+    "matrix-over": ("n", "inner"),
+    "planar-rook": ("n",),
+    "temperley-lieb": ("n", "delta"),
+}
 
 
 def _out_path(out: str | None, name: str | None) -> Path | None:
@@ -102,61 +105,48 @@ def _sanitize(text: str) -> str:
 
 def _family_member(args):
     """(name, algebra, sigma, cell datum or None) that the build arguments name."""
-    family = args.family
-    cell = None
+    family, n = args.family, args.n
+    missing = [f"--{flag}" for flag in FAMILIES[family] if getattr(args, flag) is None]
+    if missing:
+        verb = "is" if len(missing) == 1 else "are"
+        raise DocumentInvalid(f"{' and '.join(missing)} {verb} required for {family}")
     if family == "quaternions":
-        name = "quaternions"
-        algebra, sigma = quaternions()
-    elif family in ("matrix", "matrix-conj"):
-        if args.n is None:
-            raise DocumentInvalid("--n is required for matrix families")
-        involution = "transpose" if family == "matrix" else "conj_transpose"
-        algebra, sigma = matrix_algebra(args.n, involution)
-        if family == "matrix":
-            cell = cell_datum_matrix(args.n, sigma)
-        name = f"{family}-n{args.n}"
-    elif family == "group":
-        if args.table is None:
-            raise DocumentInvalid("--table is required for the group family")
-        import json
-
-        try:
-            raw = json.loads(Path(args.table).read_text())
-        except OSError as exc:
-            raise DocumentInvalid(f"cannot read {args.table}: {exc}") from exc
-        except RecursionError as exc:  # nesting deeper than the JSON decoder's stack
-            raise DocumentInvalid(f"cannot parse {args.table}: {exc}") from exc
-        try:
-            table = GroupTable(raw["product"], labels=raw.get("labels"))
-        except (KeyError, TypeError) as exc:
-            raise DocumentInvalid(f"malformed group table: {exc}") from exc
-        name, labels = raw.get("name", Path(args.table).stem), raw.get("labels", [])
-        if not isinstance(name, str):
-            raise DocumentInvalid("group table name must be a JSON string")
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise DocumentInvalid("group table labels must be a JSON list of strings")
-        algebra, sigma = group_algebra(table)
-    elif family == "matrix-over":
-        if args.n is None or args.inner is None:
-            raise DocumentInvalid("--n and --inner are required for matrix-over")
-        inner = _load_validated(args.inner)
-        algebra, sigma = matrix_over_algebra(args.n, inner.algebra, inner.sigma)
-        name = f"matrix-over-{inner.name}-n{args.n}"
-    elif family == "planar-rook":
-        if args.n is None:
-            raise DocumentInvalid("--n is required for planar-rook")
-        algebra, sigma = planar_rook(args.n, cap=args.cap)
-        cell = cell_datum_planar_rook(args.n, sigma)
-        name = f"planar-rook-n{args.n}"
-    elif family == "temperley-lieb":
-        if args.n is None or args.delta is None:
-            raise DocumentInvalid("--n and --delta are required for temperley-lieb")
-        algebra, sigma = temperley_lieb(args.n, args.delta, cap=args.cap)
-        cell = cell_datum_temperley_lieb(args.n, sigma)
-        name = f"temperley-lieb-n{args.n}-delta{_sanitize(args.delta)}"
-    else:
-        raise DocumentInvalid(f"unknown family {family!r}")
-    return name, algebra, sigma, cell
+        return "quaternions", *quaternions(), None
+    if family in ("matrix", "matrix-conj"):
+        algebra, sigma = matrix_algebra(n, "transpose" if family == "matrix" else "conj_transpose")
+        cell = cell_datum_matrix(n, sigma) if family == "matrix" else None
+        return f"{family}-n{n}", algebra, sigma, cell
+    if family == "matrix-over":
+        inner = _load(args.inner)
+        algebra, sigma = matrix_over_algebra(n, inner.algebra, inner.sigma)
+        return f"matrix-over-{inner.name}-n{n}", algebra, sigma, None
+    if family == "planar-rook":
+        algebra, sigma = planar_rook(n, cap=args.cap)
+        return f"planar-rook-n{n}", algebra, sigma, cell_datum_planar_rook(n, sigma)
+    if family == "temperley-lieb":
+        algebra, sigma = temperley_lieb(n, args.delta, cap=args.cap)
+        name = f"temperley-lieb-n{n}-delta{_sanitize(args.delta)}"
+        return name, algebra, sigma, cell_datum_temperley_lieb(n, sigma)
+    try:  # the group family is what is left
+        raw = json.loads(Path(args.table).read_text())
+    except OSError as exc:
+        raise DocumentInvalid(f"cannot read {args.table}: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than the JSON decoder's stack
+        raise DocumentInvalid(f"cannot parse {args.table}: {exc}") from exc
+    try:
+        product = raw["product"]
+    except (KeyError, TypeError) as exc:
+        raise DocumentInvalid(f"malformed group table: {exc}") from exc
+    name, labels = raw.get("name", Path(args.table).stem), raw.get("labels", [])
+    if not isinstance(name, str):
+        raise DocumentInvalid("group table name must be a JSON string")
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise DocumentInvalid("group table labels must be a JSON list of strings")
+    try:
+        table = GroupTable(product, labels=raw.get("labels"))
+    except TypeError as exc:
+        raise DocumentInvalid(f"malformed group table: {exc}") from exc
+    return name, *group_algebra(table), None
 
 
 def _build(args) -> int:
@@ -171,7 +161,7 @@ def _build(args) -> int:
     return EXIT_OK
 
 
-def _load_validated(path: str) -> AlgebraDocument:
+def _load(path: str) -> AlgebraDocument:
     try:
         return load(path)
     except OSError as exc:
@@ -183,6 +173,7 @@ def _load_validated(path: str) -> AlgebraDocument:
 
 
 def _emit_report(report: dict, args) -> None:
+    report["seed"] = args.seed
     if args.timing:
         report["timing_ms"] = int((time.monotonic() - args.started) * 1000)
     text = render_markdown(report) if getattr(args, "format", None) == "md" else dumps(report)
@@ -190,20 +181,18 @@ def _emit_report(report: dict, args) -> None:
 
 
 def _analyze(args) -> int:
-    doc = _load_validated(args.document)
-    report = analysis_report(
-        doc.name, doc.algebra, doc.sigma, bracket_cap=args.bracket_cap, seed=args.seed
-    )
+    doc = _load(args.document)
+    report = analysis_report(doc.name, doc.algebra, doc.sigma, bracket_cap=args.bracket_cap)
     _emit_report(report, args)
     return EXIT_OK
 
 
 def _verify_cellular(args) -> int:
-    doc = _load_validated(args.document)
+    doc = _load(args.document)
     if doc.cell is None:
         raise DocumentInvalid("document has no cell section")
     report = cellular_report(
-        doc.name, doc.algebra, doc.sigma, doc.cell, bracket_cap=args.bracket_cap, seed=args.seed
+        doc.name, doc.algebra, doc.sigma, doc.cell, bracket_cap=args.bracket_cap
     )
     _emit_report(report, args)
     if not report["cellularity"]["valid"]:
@@ -216,7 +205,6 @@ def _paper_suite(args) -> int:
     statuses = {info["status"] for info in results.values()}
     payload = {
         "cap": args.cap,
-        "seed": args.seed,
         "results": results,
         "failed": sorted(k for k, v in results.items() if v["status"] == "fail"),
         "skipped": sorted(k for k, v in results.items() if v["status"] == "skip"),

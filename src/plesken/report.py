@@ -4,7 +4,7 @@ Every verdict in a report is computed in the invocation that emits it,
 each artifact once; nothing is cached between runs.  `validate_algebra` and
 then `validate_cell_datum` prove their checks over the same generating set,
 `algebra.generators`, kept on the algebra with the columns `algebra.cols`.  Reports are rendered
-byte-identically for identical inputs, flags and seed; wall-clock timing is
+byte-identically for identical inputs and flags; wall-clock timing is
 therefore only included when explicitly requested.
 
 The `bracket_closure` check rests on `validate_algebra`, which proves that
@@ -28,8 +28,7 @@ nondegenerate (sigma is linear: a semilinear one makes the skew part the
 whole algebra, too large to certify).  Over C each
 o(G_lam) is o(d_lam), and field extension keeps the ranks that make up the
 fingerprint, so it is `Fingerprint.orthogonal` of the block sizes (Graham
-and Lehrer, Cellular algebras, 1996, section 3).  The seed is only echoed
-into the report; no report verdict is randomized.
+and Lehrer, Cellular algebras, 1996, section 3).
 """
 
 from __future__ import annotations
@@ -86,16 +85,15 @@ def analysis_report(
     sigma: AntiInvolution,
     *,
     bracket_cap: int = DEFAULT_BRACKET_CAP,
-    seed: int = 0,
 ) -> dict:
     """Skew-part structure of one algebra: basis, brackets, fingerprint."""
     checks = validate_algebra(algebra, sigma)
-    return _analysis(name, algebra, sigma, checks, None, bracket_cap, seed)[0]
+    return _analysis(name, algebra, sigma, checks, None, bracket_cap)[0]
 
 
 def _analysis(
     name: str, algebra: Algebra, sigma: AntiInvolution, checks: dict,
-    fp: Fingerprint | None, bracket_cap: int, seed: int,
+    fp: Fingerprint | None, bracket_cap: int,
 ) -> tuple[dict, Fingerprint]:
     """The shared fields after validation; `fp` is None unless the certificate decided it."""
     sub = plesken_subspace(algebra, sigma)
@@ -119,7 +117,6 @@ def _analysis(
             "bracket_table": _bracket_table(lie) if printed else None,
         },
         "fingerprint": fp.as_dict(),
-        "seed": seed,
     }
     return report, fp
 
@@ -139,20 +136,19 @@ def cellular_report(
     datum: CellDatum,
     *,
     bracket_cap: int = DEFAULT_BRACKET_CAP,
-    seed: int = 0,
 ) -> dict:
     """Full cellularity verification on top of the analysis report."""
     checks = validate_algebra(algebra, sigma)
     failure = validate_cell_datum(algebra, sigma, datum)
     if failure is not None:
-        report = _analysis(name, algebra, sigma, checks, None, bracket_cap, seed)[0]
+        report = _analysis(name, algebra, sigma, checks, None, bracket_cap)[0]
         report["cellularity"] = {"valid": False, "failure": str(failure)}
         return report
     outcome = verify_theorem(algebra, sigma, datum)
     sizes = [d for _, d in outcome.block_sizes]
     model = Fingerprint.orthogonal(sizes)
     decided = model if outcome.certified else None
-    report, fp = _analysis(name, algebra, sigma, checks, decided, bracket_cap, seed)
+    report, fp = _analysis(name, algebra, sigma, checks, decided, bracket_cap)
     report["cellularity"] = {"valid": True}
     report["gram_properties"] = {"pass": True, "failures": []}  # proved above
     verdict = SemisimplicityReport.from_ranks(outcome.gram_ranks)

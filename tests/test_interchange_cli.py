@@ -39,7 +39,7 @@ from plesken.interchange import (
     save,
 )
 from plesken.linalg import Matrix, unit_vector
-from plesken.report import validate_algebra
+from plesken.report import DocumentInvalid, analysis_report, cellular_report, validate_algebra
 from plesken.scalars import GaussianRational
 from plesken.suite import run_suite, symmetric_3_table
 
@@ -355,6 +355,149 @@ def test_cli_build_rejects(capsys, tmp_path):
     assert code == 2
     code, _ = run_cli(capsys, "build", "--family", "matrix")
     assert code == 2
+
+
+# The flags each family's build needs, as `cli.FAMILIES` declares them.
+BUILD_FLAGS = {
+    "quaternions": (),
+    "matrix": ("n",),
+    "matrix-conj": ("n",),
+    "group": ("table",),
+    "matrix-over": ("n", "inner"),
+    "planar-rook": ("n",),
+    "temperley-lieb": ("n", "delta"),
+}
+
+
+@pytest.mark.parametrize(
+    "family, missing, message",
+    [
+        *((family, (), None) for family in BUILD_FLAGS),
+        ("matrix", ("n",), "--n is required for matrix"),
+        ("matrix-conj", ("n",), "--n is required for matrix-conj"),
+        ("group", ("table",), "--table is required for group"),
+        ("matrix-over", ("n",), "--n is required for matrix-over"),
+        ("matrix-over", ("inner",), "--inner is required for matrix-over"),
+        ("matrix-over", ("n", "inner"), "--n and --inner are required for matrix-over"),
+        ("planar-rook", ("n",), "--n is required for planar-rook"),
+        ("temperley-lieb", ("n",), "--n is required for temperley-lieb"),
+        ("temperley-lieb", ("delta",), "--delta is required for temperley-lieb"),
+        ("temperley-lieb", ("n", "delta"), "--n and --delta are required for temperley-lieb"),
+    ],
+)
+def test_cli_build_names_the_missing_flags(family, missing, message, tmp_path, capsys):
+    # One error line, no traceback, naming only the flags left out; with
+    # none left out the family builds.
+    assert cli.FAMILIES == BUILD_FLAGS
+    table, inner = tmp_path / "c2.json", tmp_path / "q.plesken.json"
+    table.write_text(json.dumps({"product": [[0, 1], [1, 0]]}))
+    save(document_from_algebra("q", *quaternions()), inner)
+    values = {"n": "2", "delta": "0", "table": str(table), "inner": str(inner)}
+    out = tmp_path / "x.plesken.json"
+    argv = ["build", "--family", family, "--out", str(out)]
+    for flag in BUILD_FLAGS[family]:
+        if flag not in missing:
+            argv += [f"--{flag}", values[flag]]
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    if message is None:
+        assert (code, err, out.exists()) == (0, "", True)
+    else:
+        assert (code, err, out.exists()) == (2, f"error: {message}\n", False)
+
+
+def test_the_cli_alone_echoes_the_seed(tmp_path, capsys):
+    # analyze, verify-cellular and paper-suite add the key; the report
+    # library takes no seed, and Markdown does not print it.
+    doc = tmp_path / "pr2.plesken.json"
+    run_cli(capsys, "build", "--family", "planar-rook", "--n", "2", "--out", str(doc))
+    for argv in (("analyze", str(doc)), ("verify-cellular", str(doc)),
+                 ("paper-suite", "--cap", "3", "--allow-skips")):
+        code, out = run_cli(capsys, *argv, "--seed", "5")
+        assert code == 0
+        assert '\n  "seed": 5' in out and json.loads(out)["seed"] == 5
+    for command in ("analyze", "verify-cellular"):
+        argv = (command, str(doc), "--format", "md", "--seed")
+        assert run_cli(capsys, *argv, "0") == run_cli(capsys, *argv, "5")
+    algebra, sigma = planar_rook(2)
+    assert "seed" not in analysis_report("pr2", algebra, sigma)
+    assert "seed" not in cellular_report("pr2", algebra, sigma, cell_datum_planar_rook(2, sigma))
+
+
+def test_cli_names_the_involution_witness(tmp_path, capsys):
+    # M(2) with sigma a permutation that does not square to the identity,
+    # then with sigma the identity, which does not reverse products.
+    m2 = tmp_path / "m2.plesken.json"
+    run_cli(capsys, "build", "--family", "matrix", "--n", "2", "--out", str(m2))
+    payload = json.loads(m2.read_text())
+    for permutation, message in (
+        ([1, 2, 3, 0], "sigma^2 != id at basis index 0"),
+        ([0, 1, 2, 3], "sigma(ei ej) != sigma(ej) sigma(ei) at basis pair (1, 0)"),
+    ):
+        payload["involution"]["permutation"] = permutation
+        m2.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, "analyze", str(m2))
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "invalid-input", "message": f"involution invalid: {message}"}
+
+
+def test_a_sigma_of_the_wrong_size_is_refused(tmp_path, capsys):
+    algebra, sigma = matrix_algebra(2)
+    with pytest.raises(DocumentInvalid) as info:
+        validate_algebra(algebra, AntiInvolution(sigma.images[:3]))
+    assert str(info.value) == (
+        "involution invalid: involution matrix shape does not match the algebra")
+    # In a document, parse refuses it first.
+    m2 = tmp_path / "m2.plesken.json"
+    run_cli(capsys, "build", "--family", "matrix", "--n", "2", "--out", str(m2))
+    payload = json.loads(m2.read_text())
+    payload["involution"] = {"matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]}
+    m2.write_text(json.dumps(payload))
+    code, out = run_cli(capsys, "analyze", str(m2))
+    assert code == 2
+    assert json.loads(out)["error"]["message"] == (
+        f"cannot parse {m2}: involution matrix has wrong shape")
+
+
+def test_cli_names_a_cell_triple_map_that_is_not_a_bijection(tmp_path, capsys):
+    m2 = tmp_path / "m2.plesken.json"
+    run_cli(capsys, "build", "--family", "matrix", "--n", "2", "--out", str(m2))
+    payload = json.loads(m2.read_text())
+    assert payload["cell"]["triples"][1] == [1, 1, 2, 1]
+    payload["cell"]["triples"][1][3] = 0  # basis index 0 twice, 1 never
+    m2.write_text(json.dumps(payload))
+    code, out = run_cli(capsys, "verify-cellular", str(m2))
+    assert code == 2
+    assert json.loads(out)["cellularity"]["failure"] == (
+        "C1 fails: triple map is not a bijection onto the basis (witness ((0,),))")
+
+
+def test_cli_refuses_a_missing_document(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(capsys, "analyze", "missing.json")
+    assert code == 2
+    assert json.loads(out)["error"]["message"].startswith("cannot read missing.json:")
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"product": [[0, 1], [1]]}, "product table must be square"),
+        ({"product": [[0, 1], [1, 0]], "labels": ["a", "b", "c"]}, "wrong number of labels"),
+        # A string is refused as labels whatever its length.
+        ({"product": [[0, 1], [1, 0]], "labels": "ab"},
+         "group table labels must be a JSON list of strings"),
+        ({"product": [[0, 1], [1, 0]], "labels": "abc"},
+         "group table labels must be a JSON list of strings"),
+    ],
+)
+def test_cli_build_refuses_a_malformed_group_table(table, message, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    out = tmp_path / "x.plesken.json"
+    code = cli.main(["build", "--family", "group", "--table", str(path), "--out", str(out)])
+    assert (code, capsys.readouterr().err, out.exists()) == (2, f"error: {message}\n", False)
 
 
 def test_cli_build_refuses_bad_arguments_as_input(tmp_path, capsys, monkeypatch):

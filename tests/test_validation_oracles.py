@@ -27,12 +27,18 @@ witness must be the same on a copy forced onto the rows.
 
 The same families, written by `emit` row by row, must be byte for byte the
 text `json.dumps` gives for the whole document (`oracles.emit_dumps`).
+
+No builder makes a dense one-term table with absent products and a sigma
+other than the identity.  Monoids of boolean 3 x 3 matrices closed under
+transposition, and their contracted quotients, give such tables: on each
+draw and on four corruptions of it the validators must agree with the
+scans, the two paths must agree and the generating set must span.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from oracles import (
     apply_dense,
     associativity_all_triples,
@@ -353,3 +359,83 @@ def test_generating_set_sizes(factory, size, most_targets_first):
     algebra, _ = factory()
     assert len(algebra.generators) == size
     assert len(generators_most_targets_first(algebra)) == most_targets_first
+
+
+def _boolean_product(a, b):
+    return tuple(tuple(int(any(x and y for x, y in zip(row, col))) for col in zip(*b)) for row in a)
+
+
+def _transpose(a):
+    return tuple(zip(*a))
+
+
+def _closure(generators, start):
+    """The matrices reached from `start` by right multiplication by the
+    generators, breadth first (Froidure and Pin's enumeration)."""
+    elements = list(dict.fromkeys(start))
+    seen = set(elements)
+    for x in elements:  # grows while it is read
+        for g in generators:
+            if (y := _boolean_product(x, g)) not in seen:
+                seen.add(y)
+                elements.append(y)
+    return elements
+
+
+@st.composite
+def monoid_tables(draw):
+    """The algebra of the monoid M generated by one or two random boolean
+    3 x 3 matrices and their transposes, sigma the transposition; or, when
+    an element a is drawn, its contracted quotient by the ideal M{a, a^T}M,
+    where the products in the ideal are absent.  The ideal is closed under
+    transposition, so sigma stays an anti-involution."""
+    bits = st.tuples(*[st.tuples(*[st.integers(0, 1)] * 3)] * 3)
+    drawn = draw(st.lists(bits, min_size=1, max_size=2))
+    generators = drawn + [_transpose(a) for a in drawn]
+    identity = tuple(tuple(int(r == c) for c in range(3)) for r in range(3))
+    monoid = _closure(generators, [identity])
+    assume(len(monoid) <= 24)
+    ideal = set()
+    if draw(st.booleans()):
+        a = draw(st.sampled_from(monoid))
+        start = [_boolean_product(x, b) for x in monoid for b in (a, _transpose(a))]
+        ideal = set(_closure(generators, start))
+    basis = [x for x in monoid if x not in ideal] if identity not in ideal else monoid
+    index = {x: t for t, x in enumerate(basis)}
+    structure = [(index[x], index[y], index[xy], 1) for x in basis for y in basis
+                 if (xy := _boolean_product(x, y)) in index]
+    unit = [int(x == identity) for x in basis]
+    algebra = Algebra([f"m{t}" for t in range(len(basis))], structure, unit)
+    return algebra, AntiInvolution([{index[_transpose(x)]: 1} for x in basis])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(monoid_tables(), st.data())
+def test_random_monoid_tables_through_the_fast_paths(table, data):
+    algebra, sigma = table
+    n, structure = algebra.dim, pairs(algebra)
+    pair = data.draw(st.sampled_from(sorted(structure)))
+    ((k, _),) = structure[pair]
+    swapped = list(sigma.images)
+    a, b = data.draw(st.sampled_from(list(itertools.combinations(range(n), 2)) or [(0, 0)]))
+    swapped[a], swapped[b] = swapped[b], swapped[a]
+    # The draw, then a changed target, a dropped product, a coefficient 2
+    # and a column-swapped sigma.
+    cases = [(structure, sigma)]
+    changed = ((((k + 1) % n, 1),), (), ((k, 2),))
+    cases += [({**structure, pair: terms}, sigma) for terms in changed]
+    cases.append((structure, AntiInvolution(swapped)))
+    for table, involution in cases:
+        corrupted = Algebra(algebra.labels, quads(table), algebra.unit)
+        # Every product is one term: the view is taken when n^2 / 4 are stored.
+        assert (corrupted.monomial is not None) == (4 * sum(map(bool, table.values())) >= n * n)
+        _assert_spans(corrupted)
+        _assert_validators_match_restricted_scans(corrupted, involution)
+        _assert_associativity_agrees(corrupted)
+        _assert_paths_agree(corrupted)
+        if validate_associativity(corrupted) is None:
+            _assert_involution_agrees(corrupted, involution)
+    assert validate_associativity(algebra) is None
+    assert validate_unit(algebra) is None
+    assert validate_involution(algebra, sigma) is None

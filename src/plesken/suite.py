@@ -8,8 +8,7 @@ Temperley-Lieb, matrix algebras with transposition) read the fields of
 (the `report` docstring has the proof), and build the Lie table where they
 check it.  So every item is validated exactly, no check is randomized, and
 each cell Gram form is built once.  Exceptions are contained per item so
-one corrupted construction cannot take down the rest of the battery, and
-items above the configured diagram cap are skipped with a reason.
+one corrupted construction cannot take down the rest of the battery.
 
 Group algebras enter through explicit multiplication tables only; the
 tables for the cyclic groups and for the symmetric group on three letters
@@ -25,7 +24,6 @@ from typing import Callable
 
 from .algebra import plesken_lie_algebra
 from .builders import (
-    DEFAULT_DIAGRAM_CAP,
     GroupTable,
     group_algebra,
     matrix_algebra,
@@ -62,10 +60,6 @@ def symmetric_3_table() -> GroupTable:
     compose = lambda p, q: tuple(p[q[i]] for i in range(3))
     table = [[index[compose(p, q)] for q in perms] for p in perms]
     return GroupTable(table, labels=["e", "s1", "s2", "r1", "r2", "s3"])
-
-
-class SkipItem(Exception):
-    pass
 
 
 def _check(condition: bool, message: str):
@@ -137,10 +131,8 @@ def _item_matrix_over(n: int) -> dict:
     return {"dim": algebra.dim}
 
 
-def _item_planar_rook(n: int, cap: int) -> dict:
-    if n > cap:
-        raise SkipItem(f"n={n} exceeds cap {cap}")
-    algebra, sigma = planar_rook(n, cap=cap)
+def _item_planar_rook(n: int) -> dict:
+    algebra, sigma = planar_rook(n)
     _check(algebra.dim == math.comb(2 * n, n), "dimension != C(2n, n)")
     report = _verified(
         f"planar-rook-n{n}", algebra, sigma, cell_datum_planar_rook(n, sigma)
@@ -150,10 +142,8 @@ def _item_planar_rook(n: int, cap: int) -> dict:
     return {"dim": algebra.dim, "lie_dim": lie_dim}
 
 
-def _item_temperley_lieb(n: int, delta_text: str, cap: int) -> dict:
-    if n > cap:
-        raise SkipItem(f"n={n} exceeds cap {cap}")
-    algebra, sigma = temperley_lieb(n, delta_text, cap=cap)
+def _item_temperley_lieb(n: int, delta_text: str) -> dict:
+    algebra, sigma = temperley_lieb(n, delta_text)
     catalan = math.comb(2 * n, n) // (n + 1)
     _check(algebra.dim == catalan, "dimension != Catalan(n)")
     report = _verified(
@@ -210,7 +200,7 @@ def _item_group(table_factory: Callable[[], GroupTable], expected_dim: int) -> d
     return {"lie_dim": lie.dim, "abelian": not lie.table}
 
 
-def suite_items(cap: int) -> list[tuple[str, Callable[[], dict]]]:
+def suite_items() -> list[tuple[str, Callable[[], dict]]]:
     items: list[tuple[str, Callable[[], dict]]] = [("quaternions", _item_quaternions)]
     items += [(f"matrix-transpose-n{n}", partial(_item_matrix_transpose, n)) for n in range(1, 5)]
     items += [
@@ -218,9 +208,9 @@ def suite_items(cap: int) -> list[tuple[str, Callable[[], dict]]]:
         for n in range(1, 4)
     ]
     items += [(f"matrix-over-quaternions-n{n}", partial(_item_matrix_over, n)) for n in (1, 2)]
-    items += [(f"planar-rook-n{n}", partial(_item_planar_rook, n, cap)) for n in range(1, 5)]
+    items += [(f"planar-rook-n{n}", partial(_item_planar_rook, n)) for n in range(1, 5)]
     items += [
-        (f"temperley-lieb-n{n}-delta{delta}", partial(_item_temperley_lieb, n, delta, cap))
+        (f"temperley-lieb-n{n}-delta{delta}", partial(_item_temperley_lieb, n, delta))
         for n in range(2, 6)
         for delta in ("3", "0")
     ]
@@ -232,14 +222,12 @@ def suite_items(cap: int) -> list[tuple[str, Callable[[], dict]]]:
     return items
 
 
-def run_suite(cap: int = DEFAULT_DIAGRAM_CAP) -> dict:
+def run_suite() -> dict:
     """Run the whole battery; returns {key: {"status": ..., ...}}."""
     results: dict[str, dict] = {}
-    for key, runner in suite_items(cap):
+    for key, runner in suite_items():
         try:
             detail = runner()
-        except SkipItem as exc:
-            results[key] = {"status": "skip", "reason": str(exc)}
         except Exception as exc:  # isolation: one bad item never stops the rest
             results[key] = {"status": "fail", "reason": f"{type(exc).__name__}: {exc}"}
         else:

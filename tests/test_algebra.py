@@ -22,6 +22,7 @@ from plesken.algebra import (
     Algebra,
     InternalConsistencyError,
     bracket_closure_check,
+    lie_labels,
     plesken_lie_algebra,
     plesken_subspace,
     validate_associativity,
@@ -196,6 +197,17 @@ def test_plesken_lie_quaternions():
     assert L.bracket_terms(0, 1) == ((2, scalar(2)),)
     assert L.bracket_terms(0, 2) == ((1, scalar(-2)),)
     assert L.bracket_terms(1, 2) == ((0, scalar(2)),)
+
+
+def test_plesken_subspace_refuses_a_sigma_of_another_size():
+    A, _ = matrix_algebra(2)
+    with pytest.raises(ValueError, match="^involution matrix shape does not match the algebra$"):
+        plesken_subspace(A, AntiInvolution.signed_permutation((0, 1, 2)))
+
+
+def test_lie_labels_fall_back_to_x_on_a_collision():
+    # a - b written out collides with the ambient label "a-b" of the second row.
+    assert lie_labels(["a", "b", "a-b"], [{0: 1, 1: -1}, {2: 1}]) == ["x0", "x1"]
 
 
 def test_plesken_lie_tl0_4_table():

@@ -412,7 +412,7 @@ def test_the_cli_alone_echoes_the_seed(tmp_path, capsys):
     doc = tmp_path / "pr2.plesken.json"
     run_cli(capsys, "build", "--family", "planar-rook", "--n", "2", "--out", str(doc))
     for argv in (("analyze", str(doc)), ("verify-cellular", str(doc)),
-                 ("paper-suite", "--cap", "3", "--allow-skips")):
+                 ("paper-suite",)):
         code, out = run_cli(capsys, *argv, "--seed", "5")
         assert code == 0
         assert '\n  "seed": 5' in out and json.loads(out)["seed"] == 5
@@ -498,6 +498,45 @@ def test_cli_build_refuses_a_malformed_group_table(table, message, tmp_path, cap
     out = tmp_path / "x.plesken.json"
     code = cli.main(["build", "--family", "group", "--table", str(path), "--out", str(out)])
     assert (code, capsys.readouterr().err, out.exists()) == (2, f"error: {message}\n", False)
+
+
+def test_cli_build_refuses_an_unreadable_group_table(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    errors = []
+    monkeypatch.setattr(cli, "_report_error", lambda args, *error: errors.append(error))
+    assert cli.main(["build", "--family", "group", "--table", "missing.json"]) == 2
+    ((kind, message),) = errors
+    assert kind == "invalid-input" and message.startswith("cannot read missing.json: ")
+
+
+# The message ends in the interpreter's own text for the failed lookup, such
+# as "'product'" or "'int' object is not iterable", so only its start is pinned.
+@pytest.mark.parametrize("table", [{"name": "x"}, [1, 2], {"product": [1, 2]}])
+def test_cli_build_refuses_a_group_table_without_rows(table, tmp_path, monkeypatch):
+    errors = []
+    monkeypatch.setattr(cli, "_report_error", lambda args, *error: errors.append(error))
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    out = tmp_path / "x.plesken.json"
+    assert cli.main(["build", "--family", "group", "--table", str(path), "--out", str(out)]) == 2
+    ((kind, message),) = errors
+    assert kind == "invalid-input" and message.startswith("malformed group table: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, flags", [
+    ("planar-rook", ()),
+    ("temperley-lieb", ("--delta", "1")),
+    ("matrix-over", ("--inner", "{inner}")),
+])
+def test_cli_build_refuses_n_0(family, flags, tmp_path, capsys):
+    inner = tmp_path / "q.plesken.json"
+    save(document_from_algebra("q", *quaternions()), inner)
+    flags = [flag.format(inner=inner) for flag in flags]
+    out = tmp_path / "x.plesken.json"
+    code = cli.main(["build", "--family", family, "--n", "0", *flags, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert (code, err, out.exists()) == (2, "error: n must be at least 1\n", False)
 
 
 def test_cli_build_refuses_bad_arguments_as_input(tmp_path, capsys, monkeypatch):
@@ -650,7 +689,7 @@ def test_cli_analyze_is_deterministic(tmp_path, capsys):
     ("analyze", "{doc}", "--format", "md"),
     ("verify-cellular", "{doc}"),
     ("verify-cellular", "{doc}", "--format", "md"),
-    ("paper-suite", "--cap", "3", "--allow-skips"),
+    ("paper-suite",),
 ])
 def test_timing_adds_one_field_and_nothing_else(tmp_path, capsys, argv):
     # Without --timing no report names it; with it the JSON gains the int key
@@ -980,14 +1019,22 @@ def test_cli_paper_suite_passes_and_is_reproducible(tmp_path, capsys):
     assert all(item["status"] == "pass" for item in payload["results"].values())
 
 
-def test_cli_paper_suite_cap_skips(tmp_path, capsys):
-    code, out = run_cli(capsys, "paper-suite", "--cap", "3")
+def test_cli_paper_suite_exits_1_on_a_failed_item(capsys, monkeypatch):
+    # M(2) in place of the quaternions has a one-dimensional skew part, so
+    # that item fails its check and the battery refutes; nothing is skipped.
+    import plesken.suite as suite_module
+
+    monkeypatch.setattr(suite_module, "quaternions", lambda: matrix_algebra(2))
+    code, out = run_cli(capsys, "paper-suite", "--seed", "3")
     assert code == 1
     payload = json.loads(out)
-    assert "planar-rook-n4" in payload["skipped"]
-    assert "temperley-lieb-n4-delta0" in payload["skipped"]
-    code, _ = run_cli(capsys, "paper-suite", "--cap", "3", "--allow-skips")
-    assert code == 0
+    assert sorted(payload) == ["failed", "results", "seed", "skipped"]
+    assert (payload["failed"], payload["skipped"]) == (["quaternions"], [])
+    assert payload["results"]["quaternions"] == {
+        "status": "fail", "reason": "AssertionError: skew part should be 3-dimensional"}
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["paper-suite", "--cap", "3"])
+    assert refused.value.code == 2
 
 
 def test_suite_isolates_failing_items(monkeypatch):
@@ -1016,7 +1063,7 @@ def test_suite_validates_every_item(monkeypatch):
         return algebra, sigma
 
     monkeypatch.setattr(suite_module, "planar_rook", planar_rook_wrong_unit)
-    results = run_suite(cap=4)
+    results = run_suite()
     assert results["planar-rook-n4"]["status"] == "fail"
     assert "unit axiom fails" in results["planar-rook-n4"]["reason"]
     assert results["planar-rook-n3"]["status"] == "pass"

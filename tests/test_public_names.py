@@ -3,7 +3,10 @@ removed from `plesken.__all__` on purpose, with this list, not by accident."""
 
 import inspect
 
+import pytest
+
 import plesken
+from plesken import cli
 
 PUBLIC_NAMES = [
     "Algebra", "AlgebraDocument", "AntiInvolution", "CellDatum", "CellModule", "Fingerprint", "GaussianRational", "GramForm", "GroupTable",
@@ -83,3 +86,21 @@ def test_optional_parameters_are_pinned():
         if names:
             optional[name] = names
     assert optional == OPTIONAL_PARAMETERS
+
+
+# The options of each subcommand, pinned the same way: a flag is added to or
+# removed from the command line on purpose.
+CLI_OPTIONS = {
+    ("build", "--family", "quaternions"): [
+        "cap", "command", "delta", "family", "inner", "n", "name", "out", "table"],
+    ("analyze", "x"): ["bracket_cap", "command", "document", "format", "out", "seed", "timing"],
+    ("verify-cellular", "x"): [
+        "bracket_cap", "command", "document", "format", "out", "seed", "timing"],
+    ("paper-suite",): ["command", "out", "seed", "timing"],
+}
+
+
+@pytest.mark.parametrize("argv", CLI_OPTIONS)
+def test_cli_options_are_pinned(argv):
+    options = vars(cli._parser().parse_args(argv))
+    assert sorted(options.keys() - {"func"}) == CLI_OPTIONS[argv]

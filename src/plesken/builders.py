@@ -26,8 +26,8 @@ Each table reaches `Algebra` as a stream of (i, j, k, c) quads, the
 document's own form, and is shaped once, by `Algebra.__init__` storing it
 by row.
 
-Diagram families are capped (default n <= 6) because dimensions grow like
-C(2n, n) and the Catalan numbers; the cap is a keyword argument.
+Diagram families are capped at n <= 6, `DIAGRAM_CAP`, because dimensions
+grow like C(2n, n) and the Catalan numbers; a larger n is refused.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .algebra import Algebra, AntiInvolution, InternalConsistencyError
 from .linalg import unit_vector
 from .scalars import exact
 
-DEFAULT_DIAGRAM_CAP = 6
+DIAGRAM_CAP = 6
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +261,12 @@ def planar_rook_diagrams(n: int) -> tuple[PlanarRookDiagram, ...]:
     return tuple(sorted(diagrams, key=lambda d: (d.top, d.bottom)))
 
 
-def planar_rook(
-    n: int, cap: int = DEFAULT_DIAGRAM_CAP
-) -> tuple[Algebra, AntiInvolution]:
+def planar_rook(n: int) -> tuple[Algebra, AntiInvolution]:
     """The planar rook algebra PR(n); multiplication is diagram concatenation."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the size cap {cap}")
+    if n > DIAGRAM_CAP:
+        raise ValueError(f"n={n} exceeds the size cap {DIAGRAM_CAP}")
     diagrams = planar_rook_diagrams(n)
     ends = [(d.top, d.bottom) for d in diagrams]
     index = {e: i for i, e in enumerate(ends)}
@@ -443,9 +441,7 @@ def temperley_lieb_diagrams(n: int) -> tuple[TLDiagram, ...]:
     return tuple(sorted(diagrams, key=lambda d: d.pairs))
 
 
-def temperley_lieb(
-    n: int, delta, cap: int = DEFAULT_DIAGRAM_CAP
-) -> tuple[Algebra, AntiInvolution]:
+def temperley_lieb(n: int, delta) -> tuple[Algebra, AntiInvolution]:
     """The Temperley-Lieb algebra TL_delta(n).
 
     Concatenating two diagrams multiplies the resulting diagram by
@@ -453,8 +449,8 @@ def temperley_lieb(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the size cap {cap}")
+    if n > DIAGRAM_CAP:
+        raise ValueError(f"n={n} exceeds the size cap {DIAGRAM_CAP}")
     delta = exact(delta)
     powers = [delta**loops for loops in range(n // 2 + 1)]
     diagrams = temperley_lieb_diagrams(n)

@@ -26,7 +26,6 @@ from pathlib import Path
 
 from .algebra import InternalConsistencyError
 from .builders import (
-    DEFAULT_DIAGRAM_CAP,
     GroupTable,
     group_algebra,
     matrix_algebra,
@@ -42,7 +41,6 @@ from .cellular import (
 )
 from .interchange import FILE_SUFFIX, AlgebraDocument, document_from_algebra, emit, load
 from .report import (
-    DEFAULT_BRACKET_CAP,
     DocumentInvalid,
     analysis_report,
     cellular_report,
@@ -121,10 +119,10 @@ def _family_member(args):
         algebra, sigma = matrix_over_algebra(n, inner.algebra, inner.sigma)
         return f"matrix-over-{inner.name}-n{n}", algebra, sigma, None
     if family == "planar-rook":
-        algebra, sigma = planar_rook(n, cap=args.cap)
+        algebra, sigma = planar_rook(n)
         return f"planar-rook-n{n}", algebra, sigma, cell_datum_planar_rook(n, sigma)
     if family == "temperley-lieb":
-        algebra, sigma = temperley_lieb(n, args.delta, cap=args.cap)
+        algebra, sigma = temperley_lieb(n, args.delta)
         name = f"temperley-lieb-n{n}-delta{_sanitize(args.delta)}"
         return name, algebra, sigma, cell_datum_temperley_lieb(n, sigma)
     try:  # the group family is what is left
@@ -155,7 +153,7 @@ def _build(args) -> int:
     except ValueError as exc:  # the builders refuse their arguments with ValueError
         raise DocumentInvalid(str(exc)) from exc
     validate_algebra(algebra, sigma)  # refuse to emit invalid documents
-    doc = document_from_algebra(args.name or name, algebra, sigma, cell=cell)
+    doc = document_from_algebra(name, algebra, sigma, cell=cell)
     path = _out_path(args.out, doc.name)
     _write_or_print(lambda file: emit(doc, file), path)
     return EXIT_OK
@@ -182,7 +180,7 @@ def _emit_report(report: dict, args) -> None:
 
 def _analyze(args) -> int:
     doc = _load(args.document)
-    report = analysis_report(doc.name, doc.algebra, doc.sigma, bracket_cap=args.bracket_cap)
+    report = analysis_report(doc.name, doc.algebra, doc.sigma)
     _emit_report(report, args)
     return EXIT_OK
 
@@ -191,9 +189,7 @@ def _verify_cellular(args) -> int:
     doc = _load(args.document)
     if doc.cell is None:
         raise DocumentInvalid("document has no cell section")
-    report = cellular_report(
-        doc.name, doc.algebra, doc.sigma, doc.cell, bracket_cap=args.bracket_cap
-    )
+    report = cellular_report(doc.name, doc.algebra, doc.sigma, doc.cell)
     _emit_report(report, args)
     if not report["cellularity"]["valid"]:
         return EXIT_INVALID
@@ -222,8 +218,6 @@ def _parser() -> argparse.ArgumentParser:
     build.add_argument("--delta", help="exact scalar string, e.g. 0, 3, 1/2")
     build.add_argument("--table", help="group multiplication table (JSON)")
     build.add_argument("--inner", help="inner algebra document for matrix-over")
-    build.add_argument("--cap", type=int, default=DEFAULT_DIAGRAM_CAP)
-    build.add_argument("--name")
     build.add_argument("--out")
     build.set_defaults(func=_build)
 
@@ -232,7 +226,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("document")
         cmd.add_argument("--format", choices=("json", "md"), default="json")
         cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--bracket-cap", type=int, default=DEFAULT_BRACKET_CAP)
         cmd.add_argument("--out")
         cmd.add_argument("--timing", action="store_true")
         cmd.set_defaults(func=func)

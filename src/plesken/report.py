@@ -20,6 +20,7 @@ phi(t,u) C[s,v] mod J(<lam) to C[v,u] C[t,s] = bar(phi(t,u)) C[v,s], so
 phi(u,t) = bar(phi(t,u)), bar conjugating scalars when sigma does, and
 adjointness is proved in `verify_theorem`.
 
+A skew part of dimension at most `BRACKET_CAP`, 12, has its table printed.
 The fingerprint is computed from the Lie table, built only then or to be
 printed, unless the certificate decides it.  A certified `verify_theorem`
 maps the skew part by the injective Lie homomorphism (+) rho_lam onto the
@@ -54,7 +55,7 @@ from .cellular import (
 )
 from .lie import Fingerprint, LieAlgebra, fingerprint
 
-DEFAULT_BRACKET_CAP = 12
+BRACKET_CAP = 12
 
 
 def dumps(payload: dict) -> str:
@@ -79,25 +80,18 @@ def validate_algebra(algebra: Algebra, sigma: AntiInvolution) -> dict:
     return {"associativity": "pass", "unit": "pass", "involution": "pass"}
 
 
-def analysis_report(
-    name: str,
-    algebra: Algebra,
-    sigma: AntiInvolution,
-    *,
-    bracket_cap: int = DEFAULT_BRACKET_CAP,
-) -> dict:
+def analysis_report(name: str, algebra: Algebra, sigma: AntiInvolution) -> dict:
     """Skew-part structure of one algebra: basis, brackets, fingerprint."""
     checks = validate_algebra(algebra, sigma)
-    return _analysis(name, algebra, sigma, checks, None, bracket_cap)[0]
+    return _analysis(name, algebra, sigma, checks, None)[0]
 
 
 def _analysis(
-    name: str, algebra: Algebra, sigma: AntiInvolution, checks: dict,
-    fp: Fingerprint | None, bracket_cap: int,
+    name: str, algebra: Algebra, sigma: AntiInvolution, checks: dict, fp: Fingerprint | None
 ) -> tuple[dict, Fingerprint]:
     """The shared fields after validation; `fp` is None unless the certificate decided it."""
     sub = plesken_subspace(algebra, sigma)
-    printed = sub.dim <= bracket_cap
+    printed = sub.dim <= BRACKET_CAP
     lie = plesken_lie_algebra(algebra, sigma) if fp is None or printed else None
     fp = fingerprint(lie) if fp is None else fp
     labels = lie_labels(algebra.labels, sub.rows.values()) if lie is None else lie.labels
@@ -129,26 +123,19 @@ def _bracket_table(lie: LieAlgebra) -> list[list[str]]:
     ]
 
 
-def cellular_report(
-    name: str,
-    algebra: Algebra,
-    sigma: AntiInvolution,
-    datum: CellDatum,
-    *,
-    bracket_cap: int = DEFAULT_BRACKET_CAP,
-) -> dict:
+def cellular_report(name: str, algebra: Algebra, sigma: AntiInvolution, datum: CellDatum) -> dict:
     """Full cellularity verification on top of the analysis report."""
     checks = validate_algebra(algebra, sigma)
     failure = validate_cell_datum(algebra, sigma, datum)
     if failure is not None:
-        report = _analysis(name, algebra, sigma, checks, None, bracket_cap)[0]
+        report = _analysis(name, algebra, sigma, checks, None)[0]
         report["cellularity"] = {"valid": False, "failure": str(failure)}
         return report
     outcome = verify_theorem(algebra, sigma, datum)
     sizes = [d for _, d in outcome.block_sizes]
     model = Fingerprint.orthogonal(sizes)
     decided = model if outcome.certified else None
-    report, fp = _analysis(name, algebra, sigma, checks, decided, bracket_cap)
+    report, fp = _analysis(name, algebra, sigma, checks, decided)
     report["cellularity"] = {"valid": True}
     report["gram_properties"] = {"pass": True, "failures": []}  # proved above
     verdict = SemisimplicityReport.from_ranks(outcome.gram_ranks)

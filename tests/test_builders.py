@@ -225,11 +225,23 @@ def test_planar_rook_n1_products():
 
 
 def test_planar_rook_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n=7 exceeds the size cap 6"):
         planar_rook(7)
-    with pytest.raises(ValueError):
-        planar_rook(3, cap=2)
-    assert planar_rook(2, cap=2)[0].dim == 6
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PlanarRookDiagram(3, (1,), ()), "top and bottom must have equal sizes"),
+    (lambda: PlanarRookDiagram(3, (2, 1), (1, 2)), "endpoints must be sorted and distinct"),
+    (lambda: PlanarRookDiagram(3, (1, 4), (1, 2)), "endpoint out of range"),
+    (lambda: TLDiagram(2, ((2, 1), (3, 4))), "pair endpoints out of range or unordered"),
+    (lambda: TLDiagram(2, ((1, 2),)), "pairs must form a perfect matching"),
+    (lambda: TLDiagram(2, ((3, 4), (1, 2))), "pairs must be sorted"),
+    (lambda: PlanarRookDiagram(2, (), ()).compose(PlanarRookDiagram(3, (), ())), "sizes differ"),
+    (lambda: TLDiagram.identity(2).compose(TLDiagram.identity(3)), "sizes differ"),
+])
+def test_diagram_constructors_refuse_malformed_input(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
 
 
 def test_planar_rook_arc_count_balance():
@@ -306,10 +318,8 @@ def test_tl_compose_counts_loops():
 
 
 def test_tl_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n=7 exceeds the size cap 6"):
         temperley_lieb(7, 3)
-    with pytest.raises(ValueError):
-        temperley_lieb(5, 3, cap=4)
 
 
 def test_planar_rook_concatenation_is_associative_on_diagrams():

@@ -975,8 +975,10 @@ def test_certified_report_builds_no_table_and_no_fingerprint(monkeypatch):
     assert out["theorem"]["certified"] and out["plesken"]["dim"] == 16
     assert out["plesken"]["bracket_table"] is None
     assert calls == {}
-    out = cellular_report("tl35", A, sigma, cd, bracket_cap=16)
-    assert len(out["plesken"]["bracket_table"]) == 16 * 15 // 2
+    A, sigma = planar_rook(3)
+    out = cellular_report("pr3", A, sigma, cell_datum_planar_rook(3, sigma))
+    assert out["theorem"]["certified"] and out["plesken"]["dim"] == 6
+    assert len(out["plesken"]["bracket_table"]) == 6 * 5 // 2
     assert calls == {"plesken_lie_algebra": 1}
 
     A, sigma = temperley_lieb(4, 0)

@@ -658,12 +658,34 @@ def test_cli_analyze_quaternions(tmp_path, capsys):
     assert table[("j", "k")] == "2*i"
 
 
-def test_cli_analyze_bracket_cap(tmp_path, capsys):
-    doc_path = tmp_path / "q.plesken.json"
-    run_cli(capsys, "build", "--family", "quaternions", "--out", str(doc_path))
-    code, out = run_cli(capsys, "analyze", str(doc_path), "--bracket-cap", "2")
+@pytest.mark.parametrize("order, table_rows", [(25, 66), (27, None)])
+def test_cli_analyze_prints_brackets_up_to_dimension_12(tmp_path, capsys, order, table_rows):
+    # The cyclic group C_n has a skew part of dimension (n - 1) / 2 for odd n.
+    table = tmp_path / f"c{order}.json"
+    product = [[(a + b) % order for b in range(order)] for a in range(order)]
+    table.write_text(json.dumps({"name": f"C{order}", "product": product}))
+    doc_path = tmp_path / f"c{order}.plesken.json"
+    run_cli(capsys, "build", "--family", "group", "--table", str(table), "--out", str(doc_path))
+    code, out = run_cli(capsys, "analyze", str(doc_path))
     assert code == 0
-    assert json.loads(out)["plesken"]["bracket_table"] is None
+    plesken = json.loads(out)["plesken"]
+    assert plesken["dim"] == (order - 1) // 2
+    printed = plesken["bracket_table"]
+    assert (None if printed is None else len(printed)) == table_rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "quaternions", "--name", "x"],
+    ["build", "--family", "planar-rook", "--n", "3", "--cap", "7"],
+    ["analyze", "doc.plesken.json", "--bracket-cap", "2"],
+    ["verify-cellular", "doc.plesken.json", "--bracket-cap", "2"],
+])
+def test_cli_refuses_the_removed_options(capsys, argv):
+    # argparse refuses them before any document is read or anything is built.
+    with pytest.raises(SystemExit) as refused:
+        cli.main(argv)
+    assert refused.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_analyze_markdown(tmp_path, capsys):

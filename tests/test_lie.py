@@ -78,6 +78,11 @@ B3 = [(1, 2), (3, 5), (4, 6), (7, 8)]
 B4 = [(1, 2), (3, 4), (5, 8), (6, 7)]
 
 
+def test_lie_algebra_refuses_a_key_out_of_order():
+    with pytest.raises(ValueError, match="^bracket table keys must satisfy i < j$"):
+        LieAlgebra(["a", "b"], {(1, 0): ((0, 1),)})
+
+
 def test_bracket_span_abelian_is_zero():
     L = orthogonal_model([2, 2])  # two commuting one-dimensional blocks
     full = Subspace.full(L.dim)

@@ -59,8 +59,6 @@ OPTIONAL_PARAMETERS = {
     "document_from_algebra": ["cell", "metadata"],
     "emit": ["file"],
     "matrix_algebra": ["involution"],
-    "planar_rook": ["cap"],
-    "temperley_lieb": ["cap"],
 }
 
 
@@ -92,10 +90,9 @@ def test_optional_parameters_are_pinned():
 # removed from the command line on purpose.
 CLI_OPTIONS = {
     ("build", "--family", "quaternions"): [
-        "cap", "command", "delta", "family", "inner", "n", "name", "out", "table"],
-    ("analyze", "x"): ["bracket_cap", "command", "document", "format", "out", "seed", "timing"],
-    ("verify-cellular", "x"): [
-        "bracket_cap", "command", "document", "format", "out", "seed", "timing"],
+        "command", "delta", "family", "inner", "n", "out", "table"],
+    ("analyze", "x"): ["command", "document", "format", "out", "seed", "timing"],
+    ("verify-cellular", "x"): ["command", "document", "format", "out", "seed", "timing"],
     ("paper-suite",): ["command", "out", "seed", "timing"],
 }
 

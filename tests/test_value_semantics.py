@@ -38,7 +38,8 @@ from plesken.cellular import (
 )
 from plesken.interchange import document_from_algebra, emit, parse
 from plesken.lie import Fingerprint, fingerprint
-from plesken.linalg import Subspace
+from plesken.linalg import Matrix, Subspace
+from plesken.scalars import GaussianRational
 
 FINGERPRINT_FIELDS = (
     "dim", "derived_dims", "lower_central_dims", "center_dim",
@@ -178,3 +179,24 @@ def test_diagram_kinds_differ():
     assert PlanarRookDiagram(2, (1,), (1,)) != TLDiagram.identity(2)
     assert PlanarRookDiagram(2, (1,), (1,)) != (2, (1,), (1,))
     assert TLDiagram.identity(2) == TLDiagram(2, ((1, 3), (2, 4)))
+
+
+@pytest.mark.parametrize("value, field", [
+    (GaussianRational(1, 1), "re"),
+    (Matrix([[1, 0], [0, 1]]), "rows"),
+])
+def test_values_are_immutable(value, field):
+    with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+        setattr(value, field, 0)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda g: g - "x",
+    lambda g: "x" - g,
+    lambda g: g / "x",
+    lambda g: "x" / g,
+])
+def test_scalar_arithmetic_refuses_a_string(operation):
+    # The message is the interpreter's own: only the type is pinned.
+    with pytest.raises(TypeError):
+        operation(GaussianRational(1, 1))
